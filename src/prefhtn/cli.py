@@ -61,32 +61,33 @@ def _load_problem(domain_path: str, problem_path: str,
 
 
 def _run_one(problem, mode: str, config: SolveConfig,
-             timeout: Optional[float]) -> dict:
-    """One solver run, folded into a RunRecord dict."""
+             timeout: Optional[float]) -> tuple[dict, Optional[tuple]]:
+    """One solver run, folded into a RunRecord dict, plus the plan it found."""
     if mode == "bestfirst":
         try:
             result = solve(problem, config)
         except ResourceLimit as exc:
-            return _record(problem.name, mode, exc.stats, None, "timeout")
+            rec = _record(problem.name, mode, exc.stats, None, "timeout")
+            return rec, None
         status = "ok" if result.status == "ok" else "noplan"
         return _record(problem.name, mode, result.stats, result.weight,
-                       status)
+                       status), result.plan
     caps = EnumerationCaps(max_seconds=timeout if timeout else 600.0)
     try:
         oracle = enumerate_all(problem, caps)
     except CapExceeded as exc:
         partial = exc.partial
         return _record(problem.name, mode, partial.stats,
-                       partial.best_weight, "timeout", partial.plan_count)
+                       partial.best_weight, "timeout",
+                       partial.plan_count), None
     status = "ok" if oracle.plan_count > 0 else "noplan"
     return _record(problem.name, mode, oracle.stats, oracle.best_weight,
-                   status, oracle.plan_count)
+                   status, oracle.plan_count), oracle.best_plan
 
 
 def cmd_solve(args) -> int:
     config = SolveConfig(timeout=args.timeout,
-                         tiebreak_lex=args.tiebreak_lex,
-                         paper_literal=args.paper_literal_hold)
+                         tiebreak_lex=args.tiebreak_lex)
     problem = _load_problem(args.domain, args.problem, args.prefs)
 
     if args.mode == "bestfirst":
@@ -101,15 +102,10 @@ def cmd_solve(args) -> int:
                       result.status)
         plan = result.plan
     else:
-        rec = _run_one(problem, "bruteforce", config, args.timeout)
+        rec, plan = _run_one(problem, "bruteforce", config, args.timeout)
         if rec["status"] == "timeout":
             print("timeout", file=sys.stderr)
             return EXIT_TIMEOUT
-        plan = None
-        if rec["status"] == "ok":
-            caps = EnumerationCaps(
-                max_seconds=args.timeout if args.timeout else 600.0)
-            plan = enumerate_all(problem, caps).best_plan
 
     if args.json:
         print(json.dumps(rec))
@@ -119,7 +115,7 @@ def cmd_solve(args) -> int:
         print("no plan")
         return EXIT_NOPLAN
     for ev in plan:
-        print("(%s)" % " ".join(("!" + ev.name,) + ev.args))
+        print(ev)
     print(f"weight: {rec['weight']}")
     print(f"NE: {rec['NE']}")
     print(f"NC: {rec['NC']}")
@@ -183,9 +179,8 @@ def cmd_bench(args) -> int:
     config = SolveConfig(timeout=args.timeout)
     for pid, dom, prob, pref in _suite_triples(args.suite):
         problem = _load_problem(dom, prob, pref)
-        bf = _run_one(problem, "bruteforce", config, args.timeout)
-        problem = _load_problem(dom, prob, pref)  # fresh state
-        best = _run_one(problem, "bestfirst", config, args.timeout)
+        bf, _ = _run_one(problem, "bruteforce", config, args.timeout)
+        best, _ = _run_one(problem, "bestfirst", config, args.timeout)
         if (bf["status"] == "ok" and best["status"] == "ok"
                 and bf["weight"] != best["weight"]):
             print(f"weight mismatch on {pid}: bruteforce {bf['weight']} "
@@ -232,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timeout", type=float, default=None)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--tiebreak-lex", action="store_true")
-    sp.add_argument("--paper-literal-hold", action="store_true")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bench", help="benchmark a suite directory")

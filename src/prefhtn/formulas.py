@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import BadValueOrder, UnboundVariable
-from .model import Literal, is_var
+from .model import Literal, is_var, subst_args, subst_literal
 
 Weight = Fraction
 W_MIN = Fraction(0)
@@ -247,42 +247,110 @@ def bdf_gpf(phi: BDF) -> GPF:
     return Atomic(APF(((phi, W_MIN),)))
 
 
+# --- generic traversal -------------------------------------------------------------
+
+def _fields(node) -> tuple:
+    """The field values of a formula node, in declaration order."""
+    return tuple(vars(node).values())
+
+
+_KEPT = (str, bool, type(None))
+
+
+def _map_field(v, f, f_ref, f_lit):
+    if isinstance(v, Literal):  # a NamedTuple, so it must be tested before tuple
+        return f_lit(v)
+    if isinstance(v, Ref):
+        return f_ref(v)
+    if isinstance(v, _KEPT):
+        return v
+    if isinstance(v, tuple):
+        return tuple(f(p) for p in v)
+    return f(v)
+
+
+def _same(x):
+    return x
+
+
+def rebuild(phi: BDF, f, f_ref=_same, f_lit=_same) -> BDF:
+    """A node of phi's class with f applied to each sub-formula (a tuple of
+    parts element by element), f_ref to each Ref and f_lit to each Literal;
+    str, bool and None fields are kept."""
+    return type(phi)(*(_map_field(v, f, f_ref, f_lit) for v in _fields(phi)))
+
+
+def children(phi: BDF) -> list[BDF]:
+    """The immediate sub-formulas of phi."""
+    out: list[BDF] = []
+    for v in _fields(phi):
+        if isinstance(v, (Literal, Ref) + _KEPT):
+            continue
+        if isinstance(v, tuple):
+            out.extend(v)
+        else:
+            out.append(v)
+    return out
+
+
+def leaf_args(phi: BDF) -> list[str]:
+    """The arguments of phi's own refs and literals (not of its sub-formulas)."""
+    out: list[str] = []
+    for v in _fields(phi):
+        if isinstance(v, Literal):
+            out.extend(v.atom.args)
+        elif isinstance(v, Ref):
+            out.extend(v.args)
+    return out
+
+
+def gpf_bdfs(gpf: GPF) -> list[BDF]:
+    """Every BDF of a preference: the alternatives and the conditions."""
+    if isinstance(gpf, Atomic):
+        return [b for b, _ in gpf.apf.alts]
+    if isinstance(gpf, Cond):
+        return [gpf.cond] + gpf_bdfs(gpf.body)
+    return [b for p in gpf.parts for b in gpf_bdfs(p)]
+
+
+def map_gpf(gpf: GPF, f) -> GPF:
+    """The preference with f applied to each of its BDFs."""
+    if isinstance(gpf, Atomic):
+        return Atomic(APF(tuple((f(b), v) for b, v in gpf.apf.alts)))
+    if isinstance(gpf, Cond):
+        return Cond(f(gpf.cond), map_gpf(gpf.body, f))
+    return type(gpf)(tuple(map_gpf(p, f) for p in gpf.parts))
+
+
 # --- smart constructors ---------------------------------------------------------
 
-def mk_and(parts) -> BDF:
+def _flatten(parts, cls, unit: BDF, zero: BDF) -> BDF:
+    """Join parts under cls (And or Or): nested cls nodes are spliced in,
+    unit and duplicates are dropped, and zero absorbs the whole join."""
+    unit_t, zero_t = type(unit), type(zero)
     flat: list[BDF] = []
     for p in parts:
-        if isinstance(p, FalseC):
-            return FALSE
-        if isinstance(p, TrueC):
+        if isinstance(p, zero_t):
+            return zero
+        if isinstance(p, unit_t):
             continue
-        if isinstance(p, And):
+        if isinstance(p, cls):
             flat.extend(q for q in p.parts if q not in flat)
         elif p not in flat:
             flat.append(p)
     if not flat:
-        return TRUE
+        return unit
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return cls(tuple(flat))
+
+
+def mk_and(parts) -> BDF:
+    return _flatten(parts, And, TRUE, FALSE)
 
 
 def mk_or(parts) -> BDF:
-    flat: list[BDF] = []
-    for p in parts:
-        if isinstance(p, TrueC):
-            return TRUE
-        if isinstance(p, FalseC):
-            continue
-        if isinstance(p, Or):
-            flat.extend(q for q in p.parts if q not in flat)
-        elif p not in flat:
-            flat.append(p)
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _flatten(parts, Or, FALSE, TRUE)
 
 
 def const(b: bool) -> BDF:
@@ -291,59 +359,32 @@ def const(b: bool) -> BDF:
 
 # --- negation normal form -------------------------------------------------------
 
-_ATOMIC_NEGATABLE = (LitF, Occ, Apply, Terminated, Before, HoldBefore,
+_ATOMIC_NEGATABLE = (Occ, Apply, Terminated, Before, HoldBefore,
                      HoldAfter, HoldBetween, OccNext, ApplyNext, Mon,
                      Last, WasLast)
+
+# Negating one of these swaps it for its dual and negates its sub-formulas
+# and its literal.
+_DUAL = {TrueC: FalseC, FalseC: TrueC, LitF: LitF, Final: Final, And: Or,
+         Or: And, Exists: Forall, Forall: Exists, Always: Eventually,
+         Eventually: Always}
 
 
 def nnf(phi: BDF) -> BDF:
     """Push negation down to atoms. Next is strong: not(next p) = last or next(not p)."""
     if isinstance(phi, Not):
         return _nnf_neg(phi.sub)
-    if isinstance(phi, And):
-        return And(tuple(nnf(p) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(nnf(p) for p in phi.parts))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, nnf(phi.body))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, nnf(phi.body))
-    if isinstance(phi, Next):
-        return Next(nnf(phi.sub))
-    if isinstance(phi, Always):
-        return Always(nnf(phi.sub))
-    if isinstance(phi, Eventually):
-        return Eventually(nnf(phi.sub))
-    if isinstance(phi, Until):
-        return Until(nnf(phi.hold), nnf(phi.goal))
-    return phi
+    return rebuild(phi, nnf)
 
 
 def _nnf_neg(phi: BDF) -> BDF:
-    if isinstance(phi, TrueC):
-        return FALSE
-    if isinstance(phi, FalseC):
-        return TRUE
-    if isinstance(phi, LitF):
-        return LitF(phi.lit.negate())
-    if isinstance(phi, Final):
-        return Final(phi.lit.negate())
+    dual = _DUAL.get(type(phi))
+    if dual is not None:
+        return dual(*_fields(rebuild(phi, _nnf_neg, f_lit=Literal.negate)))
     if isinstance(phi, Not):
         return nnf(phi.sub)
-    if isinstance(phi, And):
-        return Or(tuple(_nnf_neg(p) for p in phi.parts))
-    if isinstance(phi, Or):
-        return And(tuple(_nnf_neg(p) for p in phi.parts))
-    if isinstance(phi, Exists):
-        return Forall(phi.var, _nnf_neg(phi.body))
-    if isinstance(phi, Forall):
-        return Exists(phi.var, _nnf_neg(phi.body))
     if isinstance(phi, Next):
         return Or((Last(), Next(_nnf_neg(phi.sub))))
-    if isinstance(phi, Always):
-        return Eventually(_nnf_neg(phi.sub))
-    if isinstance(phi, Eventually):
-        return Always(_nnf_neg(phi.sub))
     if isinstance(phi, Until):
         # not (p U q) = always(not q) or (not q) U (not p and not q)
         np, nq = _nnf_neg(phi.hold), _nnf_neg(phi.goal)
@@ -354,181 +395,57 @@ def _nnf_neg(phi: BDF) -> BDF:
 
 
 def nnf_gpf(gpf: GPF) -> GPF:
-    if isinstance(gpf, Atomic):
-        return Atomic(APF(tuple((nnf(b), v) for b, v in gpf.apf.alts)))
-    if isinstance(gpf, Cond):
-        return Cond(nnf(gpf.cond), nnf_gpf(gpf.body))
-    if isinstance(gpf, Conj):
-        return Conj(tuple(nnf_gpf(p) for p in gpf.parts))
-    return Disj(tuple(nnf_gpf(p) for p in gpf.parts))
+    return map_gpf(gpf, nnf)
 
 
 # --- substitution and quantifier expansion ---------------------------------------
 
-def _subst_ref(ref: Ref, sigma: dict[str, str]) -> Ref:
-    if ref is None:
-        return None
-    return Ref(ref.kind, ref.name, tuple(sigma.get(a, a) for a in ref.args))
-
-
 def subst_bdf(phi: BDF, sigma: dict[str, str]) -> BDF:
-    from .model import subst_literal
-    if isinstance(phi, (TrueC, FalseC, Last, WasLast)):
-        return phi
-    if isinstance(phi, LitF):
-        return LitF(subst_literal(phi.lit, sigma))
-    if isinstance(phi, Final):
-        return Final(subst_literal(phi.lit, sigma))
-    if isinstance(phi, Occ):
-        return Occ(_subst_ref(phi.ref, sigma))
-    if isinstance(phi, Apply):
-        return Apply(_subst_ref(phi.ref, sigma))
-    if isinstance(phi, Before):
-        return Before(_subst_ref(phi.t1, sigma), _subst_ref(phi.t2, sigma))
-    if isinstance(phi, HoldBefore):
-        return HoldBefore(_subst_ref(phi.t, sigma), subst_literal(phi.lit, sigma))
-    if isinstance(phi, HoldAfter):
-        return HoldAfter(_subst_ref(phi.t, sigma), subst_literal(phi.lit, sigma))
-    if isinstance(phi, HoldBetween):
-        return HoldBetween(_subst_ref(phi.t1, sigma), subst_literal(phi.lit, sigma),
-                           _subst_ref(phi.t2, sigma))
-    if isinstance(phi, Not):
-        return Not(subst_bdf(phi.sub, sigma))
-    if isinstance(phi, And):
-        return And(tuple(subst_bdf(p, sigma) for p in phi.parts))
-    if isinstance(phi, Or):
-        return Or(tuple(subst_bdf(p, sigma) for p in phi.parts))
-    if isinstance(phi, Exists):
-        inner = {k: v for k, v in sigma.items() if k != phi.var}
-        return Exists(phi.var, subst_bdf(phi.body, inner))
-    if isinstance(phi, Forall):
-        inner = {k: v for k, v in sigma.items() if k != phi.var}
-        return Forall(phi.var, subst_bdf(phi.body, inner))
-    if isinstance(phi, Next):
-        return Next(subst_bdf(phi.sub, sigma))
-    if isinstance(phi, Always):
-        return Always(subst_bdf(phi.sub, sigma))
-    if isinstance(phi, Eventually):
-        return Eventually(subst_bdf(phi.sub, sigma))
-    if isinstance(phi, Until):
-        return Until(subst_bdf(phi.hold, sigma), subst_bdf(phi.goal, sigma))
-    if isinstance(phi, OccNext):
-        return OccNext(_subst_ref(phi.ref, sigma))
-    if isinstance(phi, ApplyNext):
-        return ApplyNext(_subst_ref(phi.ref, sigma))
-    if isinstance(phi, Terminated):
-        return Terminated(_subst_ref(phi.ref, sigma))
-    raise UnboundVariable(f"cannot substitute into {phi!r}")
+    if isinstance(phi, (Exists, Forall)):  # the quantifier shadows its variable
+        sigma = {k: v for k, v in sigma.items() if k != phi.var}
+    return rebuild(phi, lambda p: subst_bdf(p, sigma),
+                   lambda r: Ref(r.kind, r.name, subst_args(r.args, sigma)),
+                   lambda l: subst_literal(l, sigma))
 
 
 def expand_quantifiers(phi: BDF, universe: tuple[str, ...]) -> BDF:
     """Ground exists as a disjunction and forall as a conjunction over the universe."""
-    if isinstance(phi, Exists):
-        body = expand_quantifiers(phi.body, universe)
-        return mk_or(expand_quantifiers(subst_bdf(body, {phi.var: c}), universe)
-                     for c in universe)
-    if isinstance(phi, Forall):
-        body = expand_quantifiers(phi.body, universe)
-        return mk_and(expand_quantifiers(subst_bdf(body, {phi.var: c}), universe)
-                      for c in universe)
-    if isinstance(phi, Not):
-        return Not(expand_quantifiers(phi.sub, universe))
-    if isinstance(phi, And):
-        return mk_and(expand_quantifiers(p, universe) for p in phi.parts)
-    if isinstance(phi, Or):
-        return mk_or(expand_quantifiers(p, universe) for p in phi.parts)
-    if isinstance(phi, Next):
-        return Next(expand_quantifiers(phi.sub, universe))
-    if isinstance(phi, Always):
-        return Always(expand_quantifiers(phi.sub, universe))
-    if isinstance(phi, Eventually):
-        return Eventually(expand_quantifiers(phi.sub, universe))
-    if isinstance(phi, Until):
-        return Until(expand_quantifiers(phi.hold, universe),
-                     expand_quantifiers(phi.goal, universe))
-    return phi
+    def expand(p: BDF) -> BDF:
+        return expand_quantifiers(p, universe)
+
+    if isinstance(phi, (Exists, Forall)):
+        body = expand(phi.body)
+        join = mk_or if isinstance(phi, Exists) else mk_and
+        return join(expand(subst_bdf(body, {phi.var: c})) for c in universe)
+    if isinstance(phi, (And, Or)):
+        join = mk_and if isinstance(phi, And) else mk_or
+        return join(expand(p) for p in phi.parts)
+    return rebuild(phi, expand)
 
 
 def expand_gpf(gpf: GPF, universe: tuple[str, ...]) -> GPF:
-    if isinstance(gpf, Atomic):
-        return Atomic(APF(tuple((expand_quantifiers(b, universe), v)
-                                for b, v in gpf.apf.alts)))
-    if isinstance(gpf, Cond):
-        return Cond(expand_quantifiers(gpf.cond, universe), expand_gpf(gpf.body, universe))
-    if isinstance(gpf, Conj):
-        return Conj(tuple(expand_gpf(p, universe) for p in gpf.parts))
-    return Disj(tuple(expand_gpf(p, universe) for p in gpf.parts))
+    return map_gpf(gpf, lambda b: expand_quantifiers(b, universe))
 
 
 def check_closed(phi: BDF, bound: frozenset = frozenset()) -> None:
     """Raise UnboundVariable if a free variable occurs outside its quantifier."""
-    def check_args(args):
-        for a in args:
-            if is_var(a) and a not in bound:
-                raise UnboundVariable(f"unbound variable {a}")
-
-    if isinstance(phi, (LitF, Final)):
-        check_args(phi.lit.atom.args)
-    elif isinstance(phi, (Occ, Apply, OccNext, ApplyNext, Terminated)):
-        check_args(phi.ref.args)
-    elif isinstance(phi, Before):
-        check_args(phi.t1.args)
-        check_args(phi.t2.args)
-    elif isinstance(phi, (HoldBefore, HoldAfter)):
-        check_args(phi.t.args)
-        check_args(phi.lit.atom.args)
-    elif isinstance(phi, HoldBetween):
-        check_args(phi.t1.args)
-        check_args(phi.lit.atom.args)
-        check_args(phi.t2.args)
-    elif isinstance(phi, (Not, Next, Always, Eventually)):
-        check_closed(phi.sub, bound)
-    elif isinstance(phi, (And, Or)):
-        for p in phi.parts:
-            check_closed(p, bound)
-    elif isinstance(phi, Until):
-        check_closed(phi.hold, bound)
-        check_closed(phi.goal, bound)
-    elif isinstance(phi, (Exists, Forall)):
-        check_closed(phi.body, bound | {phi.var})
+    for a in leaf_args(phi):
+        if is_var(a) and a not in bound:
+            raise UnboundVariable(f"unbound variable {a}")
+    if isinstance(phi, (Exists, Forall)):
+        bound = bound | {phi.var}
+    for p in children(phi):
+        check_closed(p, bound)
 
 
 def formula_constants(gpf: GPF) -> set[str]:
     out: set[str] = set()
 
-    def walk_bdf(phi: BDF):
-        if isinstance(phi, (LitF, Final)):
-            out.update(a for a in phi.lit.atom.args if not is_var(a))
-        elif isinstance(phi, (Occ, Apply, OccNext, ApplyNext, Terminated)):
-            out.update(a for a in phi.ref.args if not is_var(a))
-        elif isinstance(phi, Before):
-            out.update(a for a in phi.t1.args + phi.t2.args if not is_var(a))
-        elif isinstance(phi, (HoldBefore, HoldAfter)):
-            out.update(a for a in phi.t.args + phi.lit.atom.args if not is_var(a))
-        elif isinstance(phi, HoldBetween):
-            out.update(a for a in phi.t1.args + phi.lit.atom.args + phi.t2.args
-                       if not is_var(a))
-        elif isinstance(phi, (Not, Next, Always, Eventually)):
-            walk_bdf(phi.sub)
-        elif isinstance(phi, (And, Or)):
-            for p in phi.parts:
-                walk_bdf(p)
-        elif isinstance(phi, Until):
-            walk_bdf(phi.hold)
-            walk_bdf(phi.goal)
-        elif isinstance(phi, (Exists, Forall)):
-            walk_bdf(phi.body)
+    def walk(phi: BDF):
+        out.update(a for a in leaf_args(phi) if not is_var(a))
+        for p in children(phi):
+            walk(p)
 
-    def walk(g: GPF):
-        if isinstance(g, Atomic):
-            for b, _ in g.apf.alts:
-                walk_bdf(b)
-        elif isinstance(g, Cond):
-            walk_bdf(g.cond)
-            walk(g.body)
-        else:
-            for p in g.parts:
-                walk(p)
-
-    walk(gpf)
+    for b in gpf_bdfs(gpf):
+        walk(b)
     return out

@@ -157,9 +157,7 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
     prog_ok = mono_ok = conv_ok = True
     for trace in oracle.traces:
         direct = semantics.weight_gpf(trace, gpf, universe)
-        final, prefix_bounds = P.progress_trace(
-            gpf, trace, universe, paper_literal=config.paper_literal,
-            simplify=config.simplify)
+        final, prefix_bounds = P.progress_trace(gpf, trace, universe)
         if final != direct:
             prog_ok = False
         prev = None

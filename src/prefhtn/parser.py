@@ -484,22 +484,11 @@ def parse_preference(text, domain: Domain, filename: str = "<preference>") -> F.
     gpf = _parse_gpf(expr, domain, arities, filename)
     gpf = F.nnf_gpf(gpf)
     try:
-        _check_gpf_closed(gpf)
+        for b in F.gpf_bdfs(gpf):
+            F.check_closed(b)
     except UnboundVariable as e:
         raise _fail(str(e), filename) from None
     return gpf
-
-
-def _check_gpf_closed(gpf: F.GPF) -> None:
-    if isinstance(gpf, F.Atomic):
-        for b, _ in gpf.apf.alts:
-            F.check_closed(b)
-    elif isinstance(gpf, F.Cond):
-        F.check_closed(gpf.cond)
-        _check_gpf_closed(gpf.body)
-    else:
-        for p in gpf.parts:
-            _check_gpf_closed(p)
 
 
 def empty_preference() -> F.GPF:
@@ -509,39 +498,25 @@ def empty_preference() -> F.GPF:
 
 # --- printers (parse . print == identity) -----------------------------------------
 
-def _print_atom(atom: Atom) -> str:
-    return "(%s)" % " ".join((atom.pred,) + atom.args)
-
-
-def _print_literal(lit: Literal) -> str:
-    s = _print_atom(lit.atom)
-    return s if lit.positive else f"(not {s})"
-
-
-def _print_task(task: Task) -> str:
-    head = ("!" if task.primitive else "") + task.name
-    return "(%s)" % " ".join((head,) + task.args)
-
-
 def print_domain(dom: Domain) -> str:
     lines = [f"(domain {dom.name}"]
     for op in dom.operators.values():
         head = "(%s)" % " ".join(("!" + op.name,) + op.params)
         lines.append("  (:operator %s :pre (%s) :del (%s) :add (%s))" % (
             head,
-            " ".join(_print_literal(l) for l in op.pre),
-            " ".join(_print_atom(a) for a in op.delete),
-            " ".join(_print_atom(a) for a in op.add)))
+            " ".join(map(str, op.pre)),
+            " ".join(map(str, op.delete)),
+            " ".join(map(str, op.add))))
     for m in dom.methods:
         parts = ["  (:method %s :name %s :pre (%s) :tasks (%s)" % (
-            _print_task(m.task), m.branch,
-            " ".join(_print_literal(l) for l in m.pre),
-            " ".join(_print_task(t) for t in m.subtasks))]
+            m.task, m.branch,
+            " ".join(map(str, m.pre)),
+            " ".join(map(str, m.subtasks)))]
         if m.unordered:
             parts.append(" :unordered")
         if m.before:
             parts.append(" :before (%s)" % " ".join(
-                f"({_print_literal(l)} {i})" for l, i in m.before))
+                f"({l} {i})" for l, i in m.before))
         parts.append(")")
         lines.append("".join(parts))
     lines.append(")")
@@ -549,8 +524,8 @@ def print_domain(dom: Domain) -> str:
 
 
 def print_problem(prob: Problem) -> str:
-    init = " ".join(_print_atom(a) for a in sorted(prob.init.facts))
-    tasks = " ".join(_print_task(t) for t in prob.network)
+    init = " ".join(map(str, sorted(prob.init.facts)))
+    tasks = " ".join(map(str, prob.network))
     return f"(problem {prob.name} :init ({init}) :tasks ({tasks}))"
 
 
@@ -565,9 +540,9 @@ def print_bdf(phi: F.BDF) -> str:
     if isinstance(phi, F.FalseC):
         return "(or)"
     if isinstance(phi, F.LitF):
-        return _print_literal(phi.lit)
+        return str(phi.lit)
     if isinstance(phi, F.Final):
-        return f"(final {_print_literal(phi.lit)})"
+        return f"(final {phi.lit})"
     if isinstance(phi, F.Occ):
         return f"(occ {_print_ref(phi.ref)})"
     if isinstance(phi, F.Apply):
@@ -575,11 +550,11 @@ def print_bdf(phi: F.BDF) -> str:
     if isinstance(phi, F.Before):
         return f"(before {_print_ref(phi.t1)} {_print_ref(phi.t2)})"
     if isinstance(phi, F.HoldBefore):
-        return f"(hold-before {_print_ref(phi.t)} {_print_literal(phi.lit)})"
+        return f"(hold-before {_print_ref(phi.t)} {phi.lit})"
     if isinstance(phi, F.HoldAfter):
-        return f"(hold-after {_print_ref(phi.t)} {_print_literal(phi.lit)})"
+        return f"(hold-after {_print_ref(phi.t)} {phi.lit})"
     if isinstance(phi, F.HoldBetween):
-        return (f"(hold-between {_print_ref(phi.t1)} {_print_literal(phi.lit)} "
+        return (f"(hold-between {_print_ref(phi.t1)} {phi.lit} "
                 f"{_print_ref(phi.t2)})")
     if isinstance(phi, F.Not):
         return f"(not {print_bdf(phi.sub)})"

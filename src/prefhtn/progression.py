@@ -13,8 +13,7 @@ Residual conventions (all indices relative to the event sequence):
     resolved against the next event.
   * before/hold* constructs hatch three-valued monitors; pending monitors
     count as satisfied under the optimistic bound and falsified under the
-    pessimistic one. --paper-literal-hold instead resolves them immediately
-    from the trace prefix, reproducing the source rule they refine.
+    pessimistic one.
   * final(l) stays open until the terminal step. Its pessimistic bound is
     "unsatisfied", not the current value of l: a fluent that is true now but
     deleted later would otherwise let the pessimistic weight increase along
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from . import formulas as F
 from . import semantics
@@ -75,9 +74,6 @@ class StepContext:
     event: object
     state: State
     terminal: bool
-    paper_literal: bool = False
-    simplify: bool = True
-    prefix: Optional[Trace] = None  # only needed for paper-literal mode
 
 
 def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
@@ -101,28 +97,15 @@ def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
 
 # --- monitors ---------------------------------------------------------------------
 
-def _cond1(state: State, t1: F.Ref, t2: F.Ref) -> bool:
-    """The shared witness condition: t1 done, t2 not yet touched."""
-    return (semantics.terminated_at(state, t1)
-            and not semantics.executing_at(state, t2)
-            and not semantics.terminated_at(state, t2))
-
-
 def _resolve(value: bool, neg: bool) -> F.BDF:
     return F.const(value != neg)
 
 
 def _hatch_monitor(phi: F.BDF, neg: bool, ctx: StepContext) -> F.BDF:
     """Create a monitor at the current index and give it its birth-state check."""
-    if ctx.paper_literal:
-        if ctx.prefix is None:
-            raise UnboundVariable("paper-literal mode needs the trace prefix")
-        sat = semantics.satisfies_bdf(ctx.prefix, 0, phi)
-        return _resolve(sat, neg)
-
     if isinstance(phi, F.Before):
         mon = F.Mon("before", phi.t1, None, phi.t2, neg,
-                    armed=_cond1(ctx.state, phi.t1, phi.t2))
+                    armed=semantics.window_open(ctx.state, phi.t1, phi.t2))
         if ctx.terminal:
             return _resolve(False, neg)  # no event can still occur
         return mon
@@ -142,7 +125,8 @@ def _hatch_monitor(phi: F.BDF, neg: bool, ctx: StepContext) -> F.BDF:
     if isinstance(phi, F.HoldBetween):
         if ctx.terminal:
             return _resolve(False, neg)
-        armed = _cond1(ctx.state, phi.t1, phi.t2) and ctx.state.holds(phi.lit)
+        armed = (semantics.window_open(ctx.state, phi.t1, phi.t2)
+                 and ctx.state.holds(phi.lit))
         return F.Mon("hold-between", phi.t1, phi.lit, phi.t2, neg, armed=armed)
     raise TypeError(f"not a monitored construct: {phi!r}")
 
@@ -155,7 +139,8 @@ def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
             return _resolve(mon.armed, mon.neg)
         if ctx.terminal:
             return _resolve(False, mon.neg)
-        return replace(mon, armed=mon.armed or _cond1(state, mon.t1, mon.t2))
+        return replace(mon, armed=mon.armed
+                       or semantics.window_open(state, mon.t1, mon.t2))
 
     if mon.construct == "hold-before":
         if (event is not None and semantics.event_matches(event, mon.t1)
@@ -177,7 +162,7 @@ def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
             return _resolve(mon.armed, mon.neg)
         if ctx.terminal:
             return _resolve(False, mon.neg)
-        armed = ((mon.armed or _cond1(state, mon.t1, mon.t2))
+        armed = ((mon.armed or semantics.window_open(state, mon.t1, mon.t2))
                  and state.holds(mon.lit))
         return replace(mon, armed=armed)
 
@@ -191,9 +176,6 @@ _MONITORED = (F.Before, F.HoldBefore, F.HoldAfter, F.HoldBetween)
 
 def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
     """Progress one residual BDF through one step."""
-    mk_and = F.mk_and if ctx.simplify else (lambda ps: F.And(tuple(ps)))
-    mk_or = F.mk_or if ctx.simplify else (lambda ps: F.Or(tuple(ps)))
-
     if isinstance(phi, (F.TrueC, F.FalseC)):
         return phi
     if isinstance(phi, F.LitF):
@@ -207,16 +189,16 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
             # an operator terminates at its own event; the termination
             # obligation is implied by the occurrence
             return F.OccNext(phi.ref)
-        return mk_and([F.OccNext(phi.ref),
-                       F.Eventually(F.Terminated(phi.ref))])
+        return F.mk_and([F.OccNext(phi.ref),
+                         F.Eventually(F.Terminated(phi.ref))])
     if isinstance(phi, F.OccNext):
         return F.const(ctx.event is not None
                        and semantics.event_matches(ctx.event, phi.ref))
     if isinstance(phi, F.Apply):
         if ctx.terminal:
             return F.FALSE
-        return mk_and([F.ApplyNext(phi.ref),
-                       F.Eventually(F.Terminated(phi.ref))])
+        return F.mk_and([F.ApplyNext(phi.ref),
+                         F.Eventually(F.Terminated(phi.ref))])
     if isinstance(phi, F.ApplyNext):
         return F.const(ctx.event is not None
                        and semantics.event_matches(ctx.event, phi.ref))
@@ -242,23 +224,23 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
             return F.TRUE
         return F.Not(inner)
     if isinstance(phi, F.And):
-        return mk_and([progress_bdf(p, ctx) for p in phi.parts])
+        return F.mk_and([progress_bdf(p, ctx) for p in phi.parts])
     if isinstance(phi, F.Or):
-        return mk_or([progress_bdf(p, ctx) for p in phi.parts])
+        return F.mk_or([progress_bdf(p, ctx) for p in phi.parts])
     if isinstance(phi, F.Next):
         return F.FALSE if ctx.terminal else phi.sub
     if isinstance(phi, F.Always):
         now = progress_bdf(phi.sub, ctx)
-        return now if ctx.terminal else mk_and([now, phi])
+        return now if ctx.terminal else F.mk_and([now, phi])
     if isinstance(phi, F.Eventually):
         now = progress_bdf(phi.sub, ctx)
-        return now if ctx.terminal else mk_or([now, phi])
+        return now if ctx.terminal else F.mk_or([now, phi])
     if isinstance(phi, F.Until):
         goal_now = progress_bdf(phi.goal, ctx)
         if ctx.terminal:
             return goal_now
         hold_now = progress_bdf(phi.hold, ctx)
-        return mk_or([goal_now, mk_and([hold_now, phi])])
+        return F.mk_or([goal_now, F.mk_and([hold_now, phi])])
     if isinstance(phi, (F.Exists, F.Forall)):
         raise UnboundVariable("quantifiers must be grounded before progression")
     raise TypeError(f"cannot progress {phi!r}")
@@ -333,18 +315,12 @@ def bounds(pf: Progressed, state: State) -> Bounds:
 
 
 def _eval_const(phi: F.BDF) -> bool:
-    """Evaluate a residual that only contains constants (connectives allowed,
-    since simplification may be off)."""
+    """The value of a terminal residual: the terminal step resolves every
+    obligation and mk_and/mk_or fold the constants, so none is left open."""
     if isinstance(phi, F.TrueC):
         return True
     if isinstance(phi, F.FalseC):
         return False
-    if isinstance(phi, F.Not):
-        return not _eval_const(phi.sub)
-    if isinstance(phi, F.And):
-        return all(_eval_const(p) for p in phi.parts)
-    if isinstance(phi, F.Or):
-        return any(_eval_const(p) for p in phi.parts)
     raise ValueError(f"unresolved residual at terminal: {phi!r}")
 
 
@@ -366,8 +342,7 @@ def terminal_weight(pf: Progressed) -> Fraction:
 
 # --- whole-trace replay --------------------------------------------------------------
 
-def progress_trace(gpf: F.GPF, trace: Trace, universe: tuple[str, ...],
-                   paper_literal: bool = False, simplify: bool = True
+def progress_trace(gpf: F.GPF, trace: Trace, universe: tuple[str, ...]
                    ) -> tuple[Fraction, list[Bounds]]:
     """Replay a complete trace through progression.
 
@@ -381,10 +356,7 @@ def progress_trace(gpf: F.GPF, trace: Trace, universe: tuple[str, ...],
         event = trace.events[i - 1] if i > 0 else None
         state = trace.states[i]
         terminal = i == n
-        prefix = Trace(trace.events[:i], trace.states[:i + 1]) if paper_literal else None
-        pf = step(pf, StepContext(event, state, terminal,
-                                  paper_literal=paper_literal,
-                                  simplify=simplify, prefix=prefix))
+        pf = step(pf, StepContext(event, state, terminal))
         if terminal:
             w = terminal_weight(pf)
             prefix_bounds.append(Bounds(w, w))

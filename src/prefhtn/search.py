@@ -50,8 +50,6 @@ class SolveConfig:
     max_expansions: Optional[int] = None   # cap on applied operators
     depth_cap: int = 64                    # decomposition recursion depth
     tiebreak_lex: bool = False             # break weight ties lexicographically
-    paper_literal: bool = False            # literal hold/before progression rule
-    simplify: bool = True
     debug: bool = False                    # assert best-first dominance
 
 
@@ -139,6 +137,29 @@ def _any_emits(agenda) -> bool:
     return any(_emits(item) for item in agenda)
 
 
+def _step(pf, event, trace: Trace, terminal: bool):
+    """Progress pf through the event that ended trace; None stays None."""
+    if pf is None:
+        return None
+    return P.step(pf, P.StepContext(event, trace.final_state, terminal))
+
+
+def _make_node(agenda, trace: Trace, pf, depth: int,
+               terminal: bool) -> SearchNode:
+    plan_length = sum(1 for e in trace.events
+                      if isinstance(e, OperatorEvent))
+    if pf is None:
+        w = Fraction(0) if terminal else None
+        return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, w,
+                          plan_length, depth)
+    if terminal:
+        w = P.terminal_weight(pf)
+        return SearchNode(agenda, trace, pf, w, w, w, plan_length, depth)
+    b = P.bounds(pf, trace.final_state)
+    return SearchNode(agenda, trace, pf, b.opt, b.pess, None,
+                      plan_length, depth)
+
+
 class _Expander:
     """Shared expansion relation. progressed=None disables all preference
     bookkeeping (brute-force mode): children then carry trivial bounds and
@@ -150,30 +171,6 @@ class _Expander:
         self.domain = problem.domain
         self.config = config
         self.stats = stats
-
-    def _step(self, pf, event, trace: Trace, terminal: bool):
-        if pf is None:
-            return None
-        ctx = P.StepContext(event, trace.final_state, terminal,
-                            paper_literal=self.config.paper_literal,
-                            simplify=self.config.simplify,
-                            prefix=trace if self.config.paper_literal else None)
-        return P.step(pf, ctx)
-
-    def _make_node(self, agenda, trace: Trace, pf, depth: int,
-                   terminal: bool) -> SearchNode:
-        plan_length = sum(1 for e in trace.events
-                          if isinstance(e, OperatorEvent))
-        if pf is None:
-            w = Fraction(0) if terminal else None
-            return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, w,
-                              plan_length, depth)
-        if terminal:
-            w = P.terminal_weight(pf)
-            return SearchNode(agenda, trace, pf, w, w, w, plan_length, depth)
-        b = P.bounds(pf, trace.final_state)
-        return SearchNode(agenda, trace, pf, b.opt, b.pess, None,
-                          plan_length, depth)
 
     def expand(self, node: SearchNode) -> list[SearchNode]:
         return self._drill(node.agenda, node.trace, node.progressed,
@@ -193,9 +190,9 @@ class _Expander:
                 event = EndEvent(head.inst)
                 trace = trace.extend(event, self.domain)
                 terminal = not _any_emits(rest)
-                pf = self._step(pf, event, trace, terminal)
+                pf = _step(pf, event, trace, terminal)
                 if terminal:
-                    return [self._make_node(rest, trace, pf, depth, True)]
+                    return [_make_node(rest, trace, pf, depth, True)]
                 agenda = rest
                 continue
 
@@ -230,8 +227,8 @@ class _Expander:
         if cap is not None and self.stats.nodes_expanded > cap:
             raise ResourceLimit("expansions", self.stats)
         terminal = not _any_emits(rest)
-        pf = self._step(pf, event, trace, terminal)
-        return [self._make_node(rest, trace, pf, depth, terminal)]
+        pf = _step(pf, event, trace, terminal)
+        return [_make_node(rest, trace, pf, depth, terminal)]
 
     def _decompose(self, task: Task, rest, trace: Trace, pf,
                    depth: int) -> list[SearchNode]:
@@ -244,11 +241,11 @@ class _Expander:
                 task_inst = Inst("task", task.name, task.args,
                                  len(trace.events))
                 t1 = trace.extend(StartEvent(task_inst), self.domain)
-                pf1 = self._step(pf, t1.events[-1], t1, False)
+                pf1 = _step(pf, t1.events[-1], t1, False)
                 method_inst = Inst("method", method.branch, task.args,
                                    len(t1.events))
                 t2 = t1.extend(StartEvent(method_inst), self.domain)
-                pf2 = self._step(pf1, t2.events[-1], t2, False)
+                pf2 = _step(pf1, t2.events[-1], t2, False)
 
                 subtasks = [st.ground(sigma) for st in method.subtasks]
                 if method.unordered:
@@ -282,27 +279,14 @@ def make_root(problem: Problem, config: SolveConfig,
     of the pair is non-None: an empty task network is already a solution."""
     trace = empty_trace(problem.init)
     agenda = tuple(problem.network)
-    universe = problem.constants
     terminal = not _any_emits(agenda)
     pf = None
     if with_preference:
         gpf = problem.preference if problem.preference is not None \
             else F.bdf_gpf(F.TRUE)
-        pf = P.init_progressed(gpf, universe)
-        ctx = P.StepContext(None, problem.init, terminal,
-                            paper_literal=config.paper_literal,
-                            simplify=config.simplify,
-                            prefix=trace if config.paper_literal else None)
-        pf = P.step(pf, ctx)
-    if pf is None:
-        node = SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX,
-                          Fraction(0) if terminal else None, 0, 0)
-    elif terminal:
-        w = P.terminal_weight(pf)
-        node = SearchNode(agenda, trace, pf, w, w, w, 0, 0)
-    else:
-        b = P.bounds(pf, problem.init)
-        node = SearchNode(agenda, trace, pf, b.opt, b.pess, None, 0, 0)
+        pf = _step(P.init_progressed(gpf, problem.constants), None, trace,
+                   terminal)
+    node = _make_node(agenda, trace, pf, 0, terminal)
     if terminal:
         return None, node
     return node, None
@@ -340,28 +324,31 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
 
     best: Optional[SearchNode] = None
     max_popped_opt = F.W_MIN
-    while heap:
-        if config.timeout is not None \
-                and time.monotonic() - start > config.timeout:
-            stats.elapsed = time.monotonic() - start
-            raise ResourceLimit("time", stats)
-        opt, _pess, _plen, _seq, node = heapq.heappop(heap)
-        if best is not None and opt > best.weight:
-            break
-        max_popped_opt = max(max_popped_opt, opt)
-        if node.weight is not None:
-            if best is None:
-                best = node
-                if not config.tiebreak_lex:
-                    break
-            elif node.weight == best.weight \
-                    and _plan_key(node) < _plan_key(best):
-                best = node
-            continue
-        for child in exp.expand(node):
-            heapq.heappush(heap, (child.opt, child.pess, child.plan_length,
-                                  next(seq), child))
-            stats.nodes_considered += 1
+    try:
+        while heap:
+            if config.timeout is not None \
+                    and time.monotonic() - start > config.timeout:
+                raise ResourceLimit("time", stats)
+            opt, _pess, _plen, _seq, node = heapq.heappop(heap)
+            if best is not None and opt > best.weight:
+                break
+            max_popped_opt = max(max_popped_opt, opt)
+            if node.weight is not None:
+                if best is None:
+                    best = node
+                    if not config.tiebreak_lex:
+                        break
+                elif node.weight == best.weight \
+                        and _plan_key(node) < _plan_key(best):
+                    best = node
+                continue
+            for child in exp.expand(node):
+                heapq.heappush(heap, (child.opt, child.pess, child.plan_length,
+                                      next(seq), child))
+                stats.nodes_considered += 1
+    except ResourceLimit:
+        stats.elapsed = time.monotonic() - start
+        raise
 
     if best is not None and config.debug:
         assert max_popped_opt <= best.weight

@@ -41,30 +41,26 @@ def executing_at(state: State, ref: F.Ref) -> bool:
     return ref.kind != "op" and state.has_executing(ref.kind, ref.name, ref.args)
 
 
-def _before_witness(trace: Trace, start: int, t1: F.Ref, t2: F.Ref) -> bool:
+def window_open(state: State, t1: F.Ref, t2: F.Ref) -> bool:
+    """t1 has terminated and t2 has neither started nor terminated."""
+    return (terminated_at(state, t1) and not executing_at(state, t2)
+            and not terminated_at(state, t2))
+
+
+def _window_witness(trace: Trace, start: int, t1: F.Ref, t2: F.Ref,
+                    lit=None) -> bool:
+    """An index s1 >= start where the t1/t2 window is open, followed by an
+    event of t2 at s2 >= s1, with lit (unless None) holding in states s1..s2.
+    before(t1, t2) is the witness without a literal, hold-between with one."""
     last = len(trace.events)
     for s1 in range(start, last + 1):
-        st = trace.states[s1]
-        if not (terminated_at(st, t1) and not executing_at(st, t2)
-                and not terminated_at(st, t2)):
+        if not window_open(trace.states[s1], t1, t2):
             continue
         for s2 in range(s1, last):
-            if event_matches(trace.events[s2], t2):
+            if event_matches(trace.events[s2], t2) and (
+                    lit is None or all(trace.states[i].holds(lit)
+                                       for i in range(s1, s2 + 1))):
                 return True
-    return False
-
-
-def _between_witness(trace: Trace, start: int, t1: F.Ref, lit, t2: F.Ref) -> bool:
-    last = len(trace.events)
-    for s1 in range(start, last + 1):
-        st = trace.states[s1]
-        if not (terminated_at(st, t1) and not executing_at(st, t2)
-                and not terminated_at(st, t2)):
-            continue
-        for s2 in range(s1, last):
-            if event_matches(trace.events[s2], t2):
-                if all(trace.states[i].holds(lit) for i in range(s1, s2 + 1)):
-                    return True
     return False
 
 
@@ -89,7 +85,7 @@ def satisfies_bdf(trace: Trace, i: int, phi: F.BDF,
     if isinstance(phi, F.Terminated):
         return terminated_at(trace.states[i], phi.ref)
     if isinstance(phi, F.Before):
-        return _before_witness(trace, i, phi.t1, phi.t2)
+        return _window_witness(trace, i, phi.t1, phi.t2)
     if isinstance(phi, F.HoldBefore):
         return any(trace.states[s1].holds(phi.lit)
                    and event_matches(trace.events[s1], phi.t)
@@ -99,7 +95,7 @@ def satisfies_bdf(trace: Trace, i: int, phi: F.BDF,
                    and trace.states[s1].holds(phi.lit)
                    for s1 in range(i, last + 1))
     if isinstance(phi, F.HoldBetween):
-        return _between_witness(trace, i, phi.t1, phi.lit, phi.t2)
+        return _window_witness(trace, i, phi.t1, phi.t2, phi.lit)
     if isinstance(phi, F.Not):
         return not satisfies_bdf(trace, i, phi.sub, universe)
     if isinstance(phi, F.And):

@@ -6,8 +6,10 @@ import pytest
 
 from conftest import FIXTURES
 
+from prefhtn import cli
 from prefhtn.cli import (EXIT_NOPLAN, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE,
                          RECORD_FIELDS, main)
+from prefhtn.oracle import enumerate_all
 
 TRAVEL = FIXTURES / "travel"
 
@@ -67,6 +69,19 @@ class TestSolveCommand:
                                                "--json"))
         assert code == EXIT_OK
         assert json.loads(out)["planCount"] == 13
+
+    def test_bruteforce_mode_enumerates_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_all(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_all", counting)
+        code, out, _ = run(capsys, *solve_args(1, "--mode", "bruteforce"))
+        assert code == EXIT_OK
+        assert out.startswith("(!")
+        assert len(calls) == 1
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "--domain", "/nonexistent.htn",

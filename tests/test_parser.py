@@ -120,6 +120,48 @@ class TestParsePreference:
                 " :del () :add ()))"))
 
 
+LEAF_DOMAIN = """
+(domain d
+  (:operator (!go ?x) :pre () :del () :add ((at ?x)))
+  (:method (trip ?x) :name by-go :pre () :tasks ((!go ?x))))
+"""
+
+# One case per leaf kind and argument slot; {} is where the tested term goes.
+LEAF_CASES = [
+    ("literal", "(at {})"),
+    ("final", "(final (at {}))"),
+    ("occ", "(eventually (occ (!go {})))"),
+    ("apply", "(eventually (apply (by-go {})))"),
+    ("before-t1", "(before (trip {}) (!go))"),
+    ("before-t2", "(before (trip) (!go {}))"),
+    ("hold-before-t", "(hold-before (!go {}) (at a))"),
+    ("hold-before-lit", "(hold-before (!go) (at {}))"),
+    ("hold-after-t", "(hold-after (trip {}) (at a))"),
+    ("hold-after-lit", "(hold-after (trip) (at {}))"),
+    ("hold-between-t1", "(hold-between (!go {}) (at a) (trip))"),
+    ("hold-between-lit", "(hold-between (!go) (at {}) (trip))"),
+    ("hold-between-t2", "(hold-between (!go) (at a) (trip {}))"),
+]
+
+
+class TestLeafKinds:
+    @pytest.mark.parametrize("template", [t for _, t in LEAF_CASES],
+                             ids=[k for k, _ in LEAF_CASES])
+    def test_unbound_variable_rejected(self, template):
+        dom = parse_domain(LEAF_DOMAIN)
+        parse_preference(f"(forall (?x) {template.format('?x')})", dom)
+        with pytest.raises(ParseError):
+            parse_preference(template.format("?x"), dom)
+
+    @pytest.mark.parametrize("template", [t for _, t in LEAF_CASES],
+                             ids=[k for k, _ in LEAF_CASES])
+    def test_constant_reaches_universe(self, template):
+        dom = parse_domain(LEAF_DOMAIN)
+        prob = parse_problem("(problem p :init () :tasks ((trip home)))", dom)
+        prob.preference = parse_preference(template.format("zz"), dom)
+        assert "zz" in prob.constants
+
+
 class TestRoundTrip:
     def test_mini_domain(self, mini_domain):
         assert parse_domain(print_domain(mini_domain)) == mini_domain

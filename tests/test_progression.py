@@ -94,6 +94,9 @@ class TestMonitors:
         "(hold-between (!book-train) (has-ticket) (!pay))",
         "(eventually (occ (!pay)))",
         "(always (not (occ (!book-car))))",
+        "(eventually (before (!book-train) (!pay)))",
+        "(&! (eventually (occ (!pay)))"
+        "    (>> ((always (not (occ (!book-car)))) 0) ((and) 1/2)))",
     ])
     def test_monitors_match_direct_semantics(self, mini_domain, mini_trace,
                                              text):
@@ -101,26 +104,6 @@ class TestMonitors:
         universe = ("train",)
         weight, _ = progress_trace(gpf, mini_trace, universe)
         assert weight == weight_gpf(mini_trace, gpf, universe)
-
-    def test_literal_mode_resolves_from_prefix(self, mini_domain, mini_trace):
-        # the literal rule evaluates the construct over the prefix seen so
-        # far at the moment it is progressed; a top-level before is therefore
-        # decided against the empty prefix and falsified, while the default
-        # monitors track direct semantics
-        gpf = parse_preference("(before (!book-train) (!pay))", mini_domain)
-        plain, _ = progress_trace(gpf, mini_trace, ())
-        literal, _ = progress_trace(gpf, mini_trace, (), paper_literal=True)
-        assert plain == weight_gpf(mini_trace, gpf, ()) == 0
-        assert literal == 1
-
-    def test_literal_mode_under_eventually(self, mini_domain, mini_trace):
-        # re-progressed each step, the literal rule does see the witness once
-        # it falls inside the prefix, so both modes agree here
-        gpf = parse_preference("(eventually (before (!book-train) (!pay)))",
-                               mini_domain)
-        plain, _ = progress_trace(gpf, mini_trace, ())
-        literal, _ = progress_trace(gpf, mini_trace, (), paper_literal=True)
-        assert plain == literal == 0
 
 
 class TestBounds:
@@ -146,16 +129,6 @@ class TestBounds:
             mini_domain, mini_trace)
         assert weight == 0  # guard never fires
         assert bnds[0].opt == 0
-
-    def test_simplify_off_same_weights(self, mini_domain, mini_trace):
-        gpf = parse_preference(
-            "(&! (eventually (occ (!pay)))"
-            "    (>> ((always (not (occ (!book-car)))) 0) ((and) 1/2)))",
-            mini_domain)
-        w_on, b_on = progress_trace(gpf, mini_trace, (), simplify=True)
-        w_off, b_off = progress_trace(gpf, mini_trace, (), simplify=False)
-        assert w_on == w_off
-        assert b_on == b_off
 
 
 class TestAgainstOracle:

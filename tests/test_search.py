@@ -113,6 +113,7 @@ class TestResourceLimits:
         with pytest.raises(ResourceLimit) as exc:
             solve(mini_problem(), SolveConfig(max_expansions=0))
         assert exc.value.kind == "expansions"
+        assert exc.value.stats.elapsed > 0
 
     def test_depth_cap(self):
         domain = parse_domain("""
@@ -124,6 +125,7 @@ class TestResourceLimits:
         with pytest.raises(ResourceLimit) as exc:
             solve(problem, SolveConfig(depth_cap=5))
         assert exc.value.kind == "depth"
+        assert exc.value.stats.elapsed > 0
 
 
 class TestExpansion:

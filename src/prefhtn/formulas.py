@@ -7,7 +7,7 @@ formulas (conditional / conjunctive / disjunctive aggregation).
 
 Weights are exact rationals in [0, 1]; 0 is best, 1 is worst. Negation is
 pushed to atoms at construction time (nnf); the extended constructs TrueC,
-FalseC, OccNext, ApplyNext, Terminated, Last and Mon only ever appear as
+FalseC, OccNext, Terminated, Last, WasLast and Mon only ever appear as
 progression outputs.
 """
 
@@ -151,11 +151,6 @@ class OccNext:
 
 
 @dataclass(frozen=True)
-class ApplyNext:
-    ref: Ref
-
-
-@dataclass(frozen=True)
 class Terminated:
     ref: Ref
 
@@ -190,8 +185,8 @@ class Mon:
 
 BDF = Union[TrueC, FalseC, LitF, Final, Occ, Apply, Before, HoldBefore,
             HoldAfter, HoldBetween, Not, And, Or, Exists, Forall, Next,
-            Always, Eventually, Until, OccNext, ApplyNext, Terminated,
-            Last, WasLast, Mon]
+            Always, Eventually, Until, OccNext, Terminated, Last, WasLast,
+            Mon]
 
 
 # --- APF / GPF ----------------------------------------------------------------
@@ -322,6 +317,21 @@ def map_gpf(gpf: GPF, f) -> GPF:
     return type(gpf)(tuple(map_gpf(p, f) for p in gpf.parts))
 
 
+def gpf_weight(gpf: GPF, sat, sat_cond=None) -> Weight:
+    """The weight of a preference given which of its BDFs hold: an APF scores
+    its first alternative that sat accepts (W_MAX if none does), a Cond whose
+    condition sat_cond (default sat) rejects scores W_MIN, a Conj the max of
+    its parts and a Disj the min."""
+    if isinstance(gpf, Atomic):
+        return next((v for b, v in gpf.apf.alts if sat(b)), W_MAX)
+    if isinstance(gpf, Cond):
+        if not (sat_cond or sat)(gpf.cond):
+            return W_MIN
+        return gpf_weight(gpf.body, sat, sat_cond)
+    join = max if isinstance(gpf, Conj) else min
+    return join(gpf_weight(p, sat, sat_cond) for p in gpf.parts)
+
+
 # --- smart constructors ---------------------------------------------------------
 
 def _flatten(parts, cls, unit: BDF, zero: BDF) -> BDF:
@@ -360,8 +370,7 @@ def const(b: bool) -> BDF:
 # --- negation normal form -------------------------------------------------------
 
 _ATOMIC_NEGATABLE = (Occ, Apply, Terminated, Before, HoldBefore,
-                     HoldAfter, HoldBetween, OccNext, ApplyNext, Mon,
-                     Last, WasLast)
+                     HoldAfter, HoldBetween, OccNext, Mon, Last, WasLast)
 
 # Negating one of these swaps it for its dual and negates its sub-formulas
 # and its literal.

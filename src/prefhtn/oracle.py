@@ -83,7 +83,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
         return OracleResult(len(traces), best_plan, best_w, weights, stats,
                             tuple(traces) if keep_traces else ())
 
-    root, immediate = make_root(problem, config, with_preference=False)
+    root, immediate = make_root(problem, with_preference=False)
     if immediate is not None:
         record(immediate)
         return _finish()

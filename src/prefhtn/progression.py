@@ -1,16 +1,19 @@
 """Formula progression and the optimistic/pessimistic weight bounds.
 
-A progressed preference mirrors the shape of its source formula, with every
-BDF replaced by the residual still to be satisfied by the rest of the trace.
-Progression runs once through the initial state (no event) and then once per
-event; the step that produces a complete plan is flagged terminal, at which
-point every residual collapses to a constant and the bounds coincide with
-the true weight.
+A progressed preference is a fixed skeleton plus a flat residual tuple. The
+skeleton is the quantifier-expanded preference with each BDF replaced by its
+position in the tuple; the tuple holds, per BDF, the residual still to be
+satisfied by the rest of the trace. A step progresses every residual and
+keeps the skeleton; the bounds and the terminal weight are the one GPF fold
+(formulas.gpf_weight) read over the skeleton. Progression runs once through
+the initial state (no event) and then once per event; the step that produces
+a complete plan is flagged terminal, at which point every residual collapses
+to a constant and the bounds coincide with the true weight.
 
 Residual conventions (all indices relative to the event sequence):
 
-  * occ(X) hatches occNext(X) and eventually(terminated(X)); occNext is
-    resolved against the next event.
+  * occ(X) and apply(X) hatch occNext(X) and eventually(terminated(X));
+    occNext is resolved against the next event.
   * before/hold* constructs hatch three-valued monitors; pending monitors
     count as satisfied under the optimistic bound and falsified under the
     pessimistic one.
@@ -22,9 +25,9 @@ Residual conventions (all indices relative to the event sequence):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Union
 
 from . import formulas as F
 from . import semantics
@@ -33,28 +36,12 @@ from .model import State, Trace
 
 
 @dataclass(frozen=True)
-class PAtomic:
-    values: tuple[Fraction, ...]
+class Progressed:
+    """skeleton: the ground preference with BDF number i standing for
+    residuals[i], the residual of that BDF after the steps so far."""
+
+    skeleton: F.GPF
     residuals: tuple[F.BDF, ...]
-
-
-@dataclass(frozen=True)
-class PCond:
-    cond: F.BDF
-    body: "Progressed"
-
-
-@dataclass(frozen=True)
-class PConj:
-    parts: tuple["Progressed", ...]
-
-
-@dataclass(frozen=True)
-class PDisj:
-    parts: tuple["Progressed", ...]
-
-
-Progressed = Union[PAtomic, PCond, PConj, PDisj]
 
 
 @dataclass(frozen=True)
@@ -77,22 +64,13 @@ class StepContext:
 
 
 def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
-    """Ground the quantifiers and lay out the progressed skeleton (no step yet)."""
+    """Ground the quantifiers and number the BDFs (no step yet). map_gpf and
+    gpf_bdfs both visit a Cond's condition before its body, so the numbers
+    are the positions in gpf_bdfs."""
     gpf = F.expand_gpf(gpf, universe)
-
-    def build(g: F.GPF) -> Progressed:
-        if isinstance(g, F.Atomic):
-            return PAtomic(tuple(v for _, v in g.apf.alts),
-                           tuple(b for b, _ in g.apf.alts))
-        if isinstance(g, F.Cond):
-            return PCond(g.cond, build(g.body))
-        if isinstance(g, F.Conj):
-            return PConj(tuple(build(p) for p in g.parts))
-        if isinstance(g, F.Disj):
-            return PDisj(tuple(build(p) for p in g.parts))
-        raise TypeError(f"not a preference formula: {g!r}")
-
-    return build(gpf)
+    counter = itertools.count()
+    return Progressed(F.map_gpf(gpf, lambda _: next(counter)),
+                      tuple(F.gpf_bdfs(gpf)))
 
 
 # --- monitors ---------------------------------------------------------------------
@@ -182,7 +160,7 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
         return F.const(ctx.state.holds(phi.lit))
     if isinstance(phi, F.Final):
         return F.const(ctx.state.holds(phi.lit)) if ctx.terminal else phi
-    if isinstance(phi, F.Occ):
+    if isinstance(phi, (F.Occ, F.Apply)):
         if ctx.terminal:
             return F.FALSE
         if phi.ref.kind == "op":
@@ -192,14 +170,6 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
         return F.mk_and([F.OccNext(phi.ref),
                          F.Eventually(F.Terminated(phi.ref))])
     if isinstance(phi, F.OccNext):
-        return F.const(ctx.event is not None
-                       and semantics.event_matches(ctx.event, phi.ref))
-    if isinstance(phi, F.Apply):
-        if ctx.terminal:
-            return F.FALSE
-        return F.mk_and([F.ApplyNext(phi.ref),
-                         F.Eventually(F.Terminated(phi.ref))])
-    if isinstance(phi, F.ApplyNext):
         return F.const(ctx.event is not None
                        and semantics.event_matches(ctx.event, phi.ref))
     if isinstance(phi, F.Terminated):
@@ -247,71 +217,47 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
 
 
 def step(pf: Progressed, ctx: StepContext) -> Progressed:
-    if isinstance(pf, PAtomic):
-        return PAtomic(pf.values,
-                       tuple(progress_bdf(r, ctx) for r in pf.residuals))
-    if isinstance(pf, PCond):
-        return PCond(progress_bdf(pf.cond, ctx), step(pf.body, ctx))
-    if isinstance(pf, PConj):
-        return PConj(tuple(step(p, ctx) for p in pf.parts))
-    return PDisj(tuple(step(p, ctx) for p in pf.parts))
+    return Progressed(pf.skeleton,
+                      tuple(progress_bdf(r, ctx) for r in pf.residuals))
 
 
 # --- bounds ------------------------------------------------------------------------
 
-def _sat_bounds(phi: F.BDF, state: State) -> tuple[bool, bool]:
-    """(optimistically satisfied, pessimistically satisfied) for one residual."""
+def _sat(phi: F.BDF, state: State, opt: bool) -> bool:
+    """Whether one residual counts as satisfied under the optimistic (opt)
+    or the pessimistic view."""
     if isinstance(phi, F.TrueC):
-        return True, True
+        return True
     if isinstance(phi, F.FalseC):
-        return False, False
+        return False
     if isinstance(phi, F.And):
-        opt = pess = True
-        for p in phi.parts:
-            o, s = _sat_bounds(p, state)
-            opt = opt and o
-            pess = pess and s
-        return opt, pess
+        return all(_sat(p, state, opt) for p in phi.parts)
     if isinstance(phi, F.Or):
-        opt = pess = False
-        for p in phi.parts:
-            o, s = _sat_bounds(p, state)
-            opt = opt or o
-            pess = pess or s
-        return opt, pess
+        return any(_sat(p, state, opt) for p in phi.parts)
     if isinstance(phi, F.Not):
-        o, s = _sat_bounds(phi.sub, state)
-        return (not s), (not o)
+        return not _sat(phi.sub, state, not opt)
     if isinstance(phi, F.Terminated):
         # termination is monotone, so current membership is a safe lower bound
-        done = semantics.terminated_at(state, phi.ref)
-        return True, done
+        return opt or semantics.terminated_at(state, phi.ref)
     # every other residual is a pending obligation: optimistically it will be
     # met, pessimistically it never is
-    return True, False
+    return opt
 
 
 def bounds(pf: Progressed, state: State) -> Bounds:
-    if isinstance(pf, PAtomic):
-        opt = pess = F.W_MAX
-        for value, residual in zip(pf.values, pf.residuals):
-            o, s = _sat_bounds(residual, state)
-            if o:
-                opt = min(opt, value)
-            if s:
-                pess = min(pess, value)
-        return Bounds(opt, pess)
-    if isinstance(pf, PCond):
-        opt_c, pess_c = _sat_bounds(pf.cond, state)
-        inner = bounds(pf.body, state)
-        opt = inner.opt if pess_c else F.W_MIN
-        pess = inner.pess if opt_c else F.W_MIN
-        return Bounds(opt, pess)
-    if isinstance(pf, PConj):
-        parts = [bounds(p, state) for p in pf.parts]
-        return Bounds(max(b.opt for b in parts), max(b.pess for b in parts))
-    parts = [bounds(p, state) for p in pf.parts]
-    return Bounds(min(b.opt for b in parts), min(b.pess for b in parts))
+    """Each bound judges the alternatives under its own view and the
+    conditions under the other: an undecided condition may still turn out
+    unmet, which scores the best weight."""
+    res = pf.residuals
+
+    def opt(i):
+        return _sat(res[i], state, True)
+
+    def pess(i):
+        return _sat(res[i], state, False)
+
+    return Bounds(F.gpf_weight(pf.skeleton, opt, pess),
+                  F.gpf_weight(pf.skeleton, pess, opt))
 
 
 def _eval_const(phi: F.BDF) -> bool:
@@ -326,18 +272,7 @@ def _eval_const(phi: F.BDF) -> bool:
 
 def terminal_weight(pf: Progressed) -> Fraction:
     """Exact weight of a fully progressed (terminal) formula."""
-    if isinstance(pf, PAtomic):
-        for value, residual in zip(pf.values, pf.residuals):
-            if _eval_const(residual):
-                return value
-        return F.W_MAX
-    if isinstance(pf, PCond):
-        if not _eval_const(pf.cond):
-            return F.W_MIN
-        return terminal_weight(pf.body)
-    if isinstance(pf, PConj):
-        return max(terminal_weight(p) for p in pf.parts)
-    return min(terminal_weight(p) for p in pf.parts)
+    return F.gpf_weight(pf.skeleton, lambda i: _eval_const(pf.residuals[i]))
 
 
 # --- whole-trace replay --------------------------------------------------------------

@@ -272,8 +272,7 @@ def _plan_key(node: SearchNode):
     return tuple((e.name,) + e.args for e in node.trace.plan())
 
 
-def make_root(problem: Problem, config: SolveConfig,
-              with_preference: bool = True
+def make_root(problem: Problem, with_preference: bool = True
               ) -> tuple[Optional[SearchNode], Optional[SearchNode]]:
     """Build the root node; returns (root, immediate-solution). Exactly one
     of the pair is non-None: an empty task network is already a solution."""
@@ -312,7 +311,7 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
         stats.plan_length = len(plan)
         return Result("ok", plan, node.weight, stats, node.trace)
 
-    root, immediate = make_root(problem, config)
+    root, immediate = make_root(problem)
     if immediate is not None:
         return finish(immediate)
 

@@ -78,10 +78,10 @@ def satisfies_bdf(trace: Trace, i: int, phi: F.BDF,
         return trace.states[i].holds(phi.lit)
     if isinstance(phi, F.Final):
         return trace.final_state.holds(phi.lit)
-    if isinstance(phi, F.Occ):
+    if isinstance(phi, (F.Occ, F.Apply)):
         return i < last and event_matches(trace.events[i], phi.ref)
-    if isinstance(phi, F.Apply):
-        return i < last and event_matches(trace.events[i], phi.ref)
+    if isinstance(phi, F.Last):
+        return i == last
     if isinstance(phi, F.Terminated):
         return terminated_at(trace.states[i], phi.ref)
     if isinstance(phi, F.Before):
@@ -135,24 +135,11 @@ def weight_bdf(trace: Trace, phi: F.BDF, universe: tuple[str, ...] = ()) -> Frac
 
 def weight_apf(trace: Trace, apf: F.APF, universe: tuple[str, ...] = ()) -> Fraction:
     """The value of the first satisfied alternative; 1 when none holds."""
-    for phi, value in apf.alts:
-        if satisfies_bdf(trace, 0, phi, universe):
-            return value
-    return F.W_MAX
+    return weight_gpf(trace, F.Atomic(apf), universe)
 
 
 def weight_gpf(trace: Trace, gpf: F.GPF, universe: tuple[str, ...] = ()) -> Fraction:
-    if isinstance(gpf, F.Atomic):
-        return weight_apf(trace, gpf.apf, universe)
-    if isinstance(gpf, F.Cond):
-        if weight_bdf(trace, gpf.cond, universe) == F.W_MAX:
-            return F.W_MIN  # condition unmet: trivially best
-        return weight_gpf(trace, gpf.body, universe)
-    if isinstance(gpf, F.Conj):
-        return max(weight_gpf(trace, p, universe) for p in gpf.parts)
-    if isinstance(gpf, F.Disj):
-        return min(weight_gpf(trace, p, universe) for p in gpf.parts)
-    raise TypeError(f"not a preference formula: {gpf!r}")
+    return F.gpf_weight(gpf, lambda b: satisfies_bdf(trace, 0, b, universe))
 
 
 def weight_vector(trace: Trace, gpf: F.GPF,

@@ -97,6 +97,13 @@ class TestMonitors:
         "(eventually (before (!book-train) (!pay)))",
         "(&! (eventually (occ (!pay)))"
         "    (>> ((always (not (occ (!book-car)))) 0) ((and) 1/2)))",
+        # nnf turns a negated next into last-or-next, and Last must hold
+        # exactly at the final index
+        "(not (next (paid)))",
+        "(always (not (next (paid))))",
+        # a method application is observed through its start event
+        "(eventually (apply (by-train-trans)))",
+        "(not (apply (by-car-trans)))",
     ])
     def test_monitors_match_direct_semantics(self, mini_domain, mini_trace,
                                              text):

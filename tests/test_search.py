@@ -132,7 +132,7 @@ class TestExpansion:
     def test_root_of_two_method_task_has_two_children(self):
         problem = mini_problem()
         config = SolveConfig()
-        root, immediate = make_root(problem, config)
+        root, immediate = make_root(problem)
         assert immediate is None
         exp = _Expander(problem, config, SearchStats())
         children = exp.expand(root)
@@ -148,14 +148,14 @@ class TestExpansion:
         problem = parse_problem(
             "(problem p :init () :tasks ((arrange-trans)))", domain)
         config = SolveConfig()
-        root, _ = make_root(problem, config)
+        root, _ = make_root(problem)
         children = _Expander(problem, config, SearchStats()).expand(root)
         assert [c.trace.events[-1].name for c in children] == ["book-train"]
 
     def test_end_marker_only_agenda_terminates(self, mini_domain):
         problem = mini_problem(pref="(final (paid))")
         config = SolveConfig()
-        root, _ = make_root(problem, config)
+        root, _ = make_root(problem)
         exp = _Expander(problem, config, SearchStats())
         # walk: expand until some node's agenda starts with only end markers
         frontier = exp.expand(root)

@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_NOPLAN = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
+EXIT_LIMIT = 4    # a cap other than time: depth, expansions or plans
 
 RECORD_FIELDS = ("problem", "mode", "planCount", "NE", "NC", "seconds",
                  "PL", "weight", "status")
@@ -60,14 +61,22 @@ def _load_problem(domain_path: str, problem_path: str,
     return problem
 
 
+def _limit_status(kind: str) -> str:
+    """The record status of a run cut off by the cap of this kind."""
+    return "timeout" if kind == "time" else kind
+
+
 def _run_one(problem, mode: str, config: SolveConfig,
              timeout: Optional[float]) -> tuple[dict, Optional[tuple]]:
-    """One solver run, folded into a RunRecord dict, plus the plan it found."""
+    """One solver run, folded into a RunRecord dict, plus the plan it found.
+    A run cut off by a cap has the status "timeout" (time) or the cap's
+    kind."""
     if mode == "bestfirst":
         try:
             result = solve(problem, config)
         except ResourceLimit as exc:
-            rec = _record(problem.name, mode, exc.stats, None, "timeout")
+            rec = _record(problem.name, mode, exc.stats, None,
+                          _limit_status(exc.kind))
             return rec, None
         status = "ok" if result.status == "ok" else "noplan"
         return _record(problem.name, mode, result.stats, result.weight,
@@ -78,7 +87,7 @@ def _run_one(problem, mode: str, config: SolveConfig,
     except CapExceeded as exc:
         partial = exc.partial
         return _record(problem.name, mode, partial.stats,
-                       partial.best_weight, "timeout",
+                       partial.best_weight, _limit_status(exc.kind),
                        partial.plan_count), None
     status = "ok" if oracle.plan_count > 0 else "noplan"
     return _record(problem.name, mode, oracle.stats, oracle.best_weight,
@@ -89,23 +98,13 @@ def cmd_solve(args) -> int:
     config = SolveConfig(timeout=args.timeout,
                          tiebreak_lex=args.tiebreak_lex)
     problem = _load_problem(args.domain, args.problem, args.prefs)
-
-    if args.mode == "bestfirst":
-        try:
-            result = solve(problem, config)
-        except ResourceLimit as exc:
-            if exc.kind == "time":
-                print("timeout", file=sys.stderr)
-                return EXIT_TIMEOUT
-            raise
-        rec = _record(problem.name, args.mode, result.stats, result.weight,
-                      result.status)
-        plan = result.plan
-    else:
-        rec, plan = _run_one(problem, "bruteforce", config, args.timeout)
-        if rec["status"] == "timeout":
-            print("timeout", file=sys.stderr)
-            return EXIT_TIMEOUT
+    rec, plan = _run_one(problem, args.mode, config, args.timeout)
+    if rec["status"] == "timeout":
+        print("timeout", file=sys.stderr)
+        return EXIT_TIMEOUT
+    if rec["status"] not in ("ok", "noplan"):
+        print(f"limit: {rec['status']}", file=sys.stderr)
+        return EXIT_LIMIT
 
     if args.json:
         print(json.dumps(rec))

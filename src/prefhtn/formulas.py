@@ -7,8 +7,8 @@ formulas (conditional / conjunctive / disjunctive aggregation).
 
 Weights are exact rationals in [0, 1]; 0 is best, 1 is worst. Negation is
 pushed to atoms at construction time (nnf); the extended constructs TrueC,
-FalseC, OccNext, Terminated, Last, WasLast and Mon only ever appear as
-progression outputs.
+FalseC, OccNext, Terminated, Last and Mon only ever appear as progression
+outputs.
 """
 
 from __future__ import annotations
@@ -161,11 +161,6 @@ class Last:
 
 
 @dataclass(frozen=True)
-class WasLast:
-    """Residual of Last: the index just progressed through was the final one."""
-
-
-@dataclass(frozen=True)
 class Mon:
     """Three-valued monitor for a pending before/hold* construct.
 
@@ -185,8 +180,7 @@ class Mon:
 
 BDF = Union[TrueC, FalseC, LitF, Final, Occ, Apply, Before, HoldBefore,
             HoldAfter, HoldBetween, Not, And, Or, Exists, Forall, Next,
-            Always, Eventually, Until, OccNext, Terminated, Last, WasLast,
-            Mon]
+            Always, Eventually, Until, OccNext, Terminated, Last, Mon]
 
 
 # --- APF / GPF ----------------------------------------------------------------
@@ -370,7 +364,7 @@ def const(b: bool) -> BDF:
 # --- negation normal form -------------------------------------------------------
 
 _ATOMIC_NEGATABLE = (Occ, Apply, Terminated, Before, HoldBefore,
-                     HoldAfter, HoldBetween, OccNext, Mon, Last, WasLast)
+                     HoldAfter, HoldBetween, OccNext, Mon, Last)
 
 # Negating one of these swaps it for its dual and negates its sub-formulas
 # and its literal.

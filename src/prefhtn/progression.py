@@ -10,6 +10,17 @@ the initial state (no event) and then once per event; the step that produces
 a complete plan is flagged terminal, at which point every residual collapses
 to a constant and the bounds coincide with the true weight.
 
+The steps run through an automaton that one search (or one trace replay)
+builds lazily and shares across its nodes. Its states are the interned
+residuals: each distinct residual is one object, so a state is found by
+identity. A residual's letter is the terminal flag plus the values of the
+reads progress_bdf makes of the step on it (holds on its literals;
+event_matches, terminated_at and executing_at, or window_open, on its refs),
+so the letter decides the successor and the transition is looked up instead
+of recomputed. A miss calls progress_bdf, which stays the one progression
+rule; _sat and the bounds are memoised the same way. Nothing is kept across
+searches, so no problem sees another's residuals.
+
 Residual conventions (all indices relative to the event sequence):
 
   * occ(X) and apply(X) hatch occNext(X) and eventually(terminated(X));
@@ -26,7 +37,7 @@ Residual conventions (all indices relative to the event sequence):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import formulas as F
@@ -38,10 +49,12 @@ from .model import State, Trace
 @dataclass(frozen=True)
 class Progressed:
     """skeleton: the ground preference with BDF number i standing for
-    residuals[i], the residual of that BDF after the steps so far."""
+    residuals[i], the residual of that BDF after the steps so far; every
+    residual is interned in automaton, which the whole search shares."""
 
     skeleton: F.GPF
     residuals: tuple[F.BDF, ...]
+    automaton: Automaton = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -69,8 +82,10 @@ def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
     are the positions in gpf_bdfs."""
     gpf = F.expand_gpf(gpf, universe)
     counter = itertools.count()
+    automaton = Automaton()
     return Progressed(F.map_gpf(gpf, lambda _: next(counter)),
-                      tuple(F.gpf_bdfs(gpf)))
+                      tuple(automaton.intern(b) for b in F.gpf_bdfs(gpf)),
+                      automaton)
 
 
 # --- monitors ---------------------------------------------------------------------
@@ -175,10 +190,8 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
     if isinstance(phi, F.Terminated):
         return F.const(semantics.terminated_at(ctx.state, phi.ref))
     if isinstance(phi, F.Last):
-        return F.TRUE if ctx.terminal else F.WasLast()
-    if isinstance(phi, F.WasLast):
-        # another step happened, so the previous index was not the last one
-        return F.FALSE
+        # a non-terminal step has a successor, so its index is not the last
+        return F.const(ctx.terminal)
     if isinstance(phi, F.Mon):
         return _step_monitor(phi, ctx)
     if isinstance(phi, _MONITORED):
@@ -217,8 +230,10 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
 
 
 def step(pf: Progressed, ctx: StepContext) -> Progressed:
-    return Progressed(pf.skeleton,
-                      tuple(progress_bdf(r, ctx) for r in pf.residuals))
+    residuals = pf.automaton.step(pf.residuals, ctx)
+    if residuals is pf.residuals:
+        return pf
+    return Progressed(pf.skeleton, residuals, pf.automaton)
 
 
 # --- bounds ------------------------------------------------------------------------
@@ -248,16 +263,162 @@ def bounds(pf: Progressed, state: State) -> Bounds:
     """Each bound judges the alternatives under its own view and the
     conditions under the other: an undecided condition may still turn out
     unmet, which scores the best weight."""
-    res = pf.residuals
+    views = pf.automaton.views(pf.residuals, state)
+    memo = pf.automaton.bounds_by_views
+    out = memo.get(views)
+    if out is None:
+        opt, pess = views[0].__getitem__, views[1].__getitem__
+        out = memo[views] = Bounds(
+            F.gpf_weight(pf.skeleton, opt, pess),
+            F.gpf_weight(pf.skeleton, pess, opt))
+    return out
 
-    def opt(i):
-        return _sat(res[i], state, True)
 
-    def pess(i):
-        return _sat(res[i], state, False)
+# --- the automaton -------------------------------------------------------------------
 
-    return Bounds(F.gpf_weight(pf.skeleton, opt, pess),
-                  F.gpf_weight(pf.skeleton, pess, opt))
+def _reads(phi: F.BDF) -> list:
+    """The (probe, args) pairs whose values, with the terminal flag, decide
+    progress_bdf(phi, ctx): each is a read progress_bdf makes of ctx on phi
+    or on a sub-formula it progresses. event_matches reads ctx.event (false
+    when there is none); every other probe reads ctx.state, as
+    probe(ctx.state, *args)."""
+    if isinstance(phi, (F.LitF, F.Final)):
+        return [(State.holds, (phi.lit,))]
+    if isinstance(phi, F.OccNext):
+        return [(semantics.event_matches, (phi.ref,))]
+    if isinstance(phi, F.Terminated):
+        return [(semantics.terminated_at, (phi.ref,))]
+    if isinstance(phi, F.Before):
+        return [(semantics.window_open, (phi.t1, phi.t2))]
+    if isinstance(phi, F.HoldBefore):
+        return [(State.holds, (phi.lit,))]
+    if isinstance(phi, F.HoldAfter):
+        return [(semantics.terminated_at, (phi.t,)), (State.holds, (phi.lit,))]
+    if isinstance(phi, F.HoldBetween):
+        return [(semantics.window_open, (phi.t1, phi.t2)),
+                (State.holds, (phi.lit,))]
+    if isinstance(phi, F.Mon):
+        if phi.construct == "hold-before":
+            reads = [(semantics.event_matches, (phi.t1,))]
+        elif phi.construct == "hold-after":
+            reads = [(semantics.terminated_at, (phi.t1,))]
+        else:  # an armed window stays armed without looking again
+            reads = [(semantics.event_matches, (phi.t2,))]
+            if not phi.armed:
+                reads.append((semantics.window_open, (phi.t1, phi.t2)))
+        if phi.lit is not None:
+            reads.append((State.holds, (phi.lit,)))
+        return reads
+    if isinstance(phi, (F.Not, F.Always, F.Eventually)):
+        return _reads(phi.sub)
+    if isinstance(phi, (F.And, F.Or)):
+        return [r for p in phi.parts for r in _reads(p)]
+    if isinstance(phi, F.Until):
+        return _reads(phi.hold) + _reads(phi.goal)
+    return []  # TrueC, FalseC, Occ, Apply, Last, Next: the flag decides
+
+
+def _sat_refs(phi: F.BDF) -> list:
+    """The refs of the Terminated nodes _sat(phi, ...) reaches."""
+    if isinstance(phi, F.Terminated):
+        return [phi.ref]
+    if isinstance(phi, F.Not):
+        return _sat_refs(phi.sub)
+    if isinstance(phi, (F.And, F.Or)):
+        return [r for p in phi.parts for r in _sat_refs(p)]
+    return []
+
+
+class _Residual:
+    """One automaton state: its probes, its outgoing transitions keyed by
+    letter, and its _sat values keyed by (view, termination bits). The
+    event probes are numbered and grouped by ref name, as an event can only
+    match the refs that carry its name."""
+
+    __slots__ = ("state_reads", "event_refs", "delta", "sat_refs", "sat")
+
+    def __init__(self, phi: F.BDF):
+        self.state_reads = []
+        self.event_refs: dict[str, list] = {}
+        numbers = itertools.count()
+        for probe, args in dict.fromkeys(_reads(phi)):
+            if probe is semantics.event_matches:
+                self.event_refs.setdefault(args[0].name, []).append(
+                    (next(numbers), args[0]))
+            else:
+                self.state_reads.append((probe, args))
+        self.delta: dict = {}
+        self.sat_refs = tuple(dict.fromkeys(_sat_refs(phi)))
+        self.sat: dict = {}
+
+
+class Automaton:
+    """The part of a preference's progression automaton one search visits,
+    built as the search reaches it. States are the interned residuals;
+    constants are their own successors and never get a state."""
+
+    def __init__(self):
+        self._interned: dict = {F.TRUE: F.TRUE, F.FALSE: F.FALSE}
+        self._states: dict[int, _Residual] = {}  # id of an interned residual
+        # bounds() of the one skeleton this automaton serves, keyed by views
+        self.bounds_by_views: dict = {}
+
+    def intern(self, phi: F.BDF) -> F.BDF:
+        return self._interned.setdefault(phi, phi)
+
+    def _add_state(self, phi: F.BDF) -> _Residual:
+        st = self._states[id(phi)] = _Residual(phi)
+        return st
+
+    def step(self, residuals: tuple, ctx: StepContext) -> tuple:
+        """The successor of each residual under the letter ctx spells for
+        it: the terminal flag, the values of the state probes and the numbers
+        of the event probes that hold. The same tuple comes back when no
+        residual moved."""
+        state, event = ctx.state, ctx.event
+        name = semantics.event_name(event)
+        matches = semantics.event_matches
+        out = []
+        moved = False
+        for phi in residuals:
+            if phi is F.TRUE or phi is F.FALSE:
+                out.append(phi)
+                continue
+            st = self._states.get(id(phi)) or self._add_state(phi)
+            letter = (ctx.terminal,)
+            if st.state_reads:
+                letter += tuple([probe(state, *args)
+                                 for probe, args in st.state_reads])
+            refs = st.event_refs.get(name)
+            if refs:
+                letter += tuple([i for i, ref in refs if matches(event, ref)])
+            nxt = st.delta.get(letter)
+            if nxt is None:
+                nxt = st.delta[letter] = self.intern(progress_bdf(phi, ctx))
+            moved = moved or nxt is not phi
+            out.append(nxt)
+        return tuple(out) if moved else residuals
+
+    def views(self, residuals: tuple, state: State
+              ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """_sat of each residual under the optimistic and the pessimistic
+        view."""
+        opt, pess = [], []
+        for phi in residuals:
+            if phi is F.TRUE or phi is F.FALSE:
+                opt.append(phi is F.TRUE)
+                pess.append(phi is F.TRUE)
+                continue
+            st = self._states.get(id(phi)) or self._add_state(phi)
+            bits = tuple([semantics.terminated_at(state, ref)
+                          for ref in st.sat_refs])
+            for view, out in ((True, opt), (False, pess)):
+                key = (view, bits)
+                value = st.sat.get(key)
+                if value is None:
+                    value = st.sat[key] = _sat(phi, state, view)
+                out.append(value)
+        return tuple(opt), tuple(pess)
 
 
 def _eval_const(phi: F.BDF) -> bool:

@@ -144,10 +144,8 @@ def _step(pf, event, trace: Trace, terminal: bool):
     return P.step(pf, P.StepContext(event, trace.final_state, terminal))
 
 
-def _make_node(agenda, trace: Trace, pf, depth: int,
+def _make_node(agenda, trace: Trace, pf, depth: int, plan_length: int,
                terminal: bool) -> SearchNode:
-    plan_length = sum(1 for e in trace.events
-                      if isinstance(e, OperatorEvent))
     if pf is None:
         w = Fraction(0) if terminal else None
         return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, w,
@@ -174,9 +172,10 @@ class _Expander:
 
     def expand(self, node: SearchNode) -> list[SearchNode]:
         return self._drill(node.agenda, node.trace, node.progressed,
-                           node.depth)
+                           node.depth, node.plan_length)
 
-    def _drill(self, agenda, trace: Trace, pf, depth: int) -> list[SearchNode]:
+    def _drill(self, agenda, trace: Trace, pf, depth: int,
+               plan_length: int) -> list[SearchNode]:
         while True:
             head, rest = agenda[0], agenda[1:]
 
@@ -192,7 +191,8 @@ class _Expander:
                 terminal = not _any_emits(rest)
                 pf = _step(pf, event, trace, terminal)
                 if terminal:
-                    return [_make_node(rest, trace, pf, depth, True)]
+                    return [_make_node(rest, trace, pf, depth, plan_length,
+                                       True)]
                 agenda = rest
                 continue
 
@@ -206,16 +206,17 @@ class _Expander:
                     others = tuple(members[:i] + members[i + 1:])
                     tail = (Unordered(others),) if others else ()
                     out.extend(self._drill(tuple(mem) + tail + rest,
-                                           trace, pf, depth))
+                                           trace, pf, depth, plan_length))
                 return out
 
             task: Task = head
             if task.primitive:
-                return self._apply_primitive(task, rest, trace, pf, depth)
-            return self._decompose(task, rest, trace, pf, depth)
+                return self._apply_primitive(task, rest, trace, pf, depth,
+                                             plan_length)
+            return self._decompose(task, rest, trace, pf, depth, plan_length)
 
     def _apply_primitive(self, task: Task, rest, trace: Trace, pf,
-                         depth: int) -> list[SearchNode]:
+                         depth: int, plan_length: int) -> list[SearchNode]:
         op = self.domain.operators[task.name]
         event = OperatorEvent(task.name, task.args, len(trace.events))
         try:
@@ -228,10 +229,10 @@ class _Expander:
             raise ResourceLimit("expansions", self.stats)
         terminal = not _any_emits(rest)
         pf = _step(pf, event, trace, terminal)
-        return [_make_node(rest, trace, pf, depth, terminal)]
+        return [_make_node(rest, trace, pf, depth, plan_length + 1, terminal)]
 
     def _decompose(self, task: Task, rest, trace: Trace, pf,
-                   depth: int) -> list[SearchNode]:
+                   depth: int, plan_length: int) -> list[SearchNode]:
         if depth + 1 > self.config.depth_cap:
             raise ResourceLimit("depth", self.stats)
         out: list[SearchNode] = []
@@ -264,7 +265,8 @@ class _Expander:
                 agenda = (tuple(items)
                           + (EndMarker(method_inst), EndMarker(task_inst))
                           + rest)
-                out.extend(self._drill(agenda, t2, pf2, depth + 1))
+                out.extend(self._drill(agenda, t2, pf2, depth + 1,
+                                       plan_length))
         return out
 
 
@@ -285,7 +287,7 @@ def make_root(problem: Problem, with_preference: bool = True
             else F.bdf_gpf(F.TRUE)
         pf = _step(P.init_progressed(gpf, problem.constants), None, trace,
                    terminal)
-    node = _make_node(agenda, trace, pf, 0, terminal)
+    node = _make_node(agenda, trace, pf, 0, 0, terminal)
     if terminal:
         return None, node
     return node, None

@@ -32,6 +32,16 @@ def event_matches(event, ref: F.Ref) -> bool:
             and args_match(ref.args, inst.args))
 
 
+def event_name(event) -> str | None:
+    """The name of every ref event_matches(event, ref) accepts; None when it
+    accepts none (an end event, or no event at all)."""
+    if isinstance(event, OperatorEvent):
+        return event.name
+    if isinstance(event, StartEvent):
+        return event.inst.name
+    return None
+
+
 def terminated_at(state: State, ref: F.Ref) -> bool:
     return state.has_terminated(ref.kind, ref.name, ref.args)
 

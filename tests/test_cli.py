@@ -7,11 +7,27 @@ import pytest
 from conftest import FIXTURES
 
 from prefhtn import cli
-from prefhtn.cli import (EXIT_NOPLAN, EXIT_OK, EXIT_TIMEOUT, EXIT_USAGE,
-                         RECORD_FIELDS, main)
+from prefhtn.cli import (EXIT_LIMIT, EXIT_NOPLAN, EXIT_OK, EXIT_TIMEOUT,
+                         EXIT_USAGE, RECORD_FIELDS, main)
 from prefhtn.oracle import enumerate_all
 
 TRAVEL = FIXTURES / "travel"
+
+# A recursive walk: (go ?g) either stops at ?g or steps and recurses. The
+# n0-n1 cycle never reaches n2, so its optimistic weight stays 0 and both
+# best-first search and the enumerator descend it until the depth cap.
+WALK = {
+    "walk.htn": """(domain walk
+      (:operator (!step ?a ?b) :pre ((at ?a) (edge ?a ?b))
+        :del ((at ?a)) :add ((at ?b)))
+      (:method (go ?g) :name done :pre ((at ?g)) :tasks ())
+      (:method (go ?g) :name move :pre ((at ?a) (edge ?a ?b))
+        :tasks ((!step ?a ?b) (go ?g))))""",
+    "walk-1.prob": """(problem walk-1
+      :init ((at n0) (edge n0 n1) (edge n1 n0) (edge n1 n2))
+      :tasks ((go n2)))""",
+    "walk-1.pref": "(>> ((always (not (at n2))) 0) ((and) 0.5))",
+}
 
 
 def run(capsys, *argv):
@@ -63,6 +79,24 @@ class TestSolveCommand:
                            *solve_args(3, "--timeout", "0"))
         assert code == EXIT_TIMEOUT
         assert "timeout" in err
+
+    def test_depth_limit_exit_code(self, tmp_path, capsys):
+        for name, text in WALK.items():
+            (tmp_path / name).write_text(text)
+        for mode in ("bestfirst", "bruteforce"):
+            code, out, err = run(capsys, "solve",
+                                 "--domain", tmp_path / "walk.htn",
+                                 "--problem", tmp_path / "walk-1.prob",
+                                 "--prefs", tmp_path / "walk-1.pref",
+                                 "--mode", mode)
+            assert code == EXIT_LIMIT, mode
+            assert out == "" and err == "limit: depth\n"
+        out_path = tmp_path / "records.jsonl"
+        code, _, _ = run(capsys, "bench", "--suite", tmp_path,
+                         "--out", out_path)
+        assert code == EXIT_OK
+        records = [json.loads(l) for l in out_path.read_text().splitlines()]
+        assert [r["status"] for r in records] == ["depth", "depth"]
 
     def test_bruteforce_mode_reports_plan_count(self, capsys):
         code, out, _ = run(capsys, *solve_args(1, "--mode", "bruteforce",

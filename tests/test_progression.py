@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_fixture
+from conftest import fixture_ids, load_fixture
 
 import prefhtn.formulas as F
 import prefhtn.progression as P
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import parse_preference
 from prefhtn.progression import Bounds, progress_trace
+from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.semantics import weight_gpf
 
 
@@ -128,6 +129,15 @@ class TestBounds:
         assert bnds[0] == Bounds(Fraction(0), Fraction(2, 5))
         assert bnds[3] == Bounds(Fraction(2, 5), Fraction(2, 5))
 
+    def test_last_is_false_before_the_final_step(self, mini_domain,
+                                                 mini_trace):
+        # (not (next (and))) holds only at the final index, so a step that
+        # is not the last one already decides it
+        weight, bnds = replay_pref("(not (next (and)))",
+                                   mini_domain, mini_trace)
+        assert weight == 1
+        assert bnds[0] == Bounds(Fraction(1), Fraction(1))
+
     def test_cond_unresolved_guard_bounds(self, mini_domain, mini_trace):
         # while the guard is undecided the weight may still come out 0,
         # so the optimistic bound must stay at 0
@@ -164,3 +174,44 @@ class TestAgainstOracle:
         report = cross_check(load_fixture("travel", 2),
                              EnumerationCaps(max_seconds=60.0))
         assert not report.checks["progression-direct"]
+
+
+def _plain_bounds(skeleton, residuals, state):
+    """bounds() without the automaton: _sat on each residual."""
+    def opt(i):
+        return P._sat(residuals[i], state, True)
+
+    def pess(i):
+        return P._sat(residuals[i], state, False)
+
+    return Bounds(F.gpf_weight(skeleton, opt, pess),
+                  F.gpf_weight(skeleton, pess, opt))
+
+
+class TestAutomaton:
+    def test_memo_matches_plain_progression(self):
+        # every trace of the fixtures and of 30 random instances, stepped
+        # through one automaton per problem (shared by its traces, as in a
+        # search) and through progress_bdf on every residual at every step
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += [gen_instance(GenConfig(seed=seed))[0]
+                     for seed in range(30)]
+        steps = 0
+        for problem in problems:
+            gpf = problem.preference if problem.preference is not None \
+                else F.bdf_gpf(F.TRUE)
+            root = P.init_progressed(gpf, problem.constants)
+            oracle = enumerate_all(problem, keep_traces=True)
+            for trace in oracle.traces:
+                pf, plain = root, root.residuals
+                n = len(trace.events)
+                for i, state in enumerate(trace.states):
+                    ctx = P.StepContext(trace.events[i - 1] if i else None,
+                                        state, i == n)
+                    pf = P.step(pf, ctx)
+                    plain = tuple(P.progress_bdf(r, ctx) for r in plain)
+                    assert pf.residuals == plain
+                    assert P.bounds(pf, state) == \
+                        _plain_bounds(pf.skeleton, plain, state)
+                    steps += 1
+        assert steps > 10_000

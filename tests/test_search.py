@@ -168,6 +168,21 @@ class TestExpansion:
             frontier.extend(exp.expand(node))
         pytest.fail("no terminal node reached")
 
+    def test_plan_length_counts_operator_events(self):
+        # every node of travel-3's search tree, terminal nodes included
+        problem = load_fixture("travel", 3)
+        root, _ = make_root(problem)
+        assert root.plan_length == 0
+        exp = _Expander(problem, SolveConfig(), SearchStats())
+        frontier, seen = [root], 0
+        while frontier:
+            node = frontier.pop()
+            assert node.plan_length == len(node.trace.plan())
+            seen += 1
+            if node.weight is None:
+                frontier.extend(exp.expand(node))
+        assert seen > 100
+
     def test_terminal_node_bounds_equal_weight(self):
         problem = mini_problem(pref="(eventually (occ (!pay)))")
         result = solve(problem)

@@ -99,15 +99,15 @@ def cmd_solve(args) -> int:
                          tiebreak_lex=args.tiebreak_lex)
     problem = _load_problem(args.domain, args.problem, args.prefs)
     rec, plan = _run_one(problem, args.mode, config, args.timeout)
+    if args.json:
+        print(json.dumps(rec))
     if rec["status"] == "timeout":
         print("timeout", file=sys.stderr)
         return EXIT_TIMEOUT
     if rec["status"] not in ("ok", "noplan"):
         print(f"limit: {rec['status']}", file=sys.stderr)
         return EXIT_LIMIT
-
     if args.json:
-        print(json.dumps(rec))
         return EXIT_OK if rec["status"] == "ok" else EXIT_NOPLAN
 
     if rec["status"] == "noplan":

@@ -1,8 +1,11 @@
 """Ground symbolic vocabulary for HTN planning.
 
 Terms, literals, states, operators, methods, task networks, events and
-traces. All values are immutable; event application returns a new state so
-search nodes can be extended independently.
+traces. All values are immutable, and extending one shares structure with
+its parent, so search nodes can be extended independently at O(1) new memory
+per event: a state keeps its parent's terminated instances as a linked
+record and adds one link per newly terminated instance, and a trace is a cell
+that points at the trace it extends.
 
 A trace records the full event history, including the start/end events of
 nonprimitive tasks and method applications; a plan is the projection of a
@@ -11,6 +14,7 @@ trace onto its operator events.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -137,14 +141,32 @@ class Method:
     before: tuple[tuple[Literal, int], ...] = ()
 
 
+class GroundOperator(NamedTuple):
+    """An operator under one binding of its parameters."""
+
+    pre: tuple[Literal, ...]
+    delete: frozenset[Atom]
+    add: frozenset[Atom]
+
+
 @dataclass
 class Domain:
     name: str
     operators: dict[str, Operator]
     methods: tuple[Method, ...]
+    _ground: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
-    def methods_for(self, task_name: str) -> tuple[Method, ...]:
-        return tuple(m for m in self.methods if m.task.name == task_name)
+    def ground(self, name: str, args: tuple[str, ...]) -> GroundOperator:
+        """Operator `name` under `args`, grounded once per (name, args)."""
+        key = (name, args)
+        g = self._ground.get(key)
+        if g is None:
+            op = self.operators.get(name)
+            if op is None:
+                raise IllegalEvent(f"unknown operator {name}")
+            g = self._ground[key] = ground_operator(op, args)
+        return g
 
 
 class Inst(NamedTuple):
@@ -160,7 +182,7 @@ class Inst(NamedTuple):
     uid: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OperatorEvent:
     name: str
     args: tuple[str, ...]
@@ -174,7 +196,7 @@ class OperatorEvent:
         return "(%s)" % " ".join(("!" + self.name,) + self.args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartEvent:
     inst: Inst
 
@@ -182,7 +204,7 @@ class StartEvent:
         return f"start[{self.inst.kind} {self.inst.name}{self.inst.args}#{self.inst.uid}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndEvent:
     inst: Inst
 
@@ -193,100 +215,168 @@ class EndEvent:
 Event = Union[OperatorEvent, StartEvent, EndEvent]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class State:
     """Immutable planning state.
 
     facts holds ground atoms under the closed-world assumption; executing and
     terminated track task/method instances per the two successor state axioms
     (operator occurrences go straight to terminated, never to executing).
+    Terminated instances never leave, so a state shares them with its parent:
+    terminated_links is a chain of (inst, rest) links, newest first, one per
+    terminated instance (None when there is none). max_uid is the largest
+    uid started or terminated so far (-1 for none; computed when not given),
+    so a start above it needs no scan of the links.
     """
 
     facts: frozenset[Atom]
     executing: frozenset[Inst] = frozenset()
-    terminated: frozenset[Inst] = frozenset()
+    terminated_links: Optional[tuple] = field(default=None, kw_only=True,
+                                              repr=False)
+    max_uid: Optional[int] = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        if self.max_uid is None:
+            object.__setattr__(self, "max_uid", max(
+                (i.uid for i in itertools.chain(self.executing,
+                                                self._terminated())),
+                default=-1))
+
+    def _terminated(self) -> Iterator[Inst]:
+        link = self.terminated_links
+        while link is not None:
+            inst, link = link
+            yield inst
+
+    @property
+    def terminated(self) -> frozenset[Inst]:
+        return frozenset(self._terminated())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, State):
+            return NotImplemented
+        return (self.facts == other.facts and self.executing == other.executing
+                and self.terminated == other.terminated)
+
+    def __hash__(self) -> int:
+        return hash((self.facts, self.executing))
 
     def holds(self, lit: Literal) -> bool:
         present = lit.atom in self.facts
         return present if lit.positive else not present
-
-    def holds_all(self, lits) -> bool:
-        return all(self.holds(l) for l in lits)
 
     def has_executing(self, kind: str, name: str, args: tuple[str, ...]) -> bool:
         return any(i.kind == kind and i.name == name and args_match(args, i.args)
                    for i in self.executing)
 
     def has_terminated(self, kind: str, name: str, args: tuple[str, ...]) -> bool:
-        return any(i.kind == kind and i.name == name and args_match(args, i.args)
-                   for i in self.terminated)
+        link = self.terminated_links
+        while link is not None:
+            i, link = link
+            if i.name == name and i.kind == kind and args_match(args, i.args):
+                return True
+        return False
 
 
-def ground_operator(op: Operator, args: tuple[str, ...]) -> tuple[tuple[Literal, ...], tuple[Atom, ...], tuple[Atom, ...]]:
+def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
     if len(op.params) != len(args):
         raise PreconditionViolation(None, f"operator {op.name} expects {len(op.params)} args, got {len(args)}")
     sigma = dict(zip(op.params, args))
-    pre = tuple(subst_literal(l, sigma) for l in op.pre)
-    add = tuple(subst_atom(a, sigma) for a in op.add)
-    delete = tuple(subst_atom(a, sigma) for a in op.delete)
-    return pre, add, delete
+    return GroundOperator(tuple(subst_literal(l, sigma) for l in op.pre),
+                          frozenset(subst_atom(a, sigma) for a in op.delete),
+                          frozenset(subst_atom(a, sigma) for a in op.add))
+
+
+def _apply_ground(state: State, op: GroundOperator, inst: Inst) -> State:
+    """STRIPS application: facts' = (facts \\ del) | add, and the operator's
+    instance terminates at once."""
+    for lit in op.pre:
+        if not state.holds(lit):
+            raise PreconditionViolation(lit)
+    return State((state.facts - op.delete) | op.add, state.executing,
+                 terminated_links=(inst, state.terminated_links),
+                 max_uid=max(state.max_uid, inst.uid))
 
 
 def apply_operator(state: State, op: Operator, args: tuple[str, ...], uid: int) -> State:
-    """STRIPS application: facts' = (facts \\ del) | add, plus termination bookkeeping."""
-    pre, add, delete = ground_operator(op, args)
-    for lit in pre:
-        if not state.holds(lit):
-            raise PreconditionViolation(lit)
-    facts = (state.facts - frozenset(delete)) | frozenset(add)
-    return State(facts, state.executing,
-                 state.terminated | {Inst("op", op.name, args, uid)})
+    return _apply_ground(state, ground_operator(op, args),
+                         Inst("op", op.name, args, uid))
 
 
 def apply_event(state: State, event: Event, domain: Domain) -> State:
     if isinstance(event, OperatorEvent):
-        op = domain.operators.get(event.name)
-        if op is None:
-            raise IllegalEvent(f"unknown operator {event.name}")
-        return apply_operator(state, op, event.args, event.uid)
+        return _apply_ground(state, domain.ground(event.name, event.args),
+                             event.inst)
     if isinstance(event, StartEvent):
         inst = event.inst
-        if inst in state.executing or inst in state.terminated:
+        if inst.uid <= state.max_uid and (inst in state.executing
+                                          or inst in state._terminated()):
             raise IllegalEvent(f"instance already started: {inst}")
-        return State(state.facts, state.executing | {inst}, state.terminated)
+        return State(state.facts, state.executing | {inst},
+                     terminated_links=state.terminated_links,
+                     max_uid=max(state.max_uid, inst.uid))
     if isinstance(event, EndEvent):
         inst = event.inst
         if inst not in state.executing:
             raise IllegalEvent(f"instance not executing: {inst}")
-        return State(state.facts, state.executing - {inst}, state.terminated | {inst})
+        return State(state.facts, state.executing - {inst},
+                     terminated_links=(inst, state.terminated_links),
+                     max_uid=state.max_uid)
     raise IllegalEvent(f"unknown event {event!r}")
 
 
-@dataclass(frozen=True)
 class Trace:
-    """Event sequence plus the state after each prefix; |states| = |events| + 1."""
+    """A persistent event sequence, one cell per event: the trace it extends
+    (None for the empty trace), the event, the state that event produced and
+    the number of events. Extending is O(1) and shares the whole history.
+    The events and states tuples (|states| = |events| + 1) are built on
+    first use and kept."""
 
-    events: tuple[Event, ...]
-    states: tuple[State, ...]
+    __slots__ = ("parent", "event", "final_state", "length",
+                 "_events", "_states")
+
+    def __init__(self, parent: Optional[Trace], event: Optional[Event],
+                 final_state: State):
+        self.parent = parent
+        self.event = event
+        self.final_state = final_state
+        if parent is None:
+            self.length, self._events, self._states = 0, (), (final_state,)
+        else:
+            self.length, self._events, self._states = parent.length + 1, None, None
+
+    def _materialize(self, cache: str, value: str) -> tuple:
+        """The nearest built ancestor's tuple plus the value of each newer
+        cell, kept in this cell."""
+        t, newer = self, []
+        while getattr(t, cache) is None:
+            newer.append(getattr(t, value))
+            t = t.parent
+        out = getattr(t, cache) + tuple(reversed(newer))
+        setattr(self, cache, out)
+        return out
 
     @property
-    def initial_state(self) -> State:
-        return self.states[0]
+    def events(self) -> tuple[Event, ...]:
+        if self._events is None:
+            return self._materialize("_events", "event")
+        return self._events
 
     @property
-    def final_state(self) -> State:
-        return self.states[-1]
+    def states(self) -> tuple[State, ...]:
+        if self._states is None:
+            return self._materialize("_states", "final_state")
+        return self._states
 
     def plan(self) -> tuple[OperatorEvent, ...]:
         return tuple(e for e in self.events if isinstance(e, OperatorEvent))
 
     def extend(self, event: Event, domain: Domain) -> "Trace":
-        return Trace(self.events + (event,),
-                     self.states + (apply_event(self.states[-1], event, domain),))
+        return Trace(self, event, apply_event(self.final_state, event, domain))
 
 
 def empty_trace(init: State) -> Trace:
-    return Trace((), (init,))
+    return Trace(None, None, init)
 
 
 def replay(init: State, events, domain: Domain) -> Trace:
@@ -298,9 +388,7 @@ def replay(init: State, events, domain: Domain) -> Trace:
 
 def validate_trace(trace: Trace, domain: Domain) -> None:
     """Check the trace invariants; raises IllegalEvent on violation."""
-    if len(trace.states) != len(trace.events) + 1:
-        raise IllegalEvent("state/event length mismatch")
-    rebuilt = replay(trace.initial_state, trace.events, domain)
+    rebuilt = replay(trace.states[0], trace.events, domain)
     if rebuilt.states != trace.states:
         raise IllegalEvent("states do not follow from event application")
     seen_uids: set[int] = set()

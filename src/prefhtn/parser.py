@@ -11,7 +11,9 @@ File kinds (all UTF-8, `;` comments):
   .pref  one general preference formula:
            bdf | (>> (bdf value)+) | (if bdf gpf) | (&! gpf gpf+) | (|! gpf gpf+)
 
-Negative literals are written (not atom). Preference BDFs use the keywords
+Negative literals are written (not atom); in a method's :pre, each variable
+of one must be bound by the head or by a positive literal, since a negative
+literal binds nothing. Preference BDFs use the keywords
 final occ apply before hold-before hold-after hold-between next always
 eventually until exists forall not and or. Negation is pushed to atoms on
 the way in, so parsed formulas are in negation normal form.
@@ -242,7 +244,18 @@ def method_form(lst, arities, filename) -> Method:
 
     for lit in pre:
         arities.note(lit.atom)
-    bound = {a for a in head.args if is_var(a)} | _lit_vars(pre)
+    # a negative literal binds nothing: it is only tested once the head and
+    # the positive literals have bound its variables
+    bound = {a for a in head.args if is_var(a)} \
+        | _lit_vars(l for l in pre if l.positive)
+    for lit in pre:
+        if lit.positive:
+            continue
+        for a in lit.atom.args:
+            if is_var(a) and a not in bound:
+                raise _fail(f"variable {a} of negative precondition {lit} of "
+                            f"method {branch} is not bound by the head or a "
+                            "positive precondition", filename, a)
     for st in subtasks:
         for a in st.args:
             if is_var(a) and a not in bound:

@@ -238,32 +238,30 @@ def step(pf: Progressed, ctx: StepContext) -> Progressed:
 
 # --- bounds ------------------------------------------------------------------------
 
-def _sat(phi: F.BDF, state: State, opt: bool) -> bool:
+def _sat(phi: F.BDF, opt: bool) -> bool:
     """Whether one residual counts as satisfied under the optimistic (opt)
-    or the pessimistic view."""
+    or the pessimistic view. It reads no state: progress_bdf only builds
+    Terminated under Eventually, where the walk stops."""
     if isinstance(phi, F.TrueC):
         return True
     if isinstance(phi, F.FalseC):
         return False
     if isinstance(phi, F.And):
-        return all(_sat(p, state, opt) for p in phi.parts)
+        return all(_sat(p, opt) for p in phi.parts)
     if isinstance(phi, F.Or):
-        return any(_sat(p, state, opt) for p in phi.parts)
+        return any(_sat(p, opt) for p in phi.parts)
     if isinstance(phi, F.Not):
-        return not _sat(phi.sub, state, not opt)
-    if isinstance(phi, F.Terminated):
-        # termination is monotone, so current membership is a safe lower bound
-        return opt or semantics.terminated_at(state, phi.ref)
+        return not _sat(phi.sub, not opt)
     # every other residual is a pending obligation: optimistically it will be
     # met, pessimistically it never is
     return opt
 
 
-def bounds(pf: Progressed, state: State) -> Bounds:
+def bounds(pf: Progressed) -> Bounds:
     """Each bound judges the alternatives under its own view and the
     conditions under the other: an undecided condition may still turn out
     unmet, which scores the best weight."""
-    views = pf.automaton.views(pf.residuals, state)
+    views = pf.automaton.views(pf.residuals)
     memo = pf.automaton.bounds_by_views
     out = memo.get(views)
     if out is None:
@@ -318,24 +316,13 @@ def _reads(phi: F.BDF) -> list:
     return []  # TrueC, FalseC, Occ, Apply, Last, Next: the flag decides
 
 
-def _sat_refs(phi: F.BDF) -> list:
-    """The refs of the Terminated nodes _sat(phi, ...) reaches."""
-    if isinstance(phi, F.Terminated):
-        return [phi.ref]
-    if isinstance(phi, F.Not):
-        return _sat_refs(phi.sub)
-    if isinstance(phi, (F.And, F.Or)):
-        return [r for p in phi.parts for r in _sat_refs(p)]
-    return []
-
-
 class _Residual:
     """One automaton state: its probes, its outgoing transitions keyed by
-    letter, and its _sat values keyed by (view, termination bits). The
-    event probes are numbered and grouped by ref name, as an event can only
-    match the refs that carry its name."""
+    letter, and its _sat values keyed by view. The event probes are numbered
+    and grouped by ref name, as an event can only match the refs that carry
+    its name."""
 
-    __slots__ = ("state_reads", "event_refs", "delta", "sat_refs", "sat")
+    __slots__ = ("state_reads", "event_refs", "delta", "sat")
 
     def __init__(self, phi: F.BDF):
         self.state_reads = []
@@ -348,7 +335,6 @@ class _Residual:
             else:
                 self.state_reads.append((probe, args))
         self.delta: dict = {}
-        self.sat_refs = tuple(dict.fromkeys(_sat_refs(phi)))
         self.sat: dict = {}
 
 
@@ -399,7 +385,7 @@ class Automaton:
             out.append(nxt)
         return tuple(out) if moved else residuals
 
-    def views(self, residuals: tuple, state: State
+    def views(self, residuals: tuple
               ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
         """_sat of each residual under the optimistic and the pessimistic
         view."""
@@ -410,13 +396,10 @@ class Automaton:
                 pess.append(phi is F.TRUE)
                 continue
             st = self._states.get(id(phi)) or self._add_state(phi)
-            bits = tuple([semantics.terminated_at(state, ref)
-                          for ref in st.sat_refs])
             for view, out in ((True, opt), (False, pess)):
-                key = (view, bits)
-                value = st.sat.get(key)
+                value = st.sat.get(view)
                 if value is None:
-                    value = st.sat[key] = _sat(phi, state, view)
+                    value = st.sat[view] = _sat(phi, view)
                 out.append(value)
         return tuple(opt), tuple(pess)
 
@@ -446,16 +429,16 @@ def progress_trace(gpf: F.GPF, trace: Trace, universe: tuple[str, ...]
     for the final step collapses to the exact weight).
     """
     pf = init_progressed(gpf, universe)
-    n = len(trace.events)
+    events, states = trace.events, trace.states
+    n = len(events)
     prefix_bounds: list[Bounds] = []
     for i in range(n + 1):
-        event = trace.events[i - 1] if i > 0 else None
-        state = trace.states[i]
+        event = events[i - 1] if i > 0 else None
         terminal = i == n
-        pf = step(pf, StepContext(event, state, terminal))
+        pf = step(pf, StepContext(event, states[i], terminal))
         if terminal:
             w = terminal_weight(pf)
             prefix_bounds.append(Bounds(w, w))
         else:
-            prefix_bounds.append(bounds(pf, state))
+            prefix_bounds.append(bounds(pf))
     return terminal_weight(pf), prefix_bounds

@@ -24,19 +24,19 @@ from typing import Optional
 from . import formulas as F
 from . import progression as P
 from .errors import PreconditionViolation, ResourceLimit, UnboundVariable
-from .model import (EndEvent, Inst, Literal, OperatorEvent, Problem,
+from .model import (Atom, EndEvent, Inst, Literal, OperatorEvent, Problem,
                     StartEvent, State, Subst, Task, Trace, Unordered,
                     empty_trace, is_ground, relevant_methods, subst_literal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndMarker:
     """Agenda placeholder that fires the end event of a started instance."""
 
     inst: Inst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Check:
     """Agenda placeholder for a method's before-constraint: the literal must
     hold in the state reached when the marker is drilled, or the branch dies."""
@@ -61,7 +61,7 @@ class SearchStats:
     plan_length: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     agenda: tuple
     trace: Trace
@@ -85,13 +85,16 @@ class Result:
 def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
     """All substitutions under which every precondition literal holds.
 
-    Positive literals are matched against the state's facts (sorted, so the
-    enumeration order is stable across runs); negative literals must be ground
-    once the positives have bound everything, and are checked last.
+    Positive literals are matched in order: one that the bindings so far
+    make ground is looked up in the state's facts; any other is matched
+    against the facts of its predicate, sorted, so the enumeration order is
+    stable across runs. Negative literals must be ground once the positives
+    have bound everything, and are checked last.
     """
-    positives = [l for l in pre if l.positive]
+    positives = [l.atom for l in pre if l.positive]
     negatives = [l for l in pre if not l.positive]
-    facts = sorted(state.facts)
+    facts = state.facts
+    by_pred: dict[str, list[Atom]] = {}  # predicate -> its facts, sorted
 
     def bind(i: int, sigma: Subst):
         if i == len(positives):
@@ -104,14 +107,23 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
                     return
             yield sigma
             return
-        lit = subst_literal(positives[i], sigma)
-        for atom in facts:
-            if atom.pred != lit.atom.pred or len(atom.args) != len(lit.atom.args):
+        pred, pattern = positives[i]
+        args = tuple([sigma.get(a, a) for a in pattern])
+        if "?" not in [a[0] for a in args]:  # ground: one lookup
+            if Atom(pred, args) in facts:
+                yield from bind(i + 1, sigma)
+            return
+        candidates = by_pred.get(pred)
+        if candidates is None:
+            candidates = by_pred[pred] = sorted([a for a in facts
+                                                 if a.pred == pred])
+        for atom in candidates:
+            if len(atom.args) != len(args):
                 continue
             ext = dict(sigma)
             ok = True
-            for p, a in zip(lit.atom.args, atom.args):
-                if p.startswith("?"):
+            for p, a in zip(args, atom.args):
+                if p[0] == "?":
                     if ext.setdefault(p, a) != a:
                         ok = False
                         break
@@ -153,7 +165,7 @@ def _make_node(agenda, trace: Trace, pf, depth: int, plan_length: int,
     if terminal:
         w = P.terminal_weight(pf)
         return SearchNode(agenda, trace, pf, w, w, w, plan_length, depth)
-    b = P.bounds(pf, trace.final_state)
+    b = P.bounds(pf)
     return SearchNode(agenda, trace, pf, b.opt, b.pess, None,
                       plan_length, depth)
 
@@ -217,8 +229,7 @@ class _Expander:
 
     def _apply_primitive(self, task: Task, rest, trace: Trace, pf,
                          depth: int, plan_length: int) -> list[SearchNode]:
-        op = self.domain.operators[task.name]
-        event = OperatorEvent(task.name, task.args, len(trace.events))
+        event = OperatorEvent(task.name, task.args, trace.length)
         try:
             trace = trace.extend(event, self.domain)
         except PreconditionViolation:
@@ -239,14 +250,13 @@ class _Expander:
         state = trace.final_state
         for method, sigma0 in relevant_methods(task, self.domain):
             for sigma in satisfiers(method.pre, state, sigma0):
-                task_inst = Inst("task", task.name, task.args,
-                                 len(trace.events))
+                task_inst = Inst("task", task.name, task.args, trace.length)
                 t1 = trace.extend(StartEvent(task_inst), self.domain)
-                pf1 = _step(pf, t1.events[-1], t1, False)
+                pf1 = _step(pf, t1.event, t1, False)
                 method_inst = Inst("method", method.branch, task.args,
-                                   len(t1.events))
+                                   t1.length)
                 t2 = t1.extend(StartEvent(method_inst), self.domain)
-                pf2 = _step(pf1, t2.events[-1], t2, False)
+                pf2 = _step(pf1, t2.event, t2, False)
 
                 subtasks = [st.ground(sigma) for st in method.subtasks]
                 if method.unordered:

@@ -40,7 +40,7 @@ def mini_trace(mini_domain):
         EndEvent(method),
         EndEvent(task),
     ]
-    return replay(State(frozenset(), frozenset(), frozenset()),
+    return replay(State(frozenset()),
                   events, mini_domain)
 
 

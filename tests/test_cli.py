@@ -79,18 +79,27 @@ class TestSolveCommand:
                            *solve_args(3, "--timeout", "0"))
         assert code == EXIT_TIMEOUT
         assert "timeout" in err
+        code, out, err = run(capsys,
+                             *solve_args(3, "--timeout", "0", "--json"))
+        assert code == EXIT_TIMEOUT and err == "timeout\n"
+        assert json.loads(out)["status"] == "timeout"
 
     def test_depth_limit_exit_code(self, tmp_path, capsys):
         for name, text in WALK.items():
             (tmp_path / name).write_text(text)
+        walk = ("solve", "--domain", tmp_path / "walk.htn",
+                "--problem", tmp_path / "walk-1.prob",
+                "--prefs", tmp_path / "walk-1.pref")
         for mode in ("bestfirst", "bruteforce"):
-            code, out, err = run(capsys, "solve",
-                                 "--domain", tmp_path / "walk.htn",
-                                 "--problem", tmp_path / "walk-1.prob",
-                                 "--prefs", tmp_path / "walk-1.pref",
-                                 "--mode", mode)
+            code, out, err = run(capsys, *walk, "--mode", mode)
             assert code == EXIT_LIMIT, mode
             assert out == "" and err == "limit: depth\n"
+            # --json still prints the partial record on stdout
+            code, out, err = run(capsys, *walk, "--mode", mode, "--json")
+            assert code == EXIT_LIMIT, mode
+            assert err == "limit: depth\n"
+            rec = json.loads(out)
+            assert rec["status"] == "depth" and rec["mode"] == mode
         out_path = tmp_path / "records.jsonl"
         code, _, _ = run(capsys, "bench", "--suite", tmp_path,
                          "--out", out_path)

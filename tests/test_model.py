@@ -4,10 +4,13 @@ import pytest
 
 from prefhtn.errors import IllegalEvent, NotNonprimitive, PreconditionViolation
 from prefhtn.model import (Atom, EndEvent, Inst, Literal, Operator,
-                           OperatorEvent, StartEvent, State, Task,
+                           OperatorEvent, StartEvent, State, Task, Trace,
                            apply_event, apply_operator, args_match,
                            empty_trace, relevant_methods, replay, unify_args,
                            validate_trace)
+from prefhtn.oracle import enumerate_all
+from prefhtn.search import solve
+from tests.conftest import fixture_ids, load_fixture
 
 
 def atom(pred, *args):
@@ -15,7 +18,7 @@ def atom(pred, *args):
 
 
 def state(*facts):
-    return State(frozenset(facts), frozenset(), frozenset())
+    return State(frozenset(facts))
 
 
 class TestApplyOperator:
@@ -84,6 +87,24 @@ class TestApplyEvent:
         with pytest.raises(IllegalEvent):
             apply_event(s1, StartEvent(inst), mini_domain)
 
+    def test_restart_after_end_rejected(self, mini_domain):
+        inst = Inst("task", "t", (), 0)
+        s1 = apply_event(state(), StartEvent(inst), mini_domain)
+        s2 = apply_event(s1, EndEvent(inst), mini_domain)
+        with pytest.raises(IllegalEvent):
+            apply_event(s2, StartEvent(inst), mini_domain)
+
+    def test_states_share_the_parent_terminated_record(self, mini_domain):
+        inst = Inst("task", "t", (), 1)
+        s0 = apply_event(state(), OperatorEvent("pay", (), 0), mini_domain)
+        s1 = apply_event(s0, StartEvent(inst), mini_domain)
+        s2 = apply_event(s1, EndEvent(inst), mini_domain)
+        assert s1.terminated_links is s0.terminated_links
+        assert s2.terminated_links[1] is s0.terminated_links
+        assert s2.has_terminated("task", "t", ())
+        assert s2.has_terminated("op", "pay", ())
+        assert not s1.has_terminated("task", "t", ())
+
 
 class TestRelevantMethods:
     def test_declaration_order(self, mini_domain):
@@ -105,10 +126,9 @@ class TestTrace:
         validate_trace(mini_trace, mini_domain)
 
     def test_validator_rejects_tampered_states(self, mini_trace, mini_domain):
-        import dataclasses
-        bad = dataclasses.replace(
-            mini_trace,
-            states=mini_trace.states[:-1] + (mini_trace.states[0],))
+        # the last cell's state replaced by the initial one
+        bad = Trace(mini_trace.parent, mini_trace.event,
+                    mini_trace.states[0])
         with pytest.raises(IllegalEvent):
             validate_trace(bad, mini_domain)
 
@@ -124,6 +144,55 @@ class TestTrace:
 
     def test_plan_projection(self, mini_trace):
         assert [e.name for e in mini_trace.plan()] == ["book-train", "pay"]
+
+    def test_extend_links_to_the_parent(self, mini_trace, mini_domain):
+        t = empty_trace(state())
+        child = t.extend(OperatorEvent("pay", (), 0), mini_domain)
+        assert child.parent is t and child.length == 1
+        assert child.event == OperatorEvent("pay", (), 0)
+        assert mini_trace.length == len(mini_trace.events) == 6
+        assert mini_trace.events is mini_trace.events  # built once
+
+    def test_materialized_traces_match_replay_and_fold(self):
+        # the returned plan and every enumerated trace of every fixture
+        checked = 0
+        for suite, k in fixture_ids():
+            problem = load_fixture(suite, k)
+            traces = list(enumerate_all(problem, keep_traces=True).traces)
+            result = solve(problem)
+            if result.trace is not None:
+                traces.append(result.trace)
+            for trace in traces:
+                assert len(trace.events) == trace.length
+                assert len(trace.states) == trace.length + 1
+                rebuilt = replay(problem.init, trace.events, problem.domain)
+                assert trace.events == rebuilt.events
+                assert trace.states == rebuilt.states
+                assert trace.final_state == trace.states[-1]
+                for st, (executing, terminated) in zip(
+                        trace.states, _reference_fold(trace.events)):
+                    assert st.executing == executing
+                    assert st.terminated == terminated
+                    assert all(st.has_terminated(i.kind, i.name, i.args)
+                               for i in terminated)
+                checked += 1
+        assert checked > 100
+
+
+def _reference_fold(events):
+    """(executing, terminated) after each prefix, as plain frozensets."""
+    executing, terminated = frozenset(), frozenset()
+    out = [(executing, terminated)]
+    for e in events:
+        if isinstance(e, OperatorEvent):
+            terminated |= {e.inst}
+        elif isinstance(e, StartEvent):
+            executing |= {e.inst}
+        else:
+            executing -= {e.inst}
+            terminated |= {e.inst}
+        out.append((executing, terminated))
+    return out
 
 
 class TestMatching:

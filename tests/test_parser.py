@@ -47,6 +47,24 @@ class TestParseDomain:
             parse_domain("(domain d (:operator (!a)"
                          " :pre ((p x) (p x y)) :del () :add ()))")
 
+    def test_unbound_negative_precondition_rejected(self):
+        # ?x appears only under not, so nothing can bind it
+        with pytest.raises(ParseError) as exc:
+            parse_domain(
+                "(domain d (:operator (!go ?x) :pre () :del () :add ((at ?x)))"
+                " (:method (t) :name m :pre ((not (at ?x)))"
+                "  :tasks ((!go ?x))))")
+        assert exc.value.token == "?x"
+        assert "negative precondition" in str(exc.value)
+
+    def test_negative_precondition_bound_by_head_or_positive(self):
+        dom = parse_domain(
+            "(domain d (:operator (!go ?x) :pre () :del () :add ((at ?x)))"
+            " (:method (t ?y) :name m :pre ((place ?x) (not (at ?x))"
+            "  (not (at ?y))) :tasks ((!go ?x))))")
+        (m,) = dom.methods
+        assert [l.positive for l in m.pre] == [True, False, False]
+
     def test_unknown_subtask(self):
         with pytest.raises(UnknownTask):
             parse_domain("(domain d (:operator (!a) :pre () :del () :add ())"

@@ -176,13 +176,13 @@ class TestAgainstOracle:
         assert not report.checks["progression-direct"]
 
 
-def _plain_bounds(skeleton, residuals, state):
+def _plain_bounds(skeleton, residuals):
     """bounds() without the automaton: _sat on each residual."""
     def opt(i):
-        return P._sat(residuals[i], state, True)
+        return P._sat(residuals[i], True)
 
     def pess(i):
-        return P._sat(residuals[i], state, False)
+        return P._sat(residuals[i], False)
 
     return Bounds(F.gpf_weight(skeleton, opt, pess),
                   F.gpf_weight(skeleton, pess, opt))
@@ -211,7 +211,6 @@ class TestAutomaton:
                     pf = P.step(pf, ctx)
                     plain = tuple(P.progress_bdf(r, ctx) for r in plain)
                     assert pf.residuals == plain
-                    assert P.bounds(pf, state) == \
-                        _plain_bounds(pf.skeleton, plain, state)
+                    assert P.bounds(pf) == _plain_bounds(pf.skeleton, plain)
                     steps += 1
         assert steps > 10_000

@@ -5,9 +5,13 @@ import pytest
 from conftest import MINI_DOMAIN, load_fixture
 
 from prefhtn.errors import ResourceLimit
+from prefhtn.model import (StartEvent, Task, relevant_methods,
+                           subst_literal, unify_args)
+from prefhtn.oracle import enumerate_all
 from prefhtn.parser import parse_domain, parse_preference, parse_problem
+from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.search import (SearchStats, SolveConfig, _Expander, _any_emits,
-                            make_root, solve)
+                            make_root, satisfiers, solve)
 
 
 def mini_problem(tasks="((arrange-trans))", pref=None):
@@ -187,3 +191,53 @@ class TestExpansion:
         problem = mini_problem(pref="(eventually (occ (!pay)))")
         result = solve(problem)
         assert result.weight == 0
+
+
+def _reference_satisfiers(pre, state, sigma):
+    """Each positive literal unified with every fact, all facts in sorted
+    order; then the negatives, which must be ground."""
+    positives = [l for l in pre if l.positive]
+    negatives = [l for l in pre if not l.positive]
+    facts = sorted(state.facts)
+
+    def bind(i, sigma):
+        if i == len(positives):
+            if all(state.holds(subst_literal(l, sigma)) for l in negatives):
+                yield sigma
+            return
+        atom = positives[i].atom
+        for fact in facts:
+            ext = unify_args(atom.args, fact.args, sigma) \
+                if fact.pred == atom.pred else None
+            if ext is not None:
+                yield from bind(i + 1, ext)
+
+    return list(bind(0, dict(sigma)))
+
+
+class TestSatisfiers:
+    def test_same_bindings_in_the_same_order_as_a_full_scan(self):
+        # every decomposition on every enumerated trace of the zeno fixtures
+        # and of 20 random instances; zeno's (link ?via ?to) is ground once
+        # (link ?from ?via) has bound ?via
+        problems = [load_fixture("zeno", k) for k in (1, 2, 3)]
+        problems += [gen_instance(GenConfig(seed=seed))[0]
+                     for seed in range(20)]
+        calls, branches = 0, set()
+        for problem in problems:
+            for trace in enumerate_all(problem, keep_traces=True).traces:
+                for event, state in zip(trace.events, trace.states):
+                    if not (isinstance(event, StartEvent)
+                            and event.inst.kind == "task"):
+                        continue
+                    task = Task(event.inst.name, event.inst.args)
+                    for method, sigma0 in relevant_methods(task,
+                                                           problem.domain):
+                        expected = _reference_satisfiers(method.pre, state,
+                                                         sigma0)
+                        assert list(satisfiers(method.pre, state, sigma0)) \
+                            == expected
+                        calls += 1
+                        if expected:
+                            branches.add(method.branch)
+        assert calls > 1000 and "move-one-stop" in branches

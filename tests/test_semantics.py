@@ -163,7 +163,7 @@ class TestComparePlans:
         # compare the same trace under two lenses by swapping preference:
         # here compare two traces under one preference instead
         from prefhtn.model import replay, OperatorEvent, State
-        other = replay(State(frozenset(), frozenset(), frozenset()),
+        other = replay(State(frozenset()),
                        [OperatorEvent("book-car", (), 0)], mini_domain)
         assert compare_plans(mini_trace, other, good) == -1
         assert compare_plans(other, mini_trace, good) == 1
@@ -173,7 +173,7 @@ class TestComparePlans:
 
     def test_lexicographic_tiebreak(self, mini_trace, mini_domain):
         from prefhtn.model import replay, OperatorEvent, State
-        other = replay(State(frozenset(), frozenset(), frozenset()),
+        other = replay(State(frozenset()),
                        [OperatorEvent("book-car", (), 0)], mini_domain)
         # constituent vectors: mini_trace (0.4, 0) vs other (0.4, 0.3)
         shared = F.Atomic(F.APF(((F.FALSE, ZERO), (F.TRUE, Fraction(2, 5)))))

@@ -238,7 +238,7 @@ def bdf_gpf(phi: BDF) -> GPF:
 
 # --- generic traversal -------------------------------------------------------------
 
-def _fields(node) -> tuple:
+def node_fields(node) -> tuple:
     """The field values of a formula node, in declaration order."""
     return tuple(vars(node).values())
 
@@ -266,13 +266,14 @@ def rebuild(phi: BDF, f, f_ref=_same, f_lit=_same) -> BDF:
     """A node of phi's class with f applied to each sub-formula (a tuple of
     parts element by element), f_ref to each Ref and f_lit to each Literal;
     str, bool and None fields are kept."""
-    return type(phi)(*(_map_field(v, f, f_ref, f_lit) for v in _fields(phi)))
+    return type(phi)(*(_map_field(v, f, f_ref, f_lit)
+                       for v in node_fields(phi)))
 
 
 def children(phi: BDF) -> list[BDF]:
     """The immediate sub-formulas of phi."""
     out: list[BDF] = []
-    for v in _fields(phi):
+    for v in node_fields(phi):
         if isinstance(v, (Literal, Ref) + _KEPT):
             continue
         if isinstance(v, tuple):
@@ -285,7 +286,7 @@ def children(phi: BDF) -> list[BDF]:
 def leaf_args(phi: BDF) -> list[str]:
     """The arguments of phi's own refs and literals (not of its sub-formulas)."""
     out: list[str] = []
-    for v in _fields(phi):
+    for v in node_fields(phi):
         if isinstance(v, Literal):
             out.extend(v.atom.args)
         elif isinstance(v, Ref):
@@ -374,7 +375,8 @@ _DUAL = {TrueC: FalseC, FalseC: TrueC, LitF: LitF, Final: Final, And: Or,
 
 
 def nnf(phi: BDF) -> BDF:
-    """Push negation down to atoms. Next is strong: not(next p) = last or next(not p)."""
+    """Push negation down to atoms. Next is strong: not(next p) = last or
+    next(not p), which is last alone when not p is false."""
     if isinstance(phi, Not):
         return _nnf_neg(phi.sub)
     return rebuild(phi, nnf)
@@ -383,11 +385,12 @@ def nnf(phi: BDF) -> BDF:
 def _nnf_neg(phi: BDF) -> BDF:
     dual = _DUAL.get(type(phi))
     if dual is not None:
-        return dual(*_fields(rebuild(phi, _nnf_neg, f_lit=Literal.negate)))
+        return dual(*node_fields(rebuild(phi, _nnf_neg, f_lit=Literal.negate)))
     if isinstance(phi, Not):
         return nnf(phi.sub)
     if isinstance(phi, Next):
-        return Or((Last(), Next(_nnf_neg(phi.sub))))
+        sub = _nnf_neg(phi.sub)
+        return Last() if sub == FALSE else Or((Last(), Next(sub)))
     if isinstance(phi, Until):
         # not (p U q) = always(not q) or (not q) U (not p and not q)
         np, nq = _nnf_neg(phi.hold), _nnf_neg(phi.goal)

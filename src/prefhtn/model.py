@@ -119,13 +119,6 @@ class Operator:
 
 
 @dataclass(frozen=True)
-class Unordered:
-    """A group of agenda segments whose members may advance in any order."""
-
-    members: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
 class Method:
     """Decomposition rule for one nonprimitive task.
 
@@ -298,11 +291,6 @@ def _apply_ground(state: State, op: GroundOperator, inst: Inst) -> State:
                  max_uid=max(state.max_uid, inst.uid))
 
 
-def apply_operator(state: State, op: Operator, args: tuple[str, ...], uid: int) -> State:
-    return _apply_ground(state, ground_operator(op, args),
-                         Inst("op", op.name, args, uid))
-
-
 def apply_event(state: State, event: Event, domain: Domain) -> State:
     if isinstance(event, OperatorEvent):
         return _apply_ground(state, domain.ground(event.name, event.args),
@@ -427,7 +415,7 @@ def relevant_methods(task: Task, domain: Domain) -> list[tuple[Method, Subst]]:
 class Problem:
     name: str
     init: State
-    network: tuple  # Task | Unordered items, totally ordered
+    network: tuple[Task, ...]  # totally ordered
     domain: Domain
     preference: object = None  # formulas.GPF, attached by the caller
     _constants: tuple[str, ...] = field(default=None, repr=False, compare=False)
@@ -443,15 +431,8 @@ class Problem:
             def add_task(t: Task):
                 seen.update(a for a in t.args if not is_var(a))
 
-            def add_items(items):
-                for it in items:
-                    if isinstance(it, Unordered):
-                        for mem in it.members:
-                            add_items(mem)
-                    else:
-                        add_task(it)
-
-            add_items(self.network)
+            for t in self.network:
+                add_task(t)
             for op in self.domain.operators.values():
                 for lit in op.pre:
                     seen.update(a for a in lit.atom.args if not is_var(a))

@@ -26,12 +26,10 @@ from .search import (SearchNode, SearchStats, SolveConfig, _Expander,
 @dataclass(frozen=True)
 class EnumerationCaps:
     max_plans: int = 100_000
-    max_depth: int = 64
     max_seconds: float = 600.0
 
     def __post_init__(self):
-        assert self.max_plans > 0 and self.max_depth > 0 \
-            and self.max_seconds > 0
+        assert self.max_plans > 0 and self.max_seconds > 0
 
 
 @dataclass
@@ -53,7 +51,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
     cap is hit.
     """
     caps = caps or EnumerationCaps()
-    config = SolveConfig(depth_cap=caps.max_depth)
+    config = SolveConfig()
     stats = SearchStats()
     exp = _Expander(problem, config, stats)
     start = time.monotonic()

@@ -13,10 +13,11 @@ File kinds (all UTF-8, `;` comments):
 
 Negative literals are written (not atom); in a method's :pre, each variable
 of one must be bound by the head or by a positive literal, since a negative
-literal binds nothing. Preference BDFs use the keywords
-final occ apply before hold-before hold-after hold-between next always
-eventually until exists forall not and or. Negation is pushed to atoms on
-the way in, so parsed formulas are in negation normal form.
+literal binds nothing. A preference BDF is a literal, (and bdf*), (or bdf*),
+(exists (?v+) bdf), (forall (?v+) bdf), or one of the fixed-arity forms of
+BDF_FORMS, which the parser, the printer and the random generator all read.
+Negation is pushed to atoms on the way in, so parsed formulas are in
+negation normal form.
 """
 
 from __future__ import annotations
@@ -31,9 +32,24 @@ from .model import (Atom, Domain, Literal, Method, Operator, Problem, State,
                     Task, is_var)
 from .sexpr import SExpr, format_fraction, parse_one, parse_sexprs
 
-_BDF_KEYWORDS = {"final", "occ", "apply", "before", "hold-before", "hold-after",
-                 "hold-between", "next", "always", "eventually", "until",
-                 "exists", "forall", "not", "and", "or"}
+# Each fixed-arity BDF keyword: its node class and the kinds of its
+# arguments, in the order of the class's fields. A kind is "formula" (a
+# BDF), "literal", "task" (an operator or nonprimitive task reference) or
+# "method" (a method branch reference).
+BDF_FORMS = {
+    "final": (F.Final, ("literal",)),
+    "occ": (F.Occ, ("task",)),
+    "apply": (F.Apply, ("method",)),
+    "before": (F.Before, ("task", "task")),
+    "hold-before": (F.HoldBefore, ("task", "literal")),
+    "hold-after": (F.HoldAfter, ("task", "literal")),
+    "hold-between": (F.HoldBetween, ("task", "literal", "task")),
+    "always": (F.Always, ("formula",)),
+    "eventually": (F.Eventually, ("formula",)),
+    "next": (F.Next, ("formula",)),
+    "until": (F.Until, ("formula", "formula")),
+    "not": (F.Not, ("formula",)),
+}
 _GPF_KEYWORDS = {">>", "if", "&!", "|!"}
 
 
@@ -270,22 +286,30 @@ def method_form(lst, arities, filename) -> Method:
     return Method(branch, head, pre, subtasks, unordered, tuple(before))
 
 
+def _check_call(task: Task, dom: Domain, head_names: set[str], caller: str,
+                filename: str) -> None:
+    """A task call names an operator and gives it its arity, or names a
+    nonprimitive task that some method decomposes."""
+    if not task.primitive:
+        if task.name not in head_names:
+            raise UnknownTask(f"{caller} calls task {task.name}, which no "
+                              "method decomposes", filename, token=task.name)
+        return
+    op = dom.operators.get(task.name)
+    if op is None:
+        raise UnknownTask(f"{caller} calls unknown operator !{task.name}",
+                          filename, token=task.name)
+    if len(task.args) != len(op.params):
+        raise ArityMismatch(f"{caller} calls operator {task.name} with "
+                            f"{len(task.args)} args, it expects "
+                            f"{len(op.params)}", filename, token=task.name)
+
+
 def _validate_domain(dom: Domain, filename: str) -> None:
     head_names = {m.task.name for m in dom.methods}
     for m in dom.methods:
         for st in m.subtasks:
-            if st.primitive:
-                if st.name not in dom.operators:
-                    raise UnknownTask(f"method {m.branch} uses unknown operator "
-                                      f"!{st.name}", filename, token=st.name)
-                if len(st.args) != len(dom.operators[st.name].params):
-                    raise ArityMismatch(
-                        f"operator {st.name} expects "
-                        f"{len(dom.operators[st.name].params)} args", filename,
-                        token=st.name)
-            elif st.name not in head_names:
-                raise UnknownTask(f"method {m.branch} uses undecomposable task "
-                                  f"{st.name}", filename, token=st.name)
+            _check_call(st, dom, head_names, f"method {m.branch}", filename)
 
 
 def parse_problem(text, domain: Domain, filename: str = "<problem>") -> Problem:
@@ -314,15 +338,7 @@ def parse_problem(text, domain: Domain, filename: str = "<problem>") -> Problem:
         task = _parse_task(t, filename)
         if any(is_var(x) for x in task.args):
             raise _fail(f"initial task {task.name} is not ground", filename, task.name)
-        if task.primitive:
-            if task.name not in domain.operators:
-                raise UnknownTask(f"unknown operator !{task.name}", filename,
-                                  token=task.name)
-            if len(task.args) != len(domain.operators[task.name].params):
-                raise ArityMismatch(f"operator {task.name} arity mismatch", filename,
-                                    token=task.name)
-        elif task.name not in head_names:
-            raise UnknownTask(f"unknown task {task.name}", filename, token=task.name)
+        _check_call(task, domain, head_names, "the task network", filename)
         network.append(task)
 
     return Problem(name, State(frozenset(facts)), tuple(network), domain)
@@ -345,37 +361,41 @@ def _domain_arities(domain: Domain, filename: str) -> _ArityTable:
 
 # --- preferences ----------------------------------------------------------------
 
-def _resolve_occ_ref(x: SExpr, domain: Domain, filename: str) -> F.Ref:
-    lst = _expect_list(x, "a task reference", filename)
+def _parse_ref(kind: str, x: SExpr, domain: Domain, filename: str) -> F.Ref:
+    """A reference of kind "task" (an operator, written with or without its
+    !, or a nonprimitive task) or of kind "method" (a method branch)."""
+    lst = _expect_list(x, f"a {kind} reference", filename)
     if not lst:
-        raise _fail("empty task reference", filename)
-    head = _expect_symbol(lst[0], "a task symbol", filename)
-    name = head[1:] if head.startswith("!") else head
-    args = tuple(_parse_term(a, filename) for a in lst[1:])
-    if name in domain.operators:
-        return F.Ref("op", name, args)
-    if any(m.task.name == name for m in domain.methods):
-        return F.Ref("task", name, args)
-    raise UnknownTask(f"unknown task {name} in preference", filename, token=name)
+        raise _fail(f"empty {kind} reference", filename)
+    head = _expect_symbol(lst[0], f"a {kind} name", filename)
+    name = head[1:] if kind == "task" and head.startswith("!") else head
+    if kind == "method":
+        if not any(m.branch == name for m in domain.methods):
+            raise UnknownMethodName(f"unknown method branch {name}", filename,
+                                    token=name)
+    elif name in domain.operators:
+        kind = "op"
+    elif not any(m.task.name == name for m in domain.methods):
+        raise UnknownTask(f"unknown task {name} in preference", filename,
+                          token=name)
+    return F.Ref(kind, name, tuple(_parse_term(a, filename) for a in lst[1:]))
 
 
-def _resolve_apply_ref(x: SExpr, domain: Domain, filename: str) -> F.Ref:
-    lst = _expect_list(x, "a method reference", filename)
-    if not lst:
-        raise _fail("empty method reference", filename)
-    branch = _expect_symbol(lst[0], "a method branch name", filename)
-    if not any(m.branch == branch for m in domain.methods):
-        raise UnknownMethodName(f"unknown method branch {branch}", filename,
-                                token=branch)
-    return F.Ref("method", branch, tuple(_parse_term(a, filename)
-                                         for a in lst[1:]))
-
-
-def _parse_pref_literal(x: SExpr, domain: Domain, arities: _ArityTable,
+def _parse_pref_literal(x: SExpr, arities: _ArityTable,
                         filename: str) -> Literal:
     lit = _parse_literal(x, filename)
     arities.check(lit.atom)
     return lit
+
+
+def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable,
+               filename: str):
+    """One argument of a BDF_FORMS form, of the given kind."""
+    if kind == "formula":
+        return _parse_bdf(x, domain, arities, filename)
+    if kind == "literal":
+        return _parse_pref_literal(x, arities, filename)
+    return _parse_ref(kind, x, domain, filename)
 
 
 def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
@@ -386,58 +406,19 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
     head = lst[0]
     if not isinstance(head, str):
         raise _fail(f"formula head must be a symbol, got {head!r}", filename, head)
-
-    def sub(i: int) -> F.BDF:
-        return _parse_bdf(lst[i], domain, arities, filename)
-
-    def need(n: int, what: str):
-        if len(lst) != n + 1:
-            raise _fail(f"({head} ...) takes {what}", filename, head)
-
-    if head == "final":
-        need(1, "one literal")
-        return F.Final(_parse_pref_literal(lst[1], domain, arities, filename))
-    if head == "occ":
-        need(1, "one task")
-        return F.Occ(_resolve_occ_ref(lst[1], domain, filename))
-    if head == "apply":
-        need(1, "one method")
-        return F.Apply(_resolve_apply_ref(lst[1], domain, filename))
-    if head == "before":
-        need(2, "two tasks")
-        return F.Before(_resolve_occ_ref(lst[1], domain, filename),
-                        _resolve_occ_ref(lst[2], domain, filename))
-    if head == "hold-before":
-        need(2, "a task then a literal")
-        return F.HoldBefore(_resolve_occ_ref(lst[1], domain, filename),
-                            _parse_pref_literal(lst[2], domain, arities, filename))
-    if head == "hold-after":
-        need(2, "a task then a literal")
-        return F.HoldAfter(_resolve_occ_ref(lst[1], domain, filename),
-                           _parse_pref_literal(lst[2], domain, arities, filename))
-    if head == "hold-between":
-        need(3, "a task, a literal, a task")
-        return F.HoldBetween(_resolve_occ_ref(lst[1], domain, filename),
-                             _parse_pref_literal(lst[2], domain, arities, filename),
-                             _resolve_occ_ref(lst[3], domain, filename))
-    if head == "next":
-        need(1, "one formula")
-        return F.Next(sub(1))
-    if head == "always":
-        need(1, "one formula")
-        return F.Always(sub(1))
-    if head == "eventually":
-        need(1, "one formula")
-        return F.Eventually(sub(1))
-    if head == "until":
-        need(2, "two formulas")
-        return F.Until(sub(1), sub(2))
+    if head in BDF_FORMS:
+        cls, kinds = BDF_FORMS[head]
+        if len(lst) != len(kinds) + 1:
+            raise _fail(f"expected ({head} {' '.join(kinds)})", filename, head)
+        return cls(*(_parse_arg(kind, arg, domain, arities, filename)
+                     for kind, arg in zip(kinds, lst[1:])))
     if head in ("exists", "forall"):
-        need(2, "a variable list then a body")
+        if len(lst) != 3:
+            raise _fail(f"expected ({head} (?var+) formula)", filename, head)
         var_list = _expect_list(lst[1], "a variable list", filename)
         if not var_list:
             raise _fail(f"({head} ...) needs at least one variable", filename, head)
-        body = sub(2)
+        body = _parse_bdf(lst[2], domain, arities, filename)
         cls = F.Exists if head == "exists" else F.Forall
         for v in reversed(var_list):
             v = _expect_symbol(v, "a variable", filename)
@@ -446,18 +427,14 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
                             filename, v)
             body = cls(v, body)
         return body
-    if head == "not":
-        need(1, "one formula")
-        return F.Not(sub(1))
-    if head == "and":
-        return F.mk_and(_parse_bdf(p, domain, arities, filename) for p in lst[1:])
-    if head == "or":
-        return F.mk_or(_parse_bdf(p, domain, arities, filename) for p in lst[1:])
+    if head in ("and", "or"):
+        join = F.mk_and if head == "and" else F.mk_or
+        return join(_parse_bdf(p, domain, arities, filename) for p in lst[1:])
     if head in _GPF_KEYWORDS:
         raise _fail(f"{head} is a preference connective, not a formula", filename,
                     head)
     # anything else is a state literal
-    return F.LitF(_parse_pref_literal(x, domain, arities, filename))
+    return F.LitF(_parse_pref_literal(x, arities, filename))
 
 
 def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable,
@@ -547,46 +524,36 @@ def _print_ref(ref: F.Ref) -> str:
     return "(%s)" % " ".join((head,) + ref.args)
 
 
+_KEYWORDS = {cls: keyword for keyword, (cls, _) in BDF_FORMS.items()}
+
+
+def _print_arg(v) -> str:
+    if isinstance(v, F.Ref):
+        return _print_ref(v)
+    if isinstance(v, Literal):
+        return str(v)
+    return print_bdf(v)
+
+
 def print_bdf(phi: F.BDF) -> str:
+    keyword = _KEYWORDS.get(type(phi))
+    if keyword is not None:
+        return "(%s %s)" % (keyword, " ".join(map(_print_arg,
+                                                  F.node_fields(phi))))
     if isinstance(phi, F.TrueC):
         return "(and)"
     if isinstance(phi, F.FalseC):
         return "(or)"
     if isinstance(phi, F.LitF):
         return str(phi.lit)
-    if isinstance(phi, F.Final):
-        return f"(final {phi.lit})"
-    if isinstance(phi, F.Occ):
-        return f"(occ {_print_ref(phi.ref)})"
-    if isinstance(phi, F.Apply):
-        return f"(apply {_print_ref(phi.ref)})"
-    if isinstance(phi, F.Before):
-        return f"(before {_print_ref(phi.t1)} {_print_ref(phi.t2)})"
-    if isinstance(phi, F.HoldBefore):
-        return f"(hold-before {_print_ref(phi.t)} {phi.lit})"
-    if isinstance(phi, F.HoldAfter):
-        return f"(hold-after {_print_ref(phi.t)} {phi.lit})"
-    if isinstance(phi, F.HoldBetween):
-        return (f"(hold-between {_print_ref(phi.t1)} {phi.lit} "
-                f"{_print_ref(phi.t2)})")
-    if isinstance(phi, F.Not):
-        return f"(not {print_bdf(phi.sub)})"
-    if isinstance(phi, F.And):
-        return "(and %s)" % " ".join(print_bdf(p) for p in phi.parts)
-    if isinstance(phi, F.Or):
-        return "(or %s)" % " ".join(print_bdf(p) for p in phi.parts)
-    if isinstance(phi, F.Exists):
-        return f"(exists ({phi.var}) {print_bdf(phi.body)})"
-    if isinstance(phi, F.Forall):
-        return f"(forall ({phi.var}) {print_bdf(phi.body)})"
-    if isinstance(phi, F.Next):
-        return f"(next {print_bdf(phi.sub)})"
-    if isinstance(phi, F.Always):
-        return f"(always {print_bdf(phi.sub)})"
-    if isinstance(phi, F.Eventually):
-        return f"(eventually {print_bdf(phi.sub)})"
-    if isinstance(phi, F.Until):
-        return f"(until {print_bdf(phi.hold)} {print_bdf(phi.goal)})"
+    if isinstance(phi, F.Last):
+        return "(not (next (and)))"
+    if isinstance(phi, (F.And, F.Or)):
+        return "(%s %s)" % ("and" if isinstance(phi, F.And) else "or",
+                            " ".join(map(print_bdf, phi.parts)))
+    if isinstance(phi, (F.Exists, F.Forall)):
+        return "(%s (%s) %s)" % ("exists" if isinstance(phi, F.Exists)
+                                 else "forall", phi.var, print_bdf(phi.body))
     raise ValueError(f"cannot print progression-internal node {phi!r}")
 
 

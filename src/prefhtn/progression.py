@@ -27,7 +27,8 @@ Residual conventions (all indices relative to the event sequence):
     occNext is resolved against the next event.
   * before/hold* constructs hatch three-valued monitors; pending monitors
     count as satisfied under the optimistic bound and falsified under the
-    pessimistic one.
+    pessimistic one. Hatching is the fresh monitor's ordinary step, with
+    the event hidden, since the event precedes the construct's first index.
   * final(l) stays open until the terminal step. Its pessimistic bound is
     "unsatisfied", not the current value of l: a fluent that is true now but
     deleted later would otherwise let the pessimistic weight increase along
@@ -94,34 +95,22 @@ def _resolve(value: bool, neg: bool) -> F.BDF:
     return F.const(value != neg)
 
 
-def _hatch_monitor(phi: F.BDF, neg: bool, ctx: StepContext) -> F.BDF:
-    """Create a monitor at the current index and give it its birth-state check."""
+def _monitor(phi: F.BDF, neg: bool) -> F.Mon:
+    """The fresh, unarmed monitor of a before/hold* construct."""
     if isinstance(phi, F.Before):
-        mon = F.Mon("before", phi.t1, None, phi.t2, neg,
-                    armed=semantics.window_open(ctx.state, phi.t1, phi.t2))
-        if ctx.terminal:
-            return _resolve(False, neg)  # no event can still occur
-        return mon
+        return F.Mon("before", phi.t1, None, phi.t2, neg)
     if isinstance(phi, F.HoldBefore):
-        if ctx.terminal:
-            return _resolve(False, neg)
-        return F.Mon("hold-before", phi.t, phi.lit, None, neg,
-                     fprev=ctx.state.holds(phi.lit))
+        return F.Mon("hold-before", phi.t, phi.lit, None, neg)
     if isinstance(phi, F.HoldAfter):
-        sat_now = (semantics.terminated_at(ctx.state, phi.t)
-                   and ctx.state.holds(phi.lit))
-        if sat_now:
-            return _resolve(True, neg)
-        if ctx.terminal:
-            return _resolve(False, neg)
         return F.Mon("hold-after", phi.t, phi.lit, None, neg)
-    if isinstance(phi, F.HoldBetween):
-        if ctx.terminal:
-            return _resolve(False, neg)
-        armed = (semantics.window_open(ctx.state, phi.t1, phi.t2)
-                 and ctx.state.holds(phi.lit))
-        return F.Mon("hold-between", phi.t1, phi.lit, phi.t2, neg, armed=armed)
-    raise TypeError(f"not a monitored construct: {phi!r}")
+    return F.Mon("hold-between", phi.t1, phi.lit, phi.t2, neg)
+
+
+def _hatch(phi: F.BDF, neg: bool, ctx: StepContext) -> F.BDF:
+    """The construct's fresh monitor stepped through ctx without its event,
+    which precedes the construct's first index."""
+    return _step_monitor(_monitor(phi, neg),
+                         StepContext(None, ctx.state, ctx.terminal))
 
 
 def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
@@ -195,11 +184,11 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
     if isinstance(phi, F.Mon):
         return _step_monitor(phi, ctx)
     if isinstance(phi, _MONITORED):
-        return _hatch_monitor(phi, False, ctx)
+        return _hatch(phi, False, ctx)
     if isinstance(phi, F.Not):
         sub = phi.sub
         if isinstance(sub, _MONITORED):
-            return _hatch_monitor(sub, True, ctx)
+            return _hatch(sub, True, ctx)
         inner = progress_bdf(sub, ctx)
         if isinstance(inner, F.TrueC):
             return F.FALSE
@@ -286,15 +275,9 @@ def _reads(phi: F.BDF) -> list:
         return [(semantics.event_matches, (phi.ref,))]
     if isinstance(phi, F.Terminated):
         return [(semantics.terminated_at, (phi.ref,))]
-    if isinstance(phi, F.Before):
-        return [(semantics.window_open, (phi.t1, phi.t2))]
-    if isinstance(phi, F.HoldBefore):
-        return [(State.holds, (phi.lit,))]
-    if isinstance(phi, F.HoldAfter):
-        return [(semantics.terminated_at, (phi.t,)), (State.holds, (phi.lit,))]
-    if isinstance(phi, F.HoldBetween):
-        return [(semantics.window_open, (phi.t1, phi.t2)),
-                (State.holds, (phi.lit,))]
+    if isinstance(phi, _MONITORED):  # hatching hides the event
+        return [r for r in _reads(_monitor(phi, False))
+                if r[0] is not semantics.event_matches]
     if isinstance(phi, F.Mon):
         if phi.construct == "hold-before":
             reads = [(semantics.event_matches, (phi.t1,))]

@@ -10,19 +10,14 @@ by construction reachable through the normal input path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from . import formulas as F
 from .model import Problem
-from .parser import parse_domain, parse_preference, parse_problem
+from .parser import BDF_FORMS, parse_domain, parse_preference, parse_problem
 from .sexpr import format_fraction
 
-DEFAULT_CONSTRUCTS = frozenset({
-    "final", "occ", "apply", "before", "hold-before", "hold-after",
-    "hold-between", "always", "eventually", "next", "until",
-})
+DEFAULT_CONSTRUCTS = frozenset(BDF_FORMS) - {"not"}
 
 
 @dataclass(frozen=True)
@@ -198,46 +193,18 @@ def _gen_preference(rng: random.Random, config: GenConfig, preds, consts,
 
     def bdf(depth: int) -> str:
         choices = ["lit"]
-        if spend(0) and depth < 3 and budget[0] > 1:
-            choices += [c for c in ("final", "occ", "apply", "before",
-                                    "hold-before", "hold-after",
-                                    "hold-between", "always", "eventually",
-                                    "next", "until", "and", "or")
-                        if c in config.constructs or c in ("and", "or")]
+        if depth < 3 and budget[0] > 1:
+            choices += [c for c in BDF_FORMS if c in config.constructs]
+            choices += ["and", "or"]
         c = rng.choice(choices)
         if c == "lit" or not spend(1):
             spend(1)
             return lit()
-        if c == "final":
-            return f"(final {lit()})"
-        if c == "occ":
-            return f"(occ {ref()})"
-        if c == "apply":
-            b = rng.choice(branches) if branches else None
-            if b is None:
-                return lit()
-            return f"(apply ({b}))"
-        if c == "before":
-            spend(1)
-            return f"(before {ref()} {ref()})"
-        if c == "hold-before":
-            spend(1)
-            return f"(hold-before {ref()} {lit()})"
-        if c == "hold-after":
-            spend(1)
-            return f"(hold-after {ref()} {lit()})"
-        if c == "hold-between":
-            spend(2)
-            return f"(hold-between {ref()} {lit()} {ref()})"
-        if c in ("always", "eventually", "next"):
-            return f"({c} {bdf(depth + 1)})"
-        if c == "until":
-            spend(1)
-            return f"(until {bdf(depth + 1)} {bdf(depth + 1)})"
-        k = 2
-        spend(k - 1)
-        parts = " ".join(bdf(depth + 1) for _ in range(k))
-        return f"({c} {parts})"
+        kinds = BDF_FORMS[c][1] if c in BDF_FORMS else ("formula", "formula")
+        spend(len(kinds) - 1)
+        arg = {"formula": lambda: bdf(depth + 1), "literal": lit, "task": ref,
+               "method": lambda: f"({rng.choice(branches)})"}
+        return "(%s %s)" % (c, " ".join(arg[kind]() for kind in kinds))
 
     def apf() -> str:
         first = bdf(0)

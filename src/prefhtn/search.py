@@ -4,7 +4,9 @@ The frontier holds partial decompositions ordered by (optimistic weight,
 pessimistic weight, plan length, insertion order). Expansion drills through
 the front of the agenda — firing end events, splicing method bodies, checking
 before-constraints — until a ground operator is applied; each reachable
-operator yields one child. A node whose agenda empties carries its exact
+operator yields one child. Every agenda item but a Check emits an event,
+and a Check always precedes a task, so a step is terminal exactly when it
+leaves the agenda empty. A node whose agenda empties carries its exact
 weight, and the first such node popped is optimal (its optimistic weight is a
 lower bound on everything still in the frontier).
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,7 +27,7 @@ from . import formulas as F
 from . import progression as P
 from .errors import PreconditionViolation, ResourceLimit, UnboundVariable
 from .model import (Atom, EndEvent, Inst, Literal, OperatorEvent, Problem,
-                    StartEvent, State, Subst, Task, Trace, Unordered,
+                    StartEvent, State, Subst, Task, Trace,
                     empty_trace, is_ground, relevant_methods, subst_literal)
 
 
@@ -39,9 +41,18 @@ class EndMarker:
 @dataclass(frozen=True, slots=True)
 class Check:
     """Agenda placeholder for a method's before-constraint: the literal must
-    hold in the state reached when the marker is drilled, or the branch dies."""
+    hold in the state reached when the marker is drilled, or the branch dies.
+    A check always precedes a task of its method."""
 
     lit: Literal
+
+
+@dataclass(frozen=True, slots=True)
+class Unordered:
+    """The remaining subtasks of an unordered method, at least one; any of
+    them may go next."""
+
+    tasks: tuple[Task, ...]
 
 
 @dataclass
@@ -50,7 +61,6 @@ class SolveConfig:
     max_expansions: Optional[int] = None   # cap on applied operators
     depth_cap: int = 64                    # decomposition recursion depth
     tiebreak_lex: bool = False             # break weight ties lexicographically
-    debug: bool = False                    # assert best-first dominance
 
 
 @dataclass
@@ -136,19 +146,6 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
     yield from bind(0, dict(sigma) if sigma else {})
 
 
-def _emits(item) -> bool:
-    """Whether the agenda item will ever produce a trace event."""
-    if isinstance(item, Check):
-        return False
-    if isinstance(item, Unordered):
-        return any(any(_emits(i) for i in mem) for mem in item.members)
-    return True  # Task or EndMarker
-
-
-def _any_emits(agenda) -> bool:
-    return any(_emits(item) for item in agenda)
-
-
 def _step(pf, event, trace: Trace, terminal: bool):
     """Progress pf through the event that ended trace; None stays None."""
     if pf is None:
@@ -200,7 +197,7 @@ class _Expander:
             if isinstance(head, EndMarker):
                 event = EndEvent(head.inst)
                 trace = trace.extend(event, self.domain)
-                terminal = not _any_emits(rest)
+                terminal = not rest
                 pf = _step(pf, event, trace, terminal)
                 if terminal:
                     return [_make_node(rest, trace, pf, depth, plan_length,
@@ -209,15 +206,12 @@ class _Expander:
                 continue
 
             if isinstance(head, Unordered):
-                members = [m for m in head.members if m]
-                if not members:
-                    agenda = rest
-                    continue
                 out: list[SearchNode] = []
-                for i, mem in enumerate(members):
-                    others = tuple(members[:i] + members[i + 1:])
+                tasks = head.tasks
+                for i, task in enumerate(tasks):
+                    others = tasks[:i] + tasks[i + 1:]
                     tail = (Unordered(others),) if others else ()
-                    out.extend(self._drill(tuple(mem) + tail + rest,
+                    out.extend(self._drill((task,) + tail + rest,
                                            trace, pf, depth, plan_length))
                 return out
 
@@ -238,7 +232,7 @@ class _Expander:
         cap = self.config.max_expansions
         if cap is not None and self.stats.nodes_expanded > cap:
             raise ResourceLimit("expansions", self.stats)
-        terminal = not _any_emits(rest)
+        terminal = not rest
         pf = _step(pf, event, trace, terminal)
         return [_make_node(rest, trace, pf, depth, plan_length + 1, terminal)]
 
@@ -258,9 +252,9 @@ class _Expander:
                 t2 = t1.extend(StartEvent(method_inst), self.domain)
                 pf2 = _step(pf1, t2.event, t2, False)
 
-                subtasks = [st.ground(sigma) for st in method.subtasks]
+                subtasks = tuple(st.ground(sigma) for st in method.subtasks)
                 if method.unordered:
-                    items: list = [Unordered(tuple((st,) for st in subtasks))]
+                    items: list = [Unordered(subtasks)] if subtasks else []
                 else:
                     checks: dict[int, list] = {}
                     for lit, idx in method.before:
@@ -270,7 +264,6 @@ class _Expander:
                     for i, st in enumerate(subtasks):
                         items.extend(checks.get(i, ()))
                         items.append(st)
-                    items.extend(checks.get(len(subtasks), ()))
 
                 agenda = (tuple(items)
                           + (EndMarker(method_inst), EndMarker(task_inst))
@@ -290,7 +283,7 @@ def make_root(problem: Problem, with_preference: bool = True
     of the pair is non-None: an empty task network is already a solution."""
     trace = empty_trace(problem.init)
     agenda = tuple(problem.network)
-    terminal = not _any_emits(agenda)
+    terminal = not agenda
     pf = None
     if with_preference:
         gpf = problem.preference if problem.preference is not None \
@@ -334,7 +327,6 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     stats.nodes_considered += 1
 
     best: Optional[SearchNode] = None
-    max_popped_opt = F.W_MIN
     try:
         while heap:
             if config.timeout is not None \
@@ -343,7 +335,6 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
             opt, _pess, _plen, _seq, node = heapq.heappop(heap)
             if best is not None and opt > best.weight:
                 break
-            max_popped_opt = max(max_popped_opt, opt)
             if node.weight is not None:
                 if best is None:
                     best = node
@@ -361,6 +352,4 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
         stats.elapsed = time.monotonic() - start
         raise
 
-    if best is not None and config.debug:
-        assert max_popped_opt <= best.weight
     return finish(best)

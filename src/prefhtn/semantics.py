@@ -152,24 +152,11 @@ def weight_gpf(trace: Trace, gpf: F.GPF, universe: tuple[str, ...] = ()) -> Frac
     return F.gpf_weight(gpf, lambda b: satisfies_bdf(trace, 0, b, universe))
 
 
-def weight_vector(trace: Trace, gpf: F.GPF,
-                  universe: tuple[str, ...] = ()) -> tuple[Fraction, ...]:
-    """Top-level constituent weights in document order (lexicographic tie-break)."""
-    if isinstance(gpf, (F.Conj, F.Disj)):
-        return tuple(weight_gpf(trace, p, universe) for p in gpf.parts)
-    return (weight_gpf(trace, gpf, universe),)
-
-
 def compare_plans(trace_a: Trace, trace_b: Trace, gpf: F.GPF,
-                  universe: tuple[str, ...] = (), lex_tiebreak: bool = False) -> Ordering:
+                  universe: tuple[str, ...] = ()) -> Ordering:
     """-1 when A is preferred, 1 when B is, 0 when indistinguishable."""
     wa = weight_gpf(trace_a, gpf, universe)
     wb = weight_gpf(trace_b, gpf, universe)
     if wa != wb:
         return -1 if wa < wb else 1
-    if lex_tiebreak:
-        va = weight_vector(trace_a, gpf, universe)
-        vb = weight_vector(trace_b, gpf, universe)
-        if va != vb:
-            return -1 if va < vb else 1
     return 0

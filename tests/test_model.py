@@ -3,9 +3,9 @@
 import pytest
 
 from prefhtn.errors import IllegalEvent, NotNonprimitive, PreconditionViolation
-from prefhtn.model import (Atom, EndEvent, Inst, Literal, Operator,
+from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
                            OperatorEvent, StartEvent, State, Task, Trace,
-                           apply_event, apply_operator, args_match,
+                           apply_event, args_match,
                            empty_trace, relevant_methods, replay, unify_args,
                            validate_trace)
 from prefhtn.oracle import enumerate_all
@@ -21,19 +21,26 @@ def state(*facts):
     return State(frozenset(facts))
 
 
+def apply_op(s, op, args, uid, domain=None):
+    """s after op's event under args, applied as search applies it: through
+    the domain's grounding and apply_event."""
+    domain = domain or Domain("d", {op.name: op}, ())
+    return apply_event(s, OperatorEvent(op.name, args, uid), domain)
+
+
 class TestApplyOperator:
     def test_strips_add_delete(self):
         drive = Operator("drive", ("?a", "?b"),
                          pre=(Literal(atom("at", "?a"), True),),
                          add=(atom("at", "?b"),),
                          delete=(atom("at", "?a"),))
-        out = apply_operator(state(atom("at", "c1")), drive, ("c1", "c2"), 0)
+        out = apply_op(state(atom("at", "c1")), drive, ("c1", "c2"), 0)
         assert out.facts == frozenset({atom("at", "c2")})
 
     def test_empty_effects_leave_facts_unchanged(self):
         noop = Operator("noop", ())
         before = state(atom("p", "a"))
-        out = apply_operator(before, noop, (), 3)
+        out = apply_op(before, noop, (), 3)
         assert out.facts == before.facts
         assert Inst("op", "noop", (), 3) in out.terminated
 
@@ -41,19 +48,19 @@ class TestApplyOperator:
         from tests.conftest import load_fixture
         prob = load_fixture("travel", 1)
         book = prob.domain.operators["book"]
-        out = apply_operator(prob.init, book, ("train",), 0)
+        out = apply_op(prob.init, book, ("train",), 0, prob.domain)
         assert atom("booked", "train") in out.facts
 
     def test_precondition_violation(self):
         op = Operator("go", (), pre=(Literal(atom("ready"), True),))
         with pytest.raises(PreconditionViolation):
-            apply_operator(state(), op, (), 0)
+            apply_op(state(), op, (), 0)
 
     def test_negative_precondition_closed_world(self):
         op = Operator("go", (), pre=(Literal(atom("busy"), False),))
-        apply_operator(state(), op, (), 0)  # absent fact satisfies (not busy)
+        apply_op(state(), op, (), 0)  # absent fact satisfies (not busy)
         with pytest.raises(PreconditionViolation):
-            apply_operator(state(atom("busy")), op, (), 0)
+            apply_op(state(atom("busy")), op, (), 0)
 
 
 class TestApplyEvent:

@@ -9,8 +9,10 @@ from prefhtn import formulas as F
 from prefhtn.errors import (ArityMismatch, BadValueOrder, DuplicateName,
                             NonGroundInit, ParseError, UnknownMethodName,
                             UnknownPredicate, UnknownTask)
-from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
-                            print_domain, print_preference, print_problem)
+from prefhtn.parser import (BDF_FORMS, parse_domain, parse_preference,
+                            parse_problem, print_domain, print_preference,
+                            print_problem)
+from prefhtn.randgen import GenConfig, gen_files
 from tests.conftest import FIXTURES, MINI_DOMAIN
 
 
@@ -196,6 +198,67 @@ class TestRoundTrip:
         for pref_file in sorted(root.glob("*.pref")):
             gpf = parse_preference(pref_file.read_bytes(), dom)
             assert parse_preference(print_preference(gpf), dom) == gpf
+
+
+# Example arguments per kind, taken in order when a form has two of a kind.
+FORM_ARGS = {"formula": ["(at a)", "(eventually (at b))"],
+             "literal": ["(not (at a))"],
+             "task": ["(!go a)", "(trip b)"],
+             "method": ["(by-go a)"]}
+
+
+def form_example(keyword):
+    kinds = BDF_FORMS[keyword][1]
+    return "(%s %s)" % (keyword, " ".join(
+        FORM_ARGS[kind][kinds[:i].count(kind)] for i, kind in enumerate(kinds)))
+
+
+def round_trips(text, dom):
+    gpf = parse_preference(text, dom)
+    assert parse_preference(print_preference(gpf), dom) == gpf
+    return gpf
+
+
+class TestPreferenceRoundTrip:
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("keyword", list(BDF_FORMS))
+    def test_every_form(self, keyword, negated):
+        text = form_example(keyword)
+        gpf = round_trips(f"(not {text})" if negated else text,
+                          parse_domain(LEAF_DOMAIN))
+        if not negated and keyword != "not":  # nnf rewrites a negation
+            assert print_preference(gpf) == text
+
+    @pytest.mark.parametrize("text", [
+        "(forall (?x ?y) (before (!go ?x) (trip ?y)))",
+        "(exists (?x) (hold-between (!go ?x) (at ?x) (trip ?x)))",
+        "(not (forall (?x) (eventually (at ?x))))",
+        "(not (exists (?x) (occ (!go ?x))))",
+    ])
+    def test_quantifiers(self, text):
+        round_trips(text, parse_domain(LEAF_DOMAIN))
+
+    @pytest.mark.parametrize("text", [
+        "(not (next (at a)))",
+        "(always (not (next (at a))))",
+        "(not (next (and)))",
+        "(not (next (or)))",
+    ])
+    def test_negated_next(self, text):
+        # nnf turns (not (next f)) into (or last (next (not f))), or into
+        # last alone when (not f) is false; last prints as (not (next (and)))
+        round_trips(text, parse_domain(LEAF_DOMAIN))
+
+    def test_negated_next_of_true_is_last(self):
+        gpf = parse_preference("(not (next (and)))", parse_domain(LEAF_DOMAIN))
+        assert F.gpf_bdfs(gpf) == [F.Last()]
+
+    def test_generated_preferences(self):
+        for seed in range(300):
+            gi = gen_files(GenConfig(seed=seed))
+            gpf = gi.problem.preference
+            assert parse_preference(print_preference(gpf),
+                                    gi.problem.domain) == gpf, seed
 
 
 FUZZ_ALPHABET = "()!?;:>&|. \n\t01249abcdefz-"

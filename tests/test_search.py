@@ -1,5 +1,7 @@
 """Best-first search: optimality, expansion, tie-breaking, resource caps."""
 
+import heapq
+
 import pytest
 
 from conftest import MINI_DOMAIN, load_fixture
@@ -7,11 +9,12 @@ from conftest import MINI_DOMAIN, load_fixture
 from prefhtn.errors import ResourceLimit
 from prefhtn.model import (StartEvent, Task, relevant_methods,
                            subst_literal, unify_args)
-from prefhtn.oracle import enumerate_all
+from prefhtn import search
+from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.parser import parse_domain, parse_preference, parse_problem
 from prefhtn.randgen import GenConfig, gen_instance
-from prefhtn.search import (SearchStats, SolveConfig, _Expander, _any_emits,
-                            make_root, satisfiers, solve)
+from prefhtn.search import (SearchStats, SolveConfig, _Expander, make_root,
+                            satisfiers, solve)
 
 
 def mini_problem(tasks="((arrange-trans))", pref=None):
@@ -101,10 +104,28 @@ class TestSolve:
             assert result.stats.nodes_considered >= result.stats.nodes_expanded
             assert result.stats.nodes_expanded > 0
 
-    def test_debug_dominance_assertion_holds(self):
+    def test_popped_bounds_never_exceed_the_returned_weight(self,
+                                                             monkeypatch):
+        # best-first dominance, seen through a heapq stand-in that records
+        # the optimistic bound of every node search pops
+        popped = []
+
+        class RecordingHeap:
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                item = heapq.heappop(heap)
+                popped.append(item[0])
+                return item
+
+        monkeypatch.setattr(search, "heapq", RecordingHeap)
         for suite, k in [("travel", 3), ("zeno", 2), ("logistics", 2)]:
-            result = solve(load_fixture(suite, k), SolveConfig(debug=True))
+            popped.clear()
+            result = solve(load_fixture(suite, k))
             assert result.status == "ok"
+            assert popped and max(popped) <= result.weight
+            assert popped == sorted(popped)  # the bounds never fall
 
 
 class TestResourceLimits:
@@ -166,7 +187,7 @@ class TestExpansion:
         while frontier:
             node = frontier.pop()
             if node.weight is not None:
-                assert not _any_emits(node.agenda)
+                assert node.agenda == ()
                 assert node.opt == node.pess == node.weight
                 return
             frontier.extend(exp.expand(node))
@@ -241,3 +262,68 @@ class TestSatisfiers:
                         if expected:
                             branches.add(method.branch)
         assert calls > 1000 and "move-one-stop" in branches
+
+
+UNORDERED_DOMAIN = """
+(domain u
+  (:operator (!a) :pre () :del () :add ((done-a)))
+  (:operator (!b) :pre () :del () :add ((done-b)))
+  (:operator (!c) :pre () :del ((done-a)) :add ((done-c)))
+  (:method (two) :name two-any :pre () :tasks ((!a) (!b)) :unordered)
+  (:method (two) :name two-seq :pre () :tasks ((!b) (!c)))
+  (:method (none) :name none-any :pre () :tasks () :unordered)
+  (:method (nest) :name nest-any :pre () :tasks ((two) (!c) (none))
+    :unordered)
+  (:method (guard) :name guard-a :pre () :tasks ((two) (!c) (two))
+    :before (((not (done-c)) 0) ((done-a) 1) ((not (done-a)) 2)))
+  (:method (guard) :name guard-b :pre () :tasks ((!b) (two))
+    :before (((not (done-a)) 0) ((done-b) 1)))
+)
+"""
+
+UNORDERED_PREFS = [
+    "(before (!b) (!a))",
+    "(>> ((always (not (done-c))) 0) ((eventually (occ (!c))) 0.5))",
+    "(&! (hold-between (!a) (done-a) (!b)) (final (done-c)))",
+    "(|! (hold-after (two) (done-b)) (next (apply (two-any))))",
+    "(>> ((before (!c) (!b)) 0) ((hold-before (!c) (done-b)) 0.4)"
+    " ((final (done-a)) 0.7))",
+]
+
+
+class TestUnorderedAndBefore:
+    """Methods with :unordered (two subtasks, none, nested) and with
+    :before checks before the first, a middle and the last subtask."""
+
+    def problem(self, tasks, pref=None):
+        domain = parse_domain(UNORDERED_DOMAIN, "<u>")
+        problem = parse_problem(f"(problem p :init () :tasks {tasks})",
+                                domain)
+        if pref is not None:
+            problem.preference = parse_preference(pref, domain)
+        return problem
+
+    @pytest.mark.parametrize("tasks,count", [
+        ("((two))", 3),    # a b | b a | b c
+        ("((none))", 1),   # the empty plan
+        ("((nest))", 18),  # 3! orders of three members, (two) 3 ways
+        ("((guard))", 9),  # guard-a 2 x 3 (two-seq fails (done-a)), guard-b 3
+        ("((guard) (none) (two))", 27),
+    ])
+    def test_enumerated_plan_counts(self, tasks, count):
+        assert enumerate_all(self.problem(tasks)).plan_count == count
+
+    def test_unordered_plans(self):
+        plans = {tuple(e.name for e in t.plan()) for t in enumerate_all(
+            self.problem("((two))"), keep_traces=True).traces}
+        assert plans == {("a", "b"), ("b", "a"), ("b", "c")}
+
+    @pytest.mark.parametrize("pref", UNORDERED_PREFS)
+    @pytest.mark.parametrize("tasks", ["((two))", "((none))", "((nest))",
+                                       "((guard))", "((guard) (none) (two))"])
+    def test_best_first_weight_is_the_enumerated_minimum(self, tasks, pref):
+        problem = self.problem(tasks, pref)
+        best = enumerate_all(problem).best_weight
+        assert solve(problem).weight == best
+        assert solve(problem, SolveConfig(tiebreak_lex=True)).weight == best
+        assert cross_check(problem).ok

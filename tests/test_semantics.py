@@ -175,11 +175,10 @@ class TestComparePlans:
         from prefhtn.model import replay, OperatorEvent, State
         other = replay(State(frozenset()),
                        [OperatorEvent("book-car", (), 0)], mini_domain)
-        # constituent vectors: mini_trace (0.4, 0) vs other (0.4, 0.3)
+        # constituent weights: mini_trace (0.4, 0) vs other (0.4, 0.3)
         shared = F.Atomic(F.APF(((F.FALSE, ZERO), (F.TRUE, Fraction(2, 5)))))
         split = F.Atomic(F.APF((
             (F.Eventually(occ_op("book-train")), ZERO),
             (F.TRUE, Fraction(3, 10)))))
         gpf = F.Conj((shared, split))
         assert compare_plans(mini_trace, other, gpf) == 0
-        assert compare_plans(mini_trace, other, gpf, lex_tiebreak=True) == -1

@@ -28,8 +28,8 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_LIMIT = 4    # a cap other than time: depth, expansions or plans
 
-RECORD_FIELDS = ("problem", "mode", "planCount", "NE", "NC", "seconds",
-                 "PL", "weight", "status")
+RECORD_FIELDS = ("problem", "mode", "planCount", "NE", "NC", "duplicates",
+                 "seconds", "PL", "weight", "status")
 
 
 def _record(problem: str, mode: str, stats, weight, status: str,
@@ -40,6 +40,7 @@ def _record(problem: str, mode: str, stats, weight, status: str,
         "planCount": plan_count,
         "NE": stats.nodes_expanded,
         "NC": stats.nodes_considered,
+        "duplicates": stats.duplicates,
         "seconds": round(stats.elapsed, 6),
         "PL": stats.plan_length,
         "weight": format_fraction(weight) if weight is not None else None,
@@ -117,6 +118,7 @@ def cmd_solve(args) -> int:
     print(f"weight: {rec['weight']}")
     print(f"NE: {rec['NE']}")
     print(f"NC: {rec['NC']}")
+    print(f"duplicates: {rec['duplicates']}")
     print(f"seconds: {rec['seconds']}")
     print(f"PL: {rec['PL']}")
     return EXIT_OK
@@ -148,7 +150,7 @@ def bench_table(records: list[dict]) -> str:
 
     header = (f"{'problem':<18}{'#Plan':>7} | "
               f"{'bf-NE':>8}{'bf-s':>9}{'bf-w':>7} | "
-              f"{'NE':>8}{'NC':>8}{'s':>9}{'PL':>4}{'w':>7}")
+              f"{'NE':>8}{'NC':>8}{'dup':>8}{'s':>9}{'PL':>4}{'w':>7}")
     lines = [header, "-" * len(header)]
     for pid in sorted(by_problem, key=lambda p: (plan_count(p), p)):
         bf = by_problem[pid].get("bruteforce", {})
@@ -167,6 +169,7 @@ def bench_table(records: list[dict]) -> str:
             f"{cell(bf, 'NE', 8)}{cell(bf, 'seconds', 9)}"
             f"{cell(bf, 'weight', 7)} | "
             f"{cell(best, 'NE', 8)}{cell(best, 'NC', 8)}"
+            f"{cell(best, 'duplicates', 8)}"
             f"{cell(best, 'seconds', 9)}{cell(best, 'PL', 4)}"
             f"{cell(best, 'weight', 7)}")
     return "\n".join(lines)

@@ -369,20 +369,28 @@ _ATOMIC_NEGATABLE = (Occ, Apply, Terminated, Before, HoldBefore,
 
 # Negating one of these swaps it for its dual and negates its sub-formulas
 # and its literal.
-_DUAL = {TrueC: FalseC, FalseC: TrueC, LitF: LitF, Final: Final, And: Or,
-         Or: And, Exists: Forall, Forall: Exists, Always: Eventually,
+_DUAL = {TrueC: FalseC, FalseC: TrueC, LitF: LitF, Final: Final,
+         Exists: Forall, Forall: Exists, Always: Eventually,
          Eventually: Always}
 
 
 def nnf(phi: BDF) -> BDF:
     """Push negation down to atoms. Next is strong: not(next p) = last or
-    next(not p), which is last alone when not p is false."""
+    next(not p), which is last alone when not p is false. Joins go through
+    mk_and/mk_or, so they stay flat and free of duplicates as parsed ones
+    are."""
     if isinstance(phi, Not):
         return _nnf_neg(phi.sub)
+    if isinstance(phi, (And, Or)):
+        join = mk_and if isinstance(phi, And) else mk_or
+        return join([nnf(p) for p in phi.parts])
     return rebuild(phi, nnf)
 
 
 def _nnf_neg(phi: BDF) -> BDF:
+    if isinstance(phi, (And, Or)):
+        join = mk_or if isinstance(phi, And) else mk_and
+        return join([_nnf_neg(p) for p in phi.parts])
     dual = _DUAL.get(type(phi))
     if dual is not None:
         return dual(*node_fields(rebuild(phi, _nnf_neg, f_lit=Literal.negate)))
@@ -390,11 +398,11 @@ def _nnf_neg(phi: BDF) -> BDF:
         return nnf(phi.sub)
     if isinstance(phi, Next):
         sub = _nnf_neg(phi.sub)
-        return Last() if sub == FALSE else Or((Last(), Next(sub)))
+        return Last() if sub == FALSE else mk_or([Last(), Next(sub)])
     if isinstance(phi, Until):
         # not (p U q) = always(not q) or (not q) U (not p and not q)
         np, nq = _nnf_neg(phi.hold), _nnf_neg(phi.goal)
-        return Or((Always(nq), Until(nq, And((np, nq)))))
+        return mk_or([Always(nq), Until(nq, mk_and([np, nq]))])
     if isinstance(phi, _ATOMIC_NEGATABLE):
         return Not(phi)
     raise UnboundVariable(f"cannot negate {phi!r}")

@@ -10,6 +10,28 @@ leaves the agenda empty. A node whose agenda empties carries its exact
 weight, and the first such node popped is optimal (its optimistic weight is a
 lower bound on everything still in the frontier).
 
+Duplicate detection. A node's signature (_signature) is the product of its
+HTN state and the state of the preference automaton:
+  * the facts;
+  * the agenda, each end marker reduced to (kind, name, args);
+  * the interned residuals, by identity;
+  * one bit per ground reference whose termination progression can read
+    (_terminated_refs): whether an instance it matches has terminated;
+  * the depth, so that the depth cap keeps its meaning.
+Nothing downstream reads an instance uid: event_matches, window_open and the
+monitors read references only. The executing set needs no entry, as each
+executing instance has exactly one end marker on the agenda. So two nodes
+with equal signatures have the same completions at the same weights, and
+equal bounds. The key is checked when a node is popped: of two equal nodes
+the first popped has the smaller (plan length, insertion order), and so has
+each of its completions against the other's counterpart. Skipping a
+non-terminal node whose signature is already closed thus loses no plan and,
+in the default order, changes no returned plan. Under --tiebreak-lex the
+closed set is bypassed: insertion order, not the lexicographic plan key,
+decides which of two equal nodes is popped first. HPLAN-P makes the same
+argument when it folds the preference automata into the planning state
+(Baier, Bacchus & McIlraith, AIJ 2009).
+
 The same expansion relation, with the preference bookkeeping switched off,
 drives the brute-force enumerator; legality is defined in exactly one place.
 """
@@ -25,6 +47,7 @@ from typing import Optional
 
 from . import formulas as F
 from . import progression as P
+from . import semantics
 from .errors import PreconditionViolation, ResourceLimit, UnboundVariable
 from .model import (Atom, EndEvent, Inst, Literal, OperatorEvent, Problem,
                     StartEvent, State, Subst, Task, Trace,
@@ -67,6 +90,7 @@ class SolveConfig:
 class SearchStats:
     nodes_expanded: int = 0    # NE: applied operators
     nodes_considered: int = 0  # NC: frontier insertions
+    duplicates: int = 0        # popped nodes skipped as already closed
     elapsed: float = 0.0
     plan_length: Optional[int] = None
 
@@ -273,6 +297,32 @@ class _Expander:
         return out
 
 
+def _terminated_refs(phi: F.BDF):
+    """The refs whose terminated_at progression may read on phi or on a
+    residual phi progresses to: every ref but those only ever matched
+    against events (an operator's occ, an OccNext, the task of a
+    hold-before)."""
+    event_only = (isinstance(phi, F.Occ) and phi.ref.kind == "op"
+                  or isinstance(phi, (F.OccNext, F.HoldBefore))
+                  or isinstance(phi, F.Mon) and phi.construct == "hold-before")
+    if not event_only:
+        yield from (v for v in F.node_fields(phi) if isinstance(v, F.Ref))
+    for p in F.children(phi):
+        yield from _terminated_refs(p)
+
+
+def _signature(node: SearchNode, refs: tuple[F.Ref, ...]) -> tuple:
+    """What decides the node's completions and their weights (see the
+    module docstring); refs are the preference's _terminated_refs."""
+    state = node.trace.final_state
+    return (state.facts,
+            tuple([x.inst[:3] if type(x) is EndMarker else x
+                   for x in node.agenda]),
+            tuple(map(id, node.progressed.residuals)),
+            tuple([semantics.terminated_at(state, r) for r in refs]),
+            node.depth)
+
+
 def _plan_key(node: SearchNode):
     return tuple((e.name,) + e.args for e in node.trace.plan())
 
@@ -320,6 +370,9 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     if immediate is not None:
         return finish(immediate)
 
+    refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
+                               for r in _terminated_refs(phi)))
+    closed: set = set()
     heap: list = []
     seq = itertools.count()
     heapq.heappush(heap, (root.opt, root.pess, root.plan_length,
@@ -344,6 +397,12 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                         and _plan_key(node) < _plan_key(best):
                     best = node
                 continue
+            if not config.tiebreak_lex:
+                key = _signature(node, refs)
+                if key in closed:
+                    stats.duplicates += 1
+                    continue
+                closed.add(key)
             for child in exp.expand(node):
                 heapq.heappush(heap, (child.opt, child.pess, child.plan_length,
                                       next(seq), child))

@@ -51,7 +51,8 @@ class TestSolveCommand:
         assert plan_lines and all(l.startswith("(!") for l in plan_lines)
         assert not any("mastercard" in l for l in plan_lines)
         tail_keys = [l.split(":")[0] for l in lines[len(plan_lines):]]
-        assert tail_keys == ["weight", "NE", "NC", "seconds", "PL"]
+        assert tail_keys == ["weight", "NE", "NC", "duplicates", "seconds",
+                             "PL"]
         assert f"PL: {len(plan_lines)}" in lines
 
     def test_json_record_fields_and_stability(self, capsys):

@@ -249,6 +249,17 @@ class TestPreferenceRoundTrip:
         # last alone when (not f) is false; last prints as (not (next (and)))
         round_trips(text, parse_domain(LEAF_DOMAIN))
 
+    @pytest.mark.parametrize("text", [
+        "(or (not (next (at a))) (not (next (at b))))",
+        "(or (not (next (occ (!go a)))) (not (next (occ (!go b)))))",
+        "(not (until (at a) (at a)))",
+        "(and (not (always (at a))) (eventually (not (at a))))",
+    ])
+    def test_negation_keeps_joins_flat(self, text):
+        # the joins negation creates are flattened and deduplicated as the
+        # parser's own are, so the printed text parses back to the same form
+        round_trips(text, parse_domain(LEAF_DOMAIN))
+
     def test_negated_next_of_true_is_last(self):
         gpf = parse_preference("(not (next (and)))", parse_domain(LEAF_DOMAIN))
         assert F.gpf_bdfs(gpf) == [F.Last()]

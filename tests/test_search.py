@@ -4,7 +4,7 @@ import heapq
 
 import pytest
 
-from conftest import MINI_DOMAIN, load_fixture
+from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
 from prefhtn.errors import ResourceLimit
 from prefhtn.model import (StartEvent, Task, relevant_methods,
@@ -327,3 +327,176 @@ class TestUnorderedAndBefore:
         assert solve(problem).weight == best
         assert solve(problem, SolveConfig(tiebreak_lex=True)).weight == best
         assert cross_check(problem).ok
+
+
+# --- duplicate detection ----------------------------------------------------------
+
+def disable_dedup(monkeypatch):
+    """Duplicate detection off: every popped node gets a fresh signature."""
+    monkeypatch.setattr(search, "_signature", lambda *_: object())
+
+
+def outcome(problem, config=None):
+    """(status, weight, plan text), with a cap's kind as the status."""
+    try:
+        result = solve(problem, config)
+    except ResourceLimit as exc:
+        return exc.kind, None, None
+    return result.status, result.weight, [str(e) for e in result.plan or ()]
+
+
+def corpus_problem(name):
+    """random-SEED is a randgen instance, SUITE-K a fixture."""
+    suite, _, k = name.rpartition("-")
+    if suite == "random":
+        return gen_instance(GenConfig(seed=int(k)))[0]
+    return load_fixture(suite, int(k))
+
+
+DIFFERENTIAL = ([f"random-{seed}" for seed in range(300)]
+                + [f"{suite}-{k}" for suite, k in fixture_ids()])
+
+# instances on which a closed set that ignores --tiebreak-lex returns a plan
+# of the optimal weight that is not the lex-smallest one (random-183 too,
+# but its lex search takes seconds)
+LEX_SENSITIVE = ([f"random-{seed}" for seed in (
+    5, 8, 10, 20, 22, 25, 30, 57, 59, 66, 73, 74, 75, 87, 99, 105, 128, 143,
+    146, 147, 168, 177, 197, 266, 268)]
+    + [f"{suite}-{k}" for suite in ("zeno", "logistics") for k in (1, 2, 3)])
+
+# One hand-built case per part of the node signature, in the order
+# _signature returns them. Each pairs two branches whose nodes meet with
+# everything but that part equal, the worse branch first in method order so
+# that its node is popped first; the right answer needs the other node
+# expanded. Each case is (domain body, tasks, preference or None, depth cap,
+# right outcome: a weight or the kind of the cap that cuts the run).
+SIGNATURE_CASES = {
+    # (!a) adds (x); the branches meet after (!c)
+    "facts": ("""
+      (:operator (!a) :pre () :del () :add ((x)))
+      (:operator (!b) :pre () :del () :add ())
+      (:operator (!c) :pre () :del () :add ())
+      (:method (pick) :name pb :pre () :tasks ((!b)))
+      (:method (pick) :name pa :pre () :tasks ((!a)))
+      (:method (top) :name t :pre () :tasks ((pick) (!c)))""",
+              "((top))", "(final (x))", 64, 0),
+    # after (!a) one branch still has (!x) to do, the other (!y)
+    "agenda": ("""
+      (:operator (!a) :pre () :del () :add ())
+      (:operator (!x) :pre () :del () :add ((x)))
+      (:operator (!y) :pre () :del () :add ())
+      (:method (pick) :name pb :pre () :tasks ((!a) (!y)))
+      (:method (pick) :name pa :pre () :tasks ((!a) (!x)))""",
+               "((pick))", "(final (x))", 64, 0),
+    # heat then cool leaves the facts as two waits do, but the preference
+    # then only waits for (done)
+    "residuals": ("""
+      (:operator (!heat) :pre () :del () :add ((hot)))
+      (:operator (!cool) :pre () :del ((hot)) :add ())
+      (:operator (!wait) :pre () :del () :add ())
+      (:operator (!finish) :pre () :del () :add ((done)))
+      (:method (pick) :name pb :pre () :tasks ((!wait) (!wait)))
+      (:method (pick) :name pa :pre () :tasks ((!heat) (!cool)))
+      (:method (top) :name t :pre () :tasks ((pick) (!wait) (!finish)))""",
+                  "((top))", "(eventually (and (hot) (eventually (done))))",
+                  64, 0),
+    # only one branch has terminated the t1 of the hold-after; its monitor
+    # is the same on both until (!setp)
+    "terminated": ("""
+      (:operator (!a) :pre () :del () :add ())
+      (:operator (!b) :pre () :del () :add ())
+      (:operator (!wait) :pre () :del () :add ())
+      (:operator (!setp) :pre () :del () :add ((p)))
+      (:method (pick) :name pb :pre () :tasks ((!b)))
+      (:method (pick) :name pa :pre () :tasks ((!a)))
+      (:method (top) :name t :pre () :tasks ((pick) (!wait) (!setp)))""",
+                   "((top))", "(hold-after (!a) (p))", 64, 0),
+    # one branch took one decomposition more, so its (rec) passes the cap
+    "depth": ("""
+      (:operator (!w) :pre () :del () :add ())
+      (:method (pick) :name pb :pre () :tasks ((!w)))
+      (:method (pick) :name pa :pre () :tasks ((wrap)))
+      (:method (wrap) :name wr :pre () :tasks ((!w)))
+      (:method (rec) :name r :pre () :tasks ((!w)))
+      (:method (top) :name t :pre () :tasks ((pick) (!w) (rec)))""",
+              "((top))", None, 3, "depth"),
+}
+
+
+def signature_case(part):
+    body, tasks, pref, depth_cap, right = SIGNATURE_CASES[part]
+    domain = parse_domain(f"(domain d {body})", "<d>")
+    problem = parse_problem(f"(problem p :init () :tasks {tasks})", domain)
+    if pref is not None:
+        problem.preference = parse_preference(pref, domain)
+    return problem, SolveConfig(depth_cap=depth_cap), right
+
+
+class TestDuplicateDetection:
+    @pytest.mark.parametrize("name", DIFFERENTIAL)
+    def test_same_answer_as_without(self, name, monkeypatch):
+        problem = corpus_problem(name)
+        with_dedup = outcome(problem)
+        disable_dedup(monkeypatch)
+        assert with_dedup == outcome(problem)
+
+    @pytest.mark.parametrize("name", LEX_SENSITIVE)
+    def test_lex_plans_are_those_without_dedup(self, name, monkeypatch):
+        problem = corpus_problem(name)
+        lex = SolveConfig(tiebreak_lex=True)
+        with_dedup = outcome(problem, lex)
+        disable_dedup(monkeypatch)
+        assert with_dedup == outcome(problem, lex)
+
+    @pytest.mark.parametrize("part", list(SIGNATURE_CASES))
+    def test_each_signature_part_is_needed(self, part, monkeypatch):
+        problem, config, right = signature_case(part)
+
+        def answer():  # the weight, or the kind of cap that cut the run
+            status, weight, _ = outcome(problem, config)
+            return weight if status == "ok" else status
+
+        assert answer() == right
+        # dropping the part merges the two nodes and loses the right answer
+        i = list(SIGNATURE_CASES).index(part)
+        full = search._signature
+        monkeypatch.setattr(search, "_signature",
+                            lambda *a: full(*a)[:i] + full(*a)[i + 1:])
+        assert answer() != right
+        disable_dedup(monkeypatch)
+        assert answer() == right
+
+    def test_signature_has_one_entry_per_case(self):
+        problem, _, _ = signature_case("facts")
+        root, _ = make_root(problem)
+        assert len(search._signature(root, ())) == len(SIGNATURE_CASES)
+
+    def test_duplicates_are_counted(self, monkeypatch):
+        problem = load_fixture("zeno", 3)
+        on = solve(problem).stats
+        disable_dedup(monkeypatch)
+        off = solve(problem).stats
+        assert on.duplicates > 0 and off.duplicates == 0
+        assert on.nodes_expanded < off.nodes_expanded
+
+    def test_executing_instances_are_the_agenda_end_markers(self):
+        # why the signature leaves the executing set out: every node of the
+        # search trees of these problems executes exactly the instances
+        # whose end markers it has on its agenda
+        problems = [load_fixture("travel", 3), load_fixture("zeno", 1)]
+        problems += [gen_instance(GenConfig(seed=s))[0] for s in range(10)]
+        seen = 0
+        for problem in problems:
+            root, _ = make_root(problem)
+            exp = _Expander(problem, SolveConfig(), SearchStats())
+            frontier = [root] if root is not None else []
+            while frontier:
+                node = frontier.pop()
+                markers = [x.inst for x in node.agenda
+                           if isinstance(x, search.EndMarker)]
+                assert len(markers) == len(node.trace.final_state.executing)
+                assert set(markers) == node.trace.final_state.executing
+                seen += 1
+                if node.weight is None:
+                    frontier.extend(exp.expand(node))
+        assert seen > 1000

@@ -421,6 +421,15 @@ class Problem:
     _constants: tuple[str, ...] = field(default=None, repr=False, compare=False)
 
     @property
+    def preference_or_empty(self):
+        """The preference plans are scored by: the attached one, else
+        parser.empty_preference(), under which every plan weighs 0."""
+        if self.preference is not None:
+            return self.preference
+        from .parser import empty_preference  # local import, avoids a cycle
+        return empty_preference()
+
+    @property
     def constants(self) -> tuple[str, ...]:
         """The constant universe: every constant mentioned anywhere in the problem."""
         if self._constants is None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from . import formulas as F
 from . import progression as P
 from . import semantics
 from .errors import CapExceeded, ResourceLimit
@@ -65,9 +64,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
 
     def _finish(partial: bool = False) -> OracleResult:
         stats.elapsed = time.monotonic() - start
-        gpf = problem.preference if problem.preference is not None \
-            else F.bdf_gpf(F.TRUE)
-        universe = problem.constants
+        gpf, universe = problem.preference_or_empty, problem.constants
         weights = tuple(semantics.weight_gpf(t, gpf, universe)
                         for t in traces)
         best_i = None
@@ -124,7 +121,8 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
       * weight-match: the planner's returned weight equals the enumerated
         minimum (both report no plan on unsolvable problems);
       * progression-direct: for every enumerated plan, replaying it through
-        progression yields exactly its direct-semantics weight;
+        progression yields exactly its direct-semantics weight, the one the
+        enumeration scored it with (OracleResult.all_weights);
       * prefix-monotone: along every plan's prefix chain, the optimistic
         bound never decreases, the pessimistic bound never increases, and
         both bracket the final weight;
@@ -135,10 +133,6 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
     config = config or SolveConfig()
     oracle = enumerate_all(problem, caps, keep_traces=True)
     result = solve(problem, config)
-
-    gpf = problem.preference if problem.preference is not None \
-        else F.bdf_gpf(F.TRUE)
-    universe = problem.constants
 
     report = CheckReport(problem.name, oracle.plan_count,
                          result.weight, oracle.best_weight)
@@ -153,9 +147,9 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
                                      and result.weight == oracle.best_weight)
 
     prog_ok = mono_ok = conv_ok = True
-    for trace in oracle.traces:
-        direct = semantics.weight_gpf(trace, gpf, universe)
-        final, prefix_bounds = P.progress_trace(gpf, trace, universe)
+    replays = P.progress_trace(problem.preference_or_empty, oracle.traces,
+                               problem.constants)
+    for direct, (final, prefix_bounds) in zip(oracle.all_weights, replays):
         if final != direct:
             prog_ok = False
         prev = None

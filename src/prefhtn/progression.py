@@ -10,16 +10,23 @@ the initial state (no event) and then once per event; the step that produces
 a complete plan is flagged terminal, at which point every residual collapses
 to a constant and the bounds coincide with the true weight.
 
-The steps run through an automaton that one search (or one trace replay)
-builds lazily and shares across its nodes. Its states are the interned
-residuals: each distinct residual is one object, so a state is found by
-identity. A residual's letter is the terminal flag plus the values of the
-reads progress_bdf makes of the step on it (holds on its literals;
-event_matches, terminated_at and executing_at, or window_open, on its refs),
-so the letter decides the successor and the transition is looked up instead
-of recomputed. A miss calls progress_bdf, which stays the one progression
-rule; _sat and the bounds are memoised the same way. Nothing is kept across
-searches, so no problem sees another's residuals.
+The steps run through an automaton that one search, or one progress_trace
+call, builds lazily and shares across its nodes or all of its traces. Its
+states are the interned residuals: each distinct residual is one object, so
+a state is found by identity. A residual's letter is the terminal flag plus
+the values of the reads progress_bdf makes of the step on it (holds on its
+literals; event_matches, terminated_at and executing_at, or window_open, on
+its refs), so the letter decides the successor and the transition is looked
+up instead of recomputed. A miss calls progress_bdf, which stays the one
+progression rule; _sat and the bounds are memoised the same way. Nothing is
+kept across searches or calls, so no problem sees another's residuals.
+
+progress_trace also shares the steps themselves. The traces of one
+enumeration are parent-linked cells that share their prefixes, and a
+non-terminal step's result is a function of the previous result and the
+cell's event and state alone, so the Progressed after a cell is the same on
+every trace through it. Each distinct cell is stepped once, non-terminally;
+a trace's terminal step starts from its parent cell's Progressed.
 
 Residual conventions (all indices relative to the event sequence):
 
@@ -404,24 +411,33 @@ def terminal_weight(pf: Progressed) -> Fraction:
 
 # --- whole-trace replay --------------------------------------------------------------
 
-def progress_trace(gpf: F.GPF, trace: Trace, universe: tuple[str, ...]
-                   ) -> tuple[Fraction, list[Bounds]]:
-    """Replay a complete trace through progression.
+def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
+                   ) -> list[tuple[Fraction, list[Bounds]]]:
+    """Replay complete traces through progression, all on one automaton.
 
-    Returns the terminal weight and the bounds after every step (the entry
-    for the final step collapses to the exact weight).
+    Returns, per trace, the terminal weight and the bounds after every step
+    (the entry for the final step collapses to the exact weight). A trace
+    cell's non-terminal Progressed and its bounds depend only on the events
+    and states from the root to that cell, so each cell the traces share is
+    stepped once; a trace's terminal step starts from its parent cell's.
     """
-    pf = init_progressed(gpf, universe)
-    events, states = trace.events, trace.states
-    n = len(events)
-    prefix_bounds: list[Bounds] = []
-    for i in range(n + 1):
-        event = events[i - 1] if i > 0 else None
-        terminal = i == n
-        pf = step(pf, StepContext(event, states[i], terminal))
-        if terminal:
-            w = terminal_weight(pf)
-            prefix_bounds.append(Bounds(w, w))
-        else:
-            prefix_bounds.append(bounds(pf))
-    return terminal_weight(pf), prefix_bounds
+    root = init_progressed(gpf, universe)
+    done: dict = {}  # trace cell -> (its non-terminal Progressed, Bounds)
+    out = []
+    for trace in traces:
+        cells, cell = [], trace.parent
+        while cell is not None:
+            cells.append(cell)
+            cell = cell.parent
+        pf, prefix = root, []
+        for cell in reversed(cells):
+            if cell not in done:
+                pf = step(pf, StepContext(cell.event, cell.final_state, False))
+                done[cell] = pf, bounds(pf)
+            pf, b = done[cell]
+            prefix.append(b)
+        w = terminal_weight(step(pf, StepContext(trace.event,
+                                                 trace.final_state, True)))
+        prefix.append(Bounds(w, w))
+        out.append((w, prefix))
+    return out

@@ -336,10 +336,8 @@ def make_root(problem: Problem, with_preference: bool = True
     terminal = not agenda
     pf = None
     if with_preference:
-        gpf = problem.preference if problem.preference is not None \
-            else F.bdf_gpf(F.TRUE)
-        pf = _step(P.init_progressed(gpf, problem.constants), None, trace,
-                   terminal)
+        pf = _step(P.init_progressed(problem.preference_or_empty,
+                                     problem.constants), None, trace, terminal)
     node = _make_node(agenda, trace, pf, 0, 0, terminal)
     if terminal:
         return None, node

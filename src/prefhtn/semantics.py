@@ -62,7 +62,7 @@ def _window_witness(trace: Trace, start: int, t1: F.Ref, t2: F.Ref,
     """An index s1 >= start where the t1/t2 window is open, followed by an
     event of t2 at s2 >= s1, with lit (unless None) holding in states s1..s2.
     before(t1, t2) is the witness without a literal, hold-between with one."""
-    last = len(trace.events)
+    last = trace.length
     for s1 in range(start, last + 1):
         if not window_open(trace.states[s1], t1, t2):
             continue
@@ -77,65 +77,93 @@ def _window_witness(trace: Trace, start: int, t1: F.Ref, t2: F.Ref,
 def satisfies_bdf(trace: Trace, i: int, phi: F.BDF,
                   universe: tuple[str, ...] = ()) -> bool:
     """Truth of phi over the trace suffix starting at state index i."""
-    last = len(trace.events)
-    assert 0 <= i <= last
+    assert 0 <= i <= trace.length
+    rule = _RULES.get(type(phi))
+    if rule is None:
+        raise UnboundVariable(f"cannot evaluate {phi!r} directly")
+    return rule(trace, i, phi, universe)
 
-    if isinstance(phi, F.TrueC):
-        return True
-    if isinstance(phi, F.FalseC):
-        return False
-    if isinstance(phi, F.LitF):
-        return trace.states[i].holds(phi.lit)
-    if isinstance(phi, F.Final):
-        return trace.final_state.holds(phi.lit)
-    if isinstance(phi, (F.Occ, F.Apply)):
-        return i < last and event_matches(trace.events[i], phi.ref)
-    if isinstance(phi, F.Last):
-        return i == last
-    if isinstance(phi, F.Terminated):
-        return terminated_at(trace.states[i], phi.ref)
-    if isinstance(phi, F.Before):
-        return _window_witness(trace, i, phi.t1, phi.t2)
-    if isinstance(phi, F.HoldBefore):
-        return any(trace.states[s1].holds(phi.lit)
-                   and event_matches(trace.events[s1], phi.t)
-                   for s1 in range(i, last))
-    if isinstance(phi, F.HoldAfter):
-        return any(terminated_at(trace.states[s1], phi.t)
-                   and trace.states[s1].holds(phi.lit)
-                   for s1 in range(i, last + 1))
-    if isinstance(phi, F.HoldBetween):
-        return _window_witness(trace, i, phi.t1, phi.t2, phi.lit)
-    if isinstance(phi, F.Not):
-        return not satisfies_bdf(trace, i, phi.sub, universe)
-    if isinstance(phi, F.And):
-        return all(satisfies_bdf(trace, i, p, universe) for p in phi.parts)
-    if isinstance(phi, F.Or):
-        return any(satisfies_bdf(trace, i, p, universe) for p in phi.parts)
-    if isinstance(phi, F.Exists):
-        return any(satisfies_bdf(trace, i, F.subst_bdf(phi.body, {phi.var: c}),
-                                 universe)
-                   for c in universe)
-    if isinstance(phi, F.Forall):
-        return all(satisfies_bdf(trace, i, F.subst_bdf(phi.body, {phi.var: c}),
-                                 universe)
-                   for c in universe)
-    if isinstance(phi, F.Next):
-        return i < last and satisfies_bdf(trace, i + 1, phi.sub, universe)
-    if isinstance(phi, F.Always):
-        return all(satisfies_bdf(trace, j, phi.sub, universe)
-                   for j in range(i, last + 1))
-    if isinstance(phi, F.Eventually):
-        return any(satisfies_bdf(trace, j, phi.sub, universe)
-                   for j in range(i, last + 1))
-    if isinstance(phi, F.Until):
-        for j in range(i, last + 1):
-            if satisfies_bdf(trace, j, phi.goal, universe):
-                return True
-            if not satisfies_bdf(trace, j, phi.hold, universe):
-                return False
-        return False
-    raise UnboundVariable(f"cannot evaluate {phi!r} directly")
+
+# One rule per node class, rule(trace, i, phi, universe); the last state
+# index is trace.length. Progression-internal nodes (Mon, OccNext) have none.
+
+def _occurs(trace, i, phi, universe):
+    return i < trace.length and event_matches(trace.events[i], phi.ref)
+
+
+def _hold_before(trace, i, phi, universe):
+    return any(trace.states[s1].holds(phi.lit)
+               and event_matches(trace.events[s1], phi.t)
+               for s1 in range(i, trace.length))
+
+
+def _hold_after(trace, i, phi, universe):
+    return any(terminated_at(trace.states[s1], phi.t)
+               and trace.states[s1].holds(phi.lit)
+               for s1 in range(i, trace.length + 1))
+
+
+def _exists(trace, i, phi, universe):
+    return any(satisfies_bdf(trace, i, F.subst_bdf(phi.body, {phi.var: c}),
+                             universe)
+               for c in universe)
+
+
+def _forall(trace, i, phi, universe):
+    return all(satisfies_bdf(trace, i, F.subst_bdf(phi.body, {phi.var: c}),
+                             universe)
+               for c in universe)
+
+
+def _always(trace, i, phi, universe):
+    return all(satisfies_bdf(trace, j, phi.sub, universe)
+               for j in range(i, trace.length + 1))
+
+
+def _eventually(trace, i, phi, universe):
+    return any(satisfies_bdf(trace, j, phi.sub, universe)
+               for j in range(i, trace.length + 1))
+
+
+def _until(trace, i, phi, universe):
+    for j in range(i, trace.length + 1):
+        if satisfies_bdf(trace, j, phi.goal, universe):
+            return True
+        if not satisfies_bdf(trace, j, phi.hold, universe):
+            return False
+    return False
+
+
+_RULES = {
+    F.TrueC: lambda trace, i, phi, universe: True,
+    F.FalseC: lambda trace, i, phi, universe: False,
+    F.LitF: lambda trace, i, phi, universe: trace.states[i].holds(phi.lit),
+    F.Final: lambda trace, i, phi, universe: trace.final_state.holds(phi.lit),
+    F.Occ: _occurs,
+    F.Apply: _occurs,
+    F.Last: lambda trace, i, phi, universe: i == trace.length,
+    F.Terminated: lambda trace, i, phi, universe:
+        terminated_at(trace.states[i], phi.ref),
+    F.Before: lambda trace, i, phi, universe:
+        _window_witness(trace, i, phi.t1, phi.t2),
+    F.HoldBefore: _hold_before,
+    F.HoldAfter: _hold_after,
+    F.HoldBetween: lambda trace, i, phi, universe:
+        _window_witness(trace, i, phi.t1, phi.t2, phi.lit),
+    F.Not: lambda trace, i, phi, universe:
+        not satisfies_bdf(trace, i, phi.sub, universe),
+    F.And: lambda trace, i, phi, universe:
+        all(satisfies_bdf(trace, i, p, universe) for p in phi.parts),
+    F.Or: lambda trace, i, phi, universe:
+        any(satisfies_bdf(trace, i, p, universe) for p in phi.parts),
+    F.Exists: _exists,
+    F.Forall: _forall,
+    F.Next: lambda trace, i, phi, universe:
+        i < trace.length and satisfies_bdf(trace, i + 1, phi.sub, universe),
+    F.Always: _always,
+    F.Eventually: _eventually,
+    F.Until: _until,
+}
 
 
 def weight_bdf(trace: Trace, phi: F.BDF, universe: tuple[str, ...] = ()) -> Fraction:

@@ -123,11 +123,9 @@ def test_criterion_2_progression_equals_direct_semantics(corpus_results):
     checked = 0
     bad = []
     for name, problem, oracle, _ in corpus_results:
-        gpf = problem.preference if problem.preference is not None \
-            else F.bdf_gpf(F.TRUE)
-        universe = problem.constants
-        for trace in oracle.traces:
-            final, _ = progress_trace(gpf, trace, universe)
+        gpf, universe = problem.preference_or_empty, problem.constants
+        replays = progress_trace(gpf, oracle.traces, universe)
+        for trace, (final, _) in zip(oracle.traces, replays):
             if final != weight_gpf(trace, gpf, universe):
                 bad.append(name)
                 break
@@ -140,11 +138,9 @@ def test_criterion_3_prefix_bound_properties(corpus_results):
     checked = 0
     bad = []
     for name, problem, oracle, _ in corpus_results:
-        gpf = problem.preference if problem.preference is not None \
-            else F.bdf_gpf(F.TRUE)
-        universe = problem.constants
-        for trace in oracle.traces:
-            final, bnds = progress_trace(gpf, trace, universe)
+        replays = progress_trace(problem.preference_or_empty, oracle.traces,
+                                 problem.constants)
+        for final, bnds in replays:
             prev = None
             converged = False
             for b in bnds:

@@ -1,12 +1,17 @@
 """Brute-force enumeration and the planner/enumerator cross checks."""
 
+import re
+
 import pytest
 
 from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
+from prefhtn import formulas as F
 from prefhtn.errors import CapExceeded
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
-from prefhtn.parser import parse_domain, parse_problem
+from prefhtn.parser import parse_domain, parse_preference, parse_problem
+from prefhtn.randgen import GenConfig, gen_files
+from prefhtn.search import solve
 
 
 class TestEnumerateAll:
@@ -76,3 +81,70 @@ class TestCrossCheck:
         report = cross_check(problem)
         assert report.ok
         assert report.plan_count == 0
+
+
+def _rename_constants(text: str) -> str:
+    """c1, c2, ... become ka, kb, ...: a renaming that keeps their order."""
+    return re.sub(r"\bc(\d+)\b",
+                  lambda m: "k" + chr(ord("a") + int(m.group(1)) - 1), text)
+
+
+def _reverse_joins(gpf):
+    """The GPF with the parts of every &! and |! in reverse order."""
+    if isinstance(gpf, (F.Conj, F.Disj)):
+        return type(gpf)(tuple(_reverse_joins(p) for p in reversed(gpf.parts)))
+    if isinstance(gpf, F.Cond):
+        return F.Cond(gpf.cond, _reverse_joins(gpf.body))
+    return gpf
+
+
+@pytest.fixture(scope="class")
+def generated():
+    """randgen seeds 0-99, each with its best-first optimal weight."""
+    instances = [gen_files(GenConfig(seed=seed)) for seed in range(100)]
+    return [(gi, solve(gi.problem).weight) for gi in instances]
+
+
+def _parsed(domain_text, problem_text, preference_text):
+    domain = parse_domain(domain_text, "<gen>")
+    problem = parse_problem(problem_text, domain, "<gen>")
+    problem.preference = parse_preference(preference_text, domain, "<gen>")
+    return problem
+
+
+class TestMetamorphic:
+    """Rewrites that cannot change any plan's weight leave the best-first
+    optimum where it was, and the cross check passes on the rewrite."""
+
+    @staticmethod
+    def _check(generated, rewrite):
+        changed = 0
+        for gi, expected in generated:
+            problem = rewrite(gi)
+            report = cross_check(problem)
+            assert report.ok, (gi.problem.name, report.checks)
+            assert report.solve_weight == expected, gi.problem.name
+            changed += ((problem.constants, problem.preference)
+                        != (gi.problem.constants, gi.problem.preference))
+        return changed
+
+    def test_order_preserving_renaming_of_constants(self, generated):
+        assert self._check(generated, lambda gi: _parsed(
+            *map(_rename_constants, (gi.domain_text, gi.problem_text,
+                                     gi.preference_text)))) == len(generated)
+
+    def test_permuted_joins(self, generated):
+        def rewrite(gi):
+            problem = _parsed(gi.domain_text, gi.problem_text,
+                              gi.preference_text)
+            problem.preference = _reverse_joins(problem.preference)
+            return problem
+        assert self._check(generated, rewrite) > 20
+
+    def test_conjoined_tautology(self, generated):
+        def rewrite(gi):
+            atom = re.search(r":init \((\([^)]*\))", gi.problem_text)[1]
+            return _parsed(gi.domain_text, gi.problem_text,
+                           f"(&! {gi.preference_text} "
+                           f"(always (or {atom} (not {atom}))))")
+        assert self._check(generated, rewrite) == len(generated)

@@ -18,7 +18,8 @@ from prefhtn.semantics import weight_gpf
 def replay_pref(text, domain, trace):
     gpf = parse_preference(text, domain)
     universe = ("train", "ticket")
-    return progress_trace(gpf, trace, universe)
+    [replay] = progress_trace(gpf, [trace], universe)
+    return replay
 
 
 class TestProgressionRules:
@@ -110,7 +111,7 @@ class TestMonitors:
                                              text):
         gpf = parse_preference(text, mini_domain)
         universe = ("train",)
-        weight, _ = progress_trace(gpf, mini_trace, universe)
+        [(weight, _)] = progress_trace(gpf, [mini_trace], universe)
         assert weight == weight_gpf(mini_trace, gpf, universe)
 
 
@@ -155,7 +156,8 @@ class TestAgainstOracle:
         assert oracle.best_weight == Fraction(2, 5)
         universe = problem.constants
         for trace in oracle.traces:
-            weight, bnds = progress_trace(problem.preference, trace, universe)
+            [(weight, bnds)] = progress_trace(problem.preference, [trace],
+                                              universe)
             assert weight == weight_gpf(trace, problem.preference, universe)
             for b in bnds:
                 assert b.opt <= weight <= b.pess
@@ -198,9 +200,8 @@ class TestAutomaton:
                      for seed in range(30)]
         steps = 0
         for problem in problems:
-            gpf = problem.preference if problem.preference is not None \
-                else F.bdf_gpf(F.TRUE)
-            root = P.init_progressed(gpf, problem.constants)
+            root = P.init_progressed(problem.preference_or_empty,
+                                     problem.constants)
             oracle = enumerate_all(problem, keep_traces=True)
             for trace in oracle.traces:
                 pf, plain = root, root.residuals
@@ -214,3 +215,58 @@ class TestAutomaton:
                     assert P.bounds(pf) == _plain_bounds(pf.skeleton, plain)
                     steps += 1
         assert steps > 10_000
+
+
+class TestSharedReplay:
+    def test_one_call_equals_one_call_per_trace(self):
+        # all of a problem's traces replayed in one call (one automaton,
+        # shared prefix cells) give each trace the same final weight and
+        # the same prefix bounds as replaying it alone
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += [gen_instance(GenConfig(seed=seed))[0]
+                     for seed in range(100)]
+        traces = 0
+        for problem in problems:
+            gpf, universe = problem.preference_or_empty, problem.constants
+            oracle = enumerate_all(problem, keep_traces=True)
+            shared = progress_trace(gpf, oracle.traces, universe)
+            alone = [progress_trace(gpf, [t], universe)[0]
+                     for t in oracle.traces]
+            assert shared == alone, problem.name
+            traces += len(alone)
+        assert traces > 1000
+
+    @pytest.mark.parametrize("suite,k", [("travel", 1), ("logistics", 1),
+                                         ("zeno", 1)])
+    def test_cross_check_steps_each_cell_once(self, monkeypatch, suite, k):
+        replayed, steps = [], []
+        original_step, original_replay = P.step, P.progress_trace
+
+        def counting_step(pf, ctx):
+            if replayed:  # cross_check replays after its search has run
+                steps.append(ctx)
+            return original_step(pf, ctx)
+
+        def recording_replay(gpf, traces, universe):
+            replayed.extend(traces)
+            return original_replay(gpf, traces, universe)
+
+        monkeypatch.setattr(P, "step", counting_step)
+        monkeypatch.setattr(P, "progress_trace", recording_replay)
+        report = cross_check(load_fixture(suite, k))
+        assert report.ok and len(replayed) == report.plan_count > 1
+
+        cells = {}  # every proper prefix of a replayed trace, by identity
+        for trace in replayed:
+            cell = trace.parent
+            while cell is not None:
+                cells[id(cell)] = cell
+                cell = cell.parent
+        inner = [ctx for ctx in steps if not ctx.terminal]
+        terminal = [ctx for ctx in steps if ctx.terminal]
+        assert len(terminal) == len(replayed)
+        assert sorted(id(ctx.state) for ctx in inner) == \
+            sorted(id(c.final_state) for c in cells.values())
+        # the traces do share prefixes, so this is fewer than one step per
+        # event of every trace
+        assert len(inner) < sum(t.length for t in replayed)

@@ -4,9 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import load_fixture
+
 from prefhtn import formulas as F
+from prefhtn import semantics
+from prefhtn.errors import UnboundVariable
 from prefhtn.model import Atom, Literal
-from prefhtn.parser import parse_preference
+from prefhtn.oracle import EnumerationCaps, cross_check
+from prefhtn.parser import BDF_FORMS, parse_preference
 from prefhtn.semantics import (compare_plans, satisfies_bdf, weight_apf,
                                weight_bdf, weight_gpf)
 
@@ -182,3 +187,30 @@ class TestComparePlans:
             (F.TRUE, Fraction(3, 10)))))
         gpf = F.Conj((shared, split))
         assert compare_plans(mini_trace, other, gpf) == 0
+
+
+class TestDirectRules:
+    def test_every_parsed_node_class_has_a_rule(self):
+        parsed = {cls for cls, _ in BDF_FORMS.values()}
+        parsed |= {F.TrueC, F.FalseC, F.LitF, F.And, F.Or, F.Exists,
+                   F.Forall, F.Last}
+        assert parsed <= set(semantics._RULES)
+
+    @pytest.mark.parametrize("phi", [
+        F.Mon("before", F.Ref("task", "arrange-trans", ()), None,
+              F.Ref("op", "pay", ())),
+        F.OccNext(F.Ref("op", "pay", ())),
+    ])
+    def test_progression_nodes_have_no_rule(self, mini_trace, phi):
+        with pytest.raises(UnboundVariable):
+            satisfies_bdf(mini_trace, 0, phi)
+
+    def test_mutated_direct_rule_is_caught(self, monkeypatch):
+        # negative control on the direct side: travel-2 ranks plans by
+        # eventually(occ ...); scoring eventually as always must make the
+        # enumerated weights disagree with progression
+        monkeypatch.setitem(semantics._RULES, F.Eventually,
+                            semantics._RULES[F.Always])
+        report = cross_check(load_fixture("travel", 2),
+                             EnumerationCaps(max_seconds=60.0))
+        assert not report.checks["progression-direct"]

@@ -12,18 +12,17 @@ from .oracle import EnumerationCaps, OracleResult, cross_check, enumerate_all
 from .parser import (empty_preference, parse_domain, parse_preference,
                      parse_problem, print_domain, print_preference,
                      print_problem)
-from .randgen import GenConfig, gen_files, gen_instance
 from .search import Result, SearchStats, SolveConfig, solve
 from .semantics import compare_plans, weight_gpf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "APF", "CapExceeded", "Domain", "EnumerationCaps", "GPF", "GenConfig",
-    "Method", "Operator", "OracleResult", "ParseError", "PrefHtnError",
-    "Problem", "ResourceLimit", "Result", "SearchStats", "SolveConfig",
-    "State", "Task", "Trace", "Weight", "compare_plans", "cross_check",
-    "empty_preference", "enumerate_all", "gen_files", "gen_instance",
-    "parse_domain", "parse_preference", "parse_problem", "print_domain",
-    "print_preference", "print_problem", "solve", "weight_gpf",
+    "APF", "CapExceeded", "Domain", "EnumerationCaps", "GPF", "Method",
+    "Operator", "OracleResult", "ParseError", "PrefHtnError", "Problem",
+    "ResourceLimit", "Result", "SearchStats", "SolveConfig", "State",
+    "Task", "Trace", "Weight", "compare_plans", "cross_check",
+    "empty_preference", "enumerate_all", "parse_domain", "parse_preference",
+    "parse_problem", "print_domain", "print_preference", "print_problem",
+    "solve", "weight_gpf",
 ]

@@ -9,11 +9,24 @@ Weights are exact rationals in [0, 1]; 0 is best, 1 is worst. Negation is
 pushed to atoms at construction time (nnf); the extended constructs TrueC,
 FalseC, OccNext, Terminated, Last and Mon only ever appear as progression
 outputs.
+
+Every node class derives from Node and declares its fields as annotations,
+in order; a class attribute named like a field is that field's default.
+A node is built positionally, Cls(v1, v2, ...), and is immutable: setting
+or deleting an attribute raises, and Node.replace(**changes) makes an
+updated copy. Two nodes are equal exactly when they are of the same class
+and their fields are equal, so Always(p) != Eventually(p); the hash is
+over (class, fields), computed on first use and kept. node_fields gives the
+values in declaration order, and the repr is Cls(field=value, ...).
+
+The nodes are not dataclasses because of import cost: a frozen dataclass
+generates its methods through exec when its module is imported, and that
+was the largest part of starting the planner. Node reads its subclasses'
+annotations once, in __init_subclass__, and generates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -24,9 +37,67 @@ Weight = Fraction
 W_MIN = Fraction(0)
 W_MAX = Fraction(1)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Ref:
+
+class Node:
+    """The immutable base of every formula node (see the module docstring)."""
+
+    __slots__ = ("_hash",)
+    _fields: tuple = ()     # the field names, in declaration order
+    _defaults: tuple = ()   # the defaults, which only trailing fields have
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = tuple(cls.__dict__[f] for f in cls._fields
+                              if f in cls.__dict__)
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            missing = len(fields) - len(values)
+            if not 0 < missing <= len(self._defaults):
+                raise TypeError(f"{type(self).__name__} takes {len(fields)} "
+                                f"fields, got {len(values)}")
+            values += self._defaults[-missing:]
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self), *vars(self).values()))
+            _set(self, "_hash", h)
+            return h
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A node of the same class with the named fields changed."""
+        values = {**vars(self), **changes}
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} has the fields "
+                            f"{self._fields}, not {sorted(changes)}")
+        return type(self)(*values.values())
+
+
+class Ref(Node):
     """An occurrence target: an operator, a nonprimitive task, or a method branch."""
 
     kind: str  # "op" | "task" | "method"
@@ -36,13 +107,11 @@ class Ref:
 
 # --- BDF nodes ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrueC:
+class TrueC(Node):
     pass
 
 
-@dataclass(frozen=True)
-class FalseC:
+class FalseC(Node):
     pass
 
 
@@ -50,118 +119,97 @@ TRUE = TrueC()
 FALSE = FalseC()
 
 
-@dataclass(frozen=True)
-class LitF:
+class LitF(Node):
     lit: Literal
 
 
-@dataclass(frozen=True)
-class Final:
+class Final(Node):
     lit: Literal
 
 
-@dataclass(frozen=True)
-class Occ:
+class Occ(Node):
     ref: Ref
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(Node):
     ref: Ref  # kind == "method"
 
 
-@dataclass(frozen=True)
-class Before:
+class Before(Node):
     t1: Ref
     t2: Ref
 
 
-@dataclass(frozen=True)
-class HoldBefore:
+class HoldBefore(Node):
     t: Ref
     lit: Literal
 
 
-@dataclass(frozen=True)
-class HoldAfter:
+class HoldAfter(Node):
     t: Ref
     lit: Literal
 
 
-@dataclass(frozen=True)
-class HoldBetween:
+class HoldBetween(Node):
     t1: Ref
     lit: Literal
     t2: Ref
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Node):
     sub: "BDF"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Node):
     parts: tuple["BDF", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Node):
     parts: tuple["BDF", ...]
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Node):
     var: str
     body: "BDF"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Node):
     var: str
     body: "BDF"
 
 
-@dataclass(frozen=True)
-class Next:
+class Next(Node):
     sub: "BDF"
 
 
-@dataclass(frozen=True)
-class Always:
+class Always(Node):
     sub: "BDF"
 
 
-@dataclass(frozen=True)
-class Eventually:
+class Eventually(Node):
     sub: "BDF"
 
 
-@dataclass(frozen=True)
-class Until:
+class Until(Node):
     hold: "BDF"
     goal: "BDF"
 
 
 # --- progression-only nodes ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OccNext:
+class OccNext(Node):
     ref: Ref
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(Node):
     ref: Ref
 
 
-@dataclass(frozen=True)
-class Last:
+class Last(Node):
     """True exactly at the final trace index (arises from nnf of Not(Next ...))."""
 
 
-@dataclass(frozen=True)
-class Mon:
+class Mon(Node):
     """Three-valued monitor for a pending before/hold* construct.
 
     construct is "before", "hold-before", "hold-after" or "hold-between";
@@ -185,13 +233,13 @@ BDF = Union[TrueC, FalseC, LitF, Final, Occ, Apply, Before, HoldBefore,
 
 # --- APF / GPF ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class APF:
+class APF(Node):
     """Ordered alternatives (bdf, value); values strictly increase from 0."""
 
     alts: tuple[tuple[BDF, Fraction], ...]
 
-    def __post_init__(self):
+    def __init__(self, *values):
+        super().__init__(*values)
         check_apf_values([v for _, v in self.alts])
 
 
@@ -207,24 +255,20 @@ def check_apf_values(values) -> None:
         raise BadValueOrder(f"alternative value {values[-1]} exceeds 1")
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(Node):
     apf: APF
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(Node):
     cond: BDF
     body: "GPF"
 
 
-@dataclass(frozen=True)
-class Conj:
+class Conj(Node):
     parts: tuple["GPF", ...]
 
 
-@dataclass(frozen=True)
-class Disj:
+class Disj(Node):
     parts: tuple["GPF", ...]
 
 
@@ -333,20 +377,20 @@ def _flatten(parts, cls, unit: BDF, zero: BDF) -> BDF:
     """Join parts under cls (And or Or): nested cls nodes are spliced in,
     unit and duplicates are dropped, and zero absorbs the whole join."""
     unit_t, zero_t = type(unit), type(zero)
-    flat: list[BDF] = []
+    flat: dict[BDF, None] = {}  # insertion-ordered, so the first seen stays
     for p in parts:
         if isinstance(p, zero_t):
             return zero
         if isinstance(p, unit_t):
             continue
         if isinstance(p, cls):
-            flat.extend(q for q in p.parts if q not in flat)
-        elif p not in flat:
-            flat.append(p)
+            flat.update(dict.fromkeys(p.parts))
+        else:
+            flat[p] = None
     if not flat:
         return unit
     if len(flat) == 1:
-        return flat[0]
+        return next(iter(flat))
     return cls(tuple(flat))
 
 

@@ -45,8 +45,9 @@ Residual conventions (all indices relative to the event sequence):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import formulas as F
 from . import semantics
@@ -74,8 +75,7 @@ class Bounds:
         assert self.opt <= self.pess
 
 
-@dataclass(frozen=True)
-class StepContext:
+class StepContext(NamedTuple):
     """One progression step: the event just taken (None for the initial step),
     the state it produced, and whether the plan is complete after it."""
 
@@ -128,8 +128,8 @@ def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
             return _resolve(mon.armed, mon.neg)
         if ctx.terminal:
             return _resolve(False, mon.neg)
-        return replace(mon, armed=mon.armed
-                       or semantics.window_open(state, mon.t1, mon.t2))
+        return mon.replace(armed=mon.armed
+                           or semantics.window_open(state, mon.t1, mon.t2))
 
     if mon.construct == "hold-before":
         if (event is not None and semantics.event_matches(event, mon.t1)
@@ -137,7 +137,7 @@ def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
             return _resolve(True, mon.neg)
         if ctx.terminal:
             return _resolve(False, mon.neg)
-        return replace(mon, fprev=state.holds(mon.lit))
+        return mon.replace(fprev=state.holds(mon.lit))
 
     if mon.construct == "hold-after":
         if semantics.terminated_at(state, mon.t1) and state.holds(mon.lit):
@@ -153,7 +153,7 @@ def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
             return _resolve(False, mon.neg)
         armed = ((mon.armed or semantics.window_open(state, mon.t1, mon.t2))
                  and state.holds(mon.lit))
-        return replace(mon, armed=armed)
+        return mon.replace(armed=armed)
 
     raise TypeError(f"unknown monitor {mon.construct}")
 

@@ -266,11 +266,13 @@ class _Expander:
             raise ResourceLimit("depth", self.stats)
         out: list[SearchNode] = []
         state = trace.final_state
+        task_inst = Inst("task", task.name, task.args, trace.length)
+        t1 = None  # the task's start, emitted at its first applicable method
         for method, sigma0 in relevant_methods(task, self.domain):
             for sigma in satisfiers(method.pre, state, sigma0):
-                task_inst = Inst("task", task.name, task.args, trace.length)
-                t1 = trace.extend(StartEvent(task_inst), self.domain)
-                pf1 = _step(pf, t1.event, t1, False)
+                if t1 is None:
+                    t1 = trace.extend(StartEvent(task_inst), self.domain)
+                    pf1 = _step(pf, t1.event, t1, False)
                 method_inst = Inst("method", method.branch, task.args,
                                    t1.length)
                 t2 = t1.extend(StartEvent(method_inst), self.domain)

@@ -7,17 +7,15 @@ Atoms are symbols or exact rationals (decimals like 0.4 or ratios like 2/5);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 
 SExpr = Union[str, Fraction, list]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     line: int
     col: int

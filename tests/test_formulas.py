@@ -1,0 +1,250 @@
+"""The formula node contract (formulas.Node) and the smart constructors."""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import prefhtn
+from prefhtn import formulas as F
+from prefhtn.errors import BadValueOrder
+from prefhtn.model import Atom, Literal
+from prefhtn.parser import BDF_FORMS, parse_preference, print_preference
+from tests.conftest import fixture_ids, load_fixture
+
+LIT = Literal(Atom("at", ("c1",)))
+OP = F.Ref("op", "drive", ("c1",))
+TASK = F.Ref("task", "move", ("c2",))
+METHOD = F.Ref("method", "by-air", ())
+P, Q = F.LitF(LIT), F.Occ(OP)
+
+# One constructor argument tuple per node class.
+EXAMPLES = {
+    F.Ref: ("op", "drive", ("c1",)),
+    F.TrueC: (),
+    F.FalseC: (),
+    F.LitF: (LIT,),
+    F.Final: (LIT,),
+    F.Occ: (OP,),
+    F.Apply: (METHOD,),
+    F.Before: (OP, TASK),
+    F.HoldBefore: (TASK, LIT),
+    F.HoldAfter: (TASK, LIT),
+    F.HoldBetween: (OP, LIT, TASK),
+    F.Not: (P,),
+    F.And: ((P, Q),),
+    F.Or: ((P, Q),),
+    F.Exists: ("?x", P),
+    F.Forall: ("?x", P),
+    F.Next: (P,),
+    F.Always: (P,),
+    F.Eventually: (P,),
+    F.Until: (P, Q),
+    F.OccNext: (OP,),
+    F.Terminated: (TASK,),
+    F.Last: (),
+    F.Mon: ("hold-between", OP, LIT, TASK, True, True, False),
+    F.APF: (((P, Fraction(0)), (Q, Fraction(1, 2))),),
+    F.Atomic: (F.APF(((P, Fraction(0)),)),),
+    F.Cond: (P, F.bdf_gpf(Q)),
+    F.Conj: ((F.bdf_gpf(P), F.bdf_gpf(Q)),),
+    F.Disj: ((F.bdf_gpf(P), F.bdf_gpf(Q)),),
+}
+CLASSES = sorted(EXAMPLES, key=lambda c: c.__name__)
+# A value for any field that differs from the example's (APF checks its).
+CHANGED = {F.APF: ((Q, Fraction(0)),)}
+
+
+def example(cls):
+    return cls(*EXAMPLES[cls])
+
+
+def test_examples_cover_every_node_class():
+    assert set(F.Node.__subclasses__()) == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+class TestEveryNodeClass:
+    def test_setting_or_deleting_an_attribute_raises(self, cls):
+        node = example(cls)
+        for name in cls._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert node == example(cls)
+
+    def test_equal_fields_give_equal_nodes_and_hashes(self, cls):
+        a, b = example(cls), example(cls)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert hash(a) == hash(a)  # the cached value
+        assert {a: 1}[b] == 1
+
+    def test_node_fields_follow_declaration_order(self, cls):
+        node = example(cls)
+        assert cls._fields == tuple(cls.__annotations__)
+        assert F.node_fields(node) == EXAMPLES[cls]
+        assert tuple(getattr(node, f) for f in cls._fields) == EXAMPLES[cls]
+
+    def test_repr_names_every_field(self, cls):
+        node = example(cls)
+        inner = ", ".join(f"{f}={v!r}" for f, v in
+                          zip(cls._fields, EXAMPLES[cls]))
+        assert repr(node) == f"{cls.__name__}({inner})"
+
+    def test_replace_keeps_the_class_and_the_other_fields(self, cls):
+        node = example(cls)
+        assert node.replace() == node
+        for f in cls._fields:
+            value = CHANGED.get(cls, "?z")
+            changed = node.replace(**{f: value})
+            assert type(changed) is cls
+            assert getattr(changed, f) == value
+            assert changed != node
+            assert [getattr(changed, g) for g in cls._fields if g != f] == \
+                [getattr(node, g) for g in cls._fields if g != f]
+        assert node == example(cls)  # the original is untouched
+        with pytest.raises(TypeError):
+            node.replace(no_such_field=1)
+
+    def test_wrong_field_count_raises(self, cls):
+        with pytest.raises(TypeError):
+            cls(*EXAMPLES[cls], None)
+
+
+@pytest.mark.parametrize("a, b", [
+    (F.Always(P), F.Eventually(P)),
+    (F.Not(P), F.Next(P)),
+    (F.And((P, Q)), F.Or((P, Q))),
+    (F.Exists("?x", P), F.Forall("?x", P)),
+    (F.TRUE, F.FALSE),
+    (F.TRUE, F.Last()),
+    (F.LitF(LIT), F.Final(LIT)),
+    (F.Conj((F.bdf_gpf(P),)), F.Disj((F.bdf_gpf(P),))),
+])
+def test_same_fields_in_another_class_are_unequal(a, b):
+    assert F.node_fields(a) == F.node_fields(b)
+    assert a != b and b != a
+    assert len({a, b}) == 2
+
+
+def test_no_two_classes_are_equal_on_the_same_fields():
+    for c1, c2 in itertools.combinations(CLASSES, 2):
+        if len(c1._fields) != len(c2._fields):
+            continue
+        for args in (EXAMPLES[c1], EXAMPLES[c2]):
+            try:
+                a, b = c1(*args), c2(*args)
+            except (BadValueOrder, TypeError, ValueError):
+                continue  # not a valid APF
+            assert a != b, (c1, c2)
+
+
+def test_field_order_matches_the_parser_table():
+    kinds = {"formula": "BDF", "literal": "Literal", "task": "Ref",
+             "method": "Ref"}
+    for keyword, (cls, arg_kinds) in BDF_FORMS.items():
+        declared = tuple(a.strip("'\"")
+                         for a in cls.__annotations__.values())
+        assert declared == tuple(kinds[k] for k in arg_kinds), keyword
+
+
+def test_defaults_apply():
+    assert F.Ref("op", "a") == F.Ref("op", "a", ())
+    assert F.Ref("op", "a").args == ()
+    mon = F.Mon("before", OP)
+    assert F.node_fields(mon) == ("before", OP, None, None, False, False,
+                                  False)
+    assert F.Mon("before", OP, None, TASK).t2 == TASK
+    with pytest.raises(TypeError):
+        F.Ref("op")
+    with pytest.raises(TypeError):
+        F.Mon("before")
+
+
+def test_replace_changes_only_the_named_monitor_bits():
+    mon = F.Mon("hold-between", OP, LIT, TASK)
+    armed = mon.replace(armed=True)
+    assert type(armed) is F.Mon and armed.armed and not mon.armed
+    assert armed == F.Mon("hold-between", OP, LIT, TASK, False, True, False)
+    assert armed.replace(armed=False) == mon
+
+
+@pytest.mark.parametrize("values", [
+    (), (Fraction(1, 2),), (Fraction(0), Fraction(0)),
+    (Fraction(0), Fraction(1, 2), Fraction(1, 4)), (Fraction(0), Fraction(2)),
+])
+def test_bad_apf_raises_when_constructed(values):
+    with pytest.raises(BadValueOrder):
+        F.APF(tuple((P, v) for v in values))
+
+
+@pytest.mark.parametrize("suite,k", fixture_ids())
+def test_parse_print_parse_gives_equal_nodes(suite, k):
+    problem = load_fixture(suite, k)
+    gpf = problem.preference
+    again = parse_preference(print_preference(gpf), problem.domain)
+    assert again == gpf and hash(again) == hash(gpf)
+    assert print_preference(again) == print_preference(gpf)
+
+
+class TestJoin:
+    def test_splices_drops_duplicates_and_keeps_first_seen_order(self):
+        r = F.LitF(Literal(Atom("r")))
+        assert F.mk_and([Q, F.TRUE, P, F.And((Q, r)), F.LitF(LIT)]) == \
+            F.And((Q, P, r))
+        assert F.mk_or([P, F.Or((Q, P)), F.FALSE, r]) == F.Or((P, Q, r))
+
+    def test_unit_and_zero(self):
+        assert F.mk_and([]) is F.TRUE and F.mk_or([]) is F.FALSE
+        assert F.mk_and([F.TRUE, P, F.TRUE]) is P
+        assert F.mk_and([P, F.FALSE, Q]) is F.FALSE
+        assert F.mk_or([P, F.TRUE]) is F.TRUE
+
+    def test_the_first_of_equal_parts_is_kept(self):
+        p2 = F.LitF(LIT)
+        joined = F.mk_and([P, Q, p2])
+        assert joined.parts[0] is P and len(joined.parts) == 2
+
+    def test_distinct_parts_are_joined_without_pairwise_compares(
+            self, monkeypatch):
+        parts = [F.LitF(Literal(Atom("p", (f"c{i}",)))) for i in range(200)]
+        compares = []
+        eq = F.Node.__eq__
+        monkeypatch.setattr(F.Node, "__eq__",
+                            lambda a, b: compares.append(1) or eq(a, b))
+        joined = F.mk_and(parts + [F.And(tuple(parts[:50]))])
+        assert joined.parts == tuple(parts)
+        assert len(compares) <= 50 + 5  # the spliced repeats, not 200²
+
+
+def test_import_loads_no_test_tooling():
+    """A fresh `import prefhtn` leaves the instance generator and the CLI
+    unloaded, yet every exported name resolves and randgen imports alone."""
+    code = """if True:
+        import json, sys
+        import prefhtn
+        loaded = sorted(m for m in sys.modules if m.startswith("prefhtn"))
+        missing = [n for n in prefhtn.__all__ if not hasattr(prefhtn, n)]
+        from prefhtn.randgen import GenConfig, gen_files
+        gen_files(GenConfig(seed=1))
+        print(json.dumps({"loaded": loaded, "missing": missing}))
+    """
+    src = str(Path(prefhtn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert "prefhtn.randgen" not in out["loaded"]
+    assert "prefhtn.cli" not in out["loaded"]
+    assert out["missing"] == []

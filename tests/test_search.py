@@ -7,7 +7,7 @@ import pytest
 from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
 from prefhtn.errors import ResourceLimit
-from prefhtn.model import (StartEvent, Task, relevant_methods,
+from prefhtn.model import (StartEvent, Task, Trace, relevant_methods,
                            subst_literal, unify_args)
 from prefhtn import search
 from prefhtn.oracle import cross_check, enumerate_all
@@ -176,6 +176,37 @@ class TestExpansion:
         root, _ = make_root(problem)
         children = _Expander(problem, config, SearchStats()).expand(root)
         assert [c.trace.events[-1].name for c in children] == ["book-train"]
+
+    def test_a_task_starts_once_per_decomposition(self, monkeypatch):
+        # arrange-trans has two applicable methods; both children continue
+        # from the one task-start cell
+        problem = mini_problem()
+        root, _ = make_root(problem)
+        children = _Expander(problem, SolveConfig(), SearchStats()).expand(root)
+        starts = set()
+        for child in children:
+            cell = child.trace
+            while cell.parent is not None:
+                if isinstance(cell.event, StartEvent) \
+                        and cell.event.inst.kind == "task":
+                    starts.add(id(cell))
+                cell = cell.parent
+        assert len(children) == 2 and len(starts) == 1
+
+        # a task with no applicable method emits nothing
+        text = MINI_DOMAIN.replace("by-train-trans :pre ()",
+                                   "by-train-trans :pre ((closed))") \
+            .replace("by-car-trans :pre ()", "by-car-trans :pre ((closed))")
+        problem = parse_problem("(problem p :init () :tasks ((arrange-trans)))",
+                                parse_domain(text, "<mini>"))
+        root, _ = make_root(problem)
+        extends = []
+        real_extend = Trace.extend
+        monkeypatch.setattr(Trace, "extend", lambda *a: extends.append(a)
+                            or real_extend(*a))
+        assert _Expander(problem, SolveConfig(), SearchStats()).expand(root) \
+            == []
+        assert extends == []
 
     def test_end_marker_only_agenda_terminates(self, mini_domain):
         problem = mini_problem(pref="(final (paid))")

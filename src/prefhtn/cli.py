@@ -27,6 +27,7 @@ EXIT_NOPLAN = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_LIMIT = 4    # a cap other than time: depth, expansions or plans
+EXIT_MISMATCH = 5  # a failed cross-check or a bench weight mismatch
 
 RECORD_FIELDS = ("problem", "mode", "planCount", "NE", "NC", "duplicates",
                  "seconds", "PL", "weight", "status")
@@ -186,7 +187,7 @@ def cmd_bench(args) -> int:
                 and bf["weight"] != best["weight"]):
             print(f"weight mismatch on {pid}: bruteforce {bf['weight']} "
                   f"vs bestfirst {best['weight']}", file=sys.stderr)
-            return EXIT_USAGE
+            return EXIT_MISMATCH
         records.extend([bf, best])
     print(bench_table(records))
     if args.out:
@@ -197,20 +198,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    failures = 0
+    """Exit 5 if any check fails, else 4 if a cap cut any problem, else 0."""
+    code = EXIT_OK
     for pid, dom, prob, pref in _suite_triples(args.suite):
         problem = _load_problem(dom, prob, pref)
         try:
             report = cross_check(problem)
         except CapExceeded as exc:
             print(f"{pid}: enumeration cap hit ({exc.kind})")
-            failures += 1
+            code = max(code, EXIT_LIMIT)
             continue
         for name, ok in report.checks.items():
             print(f"{pid}: {name}: {'pass' if ok else 'FAIL'}")
             if not ok:
-                failures += 1
-    return EXIT_OK if failures == 0 else EXIT_USAGE
+                code = EXIT_MISMATCH
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -78,17 +78,12 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
         return OracleResult(len(traces), best_plan, best_w, weights, stats,
                             tuple(traces) if keep_traces else ())
 
-    root, immediate = make_root(problem, with_preference=False)
-    if immediate is not None:
-        record(immediate)
-        return _finish()
-
-    stack: list[SearchNode] = [root]
+    stack: list[SearchNode] = [make_root(problem, with_preference=False)]
     while stack:
         if time.monotonic() - start > caps.max_seconds:
             raise CapExceeded("time", _finish(partial=True))
         node = stack.pop()
-        if node.weight is not None:
+        if not node.agenda:
             record(node)
             continue
         try:

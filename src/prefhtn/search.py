@@ -1,26 +1,35 @@
 """Best-first preference planner over ordered task decomposition.
 
-The frontier holds partial decompositions ordered by (optimistic weight,
-pessimistic weight, plan length, insertion order). Expansion drills through
-the front of the agenda — firing end events, splicing method bodies, checking
-before-constraints — until a ground operator is applied; each reachable
-operator yields one child. Every agenda item but a Check emits an event,
-and a Check always precedes a task, so a step is terminal exactly when it
-leaves the agenda empty. A node whose agenda empties carries its exact
-weight, and the first such node popped is optimal (its optimistic weight is a
-lower bound on everything still in the frontier).
+A search node is its agenda, its trace and its progressed preference. The
+agenda is what remains to do, front first: ground tasks, an Unordered group
+of tasks, the ground Literal of a method's before-constraint, and the
+pending EndEvent of each started task or method instance. The frontier holds
+nodes ordered by (optimistic weight, pessimistic weight, plan length,
+insertion order). Expansion drills through the front of the agenda — firing
+end events, splicing method bodies, checking before-constraints — until a
+ground operator is applied; each reachable operator yields one child. Every
+agenda item but a literal emits an event, and a literal always precedes a
+task, so a node is terminal exactly when its agenda is empty. Its weight is
+then exact (opt == pess), and the first terminal node popped is optimal (its
+optimistic weight is a lower bound on everything still in the frontier).
+
+The nesting depth of a task is the number of task end events on the agenda
+behind it: the tasks still executing around it. Decomposing a task inside
+depth_cap or more of them raises ResourceLimit("depth"). Method bodies are
+finite, so a decomposition tree of bounded nesting is finite, and so is the
+search tree.
 
 Duplicate detection. A node's signature (_signature) is the product of its
 HTN state and the state of the preference automaton:
   * the facts;
-  * the agenda, each end marker reduced to (kind, name, args);
+  * the agenda, each end event reduced to (kind, name, args);
   * the interned residuals, by identity;
   * one bit per ground reference whose termination progression can read
-    (_terminated_refs): whether an instance it matches has terminated;
-  * the depth, so that the depth cap keeps its meaning.
+    (_terminated_refs): whether an instance it matches has terminated.
+The agenda decides the nesting depth, so the depth cap needs no entry.
 Nothing downstream reads an instance uid: event_matches, window_open and the
 monitors read references only. The executing set needs no entry, as each
-executing instance has exactly one end marker on the agenda. So two nodes
+executing instance has exactly one end event on the agenda. So two nodes
 with equal signatures have the same completions at the same weights, and
 equal bounds. The key is checked when a node is popped: of two equal nodes
 the first popped has the smaller (plan length, insertion order), and so has
@@ -55,22 +64,6 @@ from .model import (Atom, EndEvent, Inst, Literal, OperatorEvent, Problem,
 
 
 @dataclass(frozen=True, slots=True)
-class EndMarker:
-    """Agenda placeholder that fires the end event of a started instance."""
-
-    inst: Inst
-
-
-@dataclass(frozen=True, slots=True)
-class Check:
-    """Agenda placeholder for a method's before-constraint: the literal must
-    hold in the state reached when the marker is drilled, or the branch dies.
-    A check always precedes a task of its method."""
-
-    lit: Literal
-
-
-@dataclass(frozen=True, slots=True)
 class Unordered:
     """The remaining subtasks of an unordered method, at least one; any of
     them may go next."""
@@ -82,7 +75,7 @@ class Unordered:
 class SolveConfig:
     timeout: Optional[float] = None        # seconds, wall clock
     max_expansions: Optional[int] = None   # cap on applied operators
-    depth_cap: int = 64                    # decomposition recursion depth
+    depth_cap: int = 64                    # task nesting depth
     tiebreak_lex: bool = False             # break weight ties lexicographically
 
 
@@ -100,11 +93,9 @@ class SearchNode:
     agenda: tuple
     trace: Trace
     progressed: Optional[P.Progressed]
-    opt: Fraction
+    opt: Fraction   # the exact weight once the agenda is empty
     pess: Fraction
-    weight: Optional[Fraction]  # set iff agenda holds no further events
     plan_length: int
-    depth: int
 
 
 @dataclass
@@ -170,62 +161,56 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
     yield from bind(0, dict(sigma) if sigma else {})
 
 
-def _step(pf, event, trace: Trace, terminal: bool):
+def _step(pf, trace: Trace, terminal: bool):
     """Progress pf through the event that ended trace; None stays None."""
     if pf is None:
         return None
-    return P.step(pf, P.StepContext(event, trace.final_state, terminal))
+    return P.step(pf, P.StepContext(trace.event, trace.final_state, terminal))
 
 
-def _make_node(agenda, trace: Trace, pf, depth: int, plan_length: int,
-               terminal: bool) -> SearchNode:
+def _make_node(agenda, trace: Trace, pf, plan_length: int) -> SearchNode:
     if pf is None:
-        w = Fraction(0) if terminal else None
-        return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, w,
-                          plan_length, depth)
-    if terminal:
+        return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, plan_length)
+    if not agenda:
         w = P.terminal_weight(pf)
-        return SearchNode(agenda, trace, pf, w, w, w, plan_length, depth)
+        return SearchNode(agenda, trace, pf, w, w, plan_length)
     b = P.bounds(pf)
-    return SearchNode(agenda, trace, pf, b.opt, b.pess, None,
-                      plan_length, depth)
+    return SearchNode(agenda, trace, pf, b.opt, b.pess, plan_length)
 
 
 class _Expander:
     """Shared expansion relation. progressed=None disables all preference
-    bookkeeping (brute-force mode): children then carry trivial bounds and
-    terminal nodes carry weight None, to be evaluated after the fact."""
+    bookkeeping (brute-force mode): nodes then carry trivial bounds, and
+    terminal ones are scored after the fact."""
 
     def __init__(self, problem: Problem, config: SolveConfig,
                  stats: SearchStats):
-        self.problem = problem
         self.domain = problem.domain
         self.config = config
         self.stats = stats
 
     def expand(self, node: SearchNode) -> list[SearchNode]:
         return self._drill(node.agenda, node.trace, node.progressed,
-                           node.depth, node.plan_length)
+                           node.plan_length)
 
-    def _drill(self, agenda, trace: Trace, pf, depth: int,
+    def _drill(self, agenda, trace: Trace, pf,
                plan_length: int) -> list[SearchNode]:
         while True:
             head, rest = agenda[0], agenda[1:]
 
-            if isinstance(head, Check):
-                if not trace.final_state.holds(head.lit):
+            # a before-constraint always precedes a task of its method, so
+            # a literal is never the last agenda item
+            if type(head) is Literal:
+                if not trace.final_state.holds(head):
                     return []
                 agenda = rest
                 continue
 
-            if isinstance(head, EndMarker):
-                event = EndEvent(head.inst)
-                trace = trace.extend(event, self.domain)
-                terminal = not rest
-                pf = _step(pf, event, trace, terminal)
-                if terminal:
-                    return [_make_node(rest, trace, pf, depth, plan_length,
-                                       True)]
+            if type(head) is EndEvent:
+                trace = trace.extend(head, self.domain)
+                pf = _step(pf, trace, not rest)
+                if not rest:
+                    return [_make_node(rest, trace, pf, plan_length)]
                 agenda = rest
                 continue
 
@@ -236,17 +221,17 @@ class _Expander:
                     others = tasks[:i] + tasks[i + 1:]
                     tail = (Unordered(others),) if others else ()
                     out.extend(self._drill((task,) + tail + rest,
-                                           trace, pf, depth, plan_length))
+                                           trace, pf, plan_length))
                 return out
 
             task: Task = head
             if task.primitive:
-                return self._apply_primitive(task, rest, trace, pf, depth,
+                return self._apply_primitive(task, rest, trace, pf,
                                              plan_length)
-            return self._decompose(task, rest, trace, pf, depth, plan_length)
+            return self._decompose(task, rest, trace, pf, plan_length)
 
     def _apply_primitive(self, task: Task, rest, trace: Trace, pf,
-                         depth: int, plan_length: int) -> list[SearchNode]:
+                         plan_length: int) -> list[SearchNode]:
         event = OperatorEvent(task.name, task.args, trace.length)
         try:
             trace = trace.extend(event, self.domain)
@@ -256,13 +241,14 @@ class _Expander:
         cap = self.config.max_expansions
         if cap is not None and self.stats.nodes_expanded > cap:
             raise ResourceLimit("expansions", self.stats)
-        terminal = not rest
-        pf = _step(pf, event, trace, terminal)
-        return [_make_node(rest, trace, pf, depth, plan_length + 1, terminal)]
+        pf = _step(pf, trace, not rest)
+        return [_make_node(rest, trace, pf, plan_length + 1)]
 
     def _decompose(self, task: Task, rest, trace: Trace, pf,
-                   depth: int, plan_length: int) -> list[SearchNode]:
-        if depth + 1 > self.config.depth_cap:
+                   plan_length: int) -> list[SearchNode]:
+        cap = self.config.depth_cap
+        if len(rest) >= cap and cap <= sum(
+                type(x) is EndEvent and x.inst.kind == "task" for x in rest):
             raise ResourceLimit("depth", self.stats)
         out: list[SearchNode] = []
         state = trace.final_state
@@ -272,30 +258,26 @@ class _Expander:
             for sigma in satisfiers(method.pre, state, sigma0):
                 if t1 is None:
                     t1 = trace.extend(StartEvent(task_inst), self.domain)
-                    pf1 = _step(pf, t1.event, t1, False)
+                    pf1 = _step(pf, t1, False)
                 method_inst = Inst("method", method.branch, task.args,
                                    t1.length)
                 t2 = t1.extend(StartEvent(method_inst), self.domain)
-                pf2 = _step(pf1, t2.event, t2, False)
+                pf2 = _step(pf1, t2, False)
 
                 subtasks = tuple(st.ground(sigma) for st in method.subtasks)
                 if method.unordered:
                     items: list = [Unordered(subtasks)] if subtasks else []
                 else:
-                    checks: dict[int, list] = {}
-                    for lit, idx in method.before:
-                        checks.setdefault(idx, []).append(
-                            Check(subst_literal(lit, sigma)))
                     items = []
                     for i, st in enumerate(subtasks):
-                        items.extend(checks.get(i, ()))
+                        items += [subst_literal(lit, sigma)
+                                  for lit, idx in method.before if idx == i]
                         items.append(st)
 
                 agenda = (tuple(items)
-                          + (EndMarker(method_inst), EndMarker(task_inst))
+                          + (EndEvent(method_inst), EndEvent(task_inst))
                           + rest)
-                out.extend(self._drill(agenda, t2, pf2, depth + 1,
-                                       plan_length))
+                out.extend(self._drill(agenda, t2, pf2, plan_length))
         return out
 
 
@@ -318,32 +300,25 @@ def _signature(node: SearchNode, refs: tuple[F.Ref, ...]) -> tuple:
     module docstring); refs are the preference's _terminated_refs."""
     state = node.trace.final_state
     return (state.facts,
-            tuple([x.inst[:3] if type(x) is EndMarker else x
+            tuple([x.inst[:3] if type(x) is EndEvent else x
                    for x in node.agenda]),
             tuple(map(id, node.progressed.residuals)),
-            tuple([semantics.terminated_at(state, r) for r in refs]),
-            node.depth)
+            tuple([semantics.terminated_at(state, r) for r in refs]))
 
 
 def _plan_key(node: SearchNode):
     return tuple((e.name,) + e.args for e in node.trace.plan())
 
 
-def make_root(problem: Problem, with_preference: bool = True
-              ) -> tuple[Optional[SearchNode], Optional[SearchNode]]:
-    """Build the root node; returns (root, immediate-solution). Exactly one
-    of the pair is non-None: an empty task network is already a solution."""
+def make_root(problem: Problem, with_preference: bool = True) -> SearchNode:
+    """The root node; an empty task network makes it terminal."""
     trace = empty_trace(problem.init)
     agenda = tuple(problem.network)
-    terminal = not agenda
     pf = None
     if with_preference:
         pf = _step(P.init_progressed(problem.preference_or_empty,
-                                     problem.constants), None, trace, terminal)
-    node = _make_node(agenda, trace, pf, 0, 0, terminal)
-    if terminal:
-        return None, node
-    return node, None
+                                     problem.constants), trace, not agenda)
+    return _make_node(agenda, trace, pf, 0)
 
 
 def solve(problem: Problem, config: SolveConfig = None) -> Result:
@@ -364,12 +339,9 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
             return Result("noplan", None, None, stats)
         plan = node.trace.plan()
         stats.plan_length = len(plan)
-        return Result("ok", plan, node.weight, stats, node.trace)
+        return Result("ok", plan, node.opt, stats, node.trace)
 
-    root, immediate = make_root(problem)
-    if immediate is not None:
-        return finish(immediate)
-
+    root = make_root(problem)
     refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
                                for r in _terminated_refs(phi)))
     closed: set = set()
@@ -386,14 +358,14 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                     and time.monotonic() - start > config.timeout:
                 raise ResourceLimit("time", stats)
             opt, _pess, _plen, _seq, node = heapq.heappop(heap)
-            if best is not None and opt > best.weight:
+            if best is not None and opt > best.opt:
                 break
-            if node.weight is not None:
+            if not node.agenda:
                 if best is None:
                     best = node
                     if not config.tiebreak_lex:
                         break
-                elif node.weight == best.weight \
+                elif opt == best.opt \
                         and _plan_key(node) < _plan_key(best):
                     best = node
                 continue

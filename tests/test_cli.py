@@ -7,9 +7,9 @@ import pytest
 from conftest import FIXTURES
 
 from prefhtn import cli
-from prefhtn.cli import (EXIT_LIMIT, EXIT_NOPLAN, EXIT_OK, EXIT_TIMEOUT,
-                         EXIT_USAGE, RECORD_FIELDS, main)
-from prefhtn.oracle import enumerate_all
+from prefhtn.cli import (EXIT_LIMIT, EXIT_MISMATCH, EXIT_NOPLAN, EXIT_OK,
+                         EXIT_TIMEOUT, EXIT_USAGE, RECORD_FIELDS, main)
+from prefhtn.oracle import CheckReport, cross_check, enumerate_all
 
 TRAVEL = FIXTURES / "travel"
 
@@ -28,6 +28,11 @@ WALK = {
       :tasks ((go n2)))""",
     "walk-1.pref": "(>> ((always (not (at n2))) 0) ((and) 0.5))",
 }
+
+
+def write_walk(path):
+    for name, text in WALK.items():
+        (path / name).write_text(text)
 
 
 def run(capsys, *argv):
@@ -86,8 +91,7 @@ class TestSolveCommand:
         assert json.loads(out)["status"] == "timeout"
 
     def test_depth_limit_exit_code(self, tmp_path, capsys):
-        for name, text in WALK.items():
-            (tmp_path / name).write_text(text)
+        write_walk(tmp_path)
         walk = ("solve", "--domain", tmp_path / "walk.htn",
                 "--problem", tmp_path / "walk-1.prob",
                 "--prefs", tmp_path / "walk-1.pref")
@@ -107,6 +111,21 @@ class TestSolveCommand:
         assert code == EXIT_OK
         records = [json.loads(l) for l in out_path.read_text().splitlines()]
         assert [r["status"] for r in records] == ["depth", "depth"]
+
+    @pytest.mark.parametrize("n", [65, 200])
+    def test_flat_network_is_under_the_depth_cap(self, n, tmp_path, capsys):
+        # n one-level tasks nest one deep, whatever their number
+        (tmp_path / "flat.htn").write_text("""(domain flat
+          (:operator (!a) :pre () :del () :add ())
+          (:method (t) :name m :pre () :tasks ((!a))))""")
+        (tmp_path / "flat.prob").write_text(
+            f"(problem flat :init () :tasks ({'(t) ' * n}))")
+        for mode in ("bestfirst", "bruteforce"):
+            code, out, _ = run(capsys, "solve", "--domain",
+                               tmp_path / "flat.htn", "--problem",
+                               tmp_path / "flat.prob", "--mode", mode)
+            assert code == EXIT_OK, mode
+            assert out.count("(!a)") == n
 
     def test_bruteforce_mode_reports_plan_count(self, capsys):
         code, out, _ = run(capsys, *solve_args(1, "--mode", "bruteforce",
@@ -166,6 +185,20 @@ class TestBenchCommand:
         assert {r["mode"] for r in records} == {"bruteforce", "bestfirst"}
 
 
+    def test_weight_mismatch_exit_code(self, capsys, monkeypatch):
+        real = cli.enumerate_all
+
+        def off_by_one(*args, **kwargs):
+            oracle = real(*args, **kwargs)
+            oracle.best_weight += 1
+            return oracle
+
+        monkeypatch.setattr(cli, "enumerate_all", off_by_one)
+        code, _, err = run(capsys, "bench", "--suite", TRAVEL)
+        assert code == EXIT_MISMATCH
+        assert "weight mismatch" in err
+
+
 class TestCheckCommand:
     @pytest.mark.parametrize("suite", ["travel", "zeno", "logistics"])
     def test_all_fixture_suites_pass(self, suite, capsys):
@@ -173,3 +206,25 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert "FAIL" not in out
         assert "pass" in out
+
+    def test_enumeration_cap_exit_code(self, tmp_path, capsys):
+        write_walk(tmp_path)
+        code, out, _ = run(capsys, "check", "--suite", tmp_path)
+        assert code == EXIT_LIMIT
+        assert out == "walk-1: enumeration cap hit (depth)\n"
+
+    def test_failed_check_exit_code(self, tmp_path, capsys, monkeypatch):
+        failing = CheckReport("p", 1, 0, 1, {"weight-match": False})
+        monkeypatch.setattr(cli, "cross_check", lambda problem: failing)
+        code, out, _ = run(capsys, "check", "--suite", TRAVEL)
+        assert code == EXIT_MISMATCH
+        assert "weight-match: FAIL" in out
+        # a failed check wins over a cap hit on an earlier problem
+        write_walk(tmp_path)
+        (tmp_path / "walk-2.prob").write_text(
+            "(problem walk-2 :init ((at n2)) :tasks ((go n2)))")
+        monkeypatch.setattr(cli, "cross_check", lambda problem: (
+            cross_check(problem) if problem.name == "walk-1" else failing))
+        code, out, _ = run(capsys, "check", "--suite", tmp_path)
+        assert code == EXIT_MISMATCH
+        assert "walk-1: enumeration cap hit (depth)" in out

@@ -7,14 +7,15 @@ import pytest
 from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
 from prefhtn.errors import ResourceLimit
-from prefhtn.model import (StartEvent, Task, Trace, relevant_methods,
-                           subst_literal, unify_args)
+from prefhtn.model import (EndEvent, Literal, StartEvent, Task, Trace,
+                           relevant_methods, subst_literal, unify_args)
 from prefhtn import search
 from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.parser import parse_domain, parse_preference, parse_problem
 from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.search import (SearchStats, SolveConfig, _Expander, make_root,
                             satisfiers, solve)
+from prefhtn.semantics import weight_gpf
 
 
 def mini_problem(tasks="((arrange-trans))", pref=None):
@@ -60,11 +61,20 @@ class TestSolve:
         assert result.plan is None and result.weight is None
 
     def test_empty_network_is_immediate_solution(self):
-        result = solve(mini_problem(tasks="()",
-                                    pref="(final (paid))"))
+        # the root is terminal, and each mode takes it like any other node
+        problem = mini_problem(tasks="()", pref="(final (paid))")
+        result = solve(problem)
         assert result.status == "ok"
         assert result.plan == ()
         assert result.weight == 1  # (paid) is false in the empty final state
+        assert result.stats.nodes_expanded == 0
+        assert result.stats.nodes_considered == 1
+        oracle = enumerate_all(problem)
+        assert oracle.plan_count == 1 and oracle.best_plan == ()
+        assert oracle.all_weights == (1,)
+        report = cross_check(problem)
+        assert report.ok and report.plan_count == 1
+        assert report.solve_weight == report.oracle_weight == 1
 
     def test_no_preference_weight_zero(self):
         result = solve(mini_problem())
@@ -152,13 +162,45 @@ class TestResourceLimits:
         assert exc.value.kind == "depth"
         assert exc.value.stats.elapsed > 0
 
+    @pytest.mark.parametrize("n", [65, 200])
+    def test_depth_cap_bounds_nesting_not_task_count(self, n):
+        # n one-level tasks in a row nest one deep, however many they are
+        domain = parse_domain("""
+        (domain d
+          (:operator (!a) :pre () :del () :add ())
+          (:method (t) :name m :pre () :tasks ((!a))))""", "<d>")
+        problem = parse_problem(
+            f"(problem p :init () :tasks ({'(t) ' * n}))", domain)
+        result = solve(problem)
+        assert result.status == "ok" and result.weight == 0
+        assert result.stats.nodes_expanded == n
+        assert enumerate_all(problem).plan_count == 1
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_depth_cap_is_the_nesting_depth(self, cap):
+        # a chain of cap nested tasks fits under the cap, one more does not
+        def chain(n):
+            body = "".join(f"(:method (t{i}) :name m{i} :pre () "
+                           f":tasks ((t{i + 1}) (!a)))" for i in range(n - 1))
+            domain = parse_domain(
+                f"(domain d (:operator (!a) :pre () :del () :add ()) {body}"
+                f" (:method (t{n - 1}) :name last :pre () :tasks ()))", "<d>")
+            return parse_problem("(problem p :init () :tasks ((t0)))",
+                                 domain)
+        config = SolveConfig(depth_cap=cap)
+        assert solve(chain(cap), config).status == "ok"
+        assert enumerate_all(chain(cap)).plan_count == 1
+        with pytest.raises(ResourceLimit) as exc:
+            solve(chain(cap + 1), config)
+        assert exc.value.kind == "depth"
+
 
 class TestExpansion:
     def test_root_of_two_method_task_has_two_children(self):
         problem = mini_problem()
         config = SolveConfig()
-        root, immediate = make_root(problem)
-        assert immediate is None
+        root = make_root(problem)
+        assert root.agenda
         exp = _Expander(problem, config, SearchStats())
         children = exp.expand(root)
         # one child per reachable ground operator: book-train and book-car
@@ -173,7 +215,7 @@ class TestExpansion:
         problem = parse_problem(
             "(problem p :init () :tasks ((arrange-trans)))", domain)
         config = SolveConfig()
-        root, _ = make_root(problem)
+        root = make_root(problem)
         children = _Expander(problem, config, SearchStats()).expand(root)
         assert [c.trace.events[-1].name for c in children] == ["book-train"]
 
@@ -181,7 +223,7 @@ class TestExpansion:
         # arrange-trans has two applicable methods; both children continue
         # from the one task-start cell
         problem = mini_problem()
-        root, _ = make_root(problem)
+        root = make_root(problem)
         children = _Expander(problem, SolveConfig(), SearchStats()).expand(root)
         starts = set()
         for child in children:
@@ -199,7 +241,7 @@ class TestExpansion:
             .replace("by-car-trans :pre ()", "by-car-trans :pre ((closed))")
         problem = parse_problem("(problem p :init () :tasks ((arrange-trans)))",
                                 parse_domain(text, "<mini>"))
-        root, _ = make_root(problem)
+        root = make_root(problem)
         extends = []
         real_extend = Trace.extend
         monkeypatch.setattr(Trace, "extend", lambda *a: extends.append(a)
@@ -208,26 +250,37 @@ class TestExpansion:
             == []
         assert extends == []
 
-    def test_end_marker_only_agenda_terminates(self, mini_domain):
-        problem = mini_problem(pref="(final (paid))")
-        config = SolveConfig()
-        root, _ = make_root(problem)
-        exp = _Expander(problem, config, SearchStats())
-        # walk: expand until some node's agenda starts with only end markers
-        frontier = exp.expand(root)
+    @pytest.mark.parametrize("name", ["travel-3", "zeno-1", "logistics-1"]
+                             + [f"random-{seed}" for seed in range(10)])
+    def test_terminal_iff_empty_agenda(self, name):
+        # over the whole search tree: a node with an empty agenda is a
+        # complete plan whose bounds are both its direct-semantics weight;
+        # any other node still has an event to fire, and the empty-agenda
+        # nodes are exactly the enumerated plans
+        problem = corpus_problem(name)
+        gpf, universe = problem.preference_or_empty, problem.constants
+        exp = _Expander(problem, SolveConfig(), SearchStats())
+        frontier, plans = [make_root(problem)], []
         while frontier:
             node = frontier.pop()
-            if node.weight is not None:
-                assert node.agenda == ()
-                assert node.opt == node.pess == node.weight
-                return
-            frontier.extend(exp.expand(node))
-        pytest.fail("no terminal node reached")
+            if not node.agenda:
+                assert not node.trace.final_state.executing
+                assert node.opt == node.pess \
+                    == weight_gpf(node.trace, gpf, universe)
+                plans.append(node.trace.plan())
+                continue
+            assert any(type(x) is not Literal for x in node.agenda)
+            children = exp.expand(node)
+            assert all(c.trace.length > node.trace.length for c in children)
+            frontier.extend(children)
+        enumerated = enumerate_all(problem, keep_traces=True).traces
+        assert sorted(map(str, plans)) \
+            == sorted(str(t.plan()) for t in enumerated)
 
     def test_plan_length_counts_operator_events(self):
         # every node of travel-3's search tree, terminal nodes included
         problem = load_fixture("travel", 3)
-        root, _ = make_root(problem)
+        root = make_root(problem)
         assert root.plan_length == 0
         exp = _Expander(problem, SolveConfig(), SearchStats())
         frontier, seen = [root], 0
@@ -235,7 +288,7 @@ class TestExpansion:
             node = frontier.pop()
             assert node.plan_length == len(node.trace.plan())
             seen += 1
-            if node.weight is None:
+            if node.agenda:
                 frontier.extend(exp.expand(node))
         assert seen > 100
 
@@ -399,8 +452,7 @@ LEX_SENSITIVE = ([f"random-{seed}" for seed in (
 # _signature returns them. Each pairs two branches whose nodes meet with
 # everything but that part equal, the worse branch first in method order so
 # that its node is popped first; the right answer needs the other node
-# expanded. Each case is (domain body, tasks, preference or None, depth cap,
-# right outcome: a weight or the kind of the cap that cuts the run).
+# expanded. Each case is (domain body, tasks, preference, right weight).
 SIGNATURE_CASES = {
     # (!a) adds (x); the branches meet after (!c)
     "facts": ("""
@@ -410,7 +462,7 @@ SIGNATURE_CASES = {
       (:method (pick) :name pb :pre () :tasks ((!b)))
       (:method (pick) :name pa :pre () :tasks ((!a)))
       (:method (top) :name t :pre () :tasks ((pick) (!c)))""",
-              "((top))", "(final (x))", 64, 0),
+              "((top))", "(final (x))", 0),
     # after (!a) one branch still has (!x) to do, the other (!y)
     "agenda": ("""
       (:operator (!a) :pre () :del () :add ())
@@ -418,7 +470,7 @@ SIGNATURE_CASES = {
       (:operator (!y) :pre () :del () :add ())
       (:method (pick) :name pb :pre () :tasks ((!a) (!y)))
       (:method (pick) :name pa :pre () :tasks ((!a) (!x)))""",
-               "((pick))", "(final (x))", 64, 0),
+               "((pick))", "(final (x))", 0),
     # heat then cool leaves the facts as two waits do, but the preference
     # then only waits for (done)
     "residuals": ("""
@@ -430,7 +482,7 @@ SIGNATURE_CASES = {
       (:method (pick) :name pa :pre () :tasks ((!heat) (!cool)))
       (:method (top) :name t :pre () :tasks ((pick) (!wait) (!finish)))""",
                   "((top))", "(eventually (and (hot) (eventually (done))))",
-                  64, 0),
+                  0),
     # only one branch has terminated the t1 of the hold-after; its monitor
     # is the same on both until (!setp)
     "terminated": ("""
@@ -441,26 +493,27 @@ SIGNATURE_CASES = {
       (:method (pick) :name pb :pre () :tasks ((!b)))
       (:method (pick) :name pa :pre () :tasks ((!a)))
       (:method (top) :name t :pre () :tasks ((pick) (!wait) (!setp)))""",
-                   "((top))", "(hold-after (!a) (p))", 64, 0),
-    # one branch took one decomposition more, so its (rec) passes the cap
-    "depth": ("""
-      (:operator (!w) :pre () :del () :add ())
+                   "((top))", "(hold-after (!a) (p))", 0),
+}
+
+# Two branches that meet after different numbers of decompositions: one does
+# (!w) directly, the other through (wrap). The agenda decides the nesting
+# depth, so the closed set merges them.
+MERGE_CASE = ("""
+      (:operator (!w) :pre () :del () :add ((x)))
+      (:operator (!v) :pre () :del () :add ())
       (:method (pick) :name pb :pre () :tasks ((!w)))
       (:method (pick) :name pa :pre () :tasks ((wrap)))
       (:method (wrap) :name wr :pre () :tasks ((!w)))
-      (:method (rec) :name r :pre () :tasks ((!w)))
-      (:method (top) :name t :pre () :tasks ((pick) (!w) (rec)))""",
-              "((top))", None, 3, "depth"),
-}
+      (:method (top) :name t :pre () :tasks ((pick) (!v) (!v) (!v)))""",
+              "((top))", "(always (not (x)))", 1)
 
 
-def signature_case(part):
-    body, tasks, pref, depth_cap, right = SIGNATURE_CASES[part]
+def signature_case(body, tasks, pref, right):
     domain = parse_domain(f"(domain d {body})", "<d>")
     problem = parse_problem(f"(problem p :init () :tasks {tasks})", domain)
-    if pref is not None:
-        problem.preference = parse_preference(pref, domain)
-    return problem, SolveConfig(depth_cap=depth_cap), right
+    problem.preference = parse_preference(pref, domain)
+    return problem, right
 
 
 class TestDuplicateDetection:
@@ -481,11 +534,10 @@ class TestDuplicateDetection:
 
     @pytest.mark.parametrize("part", list(SIGNATURE_CASES))
     def test_each_signature_part_is_needed(self, part, monkeypatch):
-        problem, config, right = signature_case(part)
+        problem, right = signature_case(*SIGNATURE_CASES[part])
 
-        def answer():  # the weight, or the kind of cap that cut the run
-            status, weight, _ = outcome(problem, config)
-            return weight if status == "ok" else status
+        def answer():
+            return outcome(problem)[1]
 
         assert answer() == right
         # dropping the part merges the two nodes and loses the right answer
@@ -498,9 +550,20 @@ class TestDuplicateDetection:
         assert answer() == right
 
     def test_signature_has_one_entry_per_case(self):
-        problem, _, _ = signature_case("facts")
-        root, _ = make_root(problem)
+        problem, _ = signature_case(*SIGNATURE_CASES["facts"])
+        root = make_root(problem)
         assert len(search._signature(root, ())) == len(SIGNATURE_CASES)
+
+    def test_branches_of_different_decomposition_counts_merge(self,
+                                                                monkeypatch):
+        problem, right = signature_case(*MERGE_CASE)
+        on = solve(problem)
+        assert on.weight == right == enumerate_all(problem).best_weight
+        assert on.stats.duplicates >= 1
+        disable_dedup(monkeypatch)
+        off = solve(problem)
+        assert off.weight == right
+        assert on.stats.nodes_expanded < off.stats.nodes_expanded
 
     def test_duplicates_are_counted(self, monkeypatch):
         problem = load_fixture("zeno", 3)
@@ -510,24 +573,26 @@ class TestDuplicateDetection:
         assert on.duplicates > 0 and off.duplicates == 0
         assert on.nodes_expanded < off.nodes_expanded
 
-    def test_executing_instances_are_the_agenda_end_markers(self):
-        # why the signature leaves the executing set out: every node of the
-        # search trees of these problems executes exactly the instances
-        # whose end markers it has on its agenda
+    def test_executing_instances_are_the_agenda_end_events(self):
+        # why the signature leaves the executing set and the depth out:
+        # every node of the search trees of these problems executes exactly
+        # the instances whose end events it has on its agenda, so its task
+        # end events count the tasks it is nested in
         problems = [load_fixture("travel", 3), load_fixture("zeno", 1)]
         problems += [gen_instance(GenConfig(seed=s))[0] for s in range(10)]
         seen = 0
         for problem in problems:
-            root, _ = make_root(problem)
             exp = _Expander(problem, SolveConfig(), SearchStats())
-            frontier = [root] if root is not None else []
+            frontier = [make_root(problem)]
             while frontier:
                 node = frontier.pop()
-                markers = [x.inst for x in node.agenda
-                           if isinstance(x, search.EndMarker)]
-                assert len(markers) == len(node.trace.final_state.executing)
-                assert set(markers) == node.trace.final_state.executing
+                executing = node.trace.final_state.executing
+                ends = [x.inst for x in node.agenda if type(x) is EndEvent]
+                assert len(ends) == len(executing)
+                assert set(ends) == executing
+                assert sum(i.kind == "task" for i in ends) \
+                    == sum(i.kind == "task" for i in executing)
                 seen += 1
-                if node.weight is None:
+                if node.agenda:
                     frontier.extend(exp.expand(node))
         assert seen > 1000

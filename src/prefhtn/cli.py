@@ -177,24 +177,28 @@ def bench_table(records: list[dict]) -> str:
 
 
 def cmd_bench(args) -> int:
+    """Exit 5 at the first weight mismatch, after printing the table and
+    writing the records of every problem run so far, that one included."""
     records: list[dict] = []
+    code = EXIT_OK
     config = SolveConfig(timeout=args.timeout)
     for pid, dom, prob, pref in _suite_triples(args.suite):
         problem = _load_problem(dom, prob, pref)
         bf, _ = _run_one(problem, "bruteforce", config, args.timeout)
         best, _ = _run_one(problem, "bestfirst", config, args.timeout)
+        records.extend([bf, best])
         if (bf["status"] == "ok" and best["status"] == "ok"
                 and bf["weight"] != best["weight"]):
             print(f"weight mismatch on {pid}: bruteforce {bf['weight']} "
                   f"vs bestfirst {best['weight']}", file=sys.stderr)
-            return EXIT_MISMATCH
-        records.extend([bf, best])
+            code = EXIT_MISMATCH
+            break
     print(bench_table(records))
     if args.out:
         with open(args.out, "w") as fh:
             for r in records:
                 fh.write(json.dumps(r) + "\n")
-    return EXIT_OK
+    return code
 
 
 def cmd_check(args) -> int:

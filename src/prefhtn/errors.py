@@ -30,16 +30,24 @@ class UnboundVariable(PrefHtnError):
 class ParseError(PrefHtnError):
     """Syntax or validation error in a domain/problem/preference file.
 
-    Locations are 1-based; token is the offending lexeme when known.
+    Locations are 1-based; token is the offending lexeme when known. form
+    is the parsed list the error is about, when the parser has it at hand:
+    the parser then moves the error to the line and column of that list.
     """
 
     def __init__(self, message: str, file: str = "<string>", line: int = 1,
-                 col: int = 1, token: str | None = None):
+                 col: int = 1, token: str | None = None, form=None):
+        self.message = message
         self.file = file
         self.line = line
         self.col = col
         self.token = token
+        self.form = form
         super().__init__(f"{file}:{line}:{col}: {message}")
+
+    def at(self, line: int, col: int) -> ParseError:
+        """The same error at line:col."""
+        return type(self)(self.message, self.file, line, col, self.token)
 
 
 class DuplicateName(ParseError):

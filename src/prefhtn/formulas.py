@@ -10,19 +10,10 @@ pushed to atoms at construction time (nnf); the extended constructs TrueC,
 FalseC, OccNext, Terminated, Last and Mon only ever appear as progression
 outputs.
 
-Every node class derives from Node and declares its fields as annotations,
-in order; a class attribute named like a field is that field's default.
-A node is built positionally, Cls(v1, v2, ...), and is immutable: setting
-or deleting an attribute raises, and Node.replace(**changes) makes an
-updated copy. Two nodes are equal exactly when they are of the same class
-and their fields are equal, so Always(p) != Eventually(p); the hash is
-over (class, fields), computed on first use and kept. node_fields gives the
-values in declaration order, and the repr is Cls(field=value, ...).
-
-The nodes are not dataclasses because of import cost: a frozen dataclass
-generates its methods through exec when its module is imported, and that
-was the largest part of starting the planner. Node reads its subclasses'
-annotations once, in __init_subclass__, and generates nothing.
+Every node class derives from model.Node: it declares its fields as
+annotations, and is an immutable value equal by class and fields, so
+Always(p) != Eventually(p). node_fields gives a node's values in
+declaration order.
 """
 
 from __future__ import annotations
@@ -31,70 +22,11 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import BadValueOrder, UnboundVariable
-from .model import Literal, is_var, subst_args, subst_literal
+from .model import Literal, Node, is_var, subst_args, subst_literal
 
 Weight = Fraction
 W_MIN = Fraction(0)
 W_MAX = Fraction(1)
-
-_set = object.__setattr__
-
-
-class Node:
-    """The immutable base of every formula node (see the module docstring)."""
-
-    __slots__ = ("_hash",)
-    _fields: tuple = ()     # the field names, in declaration order
-    _defaults: tuple = ()   # the defaults, which only trailing fields have
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = tuple(cls.__dict__[f] for f in cls._fields
-                              if f in cls.__dict__)
-
-    def __init__(self, *values):
-        fields = self._fields
-        if len(values) != len(fields):
-            missing = len(fields) - len(values)
-            if not 0 < missing <= len(self._defaults):
-                raise TypeError(f"{type(self).__name__} takes {len(fields)} "
-                                f"fields, got {len(values)}")
-            values += self._defaults[-missing:]
-        for name, value in zip(fields, values):
-            _set(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name}: "
-                             f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name}: "
-                             f"{type(self).__name__} is immutable")
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self), *vars(self).values()))
-            _set(self, "_hash", h)
-            return h
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or vars(self) == vars(other)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
-
-    def replace(self, **changes):
-        """A node of the same class with the named fields changed."""
-        values = {**vars(self), **changes}
-        if len(values) != len(self._fields):
-            raise TypeError(f"{type(self).__name__} has the fields "
-                            f"{self._fields}, not {sorted(changes)}")
-        return type(self)(*values.values())
 
 
 class Ref(Node):
@@ -238,8 +170,8 @@ class APF(Node):
 
     alts: tuple[tuple[BDF, Fraction], ...]
 
-    def __init__(self, *values):
-        super().__init__(*values)
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         check_apf_values([v for _, v in self.alts])
 
 

@@ -10,15 +10,140 @@ that points at the trace it extends.
 A trace records the full event history, including the start/end events of
 nonprimitive tasks and method applications; a plan is the projection of a
 trace onto its operator events.
+
+Records. No class here or elsewhere in the planner has generated methods:
+a class decorator that writes __init__, __eq__ and __hash__ as source text
+and runs it through exec, once per class each time its module is imported,
+was the largest part of starting the planner. Every record class derives
+instead from one of three bases, which generate nothing:
+  * Record: a slotted class whose __slots__ name its fields, in order, with
+    a hand-written __init__. Equality goes by class and fields, and the repr
+    is Cls(field=value, ...). Slots whose names start with _ are caches,
+    which neither reads; a class may also list its _fields itself, as
+    Progressed does to leave out the automaton its search shares. Records
+    are mutable and unhashable.
+  * Value: an immutable Record. Setting or deleting an attribute raises; the
+    hash is over (class, fields), computed on first use and kept in the
+    _hash slot. Its __init__ sets the slots through object.__setattr__.
+    The records built on the search path (Task, the events, State,
+    Unordered, Bounds, Progressed) are Values that set them through
+    slot_setters instead, which is faster. Task and Unordered, which node
+    signatures compare, write their own __eq__. Task, which every signature
+    hashes, also writes its own __hash__ and sets _hash to None in
+    __init__: reading an unset slot raises, and the exception costs more
+    than the hash.
+  * Node: a Value that declares its fields as annotations and shares one
+    generic __init__; the base of the formula nodes and of Operator and
+    Method, which are built once per parse.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import IllegalEvent, NotNonprimitive, PreconditionViolation
+
+_set = object.__setattr__  # sets a slot of a Value in its __init__
+
+
+def slot_setters(cls: type, *names: str) -> tuple:
+    """The __set__ of each named slot of cls. Calling one sets that slot of
+    an instance, also of an immutable one, without the attribute lookup
+    that object.__setattr__ makes first; the records built on the search
+    path fill their slots with them."""
+    return tuple(getattr(cls, name).__set__ for name in names)
+
+
+class Record:
+    """A slotted record (see the module docstring)."""
+
+    __slots__ = ()
+    _fields: tuple = ()  # the fields that equality and the repr read
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(s for s in cls.__dict__.get("__slots__", ())
+                                if not s.startswith("_"))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or all(getattr(self, f) == getattr(other, f)
+                                    for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """An immutable Record with its hash kept (see the module docstring)."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name}: "
+                             f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self), *[getattr(self, f) for f in self._fields]))
+            _set(self, "_hash", h)
+            return h
+
+
+class Node(Value):
+    """A Value whose fields are its annotations.
+
+    A subclass declares its fields as annotations, in order; a class
+    attribute named like a field is that field's default. A node is built
+    Cls(v1, v2, ...), with keywords where wanted, and Node.replace(**changes)
+    makes an updated copy. Node reads its subclasses' annotations once, in
+    __init_subclass__; the fields live in the instance __dict__.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}  # field -> default, which only trailing fields have
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields
+                         if f in cls.__dict__}
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            given = dict(zip(fields, values))
+            if (len(values) > len(fields) or not named.keys() <= set(fields)
+                    or given.keys() & named.keys()):
+                raise TypeError(f"{type(self).__name__} has the fields "
+                                f"{fields}, got {len(values)} values and "
+                                f"{sorted(named)}")
+            given = {**self._defaults, **given, **named}
+            if len(given) != len(fields):
+                raise TypeError(f"{type(self).__name__} is missing "
+                                f"{[f for f in fields if f not in given]}")
+            values = [given[f] for f in fields]
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or vars(self) == vars(other)
+
+    __hash__ = Value.__hash__
+
+    def replace(self, **changes):
+        """A node of the same class with the named fields changed."""
+        return type(self)(**{**vars(self), **changes})
 
 
 def is_var(term: str) -> bool:
@@ -93,11 +218,29 @@ def args_match(pattern: tuple[str, ...], actual: tuple[str, ...]) -> bool:
     return all(p in it for p in pattern)
 
 
-@dataclass(frozen=True)
-class Task:
-    name: str
-    args: tuple[str, ...] = ()
-    primitive: bool = False
+class Task(Value):
+    __slots__ = ("name", "args", "primitive")
+
+    def __init__(self, name: str, args: tuple[str, ...] = (),
+                 primitive: bool = False):
+        _task_name(self, name)
+        _task_args(self, args)
+        _task_primitive(self, primitive)
+        _task_hash(self, None)
+
+    def __eq__(self, other):
+        if type(other) is not Task:
+            return NotImplemented
+        return self is other or (self.name == other.name
+                                 and self.args == other.args
+                                 and self.primitive == other.primitive)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((Task, self.name, self.args, self.primitive))
+            _task_hash(self, h)
+        return h
 
     def ground(self, sigma: Subst) -> "Task":
         return Task(self.name, subst_args(self.args, sigma), self.primitive)
@@ -107,8 +250,11 @@ class Task:
         return "(%s)" % " ".join((head,) + self.args)
 
 
-@dataclass(frozen=True)
-class Operator:
+_task_name, _task_args, _task_primitive, _task_hash = slot_setters(
+    Task, "name", "args", "primitive", "_hash")
+
+
+class Operator(Node):
     """STRIPS-style primitive action: literal preconditions, add/delete lists."""
 
     name: str
@@ -118,8 +264,7 @@ class Operator:
     delete: tuple[Atom, ...] = ()
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Node):
     """Decomposition rule for one nonprimitive task.
 
     before lists (literal, subtask index) pairs: the literal must hold in the
@@ -142,13 +287,15 @@ class GroundOperator(NamedTuple):
     add: frozenset[Atom]
 
 
-@dataclass
-class Domain:
-    name: str
-    operators: dict[str, Operator]
-    methods: tuple[Method, ...]
-    _ground: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+class Domain(Record):
+    __slots__ = ("name", "operators", "methods", "_ground")
+
+    def __init__(self, name: str, operators: dict[str, Operator],
+                 methods: tuple[Method, ...]):
+        self.name = name
+        self.operators = operators
+        self.methods = methods
+        self._ground: dict = {}
 
     def ground(self, name: str, args: tuple[str, ...]) -> GroundOperator:
         """Operator `name` under `args`, grounded once per (name, args)."""
@@ -175,11 +322,13 @@ class Inst(NamedTuple):
     uid: int
 
 
-@dataclass(frozen=True, slots=True)
-class OperatorEvent:
-    name: str
-    args: tuple[str, ...]
-    uid: int
+class OperatorEvent(Value):
+    __slots__ = ("name", "args", "uid")
+
+    def __init__(self, name: str, args: tuple[str, ...], uid: int):
+        _op_name(self, name)
+        _op_args(self, args)
+        _op_uid(self, uid)
 
     @property
     def inst(self) -> Inst:
@@ -189,27 +338,40 @@ class OperatorEvent:
         return "(%s)" % " ".join(("!" + self.name,) + self.args)
 
 
-@dataclass(frozen=True, slots=True)
-class StartEvent:
-    inst: Inst
+_op_name, _op_args, _op_uid = slot_setters(OperatorEvent, "name", "args",
+                                           "uid")
+
+
+class StartEvent(Value):
+    __slots__ = ("inst",)
+
+    def __init__(self, inst: Inst):
+        _start_inst(self, inst)
 
     def __str__(self) -> str:
         return f"start[{self.inst.kind} {self.inst.name}{self.inst.args}#{self.inst.uid}]"
 
 
-@dataclass(frozen=True, slots=True)
-class EndEvent:
-    inst: Inst
+(_start_inst,) = slot_setters(StartEvent, "inst")
+
+
+class EndEvent(Value):
+    __slots__ = ("inst",)
+
+    def __init__(self, inst: Inst):
+        _end_inst(self, inst)
 
     def __str__(self) -> str:
         return f"end[{self.inst.kind} {self.inst.name}{self.inst.args}#{self.inst.uid}]"
 
 
+(_end_inst,) = slot_setters(EndEvent, "inst")
+
+
 Event = Union[OperatorEvent, StartEvent, EndEvent]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class State:
+class State(Value):
     """Immutable planning state.
 
     facts holds ground atoms under the closed-world assumption; executing and
@@ -219,21 +381,25 @@ class State:
     terminated_links is a chain of (inst, rest) links, newest first, one per
     terminated instance (None when there is none). max_uid is the largest
     uid started or terminated so far (-1 for none; computed when not given),
-    so a start above it needs no scan of the links.
+    so a start above it needs no scan of the links. Two states are equal
+    when their facts, executing and terminated instances are; the hash
+    reads the facts and the executing instances.
     """
 
-    facts: frozenset[Atom]
-    executing: frozenset[Inst] = frozenset()
-    terminated_links: Optional[tuple] = field(default=None, kw_only=True,
-                                              repr=False)
-    max_uid: Optional[int] = field(default=None, kw_only=True)
+    __slots__ = ("facts", "executing", "terminated_links", "max_uid")
+    _fields = ("facts", "executing")
 
-    def __post_init__(self):
-        if self.max_uid is None:
-            object.__setattr__(self, "max_uid", max(
-                (i.uid for i in itertools.chain(self.executing,
-                                                self._terminated())),
-                default=-1))
+    def __init__(self, facts: frozenset[Atom],
+                 executing: frozenset[Inst] = frozenset(), *,
+                 terminated_links: Optional[tuple] = None,
+                 max_uid: Optional[int] = None):
+        _state_facts(self, facts)
+        _state_executing(self, executing)
+        _state_terminated_links(self, terminated_links)
+        if max_uid is None:
+            max_uid = max((i.uid for i in itertools.chain(
+                executing, self._terminated())), default=-1)
+        _state_max_uid(self, max_uid)
 
     def _terminated(self) -> Iterator[Inst]:
         link = self.terminated_links
@@ -251,8 +417,7 @@ class State:
         return (self.facts == other.facts and self.executing == other.executing
                 and self.terminated == other.terminated)
 
-    def __hash__(self) -> int:
-        return hash((self.facts, self.executing))
+    __hash__ = Value.__hash__
 
     def holds(self, lit: Literal) -> bool:
         present = lit.atom in self.facts
@@ -269,6 +434,11 @@ class State:
             if i.name == name and i.kind == kind and args_match(args, i.args):
                 return True
         return False
+
+
+(_state_facts, _state_executing, _state_terminated_links,
+ _state_max_uid) = slot_setters(State, "facts", "executing",
+                                "terminated_links", "max_uid")
 
 
 def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
@@ -411,14 +581,18 @@ def relevant_methods(task: Task, domain: Domain) -> list[tuple[Method, Subst]]:
     return out
 
 
-@dataclass
-class Problem:
-    name: str
-    init: State
-    network: tuple[Task, ...]  # totally ordered
-    domain: Domain
-    preference: object = None  # formulas.GPF, attached by the caller
-    _constants: tuple[str, ...] = field(default=None, repr=False, compare=False)
+class Problem(Record):
+    __slots__ = ("name", "init", "network", "domain", "preference",
+                 "_constants")
+
+    def __init__(self, name: str, init: State, network: tuple[Task, ...],
+                 domain: Domain, preference=None):
+        self.name = name
+        self.init = init
+        self.network = network  # totally ordered
+        self.domain = domain
+        self.preference = preference  # formulas.GPF, attached by the caller
+        self._constants: Optional[tuple[str, ...]] = None
 
     @property
     def preference_or_empty(self):

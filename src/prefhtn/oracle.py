@@ -10,35 +10,41 @@ the reported elapsed time, which therefore measures pure plan generation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import progression as P
 from . import semantics
 from .errors import CapExceeded, ResourceLimit
-from .model import OperatorEvent, Problem, Trace
+from .model import OperatorEvent, Problem, Record, Trace, Value, _set
 from .search import (SearchNode, SearchStats, SolveConfig, _Expander,
                      make_root, solve)
 
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    max_plans: int = 100_000
-    max_seconds: float = 600.0
+class EnumerationCaps(Value):
+    __slots__ = ("max_plans", "max_seconds")
 
-    def __post_init__(self):
-        assert self.max_plans > 0 and self.max_seconds > 0
+    def __init__(self, max_plans: int = 100_000, max_seconds: float = 600.0):
+        assert max_plans > 0 and max_seconds > 0
+        _set(self, "max_plans", max_plans)
+        _set(self, "max_seconds", max_seconds)
 
 
-@dataclass
-class OracleResult:
-    plan_count: int
-    best_plan: Optional[tuple[OperatorEvent, ...]]
-    best_weight: Optional[Fraction]
-    all_weights: tuple[Fraction, ...]  # multiset, in enumeration order
-    stats: SearchStats
-    traces: tuple[Trace, ...] = ()
+class OracleResult(Record):
+    __slots__ = ("plan_count", "best_plan", "best_weight", "all_weights",
+                 "stats", "traces")
+
+    def __init__(self, plan_count: int,
+                 best_plan: Optional[tuple[OperatorEvent, ...]],
+                 best_weight: Optional[Fraction],
+                 all_weights: tuple[Fraction, ...], stats: SearchStats,
+                 traces: tuple[Trace, ...] = ()):
+        self.plan_count = plan_count
+        self.best_plan = best_plan
+        self.best_weight = best_weight
+        self.all_weights = all_weights  # multiset, in enumeration order
+        self.stats = stats
+        self.traces = traces
 
 
 def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
@@ -95,13 +101,19 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
     return _finish()
 
 
-@dataclass
-class CheckReport:
-    problem: str
-    plan_count: int
-    solve_weight: Optional[Fraction]
-    oracle_weight: Optional[Fraction]
-    checks: dict[str, bool] = field(default_factory=dict)
+class CheckReport(Record):
+    __slots__ = ("problem", "plan_count", "solve_weight", "oracle_weight",
+                 "checks")
+
+    def __init__(self, problem: str, plan_count: int,
+                 solve_weight: Optional[Fraction],
+                 oracle_weight: Optional[Fraction],
+                 checks: Optional[dict[str, bool]] = None):
+        self.problem = problem
+        self.plan_count = plan_count
+        self.solve_weight = solve_weight
+        self.oracle_weight = oracle_weight
+        self.checks = {} if checks is None else checks
 
     @property
     def ok(self) -> bool:

@@ -30,7 +30,7 @@ from .errors import (ArityMismatch, BadValueOrder, DuplicateName,
                      UnknownMethodName, UnknownPredicate, UnknownTask)
 from .model import (Atom, Domain, Literal, Method, Operator, Problem, State,
                     Task, is_var)
-from .sexpr import SExpr, format_fraction, parse_one, parse_sexprs
+from .sexpr import SExpr, format_fraction, locate, parse_sexprs
 
 # Each fixed-arity BDF keyword: its node class and the kinds of its
 # arguments, in the order of the class's fields. A kind is "formula" (a
@@ -55,6 +55,20 @@ _GPF_KEYWORDS = {">>", "if", "&!", "|!"}
 
 def _fail(msg: str, filename: str, token=None) -> ParseError:
     return ParseError(msg, filename, token=str(token) if token is not None else None)
+
+
+def _read(reader, text, filename: str, *args):
+    """reader(exprs, *args, filename) on the s-expressions of text. An error
+    about one parsed list (ParseError.form) is moved to that list's
+    line:col, which only the text and the trees read from it know."""
+    exprs = parse_sexprs(text, filename)
+    try:
+        return reader(exprs, *args, filename)
+    except ParseError as exc:
+        where = None if exc.form is None else locate(text, exprs, exc.form)
+        if where is None:
+            raise
+        raise exc.at(*where) from None
 
 
 def _expect_list(x: SExpr, what: str, filename: str) -> list:
@@ -160,7 +174,10 @@ def _lit_vars(lits) -> set[str]:
 
 
 def parse_domain(text, filename: str = "<domain>") -> Domain:
-    exprs = parse_sexprs(text, filename)
+    return _read(_domain, text, filename)
+
+
+def _domain(exprs: list, filename: str) -> Domain:
     if len(exprs) != 1:
         raise _fail("a domain file holds exactly one (domain ...) form", filename)
     top = _expect_list(exprs[0], "(domain ...)", filename)
@@ -170,6 +187,7 @@ def parse_domain(text, filename: str = "<domain>") -> Domain:
 
     operators: dict[str, Operator] = {}
     methods: list[Method] = []
+    method_forms: list[list] = []
     arities = _ArityTable(filename)
 
     for form in top[2:]:
@@ -180,12 +198,17 @@ def parse_domain(text, filename: str = "<domain>") -> Domain:
             operators_form(lst, operators, arities, filename)
         elif lst[0] == ":method":
             methods.append(method_form(lst, arities, filename))
+            method_forms.append(lst)
         else:
             raise _fail(f"expected :operator or :method, got {lst[0]!r}",
                         filename, lst[0])
 
     dom = Domain(name, operators, tuple(methods))
-    _validate_domain(dom, filename)
+    head_names = {m.task.name for m in methods}
+    for m, form in zip(methods, method_forms):
+        for st in m.subtasks:
+            _check_call(st, dom, head_names, f"method {m.branch}", filename,
+                        form)
     return dom
 
 
@@ -287,33 +310,32 @@ def method_form(lst, arities, filename) -> Method:
 
 
 def _check_call(task: Task, dom: Domain, head_names: set[str], caller: str,
-                filename: str) -> None:
+                filename: str, form: list) -> None:
     """A task call names an operator and gives it its arity, or names a
-    nonprimitive task that some method decomposes."""
+    nonprimitive task that some method decomposes; form is the list an
+    error reports."""
     if not task.primitive:
         if task.name not in head_names:
             raise UnknownTask(f"{caller} calls task {task.name}, which no "
-                              "method decomposes", filename, token=task.name)
+                              "method decomposes", filename, token=task.name,
+                              form=form)
         return
     op = dom.operators.get(task.name)
     if op is None:
         raise UnknownTask(f"{caller} calls unknown operator !{task.name}",
-                          filename, token=task.name)
+                          filename, token=task.name, form=form)
     if len(task.args) != len(op.params):
         raise ArityMismatch(f"{caller} calls operator {task.name} with "
                             f"{len(task.args)} args, it expects "
-                            f"{len(op.params)}", filename, token=task.name)
-
-
-def _validate_domain(dom: Domain, filename: str) -> None:
-    head_names = {m.task.name for m in dom.methods}
-    for m in dom.methods:
-        for st in m.subtasks:
-            _check_call(st, dom, head_names, f"method {m.branch}", filename)
+                            f"{len(op.params)}", filename, token=task.name,
+                            form=form)
 
 
 def parse_problem(text, domain: Domain, filename: str = "<problem>") -> Problem:
-    exprs = parse_sexprs(text, filename)
+    return _read(_problem, text, filename, domain)
+
+
+def _problem(exprs: list, domain: Domain, filename: str) -> Problem:
     if len(exprs) != 1:
         raise _fail("a problem file holds exactly one (problem ...) form", filename)
     top = _expect_list(exprs[0], "(problem ...)", filename)
@@ -338,7 +360,8 @@ def parse_problem(text, domain: Domain, filename: str = "<problem>") -> Problem:
         task = _parse_task(t, filename)
         if any(is_var(x) for x in task.args):
             raise _fail(f"initial task {task.name} is not ground", filename, task.name)
-        _check_call(task, domain, head_names, "the task network", filename)
+        _check_call(task, domain, head_names, "the task network", filename,
+                    t)
         network.append(task)
 
     return Problem(name, State(frozenset(facts)), tuple(network), domain)
@@ -372,12 +395,12 @@ def _parse_ref(kind: str, x: SExpr, domain: Domain, filename: str) -> F.Ref:
     if kind == "method":
         if not any(m.branch == name for m in domain.methods):
             raise UnknownMethodName(f"unknown method branch {name}", filename,
-                                    token=name)
+                                    token=name, form=lst)
     elif name in domain.operators:
         kind = "op"
     elif not any(m.task.name == name for m in domain.methods):
         raise UnknownTask(f"unknown task {name} in preference", filename,
-                          token=name)
+                          token=name, form=lst)
     return F.Ref(kind, name, tuple(_parse_term(a, filename) for a in lst[1:]))
 
 
@@ -469,9 +492,15 @@ def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable,
 
 
 def parse_preference(text, domain: Domain, filename: str = "<preference>") -> F.GPF:
-    expr = parse_one(text, filename)
+    return _read(_preference, text, filename, domain)
+
+
+def _preference(exprs: list, domain: Domain, filename: str) -> F.GPF:
+    if len(exprs) != 1:
+        raise _fail(f"expected exactly one expression, found {len(exprs)}",
+                    filename)
     arities = _domain_arities(domain, filename)
-    gpf = _parse_gpf(expr, domain, arities, filename)
+    gpf = _parse_gpf(exprs[0], domain, arities, filename)
     gpf = F.nnf_gpf(gpf)
     try:
         for b in F.gpf_bdfs(gpf):

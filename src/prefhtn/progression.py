@@ -45,34 +45,44 @@ Residual conventions (all indices relative to the event sequence):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import formulas as F
 from . import semantics
 from .errors import UnboundVariable
-from .model import State, Trace
+from .model import State, Value, slot_setters
 
 
-@dataclass(frozen=True)
-class Progressed:
+class Progressed(Value):
     """skeleton: the ground preference with BDF number i standing for
     residuals[i], the residual of that BDF after the steps so far; every
     residual is interned in automaton, which the whole search shares."""
 
-    skeleton: F.GPF
-    residuals: tuple[F.BDF, ...]
-    automaton: Automaton = field(compare=False, repr=False)
+    __slots__ = ("skeleton", "residuals", "automaton")
+    _fields = ("skeleton", "residuals")
+
+    def __init__(self, skeleton: F.GPF, residuals: tuple[F.BDF, ...],
+                 automaton: Automaton):
+        _progressed_skeleton(self, skeleton)
+        _progressed_residuals(self, residuals)
+        _progressed_automaton(self, automaton)
 
 
-@dataclass(frozen=True)
-class Bounds:
-    opt: Fraction
-    pess: Fraction
+_progressed_skeleton, _progressed_residuals, _progressed_automaton = \
+    slot_setters(Progressed, "skeleton", "residuals", "automaton")
 
-    def __post_init__(self):
-        assert self.opt <= self.pess
+
+class Bounds(Value):
+    __slots__ = ("opt", "pess")
+
+    def __init__(self, opt: Fraction, pess: Fraction):
+        assert opt <= pess
+        _bounds_opt(self, opt)
+        _bounds_pess(self, pess)
+
+
+_bounds_opt, _bounds_pess = slot_setters(Bounds, "opt", "pess")
 
 
 class StepContext(NamedTuple):

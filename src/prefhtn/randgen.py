@@ -10,44 +10,51 @@ by construction reachable through the normal input path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Problem
+from .model import Problem, Record, Value, _set
 from .parser import BDF_FORMS, parse_domain, parse_preference, parse_problem
 from .sexpr import format_fraction
 
 DEFAULT_CONSTRUCTS = frozenset(BDF_FORMS) - {"not"}
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    num_operators: int = 4       # 2..6
-    num_methods: int = 7         # 2..8
-    max_subtasks: int = 2        # 1..3
-    max_depth: int = 3           # <= 4
-    num_constants: int = 3       # 2..5
-    pref_budget: int = 18        # AST node count <= 25
-    constructs: frozenset = DEFAULT_CONSTRUCTS
-    unsolvable_rate: float = 0.1
+class GenConfig(Value):
+    __slots__ = ("seed", "num_operators", "num_methods", "max_subtasks",
+                 "max_depth", "num_constants", "pref_budget", "constructs",
+                 "unsolvable_rate")
 
-    def __post_init__(self):
-        assert 2 <= self.num_operators <= 6
-        assert 2 <= self.num_methods <= 8
-        assert 1 <= self.max_subtasks <= 3
-        assert 1 <= self.max_depth <= 4
-        assert 2 <= self.num_constants <= 5
-        assert 1 <= self.pref_budget <= 25
+    def __init__(self, seed: int = 0,
+                 num_operators: int = 4,   # 2..6
+                 num_methods: int = 7,     # 2..8
+                 max_subtasks: int = 2,    # 1..3
+                 max_depth: int = 3,       # <= 4
+                 num_constants: int = 3,   # 2..5
+                 pref_budget: int = 18,    # AST node count <= 25
+                 constructs: frozenset = DEFAULT_CONSTRUCTS,
+                 unsolvable_rate: float = 0.1):
+        assert 2 <= num_operators <= 6
+        assert 2 <= num_methods <= 8
+        assert 1 <= max_subtasks <= 3
+        assert 1 <= max_depth <= 4
+        assert 2 <= num_constants <= 5
+        assert 1 <= pref_budget <= 25
+        for name, value in locals().items():
+            if name != "self":
+                _set(self, name, value)
 
 
-@dataclass
-class GeneratedInstance:
-    problem: Problem
-    expected_solvable: bool
-    domain_text: str
-    problem_text: str
-    preference_text: str
+class GeneratedInstance(Record):
+    __slots__ = ("problem", "expected_solvable", "domain_text",
+                 "problem_text", "preference_text")
+
+    def __init__(self, problem: Problem, expected_solvable: bool,
+                 domain_text: str, problem_text: str, preference_text: str):
+        self.problem = problem
+        self.expected_solvable = expected_solvable
+        self.domain_text = domain_text
+        self.problem_text = problem_text
+        self.preference_text = preference_text
 
 
 def gen_instance(config: GenConfig = None) -> tuple[Problem, bool]:

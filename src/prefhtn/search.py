@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -59,52 +58,83 @@ from . import progression as P
 from . import semantics
 from .errors import PreconditionViolation, ResourceLimit, UnboundVariable
 from .model import (Atom, EndEvent, Inst, Literal, OperatorEvent, Problem,
-                    StartEvent, State, Subst, Task, Trace,
-                    empty_trace, is_ground, relevant_methods, subst_literal)
+                    Record, StartEvent, State, Subst, Task, Trace, Value,
+                    empty_trace, is_ground, relevant_methods, slot_setters,
+                    subst_literal)
 
 
-@dataclass(frozen=True, slots=True)
-class Unordered:
+class Unordered(Value):
     """The remaining subtasks of an unordered method, at least one; any of
     them may go next."""
 
-    tasks: tuple[Task, ...]
+    __slots__ = ("tasks",)
+
+    def __init__(self, tasks: tuple[Task, ...]):
+        _unordered_tasks(self, tasks)
+
+    def __eq__(self, other):
+        if type(other) is not Unordered:
+            return NotImplemented
+        return self is other or self.tasks == other.tasks
+
+    __hash__ = Value.__hash__
 
 
-@dataclass
-class SolveConfig:
-    timeout: Optional[float] = None        # seconds, wall clock
-    max_expansions: Optional[int] = None   # cap on applied operators
-    depth_cap: int = 64                    # task nesting depth
-    tiebreak_lex: bool = False             # break weight ties lexicographically
+(_unordered_tasks,) = slot_setters(Unordered, "tasks")
 
 
-@dataclass
-class SearchStats:
-    nodes_expanded: int = 0    # NE: applied operators
-    nodes_considered: int = 0  # NC: frontier insertions
-    duplicates: int = 0        # popped nodes skipped as already closed
-    elapsed: float = 0.0
-    plan_length: Optional[int] = None
+class SolveConfig(Record):
+    __slots__ = ("timeout", "max_expansions", "depth_cap", "tiebreak_lex")
+
+    def __init__(self, timeout: Optional[float] = None,
+                 max_expansions: Optional[int] = None, depth_cap: int = 64,
+                 tiebreak_lex: bool = False):
+        self.timeout = timeout                # seconds, wall clock
+        self.max_expansions = max_expansions  # cap on applied operators
+        self.depth_cap = depth_cap            # task nesting depth
+        self.tiebreak_lex = tiebreak_lex      # break weight ties lexicographically
 
 
-@dataclass(slots=True)
-class SearchNode:
-    agenda: tuple
-    trace: Trace
-    progressed: Optional[P.Progressed]
-    opt: Fraction   # the exact weight once the agenda is empty
-    pess: Fraction
-    plan_length: int
+class SearchStats(Record):
+    __slots__ = ("nodes_expanded", "nodes_considered", "duplicates",
+                 "elapsed", "plan_length")
+
+    def __init__(self, nodes_expanded: int = 0, nodes_considered: int = 0,
+                 duplicates: int = 0, elapsed: float = 0.0,
+                 plan_length: Optional[int] = None):
+        self.nodes_expanded = nodes_expanded      # NE: applied operators
+        self.nodes_considered = nodes_considered  # NC: frontier insertions
+        self.duplicates = duplicates  # popped nodes skipped as already closed
+        self.elapsed = elapsed
+        self.plan_length = plan_length
 
 
-@dataclass
-class Result:
-    status: str  # "ok" | "noplan"
-    plan: Optional[tuple[OperatorEvent, ...]]
-    weight: Optional[Fraction]
-    stats: SearchStats
-    trace: Optional[Trace] = None
+class SearchNode(Record):
+    __slots__ = ("agenda", "trace", "progressed", "opt", "pess",
+                 "plan_length")
+
+    def __init__(self, agenda: tuple, trace: Trace,
+                 progressed: Optional[P.Progressed], opt: Fraction,
+                 pess: Fraction, plan_length: int):
+        self.agenda = agenda
+        self.trace = trace
+        self.progressed = progressed
+        self.opt = opt  # the exact weight once the agenda is empty
+        self.pess = pess
+        self.plan_length = plan_length
+
+
+class Result(Record):
+    __slots__ = ("status", "plan", "weight", "stats", "trace")
+
+    def __init__(self, status: str, plan: Optional[tuple[OperatorEvent, ...]],
+                 weight: Optional[Fraction], stats: SearchStats,
+                 trace: Optional[Trace] = None):
+        self.status = status  # "ok" | "noplan"
+        self.plan = plan
+        self.weight = weight
+        self.stats = stats
+        self.trace = trace
 
 
 def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):

@@ -3,111 +3,135 @@
 Atoms are symbols or exact rationals (decimals like 0.4 or ratios like 2/5);
 `;` comments run to end of line. Every failure is a ParseError carrying a
 1-based line/column; arbitrary byte input never raises anything else.
+
+The reader splits the text with one compiled regex and builds the lists from
+the token strings alone. Offsets are looked up only when they are needed: on
+a reader error, and by locate(), which gives the line:col of a parsed list.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Optional, Union
 
 from .errors import ParseError
 
 SExpr = Union[str, Fraction, list]
 
-
-class Token(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-_DELIMS = "()\"; \t\r\n"
+# Whitespace and comments are skipped; group 1 is the token after them, if
+# any: a parenthesis, a double quote (always an error) or an atom. The token
+# is optional, so a match never fails and the engine never backtracks, and
+# findall gives the tokens in order plus empty strings where the text ends.
+_TOKEN = re.compile(r'(?:[ \t\r\n]+|;[^\n]*)*([()"]|[^()"; \t\r\n]+)?')
 
 
-def _tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(Token(c, line, col))
-            i += 1
-            col += 1
-        elif c == '"':
-            raise ParseError("string literals are not part of the grammar",
-                             filename, line, col, token='"')
-        else:
-            start = i
-            startcol = col
-            while i < n and text[i] not in _DELIMS:
-                i += 1
-                col += 1
-            tokens.append(Token(text[start:i], line, startcol))
-    return tokens
+def _is_number(tok: str) -> bool:
+    return tok[0].isdigit() or (tok[0] in "+-." and len(tok) > 1
+                                and tok[1].isdigit())
 
 
-def _atom(tok: Token, filename: str) -> SExpr:
-    t = tok.text
-    if t[0].isdigit() or (t[0] in "+-." and len(t) > 1 and t[1].isdigit()):
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _token_position(text: str, index: int) -> tuple[int, int]:
+    """The line and column of the token at this index in findall's list."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None))
+    return _position(text, match.start(1))
+
+
+def _error(text: str, tokens: list[str], filename: str) -> ParseError:
+    """The first error in tokens: a string literal anywhere, else a stray
+    ')' or a malformed number in reading order, else the innermost '(' left
+    open."""
+    def at(i: int, message: str, token: str) -> ParseError:
+        line, col = _token_position(text, i)
+        return ParseError(message, filename, line, col, token=token)
+
+    if '"' in tokens:
+        return at(tokens.index('"'), "string literals are not part of the "
+                  "grammar", '"')
+    opened: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            opened.append(i)
+        elif tok == ")":
+            if not opened:
+                return at(i, "unbalanced ')'", ")")
+            opened.pop()
+        elif tok and _is_number(tok):
+            try:
+                Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                return at(i, f"malformed number {tok!r}", tok)
+    return at(opened[-1], "unbalanced '('", "(")
+
+
+def _decode(text, filename: str) -> str:
+    if isinstance(text, (bytes, bytearray)):
         try:
-            return Fraction(t)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"malformed number {t!r}", filename, tok.line,
-                             tok.col, token=t) from None
-    return t
+            return text.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"not valid UTF-8: {e}", filename) from None
+    return text
 
 
 def parse_sexprs(text, filename: str = "<string>") -> list[SExpr]:
     """Parse all top-level s-expressions in text (str or UTF-8 bytes)."""
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not valid UTF-8: {e}", filename) from None
-    tokens = _tokenize(text, filename)
-    out: list[SExpr] = []
-    stack: list[tuple[list, Token]] = []
-    for tok in tokens:
-        if tok.text == "(":
-            stack.append(([], tok))
-        elif tok.text == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", filename, tok.line, tok.col,
-                                 token=")")
-            done, _ = stack.pop()
-            if stack:
-                stack[-1][0].append(done)
-            else:
-                out.append(done)
-        else:
-            atom = _atom(tok, filename)
-            if stack:
-                stack[-1][0].append(atom)
-            else:
-                out.append(atom)
+    text = _decode(text, filename)
+    tokens = _TOKEN.findall(text)
+    out = lst = []
+    stack: list[list] = []
+    try:
+        for tok in tokens:
+            if tok == "(":
+                new: list = []
+                lst.append(new)
+                stack.append(lst)
+                lst = new
+            elif tok == ")":
+                lst = stack.pop()
+            elif tok:
+                if _is_number(tok):
+                    tok = Fraction(tok)
+                elif tok == '"':
+                    raise ValueError
+                lst.append(tok)
+    except (IndexError, ValueError, ZeroDivisionError):
+        # a stray ')', a string literal or a malformed number: _error finds
+        # the first error in the text and where it is
+        raise _error(text, tokens, filename) from None
     if stack:
-        _, tok = stack[-1]
-        raise ParseError("unbalanced '('", filename, tok.line, tok.col, token="(")
+        raise _error(text, tokens, filename)
     return out
 
 
-def parse_one(text, filename: str = "<string>") -> SExpr:
-    exprs = parse_sexprs(text, filename)
-    if len(exprs) != 1:
-        raise ParseError(f"expected exactly one expression, found {len(exprs)}",
-                         filename)
-    return exprs[0]
+def locate(text, exprs: list[SExpr], target: list
+           ) -> Optional[tuple[int, int]]:
+    """The line and column of the '(' that opens target, a list in exprs,
+    the trees parse_sexprs read from text; None if target is not among
+    them. The n-th list in preorder is opened by the n-th '('."""
+    rank, stack = 0, list(reversed(exprs))
+    while stack:
+        x = stack.pop()
+        if type(x) is not list:
+            continue
+        if x is target:
+            break
+        rank += 1
+        stack.extend(reversed(x))
+    else:
+        return None
+    text = _decode(text, "<string>")
+    for i, tok in enumerate(_TOKEN.findall(text)):
+        if tok == "(":
+            if rank == 0:
+                return _token_position(text, i)
+            rank -= 1
+    return None
 
 
 def format_fraction(v: Fraction) -> str:

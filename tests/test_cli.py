@@ -185,18 +185,30 @@ class TestBenchCommand:
         assert {r["mode"] for r in records} == {"bruteforce", "bestfirst"}
 
 
-    def test_weight_mismatch_exit_code(self, capsys, monkeypatch):
+    def test_weight_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A mismatch on travel-3 stops the suite there, but the table and
+        the records of travel-1 to travel-3 still come out."""
         real = cli.enumerate_all
 
-        def off_by_one(*args, **kwargs):
-            oracle = real(*args, **kwargs)
-            oracle.best_weight += 1
+        def off_by_one_on_travel_3(problem, *args, **kwargs):
+            oracle = real(problem, *args, **kwargs)
+            if problem.name == "travel-3":
+                oracle.best_weight += 1
             return oracle
 
-        monkeypatch.setattr(cli, "enumerate_all", off_by_one)
-        code, _, err = run(capsys, "bench", "--suite", TRAVEL)
+        monkeypatch.setattr(cli, "enumerate_all", off_by_one_on_travel_3)
+        out_path = tmp_path / "records.jsonl"
+        code, out, err = run(capsys, "bench", "--suite", TRAVEL,
+                             "--out", out_path)
         assert code == EXIT_MISMATCH
-        assert "weight mismatch" in err
+        assert "weight mismatch on travel-3" in err
+        rows = out.strip().splitlines()[2:]
+        assert sorted(r.split()[0] for r in rows) == \
+            ["travel-1", "travel-2", "travel-3"]
+        records = [json.loads(l) for l in out_path.read_text().splitlines()]
+        assert [(r["problem"], r["mode"]) for r in records] == [
+            (f"travel-{k}", mode) for k in (1, 2, 3)
+            for mode in ("bruteforce", "bestfirst")]
 
 
 class TestCheckCommand:

@@ -1,4 +1,5 @@
-"""The formula node contract (formulas.Node) and the smart constructors."""
+"""The value contracts (model.Node, model.Record, model.Value) and the
+formulas' smart constructors."""
 
 import itertools
 import json
@@ -13,7 +14,12 @@ import pytest
 import prefhtn
 from prefhtn import formulas as F
 from prefhtn.errors import BadValueOrder
-from prefhtn.model import Atom, Literal
+from prefhtn.model import (Atom, EndEvent, Inst, Literal, Method, Operator,
+                           OperatorEvent, StartEvent, State, Task)
+from prefhtn.oracle import EnumerationCaps
+from prefhtn.progression import Bounds
+from prefhtn.randgen import GenConfig
+from prefhtn.search import SearchStats, SolveConfig, Unordered
 from prefhtn.parser import BDF_FORMS, parse_preference, print_preference
 from tests.conftest import fixture_ids, load_fixture
 
@@ -25,6 +31,9 @@ P, Q = F.LitF(LIT), F.Occ(OP)
 
 # One constructor argument tuple per node class.
 EXAMPLES = {
+    Operator: ("drive", ("?a", "?b"), (LIT,), (Atom("at", ("?b",)),), ()),
+    Method: ("by-air", Task("move", ("?x",)), (LIT,),
+             (Task("fly", ("?x",), True),), False, ()),
     F.Ref: ("op", "drive", ("c1",)),
     F.TrueC: (),
     F.FalseC: (),
@@ -117,6 +126,136 @@ class TestEveryNodeClass:
     def test_wrong_field_count_raises(self, cls):
         with pytest.raises(TypeError):
             cls(*EXAMPLES[cls], None)
+
+
+# --- slotted records (model.Record and model.Value) ------------------------
+
+INST = Inst("task", "move", ("c1",), 0)
+# Two constructor argument tuples per hashed Value, with different fields.
+VALUES = {
+    Task: (("move", ("c1",), False), ("move", ("c2",), False)),
+    OperatorEvent: (("drive", ("c1",), 3), ("drive", ("c1",), 4)),
+    StartEvent: ((INST,), (INST._replace(uid=1),)),
+    EndEvent: ((INST,), (INST._replace(uid=1),)),
+    Unordered: (((Task("a"), Task("b")),), ((Task("b"), Task("a")),)),
+    Bounds: ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1, 2))),
+    EnumerationCaps: ((10, 1.0), (10, 2.0)),
+}
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda c: c.__name__)
+class TestEveryHashedValue:
+    def test_setting_or_deleting_an_attribute_raises(self, cls):
+        value = cls(*VALUES[cls][0])
+        hash(value)
+        for name in cls._fields + ("_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == cls(*VALUES[cls][0])
+
+    def test_equality_and_hash_go_by_field(self, cls):
+        args, other_args = VALUES[cls]
+        a, b = cls(*args), cls(*args)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b) == hash(a)
+        assert {a: 1}[b] == 1
+        assert tuple(getattr(a, f) for f in cls._fields) == args
+        assert a != cls(*other_args) and not a == cls(*other_args)
+
+    def test_repr_names_every_field(self, cls):
+        inner = ", ".join(f"{f}={v!r}" for f, v in
+                          zip(cls._fields, VALUES[cls][0]))
+        assert repr(cls(*VALUES[cls][0])) == f"{cls.__name__}({inner})"
+
+
+def test_same_fields_in_another_value_class_are_unequal():
+    assert StartEvent(INST) != EndEvent(INST)
+    assert len({StartEvent(INST), EndEvent(INST)}) == 2
+
+
+def test_task_hash_is_computed_once_per_object():
+    calls = []
+
+    class Counted(str):
+        def __hash__(self):
+            calls.append(self)
+            return str.__hash__(self)
+
+    task = Task("move", (Counted("c1"),))
+    for _ in range(5):
+        hash(task)
+    assert task in {task} and {task: 1}[task] == 1
+    assert len(calls) == 1
+    hash(Task("move", (Counted("c1"),)))
+    assert len(calls) == 2
+
+
+def test_records_take_keywords_and_apply_defaults():
+    config = SolveConfig(timeout=2.5)
+    assert (config.timeout, config.max_expansions, config.depth_cap,
+            config.tiebreak_lex) == (2.5, None, 64, False)
+    caps = EnumerationCaps(max_seconds=5.0)
+    assert (caps.max_plans, caps.max_seconds) == (100_000, 5.0)
+    assert GenConfig(seed=4).seed == 4
+    assert GenConfig(seed=4).num_operators == GenConfig().num_operators == 4
+    stats = SearchStats()
+    assert (stats.nodes_expanded, stats.nodes_considered, stats.duplicates,
+            stats.elapsed, stats.plan_length) == (0, 0, 0, 0.0, None)
+    assert Task("t") == Task("t", (), False)
+    assert Operator("go", (), pre=(LIT,)) == Operator("go", (), (LIT,), (), ())
+    assert Operator("go", ()).replace(add=(LIT.atom,)).add == (LIT.atom,)
+    with pytest.raises(TypeError):
+        Operator("go", (), (), pre=())  # pre given twice
+    with pytest.raises(TypeError):
+        Operator("go")
+
+
+def test_state_takes_keywords_and_derives_max_uid():
+    facts = frozenset({LIT.atom})
+    later = INST._replace(uid=5)
+    state = State(facts, terminated_links=(later, (INST, None)), max_uid=9)
+    assert state.executing == frozenset() and state.max_uid == 9
+    assert state.terminated == {INST, later}
+    assert State(facts, terminated_links=(later, (INST, None))).max_uid == 5
+    assert State(facts, frozenset({INST})).max_uid == 0
+    assert State(facts).max_uid == -1
+    with pytest.raises(TypeError):
+        State(facts, frozenset(), None)  # the links are keyword-only
+
+
+def test_state_equality_reads_terminated_and_hash_does_not():
+    facts = frozenset({LIT.atom})
+    later = INST._replace(uid=5)
+    a = State(facts, terminated_links=(later, (INST, None)))
+    b = State(facts, terminated_links=(INST, (later, None)))
+    c = State(facts, terminated_links=(INST, None))
+    assert a == b and hash(a) == hash(b)
+    assert a != c and hash(a) == hash(c)
+    with pytest.raises(AttributeError):
+        a.facts = frozenset()
+
+
+def test_value_checks_still_raise():
+    with pytest.raises(AssertionError):
+        Bounds(Fraction(1), Fraction(0))
+    with pytest.raises(AssertionError):
+        EnumerationCaps(max_plans=0)
+    with pytest.raises(AssertionError):
+        GenConfig(max_subtasks=4)
+
+
+def test_mutable_records_compare_by_field_and_do_not_hash():
+    config = SolveConfig()
+    assert config == SolveConfig() and config != SolveConfig(depth_cap=3)
+    config.depth_cap = 3
+    assert config == SolveConfig(depth_cap=3)
+    assert repr(config) == ("SolveConfig(timeout=None, max_expansions=None, "
+                            "depth_cap=3, tiebreak_lex=False)")
+    with pytest.raises(TypeError):
+        hash(config)
 
 
 @pytest.mark.parametrize("a, b", [
@@ -225,18 +364,9 @@ class TestJoin:
         assert len(compares) <= 50 + 5  # the spliced repeats, not 200²
 
 
-def test_import_loads_no_test_tooling():
-    """A fresh `import prefhtn` leaves the instance generator and the CLI
-    unloaded, yet every exported name resolves and randgen imports alone."""
-    code = """if True:
-        import json, sys
-        import prefhtn
-        loaded = sorted(m for m in sys.modules if m.startswith("prefhtn"))
-        missing = [n for n in prefhtn.__all__ if not hasattr(prefhtn, n)]
-        from prefhtn.randgen import GenConfig, gen_files
-        gen_files(GenConfig(seed=1))
-        print(json.dumps({"loaded": loaded, "missing": missing}))
-    """
+def fresh_python(code: str):
+    """The JSON that code prints, run in a new interpreter that imports
+    this checkout's prefhtn."""
     src = str(Path(prefhtn.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -244,7 +374,32 @@ def test_import_loads_no_test_tooling():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_test_tooling():
+    """A fresh `import prefhtn` leaves the instance generator and the CLI
+    unloaded, yet every exported name resolves and randgen imports alone."""
+    out = fresh_python("""if True:
+        import json, sys
+        import prefhtn
+        loaded = sorted(m for m in sys.modules if m.startswith("prefhtn"))
+        missing = [n for n in prefhtn.__all__ if not hasattr(prefhtn, n)]
+        from prefhtn.randgen import GenConfig, gen_files
+        gen_files(GenConfig(seed=1))
+        print(json.dumps({"loaded": loaded, "missing": missing}))
+    """)
     assert "prefhtn.randgen" not in out["loaded"]
     assert "prefhtn.cli" not in out["loaded"]
     assert out["missing"] == []
+
+
+def test_import_generates_no_code():
+    """No record class has generated methods, so a fresh `import prefhtn`
+    loads neither the dataclasses module nor inspect, which it imports."""
+    assert fresh_python("""if True:
+        import json, sys
+        import prefhtn
+        print(json.dumps([m for m in ("dataclasses", "inspect")
+                          if m in sys.modules]))
+    """) == []

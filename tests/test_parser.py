@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from prefhtn import cli
 from prefhtn import formulas as F
 from prefhtn.errors import (ArityMismatch, BadValueOrder, DuplicateName,
                             NonGroundInit, ParseError, UnknownMethodName,
@@ -94,6 +95,62 @@ class TestParseProblem:
         with pytest.raises(UnknownPredicate):
             parse_problem("(problem p :init ((ghost)) :tasks ())",
                           mini_domain)
+
+
+BAD_HTN = """\
+(domain bad
+  (:operator (!a) :pre () :del () :add ())
+  (:method (t) :name m1 :pre () :tasks ((!a)))
+  (:method (u) :name m2 :pre () :tasks ((!a) (ghost))))
+"""
+
+
+class TestErrorLocations:
+    """An error about one form reports the line:col of its '('."""
+
+    def test_unknown_subtask_reports_its_method(self, tmp_path, capsys):
+        path = tmp_path / "bad.htn"
+        path.write_text(BAD_HTN)
+        with pytest.raises(UnknownTask) as exc:
+            parse_domain(path.read_bytes(), str(path))
+        assert (exc.value.line, exc.value.col) == (4, 3)
+        assert exc.value.token == "ghost"
+        prob = tmp_path / "bad-1.prob"
+        prob.write_text("(problem p :init () :tasks ())")
+        assert cli.main(["solve", "--domain", str(path), "--problem",
+                         str(prob)]) == cli.EXIT_USAGE
+        assert f"{path}:4:3: method m2 calls task ghost" in \
+            capsys.readouterr().err
+
+    def test_unknown_operator_and_arity_report_their_method(self):
+        text = BAD_HTN.replace("(ghost)", "(!ghost)")
+        with pytest.raises(UnknownTask) as exc:
+            parse_domain(text)
+        assert (exc.value.line, exc.value.col) == (4, 3)
+        with pytest.raises(ArityMismatch) as exc:
+            parse_domain(BAD_HTN.replace("(ghost)", "(!a x)"))
+        assert (exc.value.line, exc.value.col) == (4, 3)
+
+    def test_unknown_task_in_preference_reports_its_list(self, mini_domain,
+                                                         tmp_path):
+        path = tmp_path / "bad.pref"
+        path.write_text("(always\n  (not (occ (ghost))))\n")
+        with pytest.raises(UnknownTask) as exc:
+            parse_preference(path.read_bytes(), mini_domain, str(path))
+        assert (exc.value.file, exc.value.line, exc.value.col) == \
+            (str(path), 2, 13)
+        assert str(exc.value).startswith(f"{path}:2:13: unknown task ghost")
+
+    def test_unknown_branch_reports_its_list(self, mini_domain):
+        with pytest.raises(UnknownMethodName) as exc:
+            parse_preference("(eventually\n\n (apply (ghost)))", mini_domain)
+        assert (exc.value.line, exc.value.col) == (3, 9)
+
+    def test_unknown_network_task_reports_its_list(self, mini_domain):
+        with pytest.raises(UnknownTask) as exc:
+            parse_problem("(problem p :init ()\n :tasks ((arrange-trans)"
+                          " (ghost)))", mini_domain)
+        assert (exc.value.line, exc.value.col) == (2, 26)
 
 
 class TestParsePreference:

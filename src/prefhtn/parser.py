@@ -53,8 +53,9 @@ BDF_FORMS = {
 _GPF_KEYWORDS = {">>", "if", "&!", "|!"}
 
 
-def _fail(msg: str, filename: str, token=None) -> ParseError:
-    return ParseError(msg, filename, token=str(token) if token is not None else None)
+def _fail(msg: str, filename: str, token=None, form=None) -> ParseError:
+    return ParseError(msg, filename, token=None if token is None else str(token),
+                      form=form)
 
 
 def _read(reader, text, filename: str, *args):
@@ -425,29 +426,33 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
                filename: str) -> F.BDF:
     lst = _expect_list(x, "a formula", filename)
     if not lst:
-        raise _fail("empty formula", filename)
+        raise _fail("empty formula", filename, form=lst)
     head = lst[0]
     if not isinstance(head, str):
-        raise _fail(f"formula head must be a symbol, got {head!r}", filename, head)
+        raise _fail(f"formula head must be a symbol, got {head!r}", filename,
+                    head, lst)
     if head in BDF_FORMS:
         cls, kinds = BDF_FORMS[head]
         if len(lst) != len(kinds) + 1:
-            raise _fail(f"expected ({head} {' '.join(kinds)})", filename, head)
+            raise _fail(f"expected ({head} {' '.join(kinds)})", filename, head,
+                        lst)
         return cls(*(_parse_arg(kind, arg, domain, arities, filename)
                      for kind, arg in zip(kinds, lst[1:])))
     if head in ("exists", "forall"):
         if len(lst) != 3:
-            raise _fail(f"expected ({head} (?var+) formula)", filename, head)
+            raise _fail(f"expected ({head} (?var+) formula)", filename, head,
+                        lst)
         var_list = _expect_list(lst[1], "a variable list", filename)
         if not var_list:
-            raise _fail(f"({head} ...) needs at least one variable", filename, head)
+            raise _fail(f"({head} ...) needs at least one variable", filename,
+                        head, lst)
         body = _parse_bdf(lst[2], domain, arities, filename)
         cls = F.Exists if head == "exists" else F.Forall
         for v in reversed(var_list):
             v = _expect_symbol(v, "a variable", filename)
             if not is_var(v):
                 raise _fail(f"quantified name {v!r} must start with '?'",
-                            filename, v)
+                            filename, v, lst)
             body = cls(v, body)
         return body
     if head in ("and", "or"):
@@ -455,7 +460,7 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
         return join(_parse_bdf(p, domain, arities, filename) for p in lst[1:])
     if head in _GPF_KEYWORDS:
         raise _fail(f"{head} is a preference connective, not a formula", filename,
-                    head)
+                    head, lst)
     # anything else is a state literal
     return F.LitF(_parse_pref_literal(x, arities, filename))
 
@@ -469,23 +474,25 @@ def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable,
         for entry in lst[1:]:
             pair = _expect_list(entry, "a (formula value) alternative", filename)
             if len(pair) != 2 or not isinstance(pair[1], Fraction):
-                raise _fail("alternatives are written (formula value)", filename)
+                raise _fail("alternatives are written (formula value)", filename,
+                            form=pair)
             alts.append((_parse_bdf(pair[0], domain, arities, filename), pair[1]))
         if not alts:
-            raise _fail("(>> ...) needs at least one alternative", filename)
+            raise _fail("(>> ...) needs at least one alternative", filename,
+                        form=lst)
         try:
             return F.Atomic(F.APF(tuple(alts)))
         except BadValueOrder as e:
-            raise BadValueOrder(str(e), filename) from None
+            raise BadValueOrder(e.message, filename, form=lst) from None
     if head == "if":
         if len(lst) != 3:
-            raise _fail("(if condition preference)", filename)
+            raise _fail("(if condition preference)", filename, form=lst)
         return F.Cond(_parse_bdf(lst[1], domain, arities, filename),
                       _parse_gpf(lst[2], domain, arities, filename))
     if head in ("&!", "|!"):
         if len(lst) < 3:
             raise _fail(f"({head} ...) needs at least two preferences", filename,
-                        head)
+                        head, lst)
         parts = tuple(_parse_gpf(p, domain, arities, filename) for p in lst[1:])
         return F.Conj(parts) if head == "&!" else F.Disj(parts)
     return F.bdf_gpf(_parse_bdf(x, domain, arities, filename))

@@ -74,28 +74,38 @@ def corpus_results():
 # runs before the corpus fixture exists: the wall-time comparison is
 # sensitive to GC pressure from the thousands of traces that fixture keeps
 # alive, and measuring both modes on a small heap keeps it fair and stable
+#
+# Each side's time is its fastest of three runs: a single 3-6 ms solve can
+# lose to one scheduler pause or collector run on a shared machine, and
+# such interference only ever adds time.
 def test_criterion_4_guided_search_beats_enumeration():
     gc.collect()
+    caps = EnumerationCaps(max_seconds=60.0)
     candidates = []
     for suite, k in fixture_ids():
         problem = load_fixture(suite, k)
-        oracle = enumerate_all(problem,
-                               EnumerationCaps(max_seconds=60.0))
+        oracle = enumerate_all(problem, caps)
         if oracle.plan_count >= 90:
             candidates.append((f"{suite}-{k}", suite, k, oracle))
     assert candidates, "no large fixtures found"
     wins = 0
     details = []
     for name, suite, k, oracle in candidates:
-        result = solve(load_fixture(suite, k), SolveConfig(timeout=60.0))
+        # every run on a fresh parse, whose grounding cache starts empty
+        t_enum = min([oracle.stats.elapsed] + [
+            enumerate_all(load_fixture(suite, k), caps).stats.elapsed
+            for _ in range(2)])
+        runs = [solve(load_fixture(suite, k), SolveConfig(timeout=60.0))
+                for _ in range(3)]
+        result = runs[0]
+        t_solve = min(r.stats.elapsed for r in runs)
         ne_win = result.stats.nodes_expanded < oracle.stats.nodes_expanded
-        t_win = result.stats.elapsed < oracle.stats.elapsed
+        t_win = t_solve < t_enum
         wins += ne_win and t_win
         details.append(
             f"{name}: NE {result.stats.nodes_expanded}"
             f"<{oracle.stats.nodes_expanded}={ne_win},"
-            f" t {result.stats.elapsed:.3f}<{oracle.stats.elapsed:.3f}"
-            f"={t_win}")
+            f" t {t_solve:.3f}<{t_enum:.3f}={t_win}")
     ratio = wins / len(candidates)
     report(4, "guided beats brute force", ratio >= 0.9,
            f"{wins}/{len(candidates)} wins; " + "; ".join(details))

@@ -152,6 +152,44 @@ class TestErrorLocations:
                           " (ghost)))", mini_domain)
         assert (exc.value.line, exc.value.col) == (2, 26)
 
+    # one preference shape error each, on line 2 or later: the text, the
+    # line:col of the list it is about, and the start of its message
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("(and (paid)\n     ())", 2, 6, "empty formula"),
+        ("(and (paid)\n  ((paid)))", 2, 3, "formula head must be a symbol"),
+        ("(and (paid)\n  (always (paid) (paid)))", 2, 3,
+         "expected (always formula)"),
+        ("(and (paid)\n\n   (forall (?x)))", 3, 4,
+         "expected (forall (?var+) formula)"),
+        ("(and (paid)\n  (exists () (paid)))", 2, 3,
+         "(exists ...) needs at least one variable"),
+        ("(and (paid)\n  (forall (?x y) (paid)))", 2, 3,
+         "quantified name 'y' must start with '?'"),
+        ("(and (paid)\n  (if (paid) (paid)))", 2, 3,
+         "if is a preference connective"),
+        ("(>> ((paid) 0)\n    ((paid)))", 2, 5,
+         "alternatives are written (formula value)"),
+        ("(&! (paid)\n  (>>))", 2, 3, "(>> ...) needs at least one alternative"),
+        ("(&! (paid)\n  (if (paid)))", 2, 3, "(if condition preference)"),
+        ("(&! (paid)\n  (|! (paid)))", 2, 3,
+         "(|! ...) needs at least two preferences"),
+    ], ids=["empty", "head", "shape", "quantifier-shape", "no-variable",
+            "not-a-variable", "connective", "alternative", "no-alternative",
+            "if", "too-few-preferences"])
+    def test_preference_shape_error_reports_its_list(self, mini_domain, text,
+                                                     line, col, message):
+        with pytest.raises(ParseError) as exc:
+            parse_preference(text, mini_domain, "p.pref")
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value).startswith(f"p.pref:{line}:{col}: {message}")
+
+    def test_bad_value_order_reports_its_list_once(self, mini_domain):
+        with pytest.raises(BadValueOrder) as exc:
+            parse_preference("(&! (paid)\n  (>> ((occ (!pay)) 1/2)"
+                             " ((occ (!pay)) 0)))", mini_domain, "p.pref")
+        assert str(exc.value) == \
+            "p.pref:2:3: first alternative value must be 0, got 1/2"
+
 
 class TestParsePreference:
     def test_quantified_bdf(self):

@@ -7,8 +7,9 @@ formulas (conditional / conjunctive / disjunctive aggregation).
 
 Weights are exact rationals in [0, 1]; 0 is best, 1 is worst. Negation is
 pushed to atoms at construction time (nnf); the extended constructs TrueC,
-FalseC, OccNext, Terminated, Last and Mon only ever appear as progression
-outputs.
+FalseC, OccNext, Terminated, Last and Window only ever appear in
+progression: Window and the OccNext under a Next where progression.unfold
+writes out the before/hold* constructs, the others as progression outputs.
 
 Every node class derives from model.Node: it declares its fields as
 annotations, and is an immutable value equal by class and fields, so
@@ -141,26 +142,17 @@ class Last(Node):
     """True exactly at the final trace index (arises from nnf of Not(Next ...))."""
 
 
-class Mon(Node):
-    """Three-valued monitor for a pending before/hold* construct.
+class Window(Node):
+    """True where t1 has terminated and t2 has neither started nor
+    terminated (semantics.window_open): the before/hold-between window."""
 
-    construct is "before", "hold-before", "hold-after" or "hold-between";
-    armed/fprev are the bookkeeping bits of the stepping rules. Resolution
-    replaces the node with TrueC/FalseC (flipped when neg is set).
-    """
-
-    construct: str
     t1: Ref
-    lit: Literal = None
-    t2: Ref = None
-    neg: bool = False
-    armed: bool = False
-    fprev: bool = False
+    t2: Ref
 
 
 BDF = Union[TrueC, FalseC, LitF, Final, Occ, Apply, Before, HoldBefore,
             HoldAfter, HoldBetween, Not, And, Or, Exists, Forall, Next,
-            Always, Eventually, Until, OccNext, Terminated, Last, Mon]
+            Always, Eventually, Until, OccNext, Terminated, Last, Window]
 
 
 # --- APF / GPF ----------------------------------------------------------------
@@ -219,7 +211,7 @@ def node_fields(node) -> tuple:
     return tuple(vars(node).values())
 
 
-_KEPT = (str, bool, type(None))
+_KEPT = (str,)
 
 
 def _map_field(v, f, f_ref, f_lit):
@@ -241,7 +233,7 @@ def _same(x):
 def rebuild(phi: BDF, f, f_ref=_same, f_lit=_same) -> BDF:
     """A node of phi's class with f applied to each sub-formula (a tuple of
     parts element by element), f_ref to each Ref and f_lit to each Literal;
-    str, bool and None fields are kept."""
+    str fields are kept."""
     return type(phi)(*(_map_field(v, f, f_ref, f_lit)
                        for v in node_fields(phi)))
 
@@ -341,7 +333,7 @@ def const(b: bool) -> BDF:
 # --- negation normal form -------------------------------------------------------
 
 _ATOMIC_NEGATABLE = (Occ, Apply, Terminated, Before, HoldBefore,
-                     HoldAfter, HoldBetween, OccNext, Mon, Last)
+                     HoldAfter, HoldBetween, OccNext, Window, Last)
 
 # Negating one of these swaps it for its dual and negates its sub-formulas
 # and its literal.

@@ -104,9 +104,9 @@ class Node(Value):
 
     A subclass declares its fields as annotations, in order; a class
     attribute named like a field is that field's default. A node is built
-    Cls(v1, v2, ...), with keywords where wanted, and Node.replace(**changes)
-    makes an updated copy. Node reads its subclasses' annotations once, in
-    __init_subclass__; the fields live in the instance __dict__.
+    Cls(v1, v2, ...), with keywords where wanted. Node reads its subclasses'
+    annotations once, in __init_subclass__; the fields live in the instance
+    __dict__.
     """
 
     __slots__ = ()
@@ -140,10 +140,6 @@ class Node(Value):
         return self is other or vars(self) == vars(other)
 
     __hash__ = Value.__hash__
-
-    def replace(self, **changes):
-        """A node of the same class with the named fields changed."""
-        return type(self)(**{**vars(self), **changes})
 
 
 def is_var(term: str) -> bool:

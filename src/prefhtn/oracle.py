@@ -38,17 +38,17 @@ class OracleResult(Record):
                  best_plan: Optional[tuple[OperatorEvent, ...]],
                  best_weight: Optional[Fraction],
                  all_weights: tuple[Fraction, ...], stats: SearchStats,
-                 traces: tuple[Trace, ...] = ()):
+                 traces: tuple[Trace, ...]):
         self.plan_count = plan_count
         self.best_plan = best_plan
         self.best_weight = best_weight
         self.all_weights = all_weights  # multiset, in enumeration order
         self.stats = stats
-        self.traces = traces
+        self.traces = traces  # in enumeration order, as all_weights
 
 
-def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
-                  keep_traces: bool = False) -> OracleResult:
+def enumerate_all(problem: Problem, caps: EnumerationCaps = None
+                  ) -> OracleResult:
     """Depth-first exhaustive enumeration of all solution plans.
 
     Deterministic: children come out in method declaration order, then
@@ -82,7 +82,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
         if best_i is not None:
             stats.plan_length = len(best_plan)
         return OracleResult(len(traces), best_plan, best_w, weights, stats,
-                            tuple(traces) if keep_traces else ())
+                            tuple(traces))
 
     stack: list[SearchNode] = [make_root(problem, with_preference=False)]
     while stack:
@@ -138,7 +138,7 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
     """
     caps = caps or EnumerationCaps()
     config = config or SolveConfig()
-    oracle = enumerate_all(problem, caps, keep_traces=True)
+    oracle = enumerate_all(problem, caps)
     result = solve(problem, config)
 
     report = CheckReport(problem.name, oracle.plan_count,

@@ -253,16 +253,16 @@ def operators_form(lst, operators, arities, filename) -> None:
 
 def method_form(lst, arities, filename) -> Method:
     if len(lst) < 2:
-        raise _fail(":method needs a head task", filename)
+        raise _fail(":method needs a head task", filename, form=lst)
     head = _parse_task(lst[1], filename)
     if head.primitive:
         raise _fail(f"method head {head.name} must be nonprimitive", filename,
-                    head.name)
+                    head.name, form=lst)
     sections = _keyword_sections(
         lst[2:], {":name": True, ":pre": True, ":tasks": True,
                   ":unordered": False, ":before": True}, filename)
     if ":name" not in sections:
-        raise _fail("method needs :name", filename)
+        raise _fail("method needs :name", filename, form=lst)
     branch = _expect_symbol(sections[":name"], "a branch name", filename)
     pre = tuple(_parse_literal(l, filename)
                 for l in _expect_list(sections.get(":pre", []), ":pre list", filename))
@@ -274,13 +274,16 @@ def method_form(lst, arities, filename) -> Method:
     for entry in _expect_list(sections.get(":before", []), ":before list", filename):
         pair = _expect_list(entry, "a (literal index) pair", filename)
         if len(pair) != 2 or not isinstance(pair[1], Fraction) or pair[1].denominator != 1:
-            raise _fail(":before entries are (literal index)", filename)
+            raise _fail(":before entries are (literal index)", filename,
+                        form=lst)
         idx = int(pair[1])
         if not 0 <= idx < len(subtasks):
-            raise _fail(f":before index {idx} out of range", filename, str(idx))
+            raise _fail(f":before index {idx} out of range", filename, idx,
+                        form=lst)
         before.append((_parse_literal(pair[0], filename), idx))
     if before and unordered:
-        raise _fail(":before cannot be combined with :unordered", filename)
+        raise _fail(":before cannot be combined with :unordered", filename,
+                    form=lst)
 
     for lit in pre:
         arities.note(lit.atom)
@@ -295,18 +298,19 @@ def method_form(lst, arities, filename) -> Method:
             if is_var(a) and a not in bound:
                 raise _fail(f"variable {a} of negative precondition {lit} of "
                             f"method {branch} is not bound by the head or a "
-                            "positive precondition", filename, a)
+                            "positive precondition", filename, a, form=lst)
     for st in subtasks:
         for a in st.args:
             if is_var(a) and a not in bound:
                 raise _fail(f"subtask variable {a} of method {branch} is not bound "
-                            "by the head or preconditions", filename, a)
+                            "by the head or preconditions", filename, a,
+                            form=lst)
     for lit, _ in before:
         arities.note(lit.atom)
         for a in lit.atom.args:
             if is_var(a) and a not in bound:
                 raise _fail(f":before variable {a} of method {branch} is unbound",
-                            filename, a)
+                            filename, a, form=lst)
     return Method(branch, head, pre, subtasks, unordered, tuple(before))
 
 

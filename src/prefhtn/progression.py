@@ -32,10 +32,11 @@ Residual conventions (all indices relative to the event sequence):
 
   * occ(X) and apply(X) hatch occNext(X) and eventually(terminated(X));
     occNext is resolved against the next event.
-  * before/hold* constructs hatch three-valued monitors; pending monitors
-    count as satisfied under the optimistic bound and falsified under the
-    pessimistic one. Hatching is the fresh monitor's ordinary step, with
-    the event hidden, since the event precedes the construct's first index.
+  * before/hold* constructs are unfolded once, before the first step, into
+    the LTL formulas they abbreviate (unfold), over at(t) = next(occNext(t)),
+    terminated and the Window leaf of the t1/t2 window. Any obligation still
+    pending counts as satisfied under the optimistic bound and falsified
+    under the pessimistic one.
   * final(l) stays open until the terminal step. Its pessimistic bound is
     "unsatisfied", not the current value of l: a fluent that is true now but
     deleted later would otherwise let the pessimistic weight increase along
@@ -95,83 +96,45 @@ class StepContext(NamedTuple):
 
 
 def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
-    """Ground the quantifiers and number the BDFs (no step yet). map_gpf and
-    gpf_bdfs both visit a Cond's condition before its body, so the numbers
-    are the positions in gpf_bdfs."""
+    """Ground the quantifiers, unfold the before/hold* constructs and number
+    the BDFs (no step yet). map_gpf and gpf_bdfs both visit a Cond's
+    condition before its body, so the numbers are the positions in
+    gpf_bdfs."""
     gpf = F.expand_gpf(gpf, universe)
     counter = itertools.count()
     automaton = Automaton()
     return Progressed(F.map_gpf(gpf, lambda _: next(counter)),
-                      tuple(automaton.intern(b) for b in F.gpf_bdfs(gpf)),
+                      tuple(automaton.intern(unfold(b))
+                            for b in F.gpf_bdfs(gpf)),
                       automaton)
 
 
-# --- monitors ---------------------------------------------------------------------
+def _at(t: F.Ref) -> F.BDF:
+    """Event k matches t, read at index k: the Next hides the event before
+    the index, which OccNext alone would read."""
+    return F.Next(F.OccNext(t))
 
-def _resolve(value: bool, neg: bool) -> F.BDF:
-    return F.const(value != neg)
 
-
-def _monitor(phi: F.BDF, neg: bool) -> F.Mon:
-    """The fresh, unarmed monitor of a before/hold* construct."""
-    if isinstance(phi, F.Before):
-        return F.Mon("before", phi.t1, None, phi.t2, neg)
+def unfold(phi: F.BDF) -> F.BDF:
+    """phi with each before/hold* construct written as the LTL formula it
+    abbreviates (see semantics), over at, terminated and the t1/t2 window."""
     if isinstance(phi, F.HoldBefore):
-        return F.Mon("hold-before", phi.t, phi.lit, None, neg)
+        return F.Eventually(F.And((F.LitF(phi.lit), _at(phi.t))))
     if isinstance(phi, F.HoldAfter):
-        return F.Mon("hold-after", phi.t, phi.lit, None, neg)
-    return F.Mon("hold-between", phi.t1, phi.lit, phi.t2, neg)
-
-
-def _hatch(phi: F.BDF, neg: bool, ctx: StepContext) -> F.BDF:
-    """The construct's fresh monitor stepped through ctx without its event,
-    which precedes the construct's first index."""
-    return _step_monitor(_monitor(phi, neg),
-                         StepContext(None, ctx.state, ctx.terminal))
-
-
-def _step_monitor(mon: F.Mon, ctx: StepContext) -> F.BDF:
-    event, state = ctx.event, ctx.state
-
-    if mon.construct == "before":
-        if event is not None and semantics.event_matches(event, mon.t2):
-            return _resolve(mon.armed, mon.neg)
-        if ctx.terminal:
-            return _resolve(False, mon.neg)
-        return mon.replace(armed=mon.armed
-                           or semantics.window_open(state, mon.t1, mon.t2))
-
-    if mon.construct == "hold-before":
-        if (event is not None and semantics.event_matches(event, mon.t1)
-                and mon.fprev):
-            return _resolve(True, mon.neg)
-        if ctx.terminal:
-            return _resolve(False, mon.neg)
-        return mon.replace(fprev=state.holds(mon.lit))
-
-    if mon.construct == "hold-after":
-        if semantics.terminated_at(state, mon.t1) and state.holds(mon.lit):
-            return _resolve(True, mon.neg)
-        if ctx.terminal:
-            return _resolve(False, mon.neg)
-        return mon
-
-    if mon.construct == "hold-between":
-        if event is not None and semantics.event_matches(event, mon.t2):
-            return _resolve(mon.armed, mon.neg)
-        if ctx.terminal:
-            return _resolve(False, mon.neg)
-        armed = ((mon.armed or semantics.window_open(state, mon.t1, mon.t2))
-                 and state.holds(mon.lit))
-        return mon.replace(armed=armed)
-
-    raise TypeError(f"unknown monitor {mon.construct}")
+        return F.Eventually(F.And((F.Terminated(phi.t), F.LitF(phi.lit))))
+    if isinstance(phi, F.Before):
+        at2 = _at(phi.t2)
+        return F.And((F.Until(F.Not(at2), F.Window(phi.t1, phi.t2)),
+                      F.Eventually(at2)))
+    if isinstance(phi, F.HoldBetween):
+        at2, held = _at(phi.t2), F.LitF(phi.lit)
+        return F.Until(F.Not(at2), F.And((
+            F.Window(phi.t1, phi.t2),
+            F.Until(held, F.And((held, at2))))))
+    return F.rebuild(phi, unfold)
 
 
 # --- one progression step ----------------------------------------------------------
-
-_MONITORED = (F.Before, F.HoldBefore, F.HoldAfter, F.HoldBetween)
-
 
 def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
     """Progress one residual BDF through one step."""
@@ -198,15 +161,10 @@ def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
     if isinstance(phi, F.Last):
         # a non-terminal step has a successor, so its index is not the last
         return F.const(ctx.terminal)
-    if isinstance(phi, F.Mon):
-        return _step_monitor(phi, ctx)
-    if isinstance(phi, _MONITORED):
-        return _hatch(phi, False, ctx)
+    if isinstance(phi, F.Window):
+        return F.const(semantics.window_open(ctx.state, phi.t1, phi.t2))
     if isinstance(phi, F.Not):
-        sub = phi.sub
-        if isinstance(sub, _MONITORED):
-            return _hatch(sub, True, ctx)
-        inner = progress_bdf(sub, ctx)
+        inner = progress_bdf(phi.sub, ctx)
         if isinstance(inner, F.TrueC):
             return F.FALSE
         if isinstance(inner, F.FalseC):
@@ -246,8 +204,8 @@ def step(pf: Progressed, ctx: StepContext) -> Progressed:
 
 def _sat(phi: F.BDF, opt: bool) -> bool:
     """Whether one residual counts as satisfied under the optimistic (opt)
-    or the pessimistic view. It reads no state: progress_bdf only builds
-    Terminated under Eventually, where the walk stops."""
+    or the pessimistic view. It reads no state: Terminated appears only
+    under Eventually and Window only under Until, where the walk stops."""
     if isinstance(phi, F.TrueC):
         return True
     if isinstance(phi, F.FalseC):
@@ -292,21 +250,8 @@ def _reads(phi: F.BDF) -> list:
         return [(semantics.event_matches, (phi.ref,))]
     if isinstance(phi, F.Terminated):
         return [(semantics.terminated_at, (phi.ref,))]
-    if isinstance(phi, _MONITORED):  # hatching hides the event
-        return [r for r in _reads(_monitor(phi, False))
-                if r[0] is not semantics.event_matches]
-    if isinstance(phi, F.Mon):
-        if phi.construct == "hold-before":
-            reads = [(semantics.event_matches, (phi.t1,))]
-        elif phi.construct == "hold-after":
-            reads = [(semantics.terminated_at, (phi.t1,))]
-        else:  # an armed window stays armed without looking again
-            reads = [(semantics.event_matches, (phi.t2,))]
-            if not phi.armed:
-                reads.append((semantics.window_open, (phi.t1, phi.t2)))
-        if phi.lit is not None:
-            reads.append((State.holds, (phi.lit,)))
-        return reads
+    if isinstance(phi, F.Window):
+        return [(semantics.window_open, (phi.t1, phi.t2))]
     if isinstance(phi, (F.Not, F.Always, F.Eventually)):
         return _reads(phi.sub)
     if isinstance(phi, (F.And, F.Or)):

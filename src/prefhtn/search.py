@@ -27,8 +27,8 @@ HTN state and the state of the preference automaton:
   * one bit per ground reference whose termination progression can read
     (_terminated_refs): whether an instance it matches has terminated.
 The agenda decides the nesting depth, so the depth cap needs no entry.
-Nothing downstream reads an instance uid: event_matches, window_open and the
-monitors read references only. The executing set needs no entry, as each
+Nothing downstream reads an instance uid: event_matches, terminated_at and
+window_open read references only. The executing set needs no entry, as each
 executing instance has exactly one end event on the agenda. So two nodes
 with equal signatures have the same completions at the same weights, and
 equal bounds. The key is checked when a node is popped: of two equal nodes
@@ -314,12 +314,9 @@ class _Expander:
 def _terminated_refs(phi: F.BDF):
     """The refs whose terminated_at progression may read on phi or on a
     residual phi progresses to: every ref but those only ever matched
-    against events (an operator's occ, an OccNext, the task of a
-    hold-before)."""
-    event_only = (isinstance(phi, F.Occ) and phi.ref.kind == "op"
-                  or isinstance(phi, (F.OccNext, F.HoldBefore))
-                  or isinstance(phi, F.Mon) and phi.construct == "hold-before")
-    if not event_only:
+    against events (an operator's occ, an OccNext)."""
+    if not (isinstance(phi, F.Occ) and phi.ref.kind == "op"
+            or isinstance(phi, F.OccNext)):
         yield from (v for v in F.node_fields(phi) if isinstance(v, F.Ref))
     for p in F.children(phi):
         yield from _terminated_refs(p)

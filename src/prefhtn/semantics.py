@@ -198,7 +198,7 @@ def _join(lab: _Labels, phi, env: tuple) -> int:
 
 
 # One rule per node class, rule(labels, phi, env) -> label. Progression-
-# internal nodes (Mon, OccNext) have none.
+# internal nodes (OccNext, Window) have none.
 _RULES = {
     F.TrueC: lambda lab, phi, env: lab.full,
     F.FalseC: lambda lab, phi, env: 0,

@@ -65,7 +65,7 @@ def corpus_results():
     """(name, problem, oracle-with-traces, solve result) for the corpus."""
     results = []
     for name, problem in _corpus():
-        oracle = enumerate_all(problem, CAPS, keep_traces=True)
+        oracle = enumerate_all(problem, CAPS)
         result = solve(problem)
         results.append((name, problem, oracle, result))
     return results

@@ -57,7 +57,7 @@ EXAMPLES = {
     F.OccNext: (OP,),
     F.Terminated: (TASK,),
     F.Last: (),
-    F.Mon: ("hold-between", OP, LIT, TASK, True, True, False),
+    F.Window: (OP, TASK),
     F.APF: (((P, Fraction(0)), (Q, Fraction(1, 2))),),
     F.Atomic: (F.APF(((P, Fraction(0)),)),),
     F.Cond: (P, F.bdf_gpf(Q)),
@@ -65,8 +65,6 @@ EXAMPLES = {
     F.Disj: ((F.bdf_gpf(P), F.bdf_gpf(Q)),),
 }
 CLASSES = sorted(EXAMPLES, key=lambda c: c.__name__)
-# A value for any field that differs from the example's (APF checks its).
-CHANGED = {F.APF: ((Q, Fraction(0)),)}
 
 
 def example(cls):
@@ -107,21 +105,6 @@ class TestEveryNodeClass:
         inner = ", ".join(f"{f}={v!r}" for f, v in
                           zip(cls._fields, EXAMPLES[cls]))
         assert repr(node) == f"{cls.__name__}({inner})"
-
-    def test_replace_keeps_the_class_and_the_other_fields(self, cls):
-        node = example(cls)
-        assert node.replace() == node
-        for f in cls._fields:
-            value = CHANGED.get(cls, "?z")
-            changed = node.replace(**{f: value})
-            assert type(changed) is cls
-            assert getattr(changed, f) == value
-            assert changed != node
-            assert [getattr(changed, g) for g in cls._fields if g != f] == \
-                [getattr(node, g) for g in cls._fields if g != f]
-        assert node == example(cls)  # the original is untouched
-        with pytest.raises(TypeError):
-            node.replace(no_such_field=1)
 
     def test_wrong_field_count_raises(self, cls):
         with pytest.raises(TypeError):
@@ -206,7 +189,6 @@ def test_records_take_keywords_and_apply_defaults():
             stats.elapsed, stats.plan_length) == (0, 0, 0, 0.0, None)
     assert Task("t") == Task("t", (), False)
     assert Operator("go", (), pre=(LIT,)) == Operator("go", (), (LIT,), (), ())
-    assert Operator("go", ()).replace(add=(LIT.atom,)).add == (LIT.atom,)
     with pytest.raises(TypeError):
         Operator("go", (), (), pre=())  # pre given twice
     with pytest.raises(TypeError):
@@ -298,22 +280,8 @@ def test_field_order_matches_the_parser_table():
 def test_defaults_apply():
     assert F.Ref("op", "a") == F.Ref("op", "a", ())
     assert F.Ref("op", "a").args == ()
-    mon = F.Mon("before", OP)
-    assert F.node_fields(mon) == ("before", OP, None, None, False, False,
-                                  False)
-    assert F.Mon("before", OP, None, TASK).t2 == TASK
     with pytest.raises(TypeError):
         F.Ref("op")
-    with pytest.raises(TypeError):
-        F.Mon("before")
-
-
-def test_replace_changes_only_the_named_monitor_bits():
-    mon = F.Mon("hold-between", OP, LIT, TASK)
-    armed = mon.replace(armed=True)
-    assert type(armed) is F.Mon and armed.armed and not mon.armed
-    assert armed == F.Mon("hold-between", OP, LIT, TASK, False, True, False)
-    assert armed.replace(armed=False) == mon
 
 
 @pytest.mark.parametrize("values", [

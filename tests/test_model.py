@@ -165,7 +165,7 @@ class TestTrace:
         checked = 0
         for suite, k in fixture_ids():
             problem = load_fixture(suite, k)
-            traces = list(enumerate_all(problem, keep_traces=True).traces)
+            traces = list(enumerate_all(problem).traces)
             result = solve(problem)
             if result.trace is not None:
                 traces.append(result.trace)

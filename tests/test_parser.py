@@ -183,6 +183,40 @@ class TestErrorLocations:
         assert (exc.value.line, exc.value.col) == (line, col)
         assert str(exc.value).startswith(f"p.pref:{line}:{col}: {message}")
 
+    # one method error each, in the second method of a domain: the line:col
+    # of its (:method ...), the start of its message and its token
+    @pytest.mark.parametrize("method, message, token", [
+        ("(:method)", ":method needs a head task", None),
+        ("(:method (!a) :name m :pre () :tasks ())",
+         "method head a must be nonprimitive", "a"),
+        ("(:method (t) :pre () :tasks ((!a)))", "method needs :name", None),
+        ("(:method (t) :name m :pre () :tasks ((!a)) :before (((p))))",
+         ":before entries are (literal index)", None),
+        ("(:method (t) :name m :pre () :tasks ((!a)) :before (((p) 1)))",
+         ":before index 1 out of range", "1"),
+        ("(:method (t) :name m :pre () :tasks ((!a)) :unordered\n"
+         "     :before (((p) 0)))",
+         ":before cannot be combined with :unordered", None),
+        ("(:method (t ?x) :name m :pre ((not (p ?y))) :tasks ((!a)))",
+         "variable ?y of negative precondition", "?y"),
+        ("(:method (t) :name m :pre () :tasks ((!b ?y)))",
+         "subtask variable ?y of method m", "?y"),
+        ("(:method (t) :name m :pre () :tasks ((!a)) :before (((p ?y) 0)))",
+         ":before variable ?y of method m is unbound", "?y"),
+    ], ids=["no-head", "primitive-head", "no-name", "before-entry",
+            "before-range", "before-unordered", "negative-precondition",
+            "subtask-variable", "before-variable"])
+    def test_method_error_reports_its_method(self, method, message, token):
+        text = ("(domain d\n  (:operator (!a) :pre () :del () :add ())\n"
+                "  (:operator (!b ?v) :pre () :del () :add ())\n"
+                "  (:method (t) :name ok :pre () :tasks ((!a)))\n"
+                f"\n   {method})")
+        with pytest.raises(ParseError) as exc:
+            parse_domain(text, "d.htn")
+        assert (exc.value.line, exc.value.col) == (6, 4)
+        assert str(exc.value).startswith(f"d.htn:6:4: {message}")
+        assert exc.value.token == token
+
     def test_bad_value_order_reports_its_list_once(self, mini_domain):
         with pytest.raises(BadValueOrder) as exc:
             parse_preference("(&! (paid)\n  (>> ((occ (!pay)) 1/2)"

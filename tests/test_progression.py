@@ -1,4 +1,5 @@
-"""Progression rules, monitors, and the optimistic/pessimistic bounds."""
+"""Progression rules, the before/hold-* constructs, and the
+optimistic/pessimistic bounds."""
 
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from conftest import fixture_ids, load_fixture
 
 import prefhtn.formulas as F
 import prefhtn.progression as P
+from prefhtn.model import OperatorEvent, State, replay
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
-from prefhtn.parser import parse_preference
+from prefhtn.parser import parse_domain, parse_preference
 from prefhtn.progression import Bounds, progress_trace
 from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.semantics import weight_gpf
@@ -66,7 +68,7 @@ class TestProgressionRules:
         assert w == 1
 
 
-class TestMonitors:
+class TestConstructs:
     @pytest.mark.parametrize("text,expected", [
         # book-train ends before pay begins
         ("(before (!book-train) (!pay))", 0),
@@ -80,11 +82,11 @@ class TestMonitors:
         ("(hold-after (arrange-trans) (has-car))", 1),
         ("(hold-between (!book-train) (has-ticket) (!pay))", 0),
         ("(hold-between (!book-train) (paid) (!pay))", 1),
-        # negated monitors resolve to the opposite constant
+        # a negated construct resolves to the opposite constant
         ("(not (before (!pay) (!book-train)))", 0),
         ("(not (hold-before (!pay) (has-ticket)))", 1),
     ])
-    def test_monitor_weights(self, mini_domain, mini_trace, text, expected):
+    def test_construct_weights(self, mini_domain, mini_trace, text, expected):
         weight, _ = replay_pref(text, mini_domain, mini_trace)
         assert weight == expected
 
@@ -107,12 +109,69 @@ class TestMonitors:
         "(eventually (apply (by-train-trans)))",
         "(not (apply (by-car-trans)))",
     ])
-    def test_monitors_match_direct_semantics(self, mini_domain, mini_trace,
-                                             text):
+    def test_constructs_match_direct_semantics(self, mini_domain,
+                                               mini_trace, text):
         gpf = parse_preference(text, mini_domain)
         universe = ("train",)
         [(weight, _)] = progress_trace(gpf, [mini_trace], universe)
         assert weight == weight_gpf(mini_trace, gpf, universe)
+
+
+# Operators only: an operator terminates at its own event, so before(t1, t2)
+# has its window open from the t1 event up to the t2 event.
+TIMING_DOMAIN = """
+(domain timing
+  (:operator (!t1) :pre () :del () :add ())
+  (:operator (!t2) :pre () :del () :add ())
+  (:operator (!set) :pre () :del () :add ((l)))
+  (:operator (!clear) :pre () :del ((l)) :add ())
+  (:operator (!wait) :pre () :del () :add ()))
+"""
+# The bounds after each step, the initial one first: "?" is (0, 1), "0" is
+# (0, 0) and "1" is (1, 1).
+BOUNDS = {"?": Bounds(Fraction(0), Fraction(1)),
+          "0": Bounds(Fraction(0), Fraction(0)),
+          "1": Bounds(Fraction(1), Fraction(1))}
+NEGATED = {"?": "?", "0": "1", "1": "0"}
+
+
+class TestBoundsTiming:
+    @pytest.mark.parametrize("text,plan,expected", [
+        # t2 occurs while the window is closed: falsified by the t2 event
+        ("(before (!t1) (!t2))", "t2 t1 wait", "?111"),
+        # armed by the t1 event, satisfied by the t2 event
+        ("(before (!t1) (!t2))", "t1 wait t2 wait", "???00"),
+        # armed, but t2 never comes: falsified at the terminal step
+        ("(before (!t1) (!t2))", "t1 wait", "??1"),
+        # l holds in the state the t2 event leaves from
+        ("(hold-before (!t2) (l))", "set t2 wait", "??00"),
+        # l only holds after the t2 event
+        ("(hold-before (!t2) (l))", "t2 set", "??1"),
+        # the event itself clears or sets l: what counts is the state it
+        # leaves from
+        ("(hold-before (!clear) (l))", "set clear", "??0"),
+        ("(hold-before (!set) (l))", "set", "?1"),
+        ("(hold-after (!t1) (l))", "t1 set wait", "??00"),
+        # l held only before t1 terminated
+        ("(hold-after (!t1) (l))", "set clear t1", "???1"),
+        ("(hold-between (!t1) (l) (!t2))", "set t1 wait t2 wait", "????00"),
+        # l cleared inside the window: it could still come back before t2
+        ("(hold-between (!t1) (l) (!t2))", "set t1 clear t2", "????1"),
+        ("(hold-between (!t1) (l) (!t2))", "t2 set t1", "?111"),
+    ])
+    @pytest.mark.parametrize("negated", [False, True], ids=["pos", "neg"])
+    def test_bounds_after_every_step(self, text, plan, expected, negated):
+        domain = parse_domain(TIMING_DOMAIN, "<timing>")
+        if negated:
+            text = f"(not {text})"
+            expected = "".join(NEGATED[c] for c in expected)
+        events = [OperatorEvent(name, (), uid)
+                  for uid, name in enumerate(plan.split())]
+        trace = replay(State(frozenset()), events, domain)
+        gpf = parse_preference(text, domain)
+        [(weight, bnds)] = progress_trace(gpf, [trace], ())
+        assert bnds == [BOUNDS[c] for c in expected]
+        assert weight == weight_gpf(trace, gpf) == bnds[-1].opt
 
 
 class TestBounds:
@@ -152,7 +211,7 @@ class TestBounds:
 class TestAgainstOracle:
     def test_travel4_optimal_weight_and_bracketing(self):
         problem = load_fixture("travel", 4)
-        oracle = enumerate_all(problem, keep_traces=True)
+        oracle = enumerate_all(problem)
         assert oracle.best_weight == Fraction(2, 5)
         universe = problem.constants
         for trace in oracle.traces:
@@ -202,7 +261,7 @@ class TestAutomaton:
         for problem in problems:
             root = P.init_progressed(problem.preference_or_empty,
                                      problem.constants)
-            oracle = enumerate_all(problem, keep_traces=True)
+            oracle = enumerate_all(problem)
             for trace in oracle.traces:
                 pf, plain = root, root.residuals
                 n = len(trace.events)
@@ -228,7 +287,7 @@ class TestSharedReplay:
         traces = 0
         for problem in problems:
             gpf, universe = problem.preference_or_empty, problem.constants
-            oracle = enumerate_all(problem, keep_traces=True)
+            oracle = enumerate_all(problem)
             shared = progress_trace(gpf, oracle.traces, universe)
             alone = [progress_trace(gpf, [t], universe)[0]
                      for t in oracle.traces]

@@ -273,7 +273,7 @@ class TestExpansion:
             children = exp.expand(node)
             assert all(c.trace.length > node.trace.length for c in children)
             frontier.extend(children)
-        enumerated = enumerate_all(problem, keep_traces=True).traces
+        enumerated = enumerate_all(problem).traces
         assert sorted(map(str, plans)) \
             == sorted(str(t.plan()) for t in enumerated)
 
@@ -330,7 +330,7 @@ class TestSatisfiers:
                      for seed in range(20)]
         calls, branches = 0, set()
         for problem in problems:
-            for trace in enumerate_all(problem, keep_traces=True).traces:
+            for trace in enumerate_all(problem).traces:
                 for event, state in zip(trace.events, trace.states):
                     if not (isinstance(event, StartEvent)
                             and event.inst.kind == "task"):
@@ -399,7 +399,7 @@ class TestUnorderedAndBefore:
 
     def test_unordered_plans(self):
         plans = {tuple(e.name for e in t.plan()) for t in enumerate_all(
-            self.problem("((two))"), keep_traces=True).traces}
+            self.problem("((two))")).traces}
         assert plans == {("a", "b"), ("b", "a"), ("b", "c")}
 
     @pytest.mark.parametrize("pref", UNORDERED_PREFS)
@@ -483,7 +483,7 @@ SIGNATURE_CASES = {
       (:method (top) :name t :pre () :tasks ((pick) (!wait) (!finish)))""",
                   "((top))", "(eventually (and (hot) (eventually (done))))",
                   0),
-    # only one branch has terminated the t1 of the hold-after; its monitor
+    # only one branch has terminated the t1 of the hold-after; its residual
     # is the same on both until (!setp)
     "terminated": ("""
       (:operator (!a) :pre () :del () :add ())

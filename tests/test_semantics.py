@@ -225,8 +225,7 @@ class TestDirectRules:
         assert parsed <= set(semantics._RULES)
 
     @pytest.mark.parametrize("phi", [
-        F.Mon("before", F.Ref("task", "arrange-trans", ()), None,
-              F.Ref("op", "pay", ())),
+        F.Window(F.Ref("task", "arrange-trans", ()), F.Ref("op", "pay", ())),
         F.OccNext(F.Ref("op", "pay", ())),
     ])
     def test_progression_nodes_have_no_rule(self, mini_trace, phi):
@@ -261,8 +260,7 @@ FLY_PROBLEM = """
 
 
 def enumerated(problem):
-    return enumerate_all(problem, EnumerationCaps(max_seconds=60.0),
-                         keep_traces=True).traces
+    return enumerate_all(problem, EnumerationCaps(max_seconds=60.0)).traces
 
 
 class TestLabelCost:

@@ -215,24 +215,26 @@ def _domain(exprs: list, filename: str) -> Domain:
 
 def operators_form(lst, operators, arities, filename) -> None:
     if len(lst) < 2:
-        raise _fail(":operator needs a head", filename)
+        raise _fail(":operator needs a head", filename, form=lst)
     head = _expect_list(lst[1], "an operator head", filename)
     if not head or not isinstance(head[0], str) or not head[0].startswith("!"):
         raise _fail("operator head must be (!name ?v*)", filename,
-                    head[0] if head else None)
+                    head[0] if head else None, form=lst)
     name = head[0][1:]
     if not name:
-        raise _fail("empty operator name", filename, head[0])
+        raise _fail("empty operator name", filename, head[0], form=lst)
     params = []
     for p in head[1:]:
         p = _expect_symbol(p, "a parameter variable", filename)
         if not is_var(p):
-            raise _fail(f"operator parameter {p!r} must be a variable", filename, p)
+            raise _fail(f"operator parameter {p!r} must be a variable",
+                        filename, p, form=lst)
         if p in params:
-            raise _fail(f"duplicate parameter {p}", filename, p)
+            raise _fail(f"duplicate parameter {p}", filename, p, form=lst)
         params.append(p)
     if name in operators:
-        raise DuplicateName(f"duplicate operator {name}", filename, token=name)
+        raise DuplicateName(f"duplicate operator {name}", filename,
+                            token=name, form=lst)
 
     sections = _keyword_sections(lst[2:], {":pre": True, ":del": True, ":add": True},
                                  filename)
@@ -247,7 +249,7 @@ def operators_form(lst, operators, arities, filename) -> None:
         for a in atom.args:
             if is_var(a) and a not in params:
                 raise _fail(f"variable {a} of operator {name} not in its parameters",
-                            filename, a)
+                            filename, a, form=lst)
     operators[name] = Operator(name, tuple(params), pre, add, delete)
 
 

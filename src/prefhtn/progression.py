@@ -10,16 +10,17 @@ the initial state (no event) and then once per event; the step that produces
 a complete plan is flagged terminal, at which point every residual collapses
 to a constant and the bounds coincide with the true weight.
 
-The steps run through an automaton that one search, or one progress_trace
-call, builds lazily and shares across its nodes or all of its traces. Its
-states are the interned residuals: each distinct residual is one object, so
-a state is found by identity. A residual's letter is the terminal flag plus
-the values of the reads progress_bdf makes of the step on it (holds on its
-literals; event_matches, terminated_at and executing_at, or window_open, on
-its refs), so the letter decides the successor and the transition is looked
-up instead of recomputed. A miss calls progress_bdf, which stays the one
-progression rule; _sat and the bounds are memoised the same way. Nothing is
-kept across searches or calls, so no problem sees another's residuals.
+The steps run through a two-level automaton that one search, or one
+progress_trace call, builds lazily and shares across its nodes or traces. A
+letter is the terminal flag plus the values of the reads progress_bdf makes
+of the step (holds on literals; event_matches, terminated_at and
+executing_at, or window_open, on refs): it decides the successor, so a
+transition met once is looked up after. Product states serve the hits: a
+Progressed, interned by its residual tuple, reads the union of its
+residuals' probes, and one lookup steps them all. Residual states serve the
+misses: each interned residual is stepped on its own letter, and a residual
+transition not met before calls progress_bdf, the one progression rule.
+Nothing is kept across searches or calls, so no problem sees another's.
 
 progress_trace also shares the steps themselves. The traces of one
 enumeration are parent-linked cells that share their prefixes, and a
@@ -56,11 +57,12 @@ from .model import State, Value, slot_setters
 
 
 class Progressed(Value):
-    """skeleton: the ground preference with BDF number i standing for
-    residuals[i], the residual of that BDF after the steps so far; every
-    residual is interned in automaton, which the whole search shares."""
+    """One product state: skeleton is the ground preference with BDF number
+    i standing for residuals[i], the residual of that BDF after the steps
+    so far. automaton interns it by its residuals; it keeps its probes and
+    transitions from its first step on (Automaton.probe), and its Bounds."""
 
-    __slots__ = ("skeleton", "residuals", "automaton")
+    __slots__ = ("skeleton", "residuals", "automaton", "_probes", "_bounds")
     _fields = ("skeleton", "residuals")
 
     def __init__(self, skeleton: F.GPF, residuals: tuple[F.BDF, ...],
@@ -68,10 +70,13 @@ class Progressed(Value):
         _progressed_skeleton(self, skeleton)
         _progressed_residuals(self, residuals)
         _progressed_automaton(self, automaton)
+        _progressed_probes(self, None)
+        _progressed_bounds(self, None)
 
 
-_progressed_skeleton, _progressed_residuals, _progressed_automaton = \
-    slot_setters(Progressed, "skeleton", "residuals", "automaton")
+(_progressed_skeleton, _progressed_residuals, _progressed_automaton,
+ _progressed_probes, _progressed_bounds) = slot_setters(
+    Progressed, "skeleton", "residuals", "automaton", "_probes", "_bounds")
 
 
 class Bounds(Value):
@@ -103,10 +108,9 @@ def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
     gpf = F.expand_gpf(gpf, universe)
     counter = itertools.count()
     automaton = Automaton()
-    return Progressed(F.map_gpf(gpf, lambda _: next(counter)),
-                      tuple(automaton.intern(unfold(b))
-                            for b in F.gpf_bdfs(gpf)),
-                      automaton)
+    return automaton.product(F.map_gpf(gpf, lambda _: next(counter)),
+                             tuple(automaton.intern(unfold(b))
+                                   for b in F.gpf_bdfs(gpf)))
 
 
 def _at(t: F.Ref) -> F.BDF:
@@ -137,67 +141,85 @@ def unfold(phi: F.BDF) -> F.BDF:
 # --- one progression step ----------------------------------------------------------
 
 def progress_bdf(phi: F.BDF, ctx: StepContext) -> F.BDF:
-    """Progress one residual BDF through one step."""
-    if isinstance(phi, (F.TrueC, F.FalseC)):
-        return phi
-    if isinstance(phi, F.LitF):
-        return F.const(ctx.state.holds(phi.lit))
-    if isinstance(phi, F.Final):
-        return F.const(ctx.state.holds(phi.lit)) if ctx.terminal else phi
-    if isinstance(phi, (F.Occ, F.Apply)):
-        if ctx.terminal:
-            return F.FALSE
-        if phi.ref.kind == "op":
-            # an operator terminates at its own event; the termination
-            # obligation is implied by the occurrence
-            return F.OccNext(phi.ref)
-        return F.mk_and([F.OccNext(phi.ref),
-                         F.Eventually(F.Terminated(phi.ref))])
-    if isinstance(phi, F.OccNext):
-        return F.const(ctx.event is not None
-                       and semantics.event_matches(ctx.event, phi.ref))
-    if isinstance(phi, F.Terminated):
-        return F.const(semantics.terminated_at(ctx.state, phi.ref))
-    if isinstance(phi, F.Last):
-        # a non-terminal step has a successor, so its index is not the last
-        return F.const(ctx.terminal)
-    if isinstance(phi, F.Window):
-        return F.const(semantics.window_open(ctx.state, phi.t1, phi.t2))
-    if isinstance(phi, F.Not):
-        inner = progress_bdf(phi.sub, ctx)
-        if isinstance(inner, F.TrueC):
-            return F.FALSE
-        if isinstance(inner, F.FalseC):
-            return F.TRUE
-        return F.Not(inner)
-    if isinstance(phi, F.And):
-        return F.mk_and([progress_bdf(p, ctx) for p in phi.parts])
-    if isinstance(phi, F.Or):
-        return F.mk_or([progress_bdf(p, ctx) for p in phi.parts])
-    if isinstance(phi, F.Next):
-        return F.FALSE if ctx.terminal else phi.sub
-    if isinstance(phi, F.Always):
-        now = progress_bdf(phi.sub, ctx)
-        return now if ctx.terminal else F.mk_and([now, phi])
-    if isinstance(phi, F.Eventually):
-        now = progress_bdf(phi.sub, ctx)
-        return now if ctx.terminal else F.mk_or([now, phi])
-    if isinstance(phi, F.Until):
-        goal_now = progress_bdf(phi.goal, ctx)
-        if ctx.terminal:
-            return goal_now
-        hold_now = progress_bdf(phi.hold, ctx)
-        return F.mk_or([goal_now, F.mk_and([hold_now, phi])])
-    if isinstance(phi, (F.Exists, F.Forall)):
-        raise UnboundVariable("quantifiers must be grounded before progression")
-    raise TypeError(f"cannot progress {phi!r}")
+    """Progress one residual BDF through one step by the rule of its class;
+    the rules recurse through this function."""
+    rule = _PROGRESS.get(type(phi))
+    if rule is None:
+        if isinstance(phi, (F.Exists, F.Forall)):
+            raise UnboundVariable("quantifiers must be grounded before progression")
+        raise TypeError(f"cannot progress {phi!r}")
+    return rule(phi, ctx)
+
+
+def _occ(phi, ctx: StepContext) -> F.BDF:
+    """occ and apply: an operator terminates at its own event."""
+    if ctx.terminal:
+        return F.FALSE
+    if phi.ref.kind == "op":
+        return F.OccNext(phi.ref)
+    return F.mk_and([F.OccNext(phi.ref), F.Eventually(F.Terminated(phi.ref))])
+
+
+def _not(phi: F.Not, ctx: StepContext) -> F.BDF:
+    inner = progress_bdf(phi.sub, ctx)
+    if isinstance(inner, (F.TrueC, F.FalseC)):
+        return F.const(isinstance(inner, F.FalseC))
+    return F.Not(inner)
+
+
+def _now_or_later(phi, ctx: StepContext, join) -> F.BDF:
+    """always (join is mk_and) and eventually (mk_or): sub now, joined with
+    phi again from the next index unless this one is the last."""
+    now = progress_bdf(phi.sub, ctx)
+    return now if ctx.terminal else join([now, phi])
+
+
+def _until(phi: F.Until, ctx: StepContext) -> F.BDF:
+    goal_now = progress_bdf(phi.goal, ctx)
+    if ctx.terminal:
+        return goal_now
+    return F.mk_or([goal_now, F.mk_and([progress_bdf(phi.hold, ctx), phi])])
+
+
+# One rule per node class, rule(phi, ctx) -> residual. Quantifiers and the
+# before/hold* constructs have none: they are gone before the first step.
+_PROGRESS = {
+    F.TrueC: lambda phi, ctx: phi,
+    F.FalseC: lambda phi, ctx: phi,
+    F.LitF: lambda phi, ctx: F.const(ctx.state.holds(phi.lit)),
+    F.Final: lambda phi, ctx:
+        F.const(ctx.state.holds(phi.lit)) if ctx.terminal else phi,
+    F.Occ: _occ,
+    F.Apply: _occ,
+    F.OccNext: lambda phi, ctx: F.const(
+        ctx.event is not None and semantics.event_matches(ctx.event, phi.ref)),
+    F.Terminated: lambda phi, ctx:
+        F.const(semantics.terminated_at(ctx.state, phi.ref)),
+    # a non-terminal step has a successor, so its index is not the last
+    F.Last: lambda phi, ctx: F.const(ctx.terminal),
+    F.Window: lambda phi, ctx:
+        F.const(semantics.window_open(ctx.state, phi.t1, phi.t2)),
+    F.Not: _not,
+    F.And: lambda phi, ctx: F.mk_and([progress_bdf(p, ctx) for p in phi.parts]),
+    F.Or: lambda phi, ctx: F.mk_or([progress_bdf(p, ctx) for p in phi.parts]),
+    F.Next: lambda phi, ctx: F.FALSE if ctx.terminal else phi.sub,
+    F.Always: lambda phi, ctx: _now_or_later(phi, ctx, F.mk_and),
+    F.Eventually: lambda phi, ctx: _now_or_later(phi, ctx, F.mk_or),
+    F.Until: _until,
+}
 
 
 def step(pf: Progressed, ctx: StepContext) -> Progressed:
-    residuals = pf.automaton.step(pf.residuals, ctx)
-    if residuals is pf.residuals:
-        return pf
-    return Progressed(pf.skeleton, residuals, pf.automaton)
+    """pf's successor under the letter ctx spells for it. Only a letter pf
+    has not met steps its residuals; a step that moves none of them returns
+    pf itself."""
+    reads, refs, delta = pf._probes or pf.automaton.probe(pf)
+    letter = _letter(reads, refs, ctx)
+    nxt = delta.get(letter)
+    if nxt is None:
+        nxt = delta[letter] = pf.automaton.product(
+            pf.skeleton, pf.automaton.step(pf.residuals, ctx))
+    return nxt
 
 
 # --- bounds ------------------------------------------------------------------------
@@ -225,14 +247,13 @@ def bounds(pf: Progressed) -> Bounds:
     """Each bound judges the alternatives under its own view and the
     conditions under the other: an undecided condition may still turn out
     unmet, which scores the best weight."""
-    views = pf.automaton.views(pf.residuals)
-    memo = pf.automaton.bounds_by_views
-    out = memo.get(views)
+    out = pf._bounds
     if out is None:
-        opt, pess = views[0].__getitem__, views[1].__getitem__
-        out = memo[views] = Bounds(
-            F.gpf_weight(pf.skeleton, opt, pess),
-            F.gpf_weight(pf.skeleton, pess, opt))
+        sats = [pf.automaton.state(phi).sat for phi in pf.residuals]
+        opt, pess = (lambda i: sats[i][0]), (lambda i: sats[i][1])
+        out = Bounds(F.gpf_weight(pf.skeleton, opt, pess),
+                     F.gpf_weight(pf.skeleton, pess, opt))
+        _progressed_bounds(pf, out)
     return out
 
 
@@ -261,92 +282,106 @@ def _reads(phi: F.BDF) -> list:
     return []  # TrueC, FalseC, Occ, Apply, Last, Next: the flag decides
 
 
+def _group(refs) -> dict:
+    """{(kind, name): ([(number, ref), ...], memo)}: refs numbered once each,
+    grouped by the key of the events that can match them (see _letter)."""
+    out: dict = {}
+    for i, ref in enumerate(dict.fromkeys(refs)):
+        out.setdefault((ref.kind, ref.name), ([], {}))[0].append((i, ref))
+    return out
+
+
+def _letter(reads, refs: dict, ctx: StepContext) -> tuple:
+    """The letter ctx spells for a state that probes reads and refs (see
+    _group): the terminal flag, the value of each read and the numbers of
+    the refs the event matches. event_matches reads only the kind, name and
+    args of both sides, so each group memoises the numbers by args."""
+    letter = (ctx.terminal,)
+    if reads:  # most product states read none
+        letter += tuple([probe(ctx.state, *args) for probe, args in reads])
+    key, args = semantics.event_key(ctx.event)
+    group = refs.get(key)
+    if group is None:
+        return letter
+    numbers = group[1].get(args)
+    if numbers is None:
+        numbers = group[1][args] = tuple([
+            i for i, ref in group[0] if semantics.event_matches(ctx.event, ref)])
+    return letter + numbers
+
+
 class _Residual:
-    """One automaton state: its probes, its outgoing transitions keyed by
-    letter, and its _sat values keyed by view. The event probes are numbered
-    and grouped by ref name, as an event can only match the refs that carry
-    its name."""
+    """One residual state: its state reads, its event refs (see _group),
+    its outgoing transitions keyed by letter, and its _sat under the
+    optimistic and the pessimistic view."""
 
     __slots__ = ("state_reads", "event_refs", "delta", "sat")
 
     def __init__(self, phi: F.BDF):
-        self.state_reads = []
-        self.event_refs: dict[str, list] = {}
-        numbers = itertools.count()
-        for probe, args in dict.fromkeys(_reads(phi)):
-            if probe is semantics.event_matches:
-                self.event_refs.setdefault(args[0].name, []).append(
-                    (next(numbers), args[0]))
-            else:
-                self.state_reads.append((probe, args))
+        reads = dict.fromkeys(_reads(phi))
+        self.state_reads = [r for r in reads
+                            if r[0] is not semantics.event_matches]
+        self.event_refs = _group(args[0] for probe, args in reads
+                                 if probe is semantics.event_matches)
         self.delta: dict = {}
-        self.sat: dict = {}
+        self.sat = (_sat(phi, True), _sat(phi, False))
 
 
 class Automaton:
     """The part of a preference's progression automaton one search visits,
-    built as the search reaches it. States are the interned residuals;
-    constants are their own successors and never get a state."""
+    built as the search reaches it (see the module docstring). Its product
+    states are the Progressed of the one skeleton it serves, by residual
+    tuple; its residual states the _Residual of each interned residual."""
 
     def __init__(self):
         self._interned: dict = {F.TRUE: F.TRUE, F.FALSE: F.FALSE}
         self._states: dict[int, _Residual] = {}  # id of an interned residual
-        # bounds() of the one skeleton this automaton serves, keyed by views
-        self.bounds_by_views: dict = {}
+        self._products: dict[tuple, Progressed] = {}
 
     def intern(self, phi: F.BDF) -> F.BDF:
         return self._interned.setdefault(phi, phi)
 
-    def _add_state(self, phi: F.BDF) -> _Residual:
-        st = self._states[id(phi)] = _Residual(phi)
+    def state(self, phi: F.BDF) -> _Residual:
+        st = self._states.get(id(phi))
+        if st is None:
+            st = self._states[id(phi)] = _Residual(phi)
         return st
+
+    def product(self, skeleton: F.GPF, residuals: tuple) -> Progressed:
+        """The one product state of a tuple of interned residuals."""
+        pf = self._products.get(residuals)
+        if pf is None:
+            pf = self._products[residuals] = Progressed(skeleton, residuals,
+                                                        self)
+        return pf
+
+    def probe(self, pf: Progressed) -> tuple:
+        """Give pf the union of its residuals' probes, read off their
+        states, and a transition table: (state reads, event refs, {})."""
+        sts = [self.state(phi) for phi in pf.residuals]
+        out = (tuple(dict.fromkeys(r for st in sts for r in st.state_reads)),
+               _group(ref for st in sts for refs, _ in st.event_refs.values()
+                      for _, ref in refs), {})
+        _progressed_probes(pf, out)
+        return out
 
     def step(self, residuals: tuple, ctx: StepContext) -> tuple:
         """The successor of each residual under the letter ctx spells for
-        it: the terminal flag, the values of the state probes and the numbers
-        of the event probes that hold. The same tuple comes back when no
-        residual moved."""
-        state, event = ctx.state, ctx.event
-        name = semantics.event_name(event)
-        matches = semantics.event_matches
+        it. The same tuple comes back when no residual moved."""
         out = []
         moved = False
         for phi in residuals:
             if phi is F.TRUE or phi is F.FALSE:
                 out.append(phi)
                 continue
-            st = self._states.get(id(phi)) or self._add_state(phi)
-            letter = (ctx.terminal,)
-            if st.state_reads:
-                letter += tuple([probe(state, *args)
-                                 for probe, args in st.state_reads])
-            refs = st.event_refs.get(name)
-            if refs:
-                letter += tuple([i for i, ref in refs if matches(event, ref)])
+            st = self.state(phi)
+            letter = _letter(st.state_reads, st.event_refs, ctx)
             nxt = st.delta.get(letter)
             if nxt is None:
                 nxt = st.delta[letter] = self.intern(progress_bdf(phi, ctx))
             moved = moved or nxt is not phi
             out.append(nxt)
         return tuple(out) if moved else residuals
-
-    def views(self, residuals: tuple
-              ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-        """_sat of each residual under the optimistic and the pessimistic
-        view."""
-        opt, pess = [], []
-        for phi in residuals:
-            if phi is F.TRUE or phi is F.FALSE:
-                opt.append(phi is F.TRUE)
-                pess.append(phi is F.TRUE)
-                continue
-            st = self._states.get(id(phi)) or self._add_state(phi)
-            for view, out in ((True, opt), (False, pess)):
-                value = st.sat.get(view)
-                if value is None:
-                    value = st.sat[view] = _sat(phi, view)
-                out.append(value)
-        return tuple(opt), tuple(pess)
 
 
 def _eval_const(phi: F.BDF) -> bool:

@@ -23,7 +23,7 @@ Duplicate detection. A node's signature (_signature) is the product of its
 HTN state and the state of the preference automaton:
   * the facts;
   * the agenda, each end event reduced to (kind, name, args);
-  * the interned residuals, by identity;
+  * the preference's product state, one per residual tuple, by identity;
   * one bit per ground reference whose termination progression can read
     (_terminated_refs): whether an instance it matches has terminated.
 The agenda decides the nesting depth, so the depth cap needs no entry.
@@ -329,7 +329,7 @@ def _signature(node: SearchNode, refs: tuple[F.Ref, ...]) -> tuple:
     return (state.facts,
             tuple([x.inst[:3] if type(x) is EndEvent else x
                    for x in node.agenda]),
-            tuple(map(id, node.progressed.residuals)),
+            id(node.progressed),
             tuple([semantics.terminated_at(state, r) for r in refs]))
 
 

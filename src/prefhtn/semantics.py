@@ -18,7 +18,7 @@ Path, CONCUR 2003):
   * a literal: the states where it holds; final l: every bit or none;
   * terminated t: a suffix, since terminated instances never leave a state;
   * occ t, apply m: the events of t, read from an index of the event
-    positions by name; last: bit n;
+    positions by kind and name; last: bit n;
   * not, and, or: complement within bits 0..n, intersection, union;
   * next p: p shifted down one bit, which leaves bit n clear;
   * always p: the bits above the highest one where p is false;
@@ -60,14 +60,15 @@ def event_matches(event, ref: F.Ref) -> bool:
             and args_match(ref.args, inst.args))
 
 
-def event_name(event) -> str | None:
-    """The name of every ref event_matches(event, ref) accepts; None when it
-    accepts none (an end event, or no event at all)."""
-    if isinstance(event, OperatorEvent):
-        return event.name
-    if isinstance(event, StartEvent):
-        return event.inst.name
-    return None
+def event_key(event) -> tuple:
+    """((kind, name), args): the kind and name of every ref
+    event_matches(event, ref) accepts, and the args it matches them on;
+    (None, None) when it accepts none (an end event, or no event at all)."""
+    if type(event) is OperatorEvent:
+        return ("op", event.name), event.args
+    if type(event) is StartEvent:
+        return event.inst[:2], event.inst.args
+    return None, None
 
 
 def terminated_at(state: State, ref: F.Ref) -> bool:
@@ -90,12 +91,12 @@ class _Labels:
     (variable, constant) pairs with the innermost last. memo keeps labels
     by (id(phi), env) and occurrence masks by (kind, name, args)."""
 
-    __slots__ = ("states", "events", "full", "universe", "memo", "_by_name")
+    __slots__ = ("states", "events", "full", "universe", "memo", "_by_key")
 
     def __init__(self, trace: Trace, universe: tuple[str, ...]):
         self.states, self.events = trace.states, trace.events
         self.full = (2 << trace.length) - 1  # bits 0..n
-        self.universe, self.memo, self._by_name = universe, {}, None
+        self.universe, self.memo, self._by_key = universe, {}, None
 
     def __call__(self, phi: F.BDF, env: tuple = ()) -> int:
         key = (id(phi), env)  # phi outlives the call, so its id is fixed
@@ -113,17 +114,17 @@ class _Labels:
 
     def occurs(self, ref: F.Ref) -> int:
         """Bit k when event k matches ref, a ref with no variables left;
-        only the events of its name are matched, once per trace."""
+        only the events of its kind and name are matched, once per trace."""
         key = (ref.kind, ref.name, ref.args)
         out = self.memo.get(key)
         if out is None:
             events = self.events
-            if self._by_name is None:
-                self._by_name = {}
-                for k, name in enumerate(map(event_name, events)):
-                    self._by_name.setdefault(name, []).append(k)
+            if self._by_key is None:
+                self._by_key = {}
+                for k, (kind_name, _) in enumerate(map(event_key, events)):
+                    self._by_key.setdefault(kind_name, []).append(k)
             out = self.memo[key] = sum(
-                1 << k for k in self._by_name.get(ref.name, ())
+                1 << k for k in self._by_key.get(key[:2], ())
                 if event_matches(events[k], ref))
         return out
 

@@ -1,6 +1,10 @@
 """CLI exit codes, output formats, and the bench/check subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,20 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "--suite", tmp_path)
         assert code == EXIT_MISMATCH
         assert "walk-1: enumeration cap hit (depth)" in out
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("args", [["--help"],
+                                      ["check", "--suite", str(TRAVEL)]],
+                             ids=["help", "check"])
+    def test_python_m_prefhtn_runs_from_a_checkout(self, args):
+        # the checkout's src/ on PYTHONPATH, no installed console script
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "prefhtn", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout

@@ -346,8 +346,9 @@ def fresh_python(code: str):
 
 
 def test_import_loads_no_test_tooling():
-    """A fresh `import prefhtn` leaves the instance generator and the CLI
-    unloaded, yet every exported name resolves and randgen imports alone."""
+    """A fresh `import prefhtn` leaves the instance generator, the CLI and
+    its `python -m` entry point unloaded, yet every exported name resolves
+    and randgen imports alone."""
     out = fresh_python("""if True:
         import json, sys
         import prefhtn
@@ -359,6 +360,7 @@ def test_import_loads_no_test_tooling():
     """)
     assert "prefhtn.randgen" not in out["loaded"]
     assert "prefhtn.cli" not in out["loaded"]
+    assert "prefhtn.__main__" not in out["loaded"]
     assert out["missing"] == []
 
 

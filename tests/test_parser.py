@@ -217,6 +217,35 @@ class TestErrorLocations:
         assert str(exc.value).startswith(f"d.htn:6:4: {message}")
         assert exc.value.token == token
 
+    # one operator error each, in the second operator of a two-line domain:
+    # the line:col of its (:operator ...), the error class, the start of its
+    # message and its token
+    @pytest.mark.parametrize("operator, error, message, token", [
+        ("(:operator)", ParseError, ":operator needs a head", None),
+        ("(:operator (b) :pre () :del () :add ())", ParseError,
+         "operator head must be (!name ?v*)", "b"),
+        ("(:operator (!) :pre () :del () :add ())", ParseError,
+         "empty operator name", "!"),
+        ("(:operator (!b x) :pre () :del () :add ())", ParseError,
+         "operator parameter 'x' must be a variable", "x"),
+        ("(:operator (!b ?x ?x) :pre () :del () :add ())", ParseError,
+         "duplicate parameter ?x", "?x"),
+        ("(:operator (!b ?x) :pre ((p ?y)) :del () :add ())", ParseError,
+         "variable ?y of operator b not in its parameters", "?y"),
+        ("(:operator (!a) :pre () :del () :add ())", DuplicateName,
+         "duplicate operator a", "a"),
+    ], ids=["no-head", "bad-head", "empty-name", "not-a-variable",
+            "duplicate-parameter", "unbound-variable", "duplicate-operator"])
+    def test_operator_error_reports_its_operator(self, operator, error,
+                                                 message, token):
+        text = ("(domain d (:operator (!a) :pre () :del () :add ())\n"
+                f"  {operator})")
+        with pytest.raises(error) as exc:
+            parse_domain(text, "d.htn")
+        assert (exc.value.line, exc.value.col) == (2, 3)
+        assert str(exc.value).startswith(f"d.htn:2:3: {message}")
+        assert exc.value.token == token
+
     def test_bad_value_order_reports_its_list_once(self, mini_domain):
         with pytest.raises(BadValueOrder) as exc:
             parse_preference("(&! (paid)\n  (>> ((occ (!pay)) 1/2)"

@@ -3,15 +3,21 @@ optimistic/pessimistic bounds."""
 
 from fractions import Fraction
 
+import typing
+
 import pytest
 
 from conftest import fixture_ids, load_fixture
 
 import prefhtn.formulas as F
 import prefhtn.progression as P
-from prefhtn.model import OperatorEvent, State, replay
+from prefhtn import semantics
+from prefhtn.errors import UnboundVariable
+from prefhtn.model import (Atom, EndEvent, Literal, OperatorEvent,
+                           StartEvent, State, replay)
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
-from prefhtn.parser import parse_domain, parse_preference
+from prefhtn.parser import parse_domain, parse_preference, parse_problem
+from prefhtn.search import solve
 from prefhtn.progression import Bounds, progress_trace
 from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.semantics import weight_gpf
@@ -329,3 +335,261 @@ class TestSharedReplay:
         # the traces do share prefixes, so this is fewer than one step per
         # event of every trace
         assert len(inner) < sum(t.length for t in replayed)
+
+
+def _record_steps(monkeypatch):
+    """Every (pf, ctx, successor) that progression.step returns, in order."""
+    seen, original = [], P.step
+
+    def recording_step(pf, ctx):
+        nxt = original(pf, ctx)
+        seen.append((pf, ctx, nxt))
+        return nxt
+
+    monkeypatch.setattr(P, "step", recording_step)
+    return seen
+
+
+def _assert_one_state_per_tuple(steps):
+    """Equal residual tuples reached in one automaton are one Progressed,
+    with one Bounds equal to the automaton-free computation. Returns how
+    many steps from a state other than the one it reaches arrive at a
+    tuple that an earlier step had reached: the sharing shown."""
+    by_tuple, shared = {}, 0
+    for pf, _ctx, nxt in steps:
+        shared += pf is not nxt and nxt.residuals in by_tuple
+        assert by_tuple.setdefault(nxt.residuals, nxt) is nxt
+    for pf in by_tuple.values():
+        b = P.bounds(pf)
+        assert b is P.bounds(pf)
+        assert b == _plain_bounds(pf.skeleton, pf.residuals)
+    return shared
+
+
+class TestProductStates:
+    def test_a_search_keeps_one_state_per_residual_tuple(self, monkeypatch):
+        steps = _record_steps(monkeypatch)
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += [gen_instance(GenConfig(seed=seed))[0]
+                     for seed in range(30)]
+        shared = 0
+        for problem in problems:
+            steps.clear()
+            assert solve(problem).status in ("ok", "noplan")
+            assert len({id(pf.automaton) for pf, _, _ in steps}) <= 1
+            shared += _assert_one_state_per_tuple(steps)
+        # two different prefixes do reach one residual tuple
+        assert shared > 0
+
+    def test_a_replay_keeps_one_state_per_residual_tuple(self, monkeypatch):
+        steps = _record_steps(monkeypatch)
+        problem = load_fixture("logistics", 2)
+        oracle = enumerate_all(problem)
+        progress_trace(problem.preference, oracle.traces, problem.constants)
+        assert _assert_one_state_per_tuple(steps) > 0
+        # the bounds a replay reports are the states' own
+        pfs = {id(nxt): nxt for _, _, nxt in steps}
+        assert all(P.bounds(pf) is pf._bounds for pf in pfs.values())
+
+    def test_a_self_loop_returns_the_state_itself(self, mini_domain,
+                                                  mini_trace):
+        gpf = parse_preference("(final (paid))", mini_domain)
+        pf = P.init_progressed(gpf, ())
+        ctx = P.StepContext(None, mini_trace.states[0], False)
+        assert P.step(pf, ctx) is pf
+        assert P.step(pf, ctx) is pf  # now a transition lookup
+
+
+# An operator a and a method branch a whose start events carry the same
+# args, and a task t whose branches run a with several args tuples, in
+# either order under an unordered top task.
+LETTER_DOMAIN = """
+(domain letters
+  (:operator (!a ?x ?y) :pre () :del () :add ((done ?x ?y)))
+  (:operator (!b ?x) :pre () :del () :add ((seen ?x)))
+  (:method (t ?x ?y) :name a :pre () :tasks ((!a ?x ?y) (!b ?x)))
+  (:method (t ?x ?y) :name other :pre () :tasks ((!a ?y ?x)))
+  (:method (top) :name both :pre () :unordered :tasks ((t c d) (t d d))))
+"""
+# (occ (!a c)) names a by one of its two args: a subsequence match. The
+# method refs (apply (a ...)) share their name with the operator.
+LETTER_PREFERENCE = """
+(&! (>> ((eventually (occ (!a c))) 0) ((always (not (apply (a c d)))) 1/2))
+    (>> ((until (not (occ (!a c d))) (apply (a d d))) 0)
+        ((eventually (occ (!a d c))) 3/10))
+    (>> ((forall (?z) (eventually (occ (!b ?z)))) 0)
+        ((eventually (done d d)) 1/5)))
+"""
+
+
+def _numbered_refs(refs):
+    """The refs of a _group, in number order."""
+    pairs = sorted(pair for group, _ in refs.values() for pair in group)
+    assert [i for i, _ in pairs] == list(range(len(pairs)))
+    return [ref for _, ref in pairs]
+
+
+class TestLetters:
+    @pytest.fixture
+    def problem(self):
+        domain = parse_domain(LETTER_DOMAIN)
+        problem = parse_problem("(problem p :init () :tasks ((top)))", domain)
+        problem.preference = parse_preference(LETTER_PREFERENCE, domain)
+        return problem
+
+    def test_replay_matches_plain_progression_and_direct_semantics(
+            self, problem):
+        gpf, universe = problem.preference, problem.constants
+        oracle = enumerate_all(problem)
+        assert oracle.plan_count == 8
+        assert len(set(oracle.all_weights)) > 2
+        replays = progress_trace(gpf, oracle.traces, universe)
+        root = P.init_progressed(gpf, universe)
+        for trace, (weight, prefix) in zip(oracle.traces, replays):
+            assert weight == weight_gpf(trace, gpf, universe)
+            plain, n = root.residuals, trace.length
+            for i, (state, b) in enumerate(zip(trace.states, prefix)):
+                ctx = P.StepContext(trace.events[i - 1] if i else None,
+                                    state, i == n)
+                plain = tuple(P.progress_bdf(r, ctx) for r in plain)
+                if i < n:
+                    assert b == _plain_bounds(root.skeleton, plain)
+                else:
+                    assert b == Bounds(weight, weight)
+
+    def test_memoised_numbers_are_the_matching_refs(self, monkeypatch,
+                                                    problem):
+        steps = _record_steps(monkeypatch)
+        oracle = enumerate_all(problem)
+        progress_trace(problem.preference, oracle.traces, problem.constants)
+        events = {e for t in oracle.traces for e in t.events}
+        assert {type(e) for e in events} == {OperatorEvent, StartEvent,
+                                             EndEvent}
+        assert {e.args for e in events if type(e) is OperatorEvent
+                and e.name == "a"} == {("c", "d"), ("d", "c"), ("d", "d")}
+        # the start of method a carries the args of an operator a event
+        assert {e.inst.args for e in events if type(e) is StartEvent
+                and e.inst[:2] == ("method", "a")} == {("c", "d"), ("d", "d")}
+        states = {id(pf): pf for pf, _, _ in steps}.values()
+        keys = set()
+        for pf in states:
+            reads, refs, _delta = pf._probes
+            keys |= set(refs)
+            numbered = _numbered_refs(refs)
+            for e in events:
+                for _ in range(2):  # the second call reads the memo
+                    ctx = P.StepContext(e, oracle.traces[0].final_state,
+                                        False)
+                    letter = P._letter(reads, refs, ctx)
+                    assert list(letter[1 + len(reads):]) == [
+                        i for i, ref in enumerate(numbered)
+                        if semantics.event_matches(e, ref)]
+        assert {("op", "a"), ("method", "a")} <= keys
+
+    def test_residual_states_number_their_own_refs(self, problem):
+        universe = problem.constants
+        root = P.init_progressed(problem.preference, universe)
+        for phi in root.residuals:
+            refs = root.automaton.state(phi).event_refs
+            assert set(_numbered_refs(refs)) == {
+                args[0] for probe, args in P._reads(phi)
+                if probe is semantics.event_matches}
+
+
+def _chain_progress_bdf(phi, ctx):
+    """progress_bdf as a chain of isinstance tests, the reference for its
+    dispatch table."""
+    if isinstance(phi, (F.TrueC, F.FalseC)):
+        return phi
+    if isinstance(phi, F.LitF):
+        return F.const(ctx.state.holds(phi.lit))
+    if isinstance(phi, F.Final):
+        return F.const(ctx.state.holds(phi.lit)) if ctx.terminal else phi
+    if isinstance(phi, (F.Occ, F.Apply)):
+        if ctx.terminal:
+            return F.FALSE
+        if phi.ref.kind == "op":
+            return F.OccNext(phi.ref)
+        return F.mk_and([F.OccNext(phi.ref),
+                         F.Eventually(F.Terminated(phi.ref))])
+    if isinstance(phi, F.OccNext):
+        return F.const(ctx.event is not None
+                       and semantics.event_matches(ctx.event, phi.ref))
+    if isinstance(phi, F.Terminated):
+        return F.const(semantics.terminated_at(ctx.state, phi.ref))
+    if isinstance(phi, F.Last):
+        return F.const(ctx.terminal)
+    if isinstance(phi, F.Window):
+        return F.const(semantics.window_open(ctx.state, phi.t1, phi.t2))
+    if isinstance(phi, F.Not):
+        inner = _chain_progress_bdf(phi.sub, ctx)
+        if isinstance(inner, F.TrueC):
+            return F.FALSE
+        if isinstance(inner, F.FalseC):
+            return F.TRUE
+        return F.Not(inner)
+    if isinstance(phi, F.And):
+        return F.mk_and([_chain_progress_bdf(p, ctx) for p in phi.parts])
+    if isinstance(phi, F.Or):
+        return F.mk_or([_chain_progress_bdf(p, ctx) for p in phi.parts])
+    if isinstance(phi, F.Next):
+        return F.FALSE if ctx.terminal else phi.sub
+    if isinstance(phi, F.Always):
+        now = _chain_progress_bdf(phi.sub, ctx)
+        return now if ctx.terminal else F.mk_and([now, phi])
+    if isinstance(phi, F.Eventually):
+        now = _chain_progress_bdf(phi.sub, ctx)
+        return now if ctx.terminal else F.mk_or([now, phi])
+    if isinstance(phi, F.Until):
+        goal_now = _chain_progress_bdf(phi.goal, ctx)
+        if ctx.terminal:
+            return goal_now
+        hold_now = _chain_progress_bdf(phi.hold, ctx)
+        return F.mk_or([goal_now, F.mk_and([hold_now, phi])])
+    if isinstance(phi, (F.Exists, F.Forall)):
+        raise UnboundVariable("quantifiers must be grounded")
+    raise TypeError(f"cannot progress {phi!r}")
+
+
+_OP = F.Ref("op", "book-train")
+_TASK = F.Ref("task", "arrange-trans")
+_LIT = Literal(Atom("paid", ()), True)
+_HELD, _OPEN = F.LitF(_LIT), F.Occ(_TASK)
+# one or more formulas of each class of the BDF union
+_ONE_OF_EACH = [
+    F.TRUE, F.FALSE, F.TrueC(), _HELD, F.Final(_LIT), F.Occ(_OP), _OPEN,
+    F.Apply(F.Ref("method", "by-train-trans")), F.Before(_OP, _TASK),
+    F.HoldBefore(_OP, _LIT), F.HoldAfter(_TASK, _LIT),
+    F.HoldBetween(_OP, _LIT, _TASK), F.Not(_HELD), F.Not(_OPEN),
+    F.And((_HELD, _OPEN)), F.Or((_HELD, _OPEN)), F.Exists("?y", _HELD),
+    F.Forall("?y", _HELD), F.Next(_HELD), F.Always(_HELD),
+    F.Eventually(_OPEN), F.Until(_OPEN, _HELD), F.Until(_HELD, _OPEN),
+    F.OccNext(_OP), F.OccNext(_TASK), F.Terminated(_TASK), F.Last(),
+    F.Window(_OP, _TASK),
+]
+
+
+def _outcome(progress, phi, ctx):
+    try:
+        return progress(phi, ctx)
+    except Exception as exc:  # the class of what it raises
+        return type(exc)
+
+
+def test_dispatch_table_equals_the_chain(mini_trace):
+    assert {type(phi) for phi in _ONE_OF_EACH} == set(typing.get_args(F.BDF))
+    # every step of the mini trace, terminal and not: no event, start, end
+    # and operator events, and states before and after paid holds and
+    # arrange-trans terminates
+    contexts = [P.StepContext(mini_trace.events[i - 1] if i else None,
+                              state, terminal)
+                for i, state in enumerate(mini_trace.states)
+                for terminal in (False, True)]
+    outcomes = set()
+    for phi in _ONE_OF_EACH:
+        for ctx in contexts:
+            out = _outcome(P.progress_bdf, phi, ctx)
+            assert out == _outcome(_chain_progress_bdf, phi, ctx), (phi, ctx)
+            outcomes.add(out if isinstance(out, type) else type(out))
+    assert {UnboundVariable, TypeError, F.TrueC, F.FalseC, F.OccNext,
+            F.Or, F.And} <= outcomes

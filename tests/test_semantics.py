@@ -280,7 +280,7 @@ class TestLabelCost:
                             lambda e, ref: calls.append(e) or matches(e, ref))
         for trace in traces:
             flies = [e for e in trace.events
-                     if semantics.event_name(e) == "fly"]
+                     if semantics.event_key(e)[0] == ("op", "fly")]
             assert flies
             calls.clear()
             assert semantics.weight_gpf(trace, phi) == ZERO

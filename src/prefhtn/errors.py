@@ -33,6 +33,7 @@ class ParseError(PrefHtnError):
     Locations are 1-based; token is the offending lexeme when known. form
     is the parsed list the error is about, when the parser has it at hand:
     the parser then moves the error to the line and column of that list.
+    The parser names the file of an error once the error leaves its readers.
     """
 
     def __init__(self, message: str, file: str = "<string>", line: int = 1,
@@ -45,9 +46,9 @@ class ParseError(PrefHtnError):
         self.form = form
         super().__init__(f"{file}:{line}:{col}: {message}")
 
-    def at(self, line: int, col: int) -> ParseError:
-        """The same error at line:col."""
-        return type(self)(self.message, self.file, line, col, self.token)
+    def at(self, file: str, line: int, col: int) -> ParseError:
+        """The same error in file at line:col."""
+        return type(self)(self.message, file, line, col, self.token)
 
 
 class DuplicateName(ParseError):

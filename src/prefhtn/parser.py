@@ -53,91 +53,99 @@ BDF_FORMS = {
 _GPF_KEYWORDS = {">>", "if", "&!", "|!"}
 
 
-def _fail(msg: str, filename: str, token=None, form=None) -> ParseError:
-    return ParseError(msg, filename, token=None if token is None else str(token),
-                      form=form)
+def _fail(msg: str, token=None, form=None) -> ParseError:
+    return ParseError(msg, token=None if token is None else str(token), form=form)
+
+
+def _about(exc: ParseError, form: list) -> ParseError:
+    """exc, now about form unless it is about a list already."""
+    if exc.form is None:
+        exc.form = form
+    return exc
 
 
 def _read(reader, text, filename: str, *args):
-    """reader(exprs, *args, filename) on the s-expressions of text. An error
-    about one parsed list (ParseError.form) is moved to that list's
-    line:col, which only the text and the trees read from it know."""
+    """reader(exprs, *args) on the s-expressions of text. An error that
+    escapes it is put in filename and, when it is about one parsed list
+    (ParseError.form), at that list's line:col, which only the text and the
+    trees read from it know."""
     exprs = parse_sexprs(text, filename)
     try:
-        return reader(exprs, *args, filename)
+        return reader(exprs, *args)
     except ParseError as exc:
         where = None if exc.form is None else locate(text, exprs, exc.form)
-        if where is None:
-            raise
-        raise exc.at(*where) from None
+        raise exc.at(filename, *(where or (exc.line, exc.col))) from None
 
 
-def _expect_list(x: SExpr, what: str, filename: str) -> list:
+def _expect_list(x: SExpr, what: str, form=None) -> list:
     if not isinstance(x, list):
-        raise _fail(f"expected {what}, got {x!r}", filename, x)
+        raise _fail(f"expected {what}, got {x!r}", x, form)
     return x
 
 
-def _expect_symbol(x: SExpr, what: str, filename: str) -> str:
+def _expect_symbol(x: SExpr, what: str, form=None) -> str:
     if not isinstance(x, str):
-        raise _fail(f"expected {what}, got {x!r}", filename, x)
+        raise _fail(f"expected {what}, got {x!r}", x, form)
     return x
 
 
-def _parse_term(x: SExpr, filename: str) -> str:
-    term = _expect_symbol(x, "a term", filename)
-    if term.startswith(":") or term.startswith("!"):
-        raise _fail(f"bad term {term!r}", filename, term)
-    return term
+def _parse_args(lst: list) -> tuple[str, ...]:
+    """The terms after the head of an atom, task or reference."""
+    args = tuple(lst[1:])
+    for term in args:
+        _expect_symbol(term, "a term", lst)
+        if term.startswith(":") or term.startswith("!"):
+            raise _fail(f"bad term {term!r}", term, lst)
+    return args
 
 
-def _parse_atom(x: SExpr, filename: str) -> Atom:
-    lst = _expect_list(x, "an atom", filename)
+def _parse_atom(x: SExpr) -> Atom:
+    lst = _expect_list(x, "an atom")
     if not lst:
-        raise _fail("empty atom", filename)
-    pred = _expect_symbol(lst[0], "a predicate symbol", filename)
+        raise _fail("empty atom", form=lst)
+    pred = _expect_symbol(lst[0], "a predicate symbol", lst)
     if pred in ("not",) or pred.startswith((":", "!", "?")):
-        raise _fail(f"bad predicate {pred!r}", filename, pred)
-    return Atom(pred, tuple(_parse_term(a, filename) for a in lst[1:]))
+        raise _fail(f"bad predicate {pred!r}", pred, lst)
+    return Atom(pred, _parse_args(lst))
 
 
-def _parse_literal(x: SExpr, filename: str) -> Literal:
-    lst = _expect_list(x, "a literal", filename)
+def _parse_literal(x: SExpr) -> Literal:
+    lst = _expect_list(x, "a literal")
     if lst and lst[0] == "not":
         if len(lst) != 2:
-            raise _fail("(not ...) takes one atom", filename)
-        return Literal(_parse_atom(lst[1], filename), positive=False)
-    return Literal(_parse_atom(x, filename), positive=True)
+            raise _fail("(not ...) takes one atom", form=lst)
+        return Literal(_parse_atom(lst[1]), positive=False)
+    return Literal(_parse_atom(x), positive=True)
 
 
-def _parse_task(x: SExpr, filename: str) -> Task:
-    lst = _expect_list(x, "a task", filename)
+def _parse_task(x: SExpr) -> Task:
+    lst = _expect_list(x, "a task")
     if not lst:
-        raise _fail("empty task", filename)
-    head = _expect_symbol(lst[0], "a task symbol", filename)
+        raise _fail("empty task", form=lst)
+    head = _expect_symbol(lst[0], "a task symbol", lst)
     primitive = head.startswith("!")
     name = head[1:] if primitive else head
     if not name or name.startswith((":", "?", "!")):
-        raise _fail(f"bad task symbol {head!r}", filename, head)
-    return Task(name, tuple(_parse_term(a, filename) for a in lst[1:]), primitive)
+        raise _fail(f"bad task symbol {head!r}", head, lst)
+    return Task(name, _parse_args(lst), primitive)
 
 
-def _keyword_sections(lst: list, allowed: dict[str, bool], filename: str) -> dict:
+def _keyword_sections(lst: list, allowed: dict[str, bool]) -> dict:
     """Split `:kw value` pairs (and bare flags) out of a form body."""
     out: dict[str, SExpr] = {}
     i = 0
     while i < len(lst):
         kw = lst[i]
         if not isinstance(kw, str) or not kw.startswith(":"):
-            raise _fail(f"expected a :keyword, got {kw!r}", filename, kw)
+            raise _fail(f"expected a :keyword, got {kw!r}", kw)
         if kw not in allowed:
-            raise _fail(f"unknown keyword {kw}", filename, kw)
+            raise _fail(f"unknown keyword {kw}", kw)
         if kw in out:
-            raise _fail(f"duplicate keyword {kw}", filename, kw)
+            raise _fail(f"duplicate keyword {kw}", kw)
         takes_value = allowed[kw]
         if takes_value:
             if i + 1 >= len(lst):
-                raise _fail(f"{kw} needs a value", filename, kw)
+                raise _fail(f"{kw} needs a value", kw)
             out[kw] = lst[i + 1]
             i += 2
         else:
@@ -149,8 +157,7 @@ def _keyword_sections(lst: list, allowed: dict[str, bool], filename: str) -> dic
 class _ArityTable:
     """Fixed arity per predicate across a domain."""
 
-    def __init__(self, filename: str):
-        self.filename = filename
+    def __init__(self):
         self.arity: dict[str, int] = {}
 
     def note(self, atom: Atom) -> None:
@@ -158,16 +165,17 @@ class _ArityTable:
         if prev != len(atom.args):
             raise ArityMismatch(
                 f"predicate {atom.pred} used with arity {len(atom.args)} and {prev}",
-                self.filename, token=atom.pred)
+                token=atom.pred)
 
-    def check(self, atom: Atom) -> None:
+    def check(self, atom: Atom, form: list) -> None:
+        """Raise unless atom, read from form, fits the table."""
         if atom.pred not in self.arity:
             raise UnknownPredicate(f"unknown predicate {atom.pred}",
-                                   self.filename, token=atom.pred)
+                                   token=atom.pred, form=form)
         if self.arity[atom.pred] != len(atom.args):
             raise ArityMismatch(
                 f"predicate {atom.pred} expects {self.arity[atom.pred]} args, "
-                f"got {len(atom.args)}", self.filename, token=atom.pred)
+                f"got {len(atom.args)}", token=atom.pred, form=form)
 
 
 def _lit_vars(lits) -> set[str]:
@@ -178,114 +186,106 @@ def parse_domain(text, filename: str = "<domain>") -> Domain:
     return _read(_domain, text, filename)
 
 
-def _domain(exprs: list, filename: str) -> Domain:
+def _domain(exprs: list) -> Domain:
     if len(exprs) != 1:
-        raise _fail("a domain file holds exactly one (domain ...) form", filename)
-    top = _expect_list(exprs[0], "(domain ...)", filename)
+        raise _fail("a domain file holds exactly one (domain ...) form")
+    top = _expect_list(exprs[0], "(domain ...)")
     if len(top) < 2 or top[0] != "domain":
-        raise _fail("expected (domain NAME ...)", filename, top[0] if top else None)
-    name = _expect_symbol(top[1], "a domain name", filename)
+        raise _fail("expected (domain NAME ...)", top[0] if top else None, top)
+    name = _expect_symbol(top[1], "a domain name", top)
 
     operators: dict[str, Operator] = {}
     methods: list[Method] = []
     method_forms: list[list] = []
-    arities = _ArityTable(filename)
+    arities = _ArityTable()
 
+    # an error inside a form that is about no list of its own is about the form
     for form in top[2:]:
-        lst = _expect_list(form, "an :operator or :method form", filename)
-        if not lst:
-            raise _fail("empty form in domain", filename)
-        if lst[0] == ":operator":
-            operators_form(lst, operators, arities, filename)
-        elif lst[0] == ":method":
-            methods.append(method_form(lst, arities, filename))
-            method_forms.append(lst)
-        else:
-            raise _fail(f"expected :operator or :method, got {lst[0]!r}",
-                        filename, lst[0])
+        lst = _expect_list(form, "an :operator or :method form", top)
+        try:
+            if not lst:
+                raise _fail("empty form in domain")
+            if lst[0] == ":operator":
+                operators_form(lst, operators, arities)
+            elif lst[0] == ":method":
+                methods.append(method_form(lst, arities))
+                method_forms.append(lst)
+            else:
+                raise _fail(f"expected :operator or :method, got {lst[0]!r}", lst[0])
+        except ParseError as exc:
+            raise _about(exc, lst)
 
     dom = Domain(name, operators, tuple(methods))
     head_names = {m.task.name for m in methods}
     for m, form in zip(methods, method_forms):
         for st in m.subtasks:
-            _check_call(st, dom, head_names, f"method {m.branch}", filename,
-                        form)
+            _check_call(st, dom, head_names, f"method {m.branch}", form)
     return dom
 
 
-def operators_form(lst, operators, arities, filename) -> None:
+def operators_form(lst, operators, arities) -> None:
     if len(lst) < 2:
-        raise _fail(":operator needs a head", filename, form=lst)
-    head = _expect_list(lst[1], "an operator head", filename)
+        raise _fail(":operator needs a head")
+    head = _expect_list(lst[1], "an operator head")
     if not head or not isinstance(head[0], str) or not head[0].startswith("!"):
-        raise _fail("operator head must be (!name ?v*)", filename,
-                    head[0] if head else None, form=lst)
+        raise _fail("operator head must be (!name ?v*)", head[0] if head else None)
     name = head[0][1:]
     if not name:
-        raise _fail("empty operator name", filename, head[0], form=lst)
+        raise _fail("empty operator name", head[0])
     params = []
     for p in head[1:]:
-        p = _expect_symbol(p, "a parameter variable", filename)
+        p = _expect_symbol(p, "a parameter variable")
         if not is_var(p):
-            raise _fail(f"operator parameter {p!r} must be a variable",
-                        filename, p, form=lst)
+            raise _fail(f"operator parameter {p!r} must be a variable", p)
         if p in params:
-            raise _fail(f"duplicate parameter {p}", filename, p, form=lst)
+            raise _fail(f"duplicate parameter {p}", p)
         params.append(p)
     if name in operators:
-        raise DuplicateName(f"duplicate operator {name}", filename,
-                            token=name, form=lst)
+        raise DuplicateName(f"duplicate operator {name}", token=name)
 
-    sections = _keyword_sections(lst[2:], {":pre": True, ":del": True, ":add": True},
-                                 filename)
-    pre = tuple(_parse_literal(l, filename)
-                for l in _expect_list(sections.get(":pre", []), ":pre list", filename))
-    delete = tuple(_parse_atom(a, filename)
-                   for a in _expect_list(sections.get(":del", []), ":del list", filename))
-    add = tuple(_parse_atom(a, filename)
-                for a in _expect_list(sections.get(":add", []), ":add list", filename))
+    sections = _keyword_sections(lst[2:], {":pre": True, ":del": True, ":add": True})
+    pre = tuple(_parse_literal(l)
+                for l in _expect_list(sections.get(":pre", []), ":pre list"))
+    delete = tuple(_parse_atom(a)
+                   for a in _expect_list(sections.get(":del", []), ":del list"))
+    add = tuple(_parse_atom(a)
+                for a in _expect_list(sections.get(":add", []), ":add list"))
     for atom in [l.atom for l in pre] + list(delete) + list(add):
         arities.note(atom)
         for a in atom.args:
             if is_var(a) and a not in params:
-                raise _fail(f"variable {a} of operator {name} not in its parameters",
-                            filename, a, form=lst)
+                raise _fail(f"variable {a} of operator {name} not in its parameters", a)
     operators[name] = Operator(name, tuple(params), pre, add, delete)
 
 
-def method_form(lst, arities, filename) -> Method:
+def method_form(lst, arities) -> Method:
     if len(lst) < 2:
-        raise _fail(":method needs a head task", filename, form=lst)
-    head = _parse_task(lst[1], filename)
+        raise _fail(":method needs a head task")
+    head = _parse_task(lst[1])
     if head.primitive:
-        raise _fail(f"method head {head.name} must be nonprimitive", filename,
-                    head.name, form=lst)
+        raise _fail(f"method head {head.name} must be nonprimitive", head.name)
     sections = _keyword_sections(
         lst[2:], {":name": True, ":pre": True, ":tasks": True,
-                  ":unordered": False, ":before": True}, filename)
+                  ":unordered": False, ":before": True})
     if ":name" not in sections:
-        raise _fail("method needs :name", filename, form=lst)
-    branch = _expect_symbol(sections[":name"], "a branch name", filename)
-    pre = tuple(_parse_literal(l, filename)
-                for l in _expect_list(sections.get(":pre", []), ":pre list", filename))
-    subtasks = tuple(_parse_task(t, filename)
-                     for t in _expect_list(sections.get(":tasks", []), ":tasks list",
-                                           filename))
+        raise _fail("method needs :name")
+    branch = _expect_symbol(sections[":name"], "a branch name")
+    pre = tuple(_parse_literal(l)
+                for l in _expect_list(sections.get(":pre", []), ":pre list"))
+    subtasks = tuple(_parse_task(t)
+                     for t in _expect_list(sections.get(":tasks", []), ":tasks list"))
     unordered = bool(sections.get(":unordered", False))
     before: list[tuple[Literal, int]] = []
-    for entry in _expect_list(sections.get(":before", []), ":before list", filename):
-        pair = _expect_list(entry, "a (literal index) pair", filename)
+    for entry in _expect_list(sections.get(":before", []), ":before list"):
+        pair = _expect_list(entry, "a (literal index) pair")
         if len(pair) != 2 or not isinstance(pair[1], Fraction) or pair[1].denominator != 1:
-            raise _fail(":before entries are (literal index)", filename,
-                        form=lst)
+            raise _fail(":before entries are (literal index)")
         idx = int(pair[1])
         if not 0 <= idx < len(subtasks):
-            raise _fail(f":before index {idx} out of range", filename, idx,
-                        form=lst)
-        before.append((_parse_literal(pair[0], filename), idx))
+            raise _fail(f":before index {idx} out of range", idx)
+        before.append((_parse_literal(pair[0]), idx))
     if before and unordered:
-        raise _fail(":before cannot be combined with :unordered", filename,
-                    form=lst)
+        raise _fail(":before cannot be combined with :unordered")
 
     for lit in pre:
         arities.note(lit.atom)
@@ -300,82 +300,81 @@ def method_form(lst, arities, filename) -> Method:
             if is_var(a) and a not in bound:
                 raise _fail(f"variable {a} of negative precondition {lit} of "
                             f"method {branch} is not bound by the head or a "
-                            "positive precondition", filename, a, form=lst)
+                            "positive precondition", a)
     for st in subtasks:
         for a in st.args:
             if is_var(a) and a not in bound:
                 raise _fail(f"subtask variable {a} of method {branch} is not bound "
-                            "by the head or preconditions", filename, a,
-                            form=lst)
+                            "by the head or preconditions", a)
     for lit, _ in before:
         arities.note(lit.atom)
         for a in lit.atom.args:
             if is_var(a) and a not in bound:
-                raise _fail(f":before variable {a} of method {branch} is unbound",
-                            filename, a, form=lst)
+                raise _fail(f":before variable {a} of method {branch} is unbound", a)
     return Method(branch, head, pre, subtasks, unordered, tuple(before))
 
 
 def _check_call(task: Task, dom: Domain, head_names: set[str], caller: str,
-                filename: str, form: list) -> None:
+                form: list) -> None:
     """A task call names an operator and gives it its arity, or names a
     nonprimitive task that some method decomposes; form is the list an
     error reports."""
     if not task.primitive:
         if task.name not in head_names:
             raise UnknownTask(f"{caller} calls task {task.name}, which no "
-                              "method decomposes", filename, token=task.name,
-                              form=form)
+                              "method decomposes", token=task.name, form=form)
         return
     op = dom.operators.get(task.name)
     if op is None:
         raise UnknownTask(f"{caller} calls unknown operator !{task.name}",
-                          filename, token=task.name, form=form)
+                          token=task.name, form=form)
     if len(task.args) != len(op.params):
         raise ArityMismatch(f"{caller} calls operator {task.name} with "
                             f"{len(task.args)} args, it expects "
-                            f"{len(op.params)}", filename, token=task.name,
-                            form=form)
+                            f"{len(op.params)}", token=task.name, form=form)
 
 
 def parse_problem(text, domain: Domain, filename: str = "<problem>") -> Problem:
     return _read(_problem, text, filename, domain)
 
 
-def _problem(exprs: list, domain: Domain, filename: str) -> Problem:
+def _problem(exprs: list, domain: Domain) -> Problem:
     if len(exprs) != 1:
-        raise _fail("a problem file holds exactly one (problem ...) form", filename)
-    top = _expect_list(exprs[0], "(problem ...)", filename)
+        raise _fail("a problem file holds exactly one (problem ...) form")
+    top = _expect_list(exprs[0], "(problem ...)")
     if len(top) < 2 or top[0] != "problem":
-        raise _fail("expected (problem NAME ...)", filename, top[0] if top else None)
-    name = _expect_symbol(top[1], "a problem name", filename)
-    sections = _keyword_sections(top[2:], {":init": True, ":tasks": True}, filename)
+        raise _fail("expected (problem NAME ...)", top[0] if top else None, top)
+    # an error that is about no list of its own is about the problem form
+    try:
+        name = _expect_symbol(top[1], "a problem name")
+        sections = _keyword_sections(top[2:], {":init": True, ":tasks": True})
 
-    arities = _domain_arities(domain, filename)
-    facts = []
-    for a in _expect_list(sections.get(":init", []), ":init list", filename):
-        atom = _parse_atom(a, filename)
-        if any(is_var(x) for x in atom.args):
-            raise NonGroundInit(f"init atom {atom} is not ground", filename,
-                                token=atom.pred)
-        arities.check(atom)
-        facts.append(atom)
+        arities = _domain_arities(domain)
+        facts = []
+        for a in _expect_list(sections.get(":init", []), ":init list"):
+            atom = _parse_atom(a)
+            if any(is_var(x) for x in atom.args):
+                raise NonGroundInit(f"init atom {atom} is not ground",
+                                    token=atom.pred, form=a)
+            arities.check(atom, a)
+            facts.append(atom)
 
-    head_names = {m.task.name for m in domain.methods}
-    network = []
-    for t in _expect_list(sections.get(":tasks", []), ":tasks list", filename):
-        task = _parse_task(t, filename)
-        if any(is_var(x) for x in task.args):
-            raise _fail(f"initial task {task.name} is not ground", filename, task.name)
-        _check_call(task, domain, head_names, "the task network", filename,
-                    t)
-        network.append(task)
+        head_names = {m.task.name for m in domain.methods}
+        network = []
+        for t in _expect_list(sections.get(":tasks", []), ":tasks list"):
+            task = _parse_task(t)
+            if any(is_var(x) for x in task.args):
+                raise _fail(f"initial task {task.name} is not ground", task.name, t)
+            _check_call(task, domain, head_names, "the task network", t)
+            network.append(task)
+    except ParseError as exc:
+        raise _about(exc, top)
 
     return Problem(name, State(frozenset(facts)), tuple(network), domain)
 
 
-def _domain_arities(domain: Domain, filename: str) -> _ArityTable:
-    arities = _ArityTable(filename)
+def _domain_arities(domain: Domain) -> _ArityTable:
+    arities = _ArityTable()
     for op in domain.operators.values():
         for lit in op.pre:
             arities.note(lit.atom)
@@ -391,135 +390,125 @@ def _domain_arities(domain: Domain, filename: str) -> _ArityTable:
 
 # --- preferences ----------------------------------------------------------------
 
-def _parse_ref(kind: str, x: SExpr, domain: Domain, filename: str) -> F.Ref:
+def _parse_ref(kind: str, x: SExpr, domain: Domain) -> F.Ref:
     """A reference of kind "task" (an operator, written with or without its
     !, or a nonprimitive task) or of kind "method" (a method branch)."""
-    lst = _expect_list(x, f"a {kind} reference", filename)
+    lst = _expect_list(x, f"a {kind} reference")
     if not lst:
-        raise _fail(f"empty {kind} reference", filename)
-    head = _expect_symbol(lst[0], f"a {kind} name", filename)
+        raise _fail(f"empty {kind} reference", form=lst)
+    head = _expect_symbol(lst[0], f"a {kind} name", lst)
     name = head[1:] if kind == "task" and head.startswith("!") else head
     if kind == "method":
         if not any(m.branch == name for m in domain.methods):
-            raise UnknownMethodName(f"unknown method branch {name}", filename,
-                                    token=name, form=lst)
+            raise UnknownMethodName(f"unknown method branch {name}", token=name,
+                                    form=lst)
     elif name in domain.operators:
         kind = "op"
     elif not any(m.task.name == name for m in domain.methods):
-        raise UnknownTask(f"unknown task {name} in preference", filename,
-                          token=name, form=lst)
-    return F.Ref(kind, name, tuple(_parse_term(a, filename) for a in lst[1:]))
+        raise UnknownTask(f"unknown task {name} in preference", token=name, form=lst)
+    return F.Ref(kind, name, _parse_args(lst))
 
 
-def _parse_pref_literal(x: SExpr, arities: _ArityTable,
-                        filename: str) -> Literal:
-    lit = _parse_literal(x, filename)
-    arities.check(lit.atom)
+def _parse_pref_literal(x: SExpr, arities: _ArityTable) -> Literal:
+    lit = _parse_literal(x)
+    arities.check(lit.atom, x)
     return lit
 
 
-def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable,
-               filename: str):
+def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable):
     """One argument of a BDF_FORMS form, of the given kind."""
     if kind == "formula":
-        return _parse_bdf(x, domain, arities, filename)
+        return _parse_bdf(x, domain, arities)
     if kind == "literal":
-        return _parse_pref_literal(x, arities, filename)
-    return _parse_ref(kind, x, domain, filename)
+        return _parse_pref_literal(x, arities)
+    return _parse_ref(kind, x, domain)
 
 
-def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
-               filename: str) -> F.BDF:
-    lst = _expect_list(x, "a formula", filename)
-    if not lst:
-        raise _fail("empty formula", filename, form=lst)
-    head = lst[0]
-    if not isinstance(head, str):
-        raise _fail(f"formula head must be a symbol, got {head!r}", filename,
-                    head, lst)
-    if head in BDF_FORMS:
-        cls, kinds = BDF_FORMS[head]
-        if len(lst) != len(kinds) + 1:
-            raise _fail(f"expected ({head} {' '.join(kinds)})", filename, head,
-                        lst)
-        return cls(*(_parse_arg(kind, arg, domain, arities, filename)
-                     for kind, arg in zip(kinds, lst[1:])))
-    if head in ("exists", "forall"):
-        if len(lst) != 3:
-            raise _fail(f"expected ({head} (?var+) formula)", filename, head,
-                        lst)
-        var_list = _expect_list(lst[1], "a variable list", filename)
-        if not var_list:
-            raise _fail(f"({head} ...) needs at least one variable", filename,
-                        head, lst)
-        body = _parse_bdf(lst[2], domain, arities, filename)
-        cls = F.Exists if head == "exists" else F.Forall
-        for v in reversed(var_list):
-            v = _expect_symbol(v, "a variable", filename)
-            if not is_var(v):
-                raise _fail(f"quantified name {v!r} must start with '?'",
-                            filename, v, lst)
-            body = cls(v, body)
-        return body
-    if head in ("and", "or"):
-        join = F.mk_and if head == "and" else F.mk_or
-        return join(_parse_bdf(p, domain, arities, filename) for p in lst[1:])
-    if head in _GPF_KEYWORDS:
-        raise _fail(f"{head} is a preference connective, not a formula", filename,
-                    head, lst)
-    # anything else is a state literal
-    return F.LitF(_parse_pref_literal(x, arities, filename))
+def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.BDF:
+    lst = _expect_list(x, "a formula")
+    # an error inside lst that is about no list of its own is about lst
+    try:
+        if not lst:
+            raise _fail("empty formula")
+        head = lst[0]
+        if not isinstance(head, str):
+            raise _fail(f"formula head must be a symbol, got {head!r}", head)
+        if head in BDF_FORMS:
+            cls, kinds = BDF_FORMS[head]
+            if len(lst) != len(kinds) + 1:
+                raise _fail(f"expected ({head} {' '.join(kinds)})", head)
+            return cls(*(_parse_arg(kind, arg, domain, arities)
+                         for kind, arg in zip(kinds, lst[1:])))
+        if head in ("exists", "forall"):
+            if len(lst) != 3:
+                raise _fail(f"expected ({head} (?var+) formula)", head)
+            var_list = _expect_list(lst[1], "a variable list")
+            if not var_list:
+                raise _fail(f"({head} ...) needs at least one variable", head)
+            body = _parse_bdf(lst[2], domain, arities)
+            cls = F.Exists if head == "exists" else F.Forall
+            for v in reversed(var_list):
+                v = _expect_symbol(v, "a variable")
+                if not is_var(v):
+                    raise _fail(f"quantified name {v!r} must start with '?'", v)
+                body = cls(v, body)
+            return body
+        if head in ("and", "or"):
+            join = F.mk_and if head == "and" else F.mk_or
+            return join(_parse_bdf(p, domain, arities) for p in lst[1:])
+        if head in _GPF_KEYWORDS:
+            raise _fail(f"{head} is a preference connective, not a formula", head)
+        # anything else is a state literal
+        return F.LitF(_parse_pref_literal(x, arities))
+    except ParseError as exc:
+        raise _about(exc, lst)
 
 
-def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable,
-               filename: str) -> F.GPF:
-    lst = _expect_list(x, "a preference formula", filename)
+def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.GPF:
+    lst = _expect_list(x, "a preference formula")
     head = lst[0] if lst else None
-    if head == ">>":
-        alts = []
-        for entry in lst[1:]:
-            pair = _expect_list(entry, "a (formula value) alternative", filename)
-            if len(pair) != 2 or not isinstance(pair[1], Fraction):
-                raise _fail("alternatives are written (formula value)", filename,
-                            form=pair)
-            alts.append((_parse_bdf(pair[0], domain, arities, filename), pair[1]))
-        if not alts:
-            raise _fail("(>> ...) needs at least one alternative", filename,
-                        form=lst)
-        try:
+    # as in _parse_bdf; F.APF's BadValueOrder is about lst too
+    try:
+        if head == ">>":
+            alts = []
+            for entry in lst[1:]:
+                pair = _expect_list(entry, "a (formula value) alternative")
+                if len(pair) != 2 or not isinstance(pair[1], Fraction):
+                    raise _fail("alternatives are written (formula value)", form=pair)
+                alts.append((_parse_bdf(pair[0], domain, arities), pair[1]))
+            if not alts:
+                raise _fail("(>> ...) needs at least one alternative")
             return F.Atomic(F.APF(tuple(alts)))
-        except BadValueOrder as e:
-            raise BadValueOrder(e.message, filename, form=lst) from None
-    if head == "if":
-        if len(lst) != 3:
-            raise _fail("(if condition preference)", filename, form=lst)
-        return F.Cond(_parse_bdf(lst[1], domain, arities, filename),
-                      _parse_gpf(lst[2], domain, arities, filename))
-    if head in ("&!", "|!"):
-        if len(lst) < 3:
-            raise _fail(f"({head} ...) needs at least two preferences", filename,
-                        head, lst)
-        parts = tuple(_parse_gpf(p, domain, arities, filename) for p in lst[1:])
-        return F.Conj(parts) if head == "&!" else F.Disj(parts)
-    return F.bdf_gpf(_parse_bdf(x, domain, arities, filename))
+        if head == "if":
+            if len(lst) != 3:
+                raise _fail("(if condition preference)")
+            return F.Cond(_parse_bdf(lst[1], domain, arities),
+                          _parse_gpf(lst[2], domain, arities))
+        if head in ("&!", "|!"):
+            if len(lst) < 3:
+                raise _fail(f"({head} ...) needs at least two preferences", head)
+            parts = tuple(_parse_gpf(p, domain, arities) for p in lst[1:])
+            return F.Conj(parts) if head == "&!" else F.Disj(parts)
+        return F.bdf_gpf(_parse_bdf(x, domain, arities))
+    except ParseError as exc:
+        raise _about(exc, lst)
 
 
 def parse_preference(text, domain: Domain, filename: str = "<preference>") -> F.GPF:
     return _read(_preference, text, filename, domain)
 
 
-def _preference(exprs: list, domain: Domain, filename: str) -> F.GPF:
+def _preference(exprs: list, domain: Domain) -> F.GPF:
     if len(exprs) != 1:
-        raise _fail(f"expected exactly one expression, found {len(exprs)}",
-                    filename)
-    arities = _domain_arities(domain, filename)
-    gpf = _parse_gpf(exprs[0], domain, arities, filename)
+        raise _fail(f"expected exactly one expression, found {len(exprs)}")
+    arities = _domain_arities(domain)
+    gpf = _parse_gpf(exprs[0], domain, arities)
     gpf = F.nnf_gpf(gpf)
     try:
         for b in F.gpf_bdfs(gpf):
             F.check_closed(b)
     except UnboundVariable as e:
-        raise _fail(str(e), filename) from None
+        raise _fail(str(e)) from None
     return gpf
 
 

@@ -6,7 +6,7 @@ from prefhtn.errors import IllegalEvent, NotNonprimitive, PreconditionViolation
 from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
                            OperatorEvent, StartEvent, State, Task, Trace,
                            apply_event, args_match,
-                           empty_trace, relevant_methods, replay, unify_args,
+                           empty_trace, ground_operator, relevant_methods, replay, unify_args,
                            validate_trace)
 from prefhtn.oracle import enumerate_all
 from prefhtn.search import solve
@@ -113,6 +113,20 @@ class TestApplyEvent:
         assert not s1.has_terminated("task", "t", ())
 
 
+    def test_unknown_operator_rejected(self, mini_domain):
+        with pytest.raises(IllegalEvent, match="unknown operator ghost"):
+            mini_domain.ground("ghost", ())
+
+    def test_operator_arity_rejected(self, mini_domain):
+        with pytest.raises(PreconditionViolation,
+                           match="operator pay expects 0 args, got 1"):
+            ground_operator(mini_domain.operators["pay"], ("x",))
+
+    def test_non_event_rejected(self, mini_domain):
+        with pytest.raises(IllegalEvent, match="unknown event"):
+            apply_event(state(), Inst("op", "pay", (), 0), mini_domain)
+
+
 class TestRelevantMethods:
     def test_declaration_order(self, mini_domain):
         out = relevant_methods(Task("arrange-trans"), mini_domain)
@@ -138,6 +152,29 @@ class TestTrace:
                     mini_trace.states[0])
         with pytest.raises(IllegalEvent):
             validate_trace(bad, mini_domain)
+
+    def test_validator_rejects_two_instances_with_one_start_uid(
+            self, mini_domain):
+        trace = replay(state(), [StartEvent(Inst("task", "t", (), 0)),
+                                 StartEvent(Inst("task", "u", (), 0))],
+                       mini_domain)
+        with pytest.raises(IllegalEvent, match="duplicate instance id 0"):
+            validate_trace(trace, mini_domain)
+
+    def test_validator_rejects_a_repeated_operator_uid(self, mini_domain):
+        trace = replay(state(), [OperatorEvent("pay", (), 3),
+                                 OperatorEvent("pay", (), 3)], mini_domain)
+        with pytest.raises(IllegalEvent, match="duplicate instance id 3"):
+            validate_trace(trace, mini_domain)
+
+    def test_validator_rejects_ending_an_instance_it_never_started(
+            self, mini_domain):
+        # executing in the initial state, so replay accepts its end
+        inst = Inst("task", "t", (), 0)
+        trace = replay(State(frozenset(), frozenset({inst})),
+                       [EndEvent(inst)], mini_domain)
+        with pytest.raises(IllegalEvent, match="end without start"):
+            validate_trace(trace, mini_domain)
 
     def test_terminated_grows_monotonically(self, mini_trace):
         for a, b in zip(mini_trace.states, mini_trace.states[1:]):

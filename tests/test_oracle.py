@@ -1,12 +1,15 @@
 """Brute-force enumeration and the planner/enumerator cross checks."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
-from conftest import MINI_DOMAIN, fixture_ids, load_fixture
+from conftest import FIXTURES, MINI_DOMAIN, fixture_ids, load_fixture
 
+from prefhtn import cli
 from prefhtn import formulas as F
+from prefhtn import progression as P
 from prefhtn.errors import CapExceeded
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import parse_domain, parse_preference, parse_problem
@@ -148,3 +151,46 @@ class TestMetamorphic:
                            f"(&! {gi.preference_text} "
                            f"(always (or {atom} (not {atom}))))")
         assert self._check(generated, rewrite) == len(generated)
+
+
+def _replays_with(prefix_of):
+    """A stand-in for progress_trace: each trace keeps its true final weight
+    w, and its prefix bounds become prefix_of(w)."""
+    real = P.progress_trace
+
+    def fake(gpf, traces, universe):
+        return [(w, prefix_of(w)) for w, _ in real(gpf, traces, universe)]
+    return fake
+
+
+def _b(opt, pess):
+    return P.Bounds(Fraction(opt), Fraction(pess))
+
+
+class TestCrossCheckFailures:
+    """Each broken bound sequence fails exactly the checks that read it."""
+
+    @pytest.mark.parametrize("prefix_of, failed", [
+        (lambda w: [_b(w, w + 1), _b(w - 1, w + 1), _b(w, w)],
+         {"prefix-monotone"}),
+        (lambda w: [_b(w - 1, w), _b(w - 1, w + 1), _b(w, w)],
+         {"prefix-monotone"}),
+        (lambda w: [_b(w + 1, w + 2)], {"prefix-monotone"}),
+        (lambda w: [_b(w, w), _b(w - 1, w + 1)],
+         {"prefix-monotone", "bounds-converged"}),
+    ], ids=["opt-lowered", "pess-raised", "not-bracketed", "met-then-split"])
+    def test_broken_bounds_fail_their_checks(self, monkeypatch, prefix_of,
+                                             failed):
+        monkeypatch.setattr(P, "progress_trace", _replays_with(prefix_of))
+        report = cross_check(load_fixture("travel", 1))
+        assert report.plan_count == 13
+        assert {name for name, ok in report.checks.items() if not ok} == failed
+
+    def test_check_command_exits_5(self, monkeypatch, capsys):
+        monkeypatch.setattr(P, "progress_trace", _replays_with(
+            lambda w: [_b(w, w), _b(w - 1, w + 1)]))
+        assert cli.main(["check", "--suite", str(FIXTURES / "travel")]) \
+            == cli.EXIT_MISMATCH
+        out = capsys.readouterr().out
+        assert "bounds-converged: FAIL" in out
+        assert "weight-match: FAIL" not in out

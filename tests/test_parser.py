@@ -11,8 +11,8 @@ from prefhtn.errors import (ArityMismatch, BadValueOrder, DuplicateName,
                             NonGroundInit, ParseError, UnknownMethodName,
                             UnknownPredicate, UnknownTask)
 from prefhtn.parser import (BDF_FORMS, parse_domain, parse_preference,
-                            parse_problem, print_domain, print_preference,
-                            print_problem)
+                            parse_problem, print_bdf, print_domain,
+                            print_preference, print_problem)
 from prefhtn.randgen import GenConfig, gen_files
 from tests.conftest import FIXTURES, MINI_DOMAIN
 
@@ -103,6 +103,9 @@ BAD_HTN = """\
   (:method (t) :name m1 :pre () :tasks ((!a)))
   (:method (u) :name m2 :pre () :tasks ((!a) (ghost))))
 """
+
+# the first line of a domain whose second line is the form under test
+OPS = "(domain d (:operator (!a) :pre () :del () :add ())\n"
 
 
 class TestErrorLocations:
@@ -253,6 +256,91 @@ class TestErrorLocations:
         assert str(exc.value) == \
             "p.pref:2:3: first alternative value must be 0, got 1/2"
 
+    # one validation error each, on line 2: the file kind, the text, the
+    # error class, the line:col of the list it reports and its message
+    @pytest.mark.parametrize("kind, text, error, line, col, message", [
+        ("domain", OPS + "  (:operator (!b) :pre ((p :k)) :del () :add ()))",
+         ParseError, 2, 25, "bad term ':k'"),
+        ("domain", OPS + "  (:operator (!b) :pre () :del (()) :add ()))",
+         ParseError, 2, 33, "empty atom"),
+        ("domain", OPS + "  (:operator (!b) :pre () :del () :add ((?p))))",
+         ParseError, 2, 41, "bad predicate '?p'"),
+        ("domain", OPS + "  (:operator (!b) :pre ((not (p) (q))) :del () :add ()))",
+         ParseError, 2, 25, "(not ...) takes one atom"),
+        ("domain", OPS + "  (:operator (!b) :pre (p) :del () :add ()))",
+         ParseError, 2, 3, "expected a literal, got 'p'"),
+        ("domain", OPS + "  (:method (t) :name m :pre () :tasks (())))",
+         ParseError, 2, 40, "empty task"),
+        ("domain", OPS + "  (:method (t) :name m :pre () :tasks ((!:x))))",
+         ParseError, 2, 40, "bad task symbol '!:x'"),
+        ("domain", OPS + "  (:method t :name m :pre () :tasks ((!a))))",
+         ParseError, 2, 3, "expected a task, got 't'"),
+        ("domain", OPS + "  (:operator !b :pre () :del () :add ()))",
+         ParseError, 2, 3, "expected an operator head, got '!b'"),
+        ("domain", OPS + "  (:operator (!b (?x)) :pre () :del () :add ()))",
+         ParseError, 2, 3, "expected a parameter variable, got ['?x']"),
+        ("domain", OPS + "  (:operator (!b) pre () :del () :add ()))",
+         ParseError, 2, 3, "expected a :keyword, got 'pre'"),
+        ("domain", OPS + "  (:operator (!b) :post () :del () :add ()))",
+         ParseError, 2, 3, "unknown keyword :post"),
+        ("domain", OPS + "  (:operator (!b) :pre () :pre () :add ()))",
+         ParseError, 2, 3, "duplicate keyword :pre"),
+        ("domain", OPS + "  (:operator (!b) :pre () :del () :add))",
+         ParseError, 2, 3, ":add needs a value"),
+        ("domain", OPS + "  (:operator (!b ?x) :pre ((p)) :del () :add ((p ?x))))",
+         ArityMismatch, 2, 3, "predicate p used with arity 1 and 0"),
+        ("domain", OPS + "  ())", ParseError, 2, 3, "empty form in domain"),
+        ("domain", OPS + "  (:axiom (p)))", ParseError, 2, 3,
+         "expected :operator or :method, got ':axiom'"),
+        ("domain", "; header\n(dom d)", ParseError, 2, 1,
+         "expected (domain NAME ...)"),
+        ("problem", "(problem p\n  :init ((paid) (paid ?x)) :tasks ())",
+         NonGroundInit, 2, 17, "init atom (paid ?x) is not ground"),
+        ("problem", "(problem p\n  :init ((ghost)) :tasks ())",
+         UnknownPredicate, 2, 10, "unknown predicate ghost"),
+        ("problem", "(problem p\n  :init ((paid x)) :tasks ())",
+         ArityMismatch, 2, 10, "predicate paid expects 0 args, got 1"),
+        ("problem", "(problem p :init ()\n  :tasks ((arrange-trans ?x)))",
+         ParseError, 2, 11, "initial task arrange-trans is not ground"),
+        ("problem", "; header\n(prob p)", ParseError, 2, 1,
+         "expected (problem NAME ...)"),
+        ("preference", "(and (paid)\n  (not at))", ParseError, 2, 3,
+         "expected a formula, got 'at'"),
+        ("preference", "(and (paid)\n  (occ ()))", ParseError, 2, 8,
+         "empty task reference"),
+        ("preference", "(and (paid)\n  (not (ghost)))", UnknownPredicate, 2, 8,
+         "unknown predicate ghost"),
+        ("preference", "(and (paid)\n  (final (paid x)))", ArityMismatch, 2, 10,
+         "predicate paid expects 0 args, got 1"),
+    ], ids=["bad-term", "empty-atom", "bad-predicate", "not-two-atoms",
+            "literal-not-a-list", "empty-task", "bad-task-symbol",
+            "method-head-not-a-list", "operator-head-not-a-list",
+            "parameter-not-a-symbol", "keyword-expected", "unknown-keyword",
+            "duplicate-keyword", "keyword-needs-a-value", "arity-clash",
+            "empty-form", "bad-form-head", "domain-header", "nonground-init",
+            "unknown-init-predicate", "init-arity", "nonground-task",
+            "problem-header", "formula-symbol", "empty-reference",
+            "unknown-predicate", "wrong-arity"])
+    def test_validation_error_reports_its_list(self, mini_domain, kind, text,
+                                               error, line, col, message):
+        parse = {"domain": lambda: parse_domain(text, "f"),
+                 "problem": lambda: parse_problem(text, mini_domain, "f"),
+                 "preference": lambda: parse_preference(text, mini_domain, "f")}
+        with pytest.raises(ParseError) as exc:
+            parse[kind]()
+        assert type(exc.value) is error
+        assert (exc.value.file, exc.value.line, exc.value.col) == ("f", line, col)
+        assert exc.value.message == message
+        assert str(exc.value) == f"f:{line}:{col}: {message}"
+
+    def test_unbound_variable_stays_at_the_start(self, mini_domain):
+        # the formula is checked for closure once it is built, when no parsed
+        # list is at hand
+        with pytest.raises(ParseError) as exc:
+            parse_preference("(and (paid)\n  (eventually (occ (pay ?x))))",
+                             mini_domain, "f")
+        assert str(exc.value) == "f:1:1: unbound variable ?x"
+
 
 class TestParsePreference:
     def test_quantified_bdf(self):
@@ -356,6 +444,18 @@ class TestRoundTrip:
         for pref_file in sorted(root.glob("*.pref")):
             gpf = parse_preference(pref_file.read_bytes(), dom)
             assert parse_preference(print_preference(gpf), dom) == gpf
+
+    def test_false_prints_as_an_empty_or(self, mini_domain):
+        assert print_bdf(F.FALSE) == "(or)"
+        assert parse_preference("(or)", mini_domain) == F.bdf_gpf(F.FALSE)
+
+    @pytest.mark.parametrize("node", [
+        F.Window(F.Ref("op", "pay", ()), F.Ref("task", "arrange-trans", ())),
+        F.OccNext(F.Ref("op", "pay", ())),
+    ], ids=["window", "occ-next"])
+    def test_progression_nodes_do_not_print(self, node):
+        with pytest.raises(ValueError, match="progression-internal"):
+            print_bdf(node)
 
 
 # Example arguments per kind, taken in order when a form has two of a kind.

@@ -6,16 +6,18 @@ import pytest
 
 from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
-from prefhtn.errors import ResourceLimit
-from prefhtn.model import (EndEvent, Literal, StartEvent, Task, Trace,
-                           relevant_methods, subst_literal, unify_args)
+from prefhtn.errors import ResourceLimit, UnboundVariable
+from prefhtn.model import (Atom, EndEvent, Literal, StartEvent, State, Task,
+                           Trace, relevant_methods, subst_literal, unify_args)
 from prefhtn import search
 from prefhtn.oracle import cross_check, enumerate_all
-from prefhtn.parser import parse_domain, parse_preference, parse_problem
+from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
+                            print_domain)
 from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.search import (SearchStats, SolveConfig, _Expander, make_root,
                             satisfiers, solve)
 from prefhtn.semantics import weight_gpf
+from prefhtn.sexpr import parse_sexprs
 
 
 def mini_problem(tasks="((arrange-trans))", pref=None):
@@ -347,6 +349,64 @@ class TestSatisfiers:
                             branches.add(method.branch)
         assert calls > 1000 and "move-one-stop" in branches
 
+    # hand-built states for the branches the fixtures never reach: a negative
+    # precondition, a fact of another arity, and a repeated variable or a
+    # constant that rejects a fact of a non-ground pattern
+    @pytest.mark.parametrize("pre, facts, sigma, xs", [
+        ("((at ?x) (not (seen ?x)) (not (seen ?y)))",
+         "((at a) (at b) (at c) (seen b) (seen d))", {"?y": "d"}, []),
+        ("((at ?x) (not (seen ?x)) (not (seen ?y)))",
+         "((at a) (at b) (at c) (seen b))", {"?y": "d"}, ["a", "c"]),
+        ("((p ?x))", "((p a b) (p c) (p) (p a))", {}, ["a", "c"]),
+        ("((p ?x ?x))", "((p a a) (p a b) (p b b) (p b a))", {}, ["a", "b"]),
+        ("((p a ?x) (q ?x a))", "((p a b) (p b c) (p a c) (q c a) (q b b))",
+         {}, ["c"]),
+    ], ids=["negative-rejects-all", "negative", "other-arity",
+            "repeated-variable", "constant"])
+    def test_branches_match_a_full_scan(self, pre, facts, sigma, xs):
+        pre = tuple(_literal(l) for l in _sexprs(pre))
+        state = State(frozenset(_literal(a).atom for a in _sexprs(facts)))
+        expected = _reference_satisfiers(pre, state, sigma)
+        assert list(satisfiers(pre, state, sigma)) == expected
+        assert [s["?x"] for s in expected] == xs
+
+    def test_unbound_negative_precondition_raises(self):
+        pre = (_literal(["at", "?x"]), _literal(["not", ["seen", "?y"]]))
+        state = State(frozenset({Atom("at", ("a",))}))
+        with pytest.raises(UnboundVariable):
+            list(satisfiers(pre, state, {}))
+
+    def test_method_with_a_negative_precondition_cross_checks(self):
+        domain = parse_domain(NEGATIVE_DOMAIN, "<neg>")
+        problem = parse_problem(
+            "(problem p :init ((at a) (at b) (at c) (seen b)) :tasks"
+            " ((visit) (visit)))", domain)
+        problem.preference = parse_preference(
+            "(>> ((occ (!go c)) 0) ((occ (!go a)) 0.5))", domain)
+        report = cross_check(problem)
+        assert report.ok, report.checks
+        # a and c, in either order: the second visit cannot repeat the first
+        assert report.plan_count == 2
+
+
+NEGATIVE_DOMAIN = """
+(domain neg
+  (:operator (!go ?x) :pre ((at ?x)) :del () :add ((seen ?x)))
+  (:method (visit) :name fresh :pre ((at ?x) (not (seen ?x)))
+    :tasks ((!go ?x))))
+"""
+
+
+def _sexprs(text):
+    (expr,) = parse_sexprs(text)
+    return expr
+
+
+def _literal(x):
+    if x[0] == "not":
+        return Literal(Atom(x[1][0], tuple(x[1][1:])), positive=False)
+    return Literal(Atom(x[0], tuple(x[1:])), positive=True)
+
 
 UNORDERED_DOMAIN = """
 (domain u
@@ -386,6 +446,12 @@ class TestUnorderedAndBefore:
         if pref is not None:
             problem.preference = parse_preference(pref, domain)
         return problem
+
+    def test_domain_prints_and_parses_back(self):
+        domain = parse_domain(UNORDERED_DOMAIN, "<u>")
+        text = print_domain(domain)
+        assert " :unordered)" in text and " :before (((not (done-c)) 0) " in text
+        assert parse_domain(text) == domain
 
     @pytest.mark.parametrize("tasks,count", [
         ("((two))", 3),    # a b | b a | b c

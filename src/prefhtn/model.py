@@ -284,7 +284,13 @@ class GroundOperator(NamedTuple):
 
 
 class Domain(Record):
-    __slots__ = ("name", "operators", "methods", "_ground")
+    """Operators by name and methods in declaration order. Built with it:
+    the methods by task name, and the predicates some operator adds or
+    deletes; the facts of every other predicate are rigid, the same in
+    every state a search reaches."""
+
+    __slots__ = ("name", "operators", "methods", "_ground", "_by_task",
+                 "_changed")
 
     def __init__(self, name: str, operators: dict[str, Operator],
                  methods: tuple[Method, ...]):
@@ -292,6 +298,11 @@ class Domain(Record):
         self.operators = operators
         self.methods = methods
         self._ground: dict = {}
+        self._by_task: dict[str, list[Method]] = {}
+        for m in methods:
+            self._by_task.setdefault(m.task.name, []).append(m)
+        self._changed = frozenset(a.pred for op in operators.values()
+                                  for a in op.add + op.delete)
 
     def ground(self, name: str, args: tuple[str, ...]) -> GroundOperator:
         """Operator `name` under `args`, grounded once per (name, args)."""
@@ -367,6 +378,44 @@ class EndEvent(Value):
 Event = Union[OperatorEvent, StartEvent, EndEvent]
 
 
+class FactIndex:
+    """The facts of one facts object as sorted lists, each built on first
+    use: per predicate, and per (predicate, position, constant) the facts
+    with that constant at that position. The states that share a facts
+    object (a state and its start and end events' successors) share its
+    index; an operator's successor starts a new one. The lists of a rigid
+    predicate, which no operator adds or deletes, are the same in every
+    state of a search, and live in rigid, which all its indexes share."""
+
+    __slots__ = ("facts", "fluent", "rigid", "changed")
+
+    def __init__(self, facts: frozenset[Atom], rigid: dict,
+                 changed: frozenset[str]):
+        self.facts = facts
+        self.fluent: dict = {}
+        self.rigid = rigid
+        self.changed = changed  # the predicates an operator adds or deletes
+
+    def matching(self, pred: str, args: tuple[str, ...]) -> list[Atom]:
+        """The facts of pred, sorted, that have the first constant of the
+        pattern args at its position: all of them when args has none."""
+        key = pred
+        for pos, a in enumerate(args):
+            if a[0] != "?":
+                key = (pred, pos, a)
+                break
+        table = self.fluent if pred in self.changed else self.rigid
+        out = table.get(key)
+        if out is None:
+            if key is pred:
+                out = sorted([f for f in self.facts if f.pred == pred])
+            else:
+                out = [f for f in self.matching(pred, ())
+                       if len(f.args) > pos and f.args[pos] == a]
+            table[key] = out
+        return out
+
+
 class State(Value):
     """Immutable planning state.
 
@@ -379,16 +428,19 @@ class State(Value):
     uid started or terminated so far (-1 for none; computed when not given),
     so a start above it needs no scan of the links. Two states are equal
     when their facts, executing and terminated instances are; the hash
-    reads the facts and the executing instances.
+    reads the facts and the executing instances. The states of a search
+    carry the FactIndex of their facts (see indexed); others carry None.
     """
 
-    __slots__ = ("facts", "executing", "terminated_links", "max_uid")
+    __slots__ = ("facts", "executing", "terminated_links", "max_uid",
+                 "_index")
     _fields = ("facts", "executing")
 
     def __init__(self, facts: frozenset[Atom],
                  executing: frozenset[Inst] = frozenset(), *,
                  terminated_links: Optional[tuple] = None,
-                 max_uid: Optional[int] = None):
+                 max_uid: Optional[int] = None,
+                 index: Optional[FactIndex] = None):
         _state_facts(self, facts)
         _state_executing(self, executing)
         _state_terminated_links(self, terminated_links)
@@ -396,6 +448,15 @@ class State(Value):
             max_uid = max((i.uid for i in itertools.chain(
                 executing, self._terminated())), default=-1)
         _state_max_uid(self, max_uid)
+        _state_index(self, index)
+
+    def indexed(self, domain: Domain) -> State:
+        """This state as the root of a search: with a FactIndex of its own,
+        whose rigid table is new, so no search reads another's lists."""
+        return State(self.facts, self.executing,
+                     terminated_links=self.terminated_links,
+                     max_uid=self.max_uid,
+                     index=FactIndex(self.facts, {}, domain._changed))
 
     def _terminated(self) -> Iterator[Inst]:
         link = self.terminated_links
@@ -433,8 +494,8 @@ class State(Value):
 
 
 (_state_facts, _state_executing, _state_terminated_links,
- _state_max_uid) = slot_setters(State, "facts", "executing",
-                                "terminated_links", "max_uid")
+ _state_max_uid, _state_index) = slot_setters(
+    State, "facts", "executing", "terminated_links", "max_uid", "_index")
 
 
 def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
@@ -452,9 +513,12 @@ def _apply_ground(state: State, op: GroundOperator, inst: Inst) -> State:
     for lit in op.pre:
         if not state.holds(lit):
             raise PreconditionViolation(lit)
-    return State((state.facts - op.delete) | op.add, state.executing,
+    facts, index = (state.facts - op.delete) | op.add, state._index
+    if index is not None:
+        index = FactIndex(facts, index.rigid, index.changed)
+    return State(facts, state.executing,
                  terminated_links=(inst, state.terminated_links),
-                 max_uid=max(state.max_uid, inst.uid))
+                 max_uid=max(state.max_uid, inst.uid), index=index)
 
 
 def apply_event(state: State, event: Event, domain: Domain) -> State:
@@ -468,14 +532,15 @@ def apply_event(state: State, event: Event, domain: Domain) -> State:
             raise IllegalEvent(f"instance already started: {inst}")
         return State(state.facts, state.executing | {inst},
                      terminated_links=state.terminated_links,
-                     max_uid=max(state.max_uid, inst.uid))
+                     max_uid=max(state.max_uid, inst.uid),
+                     index=state._index)
     if isinstance(event, EndEvent):
         inst = event.inst
         if inst not in state.executing:
             raise IllegalEvent(f"instance not executing: {inst}")
         return State(state.facts, state.executing - {inst},
                      terminated_links=(inst, state.terminated_links),
-                     max_uid=state.max_uid)
+                     max_uid=state.max_uid, index=state._index)
     raise IllegalEvent(f"unknown event {event!r}")
 
 
@@ -568,9 +633,7 @@ def relevant_methods(task: Task, domain: Domain) -> list[tuple[Method, Subst]]:
     if task.primitive:
         raise NotNonprimitive(f"task {task.name} is primitive")
     out = []
-    for m in domain.methods:
-        if m.task.name != task.name:
-            continue
+    for m in domain._by_task.get(task.name, ()):
         sigma = unify_args(m.task.args, task.args)
         if sigma is not None:
             out.append((m, sigma))

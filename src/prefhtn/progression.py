@@ -60,9 +60,12 @@ class Progressed(Value):
     """One product state: skeleton is the ground preference with BDF number
     i standing for residuals[i], the residual of that BDF after the steps
     so far. automaton interns it by its residuals; it keeps its probes and
-    transitions from its first step on (Automaton.probe), and its Bounds."""
+    transitions from its first step on (Automaton.probe), and its Bounds.
+    It is settled when every residual is a constant: then every letter
+    leads back to it, and a search need not step it."""
 
-    __slots__ = ("skeleton", "residuals", "automaton", "_probes", "_bounds")
+    __slots__ = ("skeleton", "residuals", "automaton", "settled", "_probes",
+                 "_bounds")
     _fields = ("skeleton", "residuals")
 
     def __init__(self, skeleton: F.GPF, residuals: tuple[F.BDF, ...],
@@ -70,13 +73,16 @@ class Progressed(Value):
         _progressed_skeleton(self, skeleton)
         _progressed_residuals(self, residuals)
         _progressed_automaton(self, automaton)
+        _progressed_settled(self, all(phi is F.TRUE or phi is F.FALSE
+                                      for phi in residuals))
         _progressed_probes(self, None)
         _progressed_bounds(self, None)
 
 
 (_progressed_skeleton, _progressed_residuals, _progressed_automaton,
- _progressed_probes, _progressed_bounds) = slot_setters(
-    Progressed, "skeleton", "residuals", "automaton", "_probes", "_bounds")
+ _progressed_settled, _progressed_probes, _progressed_bounds) = slot_setters(
+    Progressed, "skeleton", "residuals", "automaton", "settled", "_probes",
+    "_bounds")
 
 
 class Bounds(Value):
@@ -213,12 +219,12 @@ def step(pf: Progressed, ctx: StepContext) -> Progressed:
     """pf's successor under the letter ctx spells for it. Only a letter pf
     has not met steps its residuals; a step that moves none of them returns
     pf itself."""
-    reads, refs, delta = pf._probes or pf.automaton.probe(pf)
+    reads, refs, delta, views = pf._probes or pf.automaton.probe(pf)
     letter = _letter(reads, refs, ctx)
     nxt = delta.get(letter)
     if nxt is None:
         nxt = delta[letter] = pf.automaton.product(
-            pf.skeleton, pf.automaton.step(pf.residuals, ctx))
+            pf.skeleton, pf.automaton.step(pf.residuals, views, letter, ctx))
     return nxt
 
 
@@ -291,6 +297,17 @@ def _group(refs) -> dict:
     return out
 
 
+def _project(letter: tuple, view: tuple) -> tuple:
+    """One residual's letter, read off its product state's letter through
+    the residual's view (see Automaton.probe): the terminal flag, the
+    values at the positions of its own reads, and the numbers it gives
+    the matched refs it has, in its own order, as _letter spells them."""
+    positions, numbers, first_ref = view
+    own = [numbers[n] for n in letter[first_ref:] if n in numbers]
+    own.sort()
+    return (letter[0], *[letter[p] for p in positions], *own)
+
+
 def _letter(reads, refs: dict, ctx: StepContext) -> tuple:
     """The letter ctx spells for a state that probes reads and refs (see
     _group): the terminal flag, the value of each read and the numbers of
@@ -357,31 +374,53 @@ class Automaton:
 
     def probe(self, pf: Progressed) -> tuple:
         """Give pf the union of its residuals' probes, read off their
-        states, and a transition table: (state reads, event refs, {})."""
+        states, a transition table, and each residual's view of pf's
+        letter (see _project): the positions of its reads in the letter,
+        its own number of each of pf's ref numbers it has, and where the
+        ref numbers start. So (state reads, event refs, {}, views)."""
         sts = [self.state(phi) for phi in pf.residuals]
-        out = (tuple(dict.fromkeys(r for st in sts for r in st.state_reads)),
-               _group(ref for st in sts for refs, _ in st.event_refs.values()
-                      for _, ref in refs), {})
+        reads = tuple(dict.fromkeys(r for st in sts for r in st.state_reads))
+        refs = _group(ref for st in sts for refs, _ in st.event_refs.values()
+                      for _, ref in refs)
+        position = {r: 1 + i for i, r in enumerate(reads)}
+        number = {ref: n for group, _ in refs.values() for n, ref in group}
+        views = tuple(
+            (tuple([position[r] for r in st.state_reads]),
+             {number[ref]: i for group, _ in st.event_refs.values()
+              for i, ref in group},
+             1 + len(reads)) for st in sts)
+        out = (reads, refs, {}, views)
         _progressed_probes(pf, out)
         return out
 
-    def step(self, residuals: tuple, ctx: StepContext) -> tuple:
+    def step(self, residuals: tuple, views: tuple, letter: tuple,
+             ctx: StepContext) -> tuple:
         """The successor of each residual under the letter ctx spells for
-        it. The same tuple comes back when no residual moved."""
+        it, projected from its product state's letter. The same tuple comes
+        back when no residual moved."""
         out = []
         moved = False
-        for phi in residuals:
+        for phi, view in zip(residuals, views):
             if phi is F.TRUE or phi is F.FALSE:
                 out.append(phi)
                 continue
             st = self.state(phi)
-            letter = _letter(st.state_reads, st.event_refs, ctx)
-            nxt = st.delta.get(letter)
+            letter_phi = _project(letter, view)
+            nxt = st.delta.get(letter_phi)
             if nxt is None:
-                nxt = st.delta[letter] = self.intern(progress_bdf(phi, ctx))
+                nxt = st.delta[letter_phi] = self.intern(progress_bdf(phi,
+                                                                      ctx))
             moved = moved or nxt is not phi
             out.append(nxt)
         return tuple(out) if moved else residuals
+
+    def release(self) -> None:
+        """Break the cycles between this automaton and its product states
+        (each refers to it, and its transitions to product states), so that
+        reference counting frees them all once the last node drops them."""
+        for pf in self._products.values():
+            _progressed_probes(pf, None)
+        self._products.clear()
 
 
 def _eval_const(phi: F.BDF) -> bool:
@@ -414,20 +453,24 @@ def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
     root = init_progressed(gpf, universe)
     done: dict = {}  # trace cell -> (its non-terminal Progressed, Bounds)
     out = []
-    for trace in traces:
-        cells, cell = [], trace.parent
-        while cell is not None:
-            cells.append(cell)
-            cell = cell.parent
-        pf, prefix = root, []
-        for cell in reversed(cells):
-            if cell not in done:
-                pf = step(pf, StepContext(cell.event, cell.final_state, False))
-                done[cell] = pf, bounds(pf)
-            pf, b = done[cell]
-            prefix.append(b)
-        w = terminal_weight(step(pf, StepContext(trace.event,
-                                                 trace.final_state, True)))
-        prefix.append(Bounds(w, w))
-        out.append((w, prefix))
+    try:
+        for trace in traces:
+            cells, cell = [], trace.parent
+            while cell is not None:
+                cells.append(cell)
+                cell = cell.parent
+            pf, prefix = root, []
+            for cell in reversed(cells):
+                if cell not in done:
+                    pf = step(pf, StepContext(cell.event, cell.final_state,
+                                              False))
+                    done[cell] = pf, bounds(pf)
+                pf, b = done[cell]
+                prefix.append(b)
+            w = terminal_weight(step(pf, StepContext(trace.event,
+                                                     trace.final_state, True)))
+            prefix.append(Bounds(w, w))
+            out.append((w, prefix))
+    finally:
+        root.automaton.release()
     return out

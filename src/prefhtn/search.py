@@ -26,7 +26,10 @@ HTN state and the state of the preference automaton:
   * the preference's product state, one per residual tuple, by identity;
   * one bit per ground reference whose termination progression can read
     (_terminated_refs): whether an instance it matches has terminated.
-The agenda decides the nesting depth, so the depth cap needs no entry.
+A node carries these bits as one int, which it inherits from its parent;
+only an operator or end event that terminates an instance of a watched
+(kind, name) sets any, so the signature reads no state for them. The agenda
+decides the nesting depth, so the depth cap needs no entry.
 Nothing downstream reads an instance uid: event_matches, terminated_at and
 window_open read references only. The executing set needs no entry, as each
 executing instance has exactly one end event on the agenda. So two nodes
@@ -40,6 +43,10 @@ closed set is bypassed: insertion order, not the lexicographic plan key,
 decides which of two equal nodes is popped first. HPLAN-P makes the same
 argument when it folds the preference automata into the planning state
 (Baier, Bacchus & McIlraith, AIJ 2009).
+
+A product state whose residuals are all constant is settled: every letter
+leads back to it, so a node that reaches one keeps it without a
+progression step, and its bounds are the exact weight.
 
 The same expansion relation, with the preference bookkeeping switched off,
 drives the brute-force enumerator; legality is defined in exactly one place.
@@ -57,10 +64,10 @@ from . import formulas as F
 from . import progression as P
 from . import semantics
 from .errors import PreconditionViolation, ResourceLimit, UnboundVariable
-from .model import (Atom, EndEvent, Inst, Literal, OperatorEvent, Problem,
-                    Record, StartEvent, State, Subst, Task, Trace, Value,
-                    empty_trace, is_ground, relevant_methods, slot_setters,
-                    subst_literal)
+from .model import (EndEvent, FactIndex, Inst, Literal, OperatorEvent,
+                    Problem, Record, StartEvent, State, Subst, Task, Trace,
+                    Value, args_match, empty_trace, is_ground,
+                    relevant_methods, slot_setters, subst_literal)
 
 
 class Unordered(Value):
@@ -111,17 +118,18 @@ class SearchStats(Record):
 
 class SearchNode(Record):
     __slots__ = ("agenda", "trace", "progressed", "opt", "pess",
-                 "plan_length")
+                 "plan_length", "terminated")
 
     def __init__(self, agenda: tuple, trace: Trace,
                  progressed: Optional[P.Progressed], opt: Fraction,
-                 pess: Fraction, plan_length: int):
+                 pess: Fraction, plan_length: int, terminated: int):
         self.agenda = agenda
         self.trace = trace
         self.progressed = progressed
         self.opt = opt  # the exact weight once the agenda is empty
         self.pess = pess
         self.plan_length = plan_length
+        self.terminated = terminated  # bit i: refs[i] has terminated
 
 
 class Result(Record):
@@ -143,13 +151,15 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
     Positive literals are matched in order: one that the bindings so far
     make ground is looked up in the state's facts; any other is matched
     against the facts of its predicate, sorted, so the enumeration order is
-    stable across runs. Negative literals must be ground once the positives
-    have bound everything, and are checked last.
+    stable across runs. Those come from the state's FactIndex, narrowed to
+    the facts that share the pattern's first constant. Negative literals
+    must be ground once the positives have bound everything, and are
+    checked last.
     """
     positives = [l.atom for l in pre if l.positive]
     negatives = [l for l in pre if not l.positive]
     facts = state.facts
-    by_pred: dict[str, list[Atom]] = {}  # predicate -> its facts, sorted
+    index = state._index or FactIndex(facts, {}, frozenset())
 
     def bind(i: int, sigma: Subst):
         if i == len(positives):
@@ -165,14 +175,10 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
         pred, pattern = positives[i]
         args = tuple([sigma.get(a, a) for a in pattern])
         if "?" not in [a[0] for a in args]:  # ground: one lookup
-            if Atom(pred, args) in facts:
+            if (pred, args) in facts:  # an Atom equals its plain tuple
                 yield from bind(i + 1, sigma)
             return
-        candidates = by_pred.get(pred)
-        if candidates is None:
-            candidates = by_pred[pred] = sorted([a for a in facts
-                                                 if a.pred == pred])
-        for atom in candidates:
+        for atom in index.matching(pred, args):
             if len(atom.args) != len(args):
                 continue
             ext = dict(sigma)
@@ -192,39 +198,56 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
 
 
 def _step(pf, trace: Trace, terminal: bool):
-    """Progress pf through the event that ended trace; None stays None."""
-    if pf is None:
-        return None
+    """Progress pf through the event that ended trace; None stays None,
+    and a settled product state, a fixpoint of every letter, stays too."""
+    if pf is None or pf.settled:
+        return pf
     return P.step(pf, P.StepContext(trace.event, trace.final_state, terminal))
 
 
-def _make_node(agenda, trace: Trace, pf, plan_length: int) -> SearchNode:
+def _make_node(agenda, trace: Trace, pf, plan_length: int,
+               terminated: int) -> SearchNode:
     if pf is None:
-        return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, plan_length)
+        return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, plan_length,
+                          terminated)
     if not agenda:
         w = P.terminal_weight(pf)
-        return SearchNode(agenda, trace, pf, w, w, plan_length)
+        return SearchNode(agenda, trace, pf, w, w, plan_length, terminated)
     b = P.bounds(pf)
-    return SearchNode(agenda, trace, pf, b.opt, b.pess, plan_length)
+    return SearchNode(agenda, trace, pf, b.opt, b.pess, plan_length,
+                      terminated)
 
 
 class _Expander:
     """Shared expansion relation. progressed=None disables all preference
     bookkeeping (brute-force mode): nodes then carry trivial bounds, and
-    terminal ones are scored after the fact."""
+    terminal ones are scored after the fact. refs are the ground references
+    whose termination the node's terminated bits record (see _signature);
+    watched maps each (kind, name) among them to its (bit, args) pairs."""
 
     def __init__(self, problem: Problem, config: SolveConfig,
-                 stats: SearchStats):
+                 stats: SearchStats, refs: tuple[F.Ref, ...] = ()):
         self.domain = problem.domain
         self.config = config
         self.stats = stats
+        self.watched: dict[tuple, list] = {}
+        for i, ref in enumerate(refs):
+            self.watched.setdefault((ref.kind, ref.name), []).append(
+                (1 << i, ref.args))
+
+    def _terminate(self, bits: int, kind: str, name: str, args) -> int:
+        """bits with those of the refs an instance terminating now matches."""
+        for bit, pattern in self.watched.get((kind, name), ()):
+            if args_match(pattern, args):
+                bits |= bit
+        return bits
 
     def expand(self, node: SearchNode) -> list[SearchNode]:
         return self._drill(node.agenda, node.trace, node.progressed,
-                           node.plan_length)
+                           node.plan_length, node.terminated)
 
-    def _drill(self, agenda, trace: Trace, pf,
-               plan_length: int) -> list[SearchNode]:
+    def _drill(self, agenda, trace: Trace, pf, plan_length: int,
+               terminated: int) -> list[SearchNode]:
         while True:
             head, rest = agenda[0], agenda[1:]
 
@@ -238,9 +261,12 @@ class _Expander:
 
             if type(head) is EndEvent:
                 trace = trace.extend(head, self.domain)
+                if self.watched:
+                    terminated = self._terminate(terminated, *head.inst[:3])
                 pf = _step(pf, trace, not rest)
                 if not rest:
-                    return [_make_node(rest, trace, pf, plan_length)]
+                    return [_make_node(rest, trace, pf, plan_length,
+                                       terminated)]
                 agenda = rest
                 continue
 
@@ -250,18 +276,20 @@ class _Expander:
                 for i, task in enumerate(tasks):
                     others = tasks[:i] + tasks[i + 1:]
                     tail = (Unordered(others),) if others else ()
-                    out.extend(self._drill((task,) + tail + rest,
-                                           trace, pf, plan_length))
+                    out.extend(self._drill((task,) + tail + rest, trace, pf,
+                                           plan_length, terminated))
                 return out
 
             task: Task = head
             if task.primitive:
                 return self._apply_primitive(task, rest, trace, pf,
-                                             plan_length)
-            return self._decompose(task, rest, trace, pf, plan_length)
+                                             plan_length, terminated)
+            return self._decompose(task, rest, trace, pf, plan_length,
+                                   terminated)
 
     def _apply_primitive(self, task: Task, rest, trace: Trace, pf,
-                         plan_length: int) -> list[SearchNode]:
+                         plan_length: int, terminated: int
+                         ) -> list[SearchNode]:
         event = OperatorEvent(task.name, task.args, trace.length)
         try:
             trace = trace.extend(event, self.domain)
@@ -271,11 +299,14 @@ class _Expander:
         cap = self.config.max_expansions
         if cap is not None and self.stats.nodes_expanded > cap:
             raise ResourceLimit("expansions", self.stats)
+        if self.watched:
+            terminated = self._terminate(terminated, "op", task.name,
+                                         task.args)
         pf = _step(pf, trace, not rest)
-        return [_make_node(rest, trace, pf, plan_length + 1)]
+        return [_make_node(rest, trace, pf, plan_length + 1, terminated)]
 
     def _decompose(self, task: Task, rest, trace: Trace, pf,
-                   plan_length: int) -> list[SearchNode]:
+                   plan_length: int, terminated: int) -> list[SearchNode]:
         cap = self.config.depth_cap
         if len(rest) >= cap and cap <= sum(
                 type(x) is EndEvent and x.inst.kind == "task" for x in rest):
@@ -307,7 +338,8 @@ class _Expander:
                 agenda = (tuple(items)
                           + (EndEvent(method_inst), EndEvent(task_inst))
                           + rest)
-                out.extend(self._drill(agenda, t2, pf2, plan_length))
+                out.extend(self._drill(agenda, t2, pf2, plan_length,
+                                       terminated))
         return out
 
 
@@ -322,15 +354,14 @@ def _terminated_refs(phi: F.BDF):
         yield from _terminated_refs(p)
 
 
-def _signature(node: SearchNode, refs: tuple[F.Ref, ...]) -> tuple:
+def _signature(node: SearchNode) -> tuple:
     """What decides the node's completions and their weights (see the
-    module docstring); refs are the preference's _terminated_refs."""
-    state = node.trace.final_state
-    return (state.facts,
+    module docstring)."""
+    return (node.trace.final_state.facts,
             tuple([x.inst[:3] if type(x) is EndEvent else x
                    for x in node.agenda]),
             id(node.progressed),
-            tuple([semantics.terminated_at(state, r) for r in refs]))
+            node.terminated)
 
 
 def _plan_key(node: SearchNode):
@@ -339,13 +370,13 @@ def _plan_key(node: SearchNode):
 
 def make_root(problem: Problem, with_preference: bool = True) -> SearchNode:
     """The root node; an empty task network makes it terminal."""
-    trace = empty_trace(problem.init)
+    trace = empty_trace(problem.init.indexed(problem.domain))
     agenda = tuple(problem.network)
     pf = None
     if with_preference:
         pf = _step(P.init_progressed(problem.preference_or_empty,
                                      problem.constants), trace, not agenda)
-    return _make_node(agenda, trace, pf, 0)
+    return _make_node(agenda, trace, pf, 0, 0)
 
 
 def solve(problem: Problem, config: SolveConfig = None) -> Result:
@@ -358,7 +389,6 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     config = config or SolveConfig()
     stats = SearchStats()
     start = time.monotonic()
-    exp = _Expander(problem, config, stats)
 
     def finish(node: Optional[SearchNode]) -> Result:
         stats.elapsed = time.monotonic() - start
@@ -371,6 +401,10 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     root = make_root(problem)
     refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
                                for r in _terminated_refs(phi)))
+    init = root.trace.final_state
+    root.terminated = sum(1 << i for i, r in enumerate(refs)
+                          if semantics.terminated_at(init, r))
+    exp = _Expander(problem, config, stats, refs)
     closed: set = set()
     heap: list = []
     seq = itertools.count()
@@ -397,7 +431,7 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                     best = node
                 continue
             if not config.tiebreak_lex:
-                key = _signature(node, refs)
+                key = _signature(node)
                 if key in closed:
                     stats.duplicates += 1
                     continue
@@ -409,5 +443,7 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     except ResourceLimit:
         stats.elapsed = time.monotonic() - start
         raise
+    finally:
+        root.progressed.automaton.release()
 
     return finish(best)

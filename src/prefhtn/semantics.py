@@ -32,8 +32,9 @@ Path, CONCUR 2003):
   * exists x. p and forall x. p: the union and the intersection of the
     labels of p with x bound to each constant of the universe.
 The bindings are an environment that refs and literals read at the leaf, so
-no formula is built. A trace costs O(|phi| n) bit operations, times |U|
-under each quantifier. Labels are memoised within one call, not across.
+no formula is built: a ref is read as its bound (kind, name, args). A trace
+costs O(|phi| n) bit operations, times |U| under each quantifier. Labels
+are memoised within one call, not across.
 """
 
 from __future__ import annotations
@@ -75,14 +76,15 @@ def terminated_at(state: State, ref: F.Ref) -> bool:
     return state.has_terminated(ref.kind, ref.name, ref.args)
 
 
-def executing_at(state: State, ref: F.Ref) -> bool:
+def executing_at(state: State, kind: str, name: str, args) -> bool:
     # operator occurrences are never "executing"
-    return ref.kind != "op" and state.has_executing(ref.kind, ref.name, ref.args)
+    return kind != "op" and state.has_executing(kind, name, args)
 
 
 def window_open(state: State, t1: F.Ref, t2: F.Ref) -> bool:
     """t1 has terminated and t2 has neither started nor terminated."""
-    return (terminated_at(state, t1) and not executing_at(state, t2)
+    return (terminated_at(state, t1)
+            and not executing_at(state, t2.kind, t2.name, t2.args)
             and not terminated_at(state, t2))
 
 
@@ -112,42 +114,46 @@ class _Labels:
         lit = subst_literal(lit, dict(env)) if env else lit
         return sum(1 << i for i, s in enumerate(self.states) if s.holds(lit))
 
-    def occurs(self, ref: F.Ref) -> int:
-        """Bit k when event k matches ref, a ref with no variables left;
-        only the events of its kind and name are matched, once per trace."""
-        key = (ref.kind, ref.name, ref.args)
+    def occurs(self, key: tuple) -> int:
+        """Bit k when event k matches the ref whose _bind key is key; only
+        the events of its kind and name are matched, once per trace. An
+        event matches as event_matches has it: by args_match on the args
+        event_key gives it."""
         out = self.memo.get(key)
         if out is None:
-            events = self.events
             if self._by_key is None:
                 self._by_key = {}
-                for k, (kind_name, _) in enumerate(map(event_key, events)):
-                    self._by_key.setdefault(kind_name, []).append(k)
+                for k, (kind_name, args) in enumerate(map(event_key,
+                                                          self.events)):
+                    self._by_key.setdefault(kind_name, []).append((k, args))
+            pattern = key[2]
             out = self.memo[key] = sum(
-                1 << k for k in self._by_key.get(key[:2], ())
-                if event_matches(events[k], ref))
+                1 << k for k, args in self._by_key.get(key[:2], ())
+                if args_match(pattern, args))
         return out
 
-    def terminated(self, ref: F.Ref) -> int:
-        """The states where ref has terminated, a suffix. After state 0 an
-        operator instance terminates at its own event, so the suffix starts
-        after ref's first occurrence; a binary search finds it otherwise."""
-        if terminated_at(self.states[0], ref):
+    def terminated(self, key: tuple) -> int:
+        """The states where the ref whose _bind key is key has terminated,
+        a suffix. After state 0 an operator instance terminates at its own
+        event, so the suffix starts after the ref's first occurrence; a
+        binary search finds it otherwise."""
+        if self.states[0].has_terminated(*key):
             return self.full
-        if ref.kind == "op":
-            occ = self.occurs(ref)
+        if key[0] == "op":
+            occ = self.occurs(key)
             first = (occ & -occ).bit_length() or len(self.states)
         else:
             first = bisect_left(self.states, True,
-                                key=lambda s: terminated_at(s, ref))
+                                key=lambda s: s.has_terminated(*key))
         return self.full >> first << first
 
 
-def _bind(ref: F.Ref, env: tuple) -> F.Ref:
-    """ref with the variables env binds replaced by their constants."""
+def _bind(ref: F.Ref, env: tuple) -> tuple:
+    """The (kind, name, args) of ref with the variables env binds replaced
+    by their constants: all the labels read of a ref."""
     if not env:
-        return ref
-    return F.Ref(ref.kind, ref.name, subst_args(ref.args, dict(env)))
+        return ref.kind, ref.name, ref.args
+    return ref.kind, ref.name, subst_args(ref.args, dict(env))
 
 
 def _up_to_last(m: int) -> int:
@@ -176,7 +182,7 @@ def _window(lab: _Labels, phi, env: tuple) -> int:
     if maybe:
         maybe &= lab.terminated(t1) & ~lab.terminated(t2)
     for s in reversed(range(maybe.bit_length())):
-        if maybe >> s & 1 and not executing_at(lab.states[s], t2):
+        if maybe >> s & 1 and not executing_at(lab.states[s], *t2):
             return (2 << s) - 1
     return 0
 

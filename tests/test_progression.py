@@ -1,9 +1,10 @@
 """Progression rules, the before/hold-* constructs, and the
 optimistic/pessimistic bounds."""
 
-from fractions import Fraction
-
+import gc
 import typing
+import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,8 @@ from prefhtn.errors import UnboundVariable
 from prefhtn.model import (Atom, EndEvent, Literal, OperatorEvent,
                            StartEvent, State, replay)
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
-from prefhtn.parser import parse_domain, parse_preference, parse_problem
+from prefhtn.parser import (empty_preference, parse_domain,
+                            parse_preference, parse_problem)
 from prefhtn.search import solve
 from prefhtn.progression import Bounds, progress_trace
 from prefhtn.randgen import GenConfig, gen_instance
@@ -399,6 +401,66 @@ class TestProductStates:
         assert P.step(pf, ctx) is pf
         assert P.step(pf, ctx) is pf  # now a transition lookup
 
+    def test_a_settled_state_is_a_fixpoint_the_search_does_not_step(
+            self, monkeypatch, mini_domain, mini_trace):
+        # the trivial preference is settled from the start: every letter
+        # leads back to it, and a search never steps it
+        root = P.init_progressed(empty_preference(), ())
+        assert root.settled
+        for i, state in enumerate(mini_trace.states):
+            for terminal in (False, True):
+                ctx = P.StepContext(mini_trace.events[i - 1] if i else None,
+                                    state, terminal)
+                assert P.step(root, ctx) is root
+        steps = _record_steps(monkeypatch)
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += [gen_instance(GenConfig(seed=seed))[0]
+                     for seed in range(30)]
+        settled = 0
+        for problem in problems:
+            steps.clear()
+            solve(problem)
+            for pf, _ctx, nxt in steps:
+                assert not pf.settled  # a settled state is never stepped
+                assert nxt.settled == all(phi is F.TRUE or phi is F.FALSE
+                                          for phi in nxt.residuals)
+                settled += nxt.settled
+            problem.preference = None
+            steps.clear()
+            solve(problem)
+            assert steps == []
+        assert settled > 0
+
+
+class TestAutomatonLifetime:
+    @pytest.mark.parametrize("run", ["solve", "progress_trace",
+                                     "cross_check"])
+    def test_freed_when_its_search_returns(self, monkeypatch, run):
+        # without the cyclic collector: product states and their automaton
+        # refer to each other while the search runs
+        made, original = [], P.init_progressed
+
+        def recording_init(*args):
+            pf = original(*args)
+            made.append(weakref.ref(pf.automaton))
+            return pf
+
+        monkeypatch.setattr(P, "init_progressed", recording_init)
+        problem = load_fixture("logistics", 1)
+        traces = enumerate_all(problem).traces
+        gc.collect()
+        gc.disable()
+        try:
+            if run == "solve":
+                solve(problem)
+            elif run == "progress_trace":
+                progress_trace(problem.preference, traces, problem.constants)
+            else:
+                cross_check(problem)
+            assert made and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
+
 
 # An operator a and a method branch a whose start events carry the same
 # args, and a task t whose branches run a with several args tuples, in
@@ -473,7 +535,8 @@ class TestLetters:
         states = {id(pf): pf for pf, _, _ in steps}.values()
         keys = set()
         for pf in states:
-            reads, refs, _delta = pf._probes
+            # progress_trace dropped its states' probes on return
+            reads, refs = pf.automaton.probe(pf)[:2]
             keys |= set(refs)
             numbered = _numbered_refs(refs)
             for e in events:
@@ -494,6 +557,80 @@ class TestLetters:
             assert set(_numbered_refs(refs)) == {
                 args[0] for probe, args in P._reads(phi)
                 if probe is semantics.event_matches}
+
+    def _corpus(self, problem):
+        return [problem] + [load_fixture(suite, k)
+                            for suite, k in fixture_ids()] + [
+            gen_instance(GenConfig(seed=seed))[0] for seed in range(30)]
+
+    def test_residual_letters_are_projected_from_the_product_letter(
+            self, monkeypatch, problem):
+        # the letter a residual's transitions are keyed by, read off its
+        # product state's letter, is the one _letter spells for it alone
+        steps = _record_steps(monkeypatch)
+        projected = 0
+        for p in self._corpus(problem):
+            steps.clear()
+            solve(p)
+            progress_trace(p.preference_or_empty, enumerate_all(p).traces,
+                           p.constants)
+            for pf, ctx, _ in steps:
+                reads, refs, _delta, views = pf.automaton.probe(pf)
+                letter = P._letter(reads, refs, ctx)
+                for phi, view in zip(pf.residuals, views):
+                    if phi is F.TRUE or phi is F.FALSE:
+                        continue
+                    st = pf.automaton.state(phi)
+                    assert P._project(letter, view) == P._letter(
+                        st.state_reads, st.event_refs, ctx)
+                    projected += 1
+        assert projected > 10_000
+
+    def test_a_step_reads_each_probe_once(self, monkeypatch, problem):
+        # outside progress_bdf, which reads the step itself on a residual
+        # transition not met before, one step evaluates each probe at most
+        # once, also when its product state misses
+        stepping, inside, reads = [False], [0], []
+
+        def counted(fn, record=True):
+            def probe(*args):
+                if record and stepping[0] and not inside[0]:
+                    reads.append((fn, *map(id, args)))
+                inside[0] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    inside[0] -= 1
+            return probe
+
+        original_step = P.step
+
+        def one_step(pf, ctx):
+            stepping[0] = True
+            reads.clear()
+            try:
+                return original_step(pf, ctx)
+            finally:
+                stepping[0] = False
+                assert len(reads) == len(set(reads))
+                total[0] += len(reads)
+
+        total, misses, original_miss = [0], [0], P.Automaton.step
+
+        def counted_miss(*args):
+            misses[0] += 1
+            return original_miss(*args)
+
+        for name in ("event_matches", "terminated_at", "window_open"):
+            monkeypatch.setattr(semantics, name,
+                                counted(getattr(semantics, name)))
+        monkeypatch.setattr(State, "holds", counted(State.holds))
+        monkeypatch.setattr(P, "progress_bdf", counted(P.progress_bdf, False))
+        monkeypatch.setattr(P, "step", one_step)
+        monkeypatch.setattr(P.Automaton, "step", counted_miss)
+        for p in self._corpus(problem):
+            solve(p)
+        assert total[0] > 1000 and misses[0] > 100
 
 
 def _chain_progress_bdf(phi, ctx):

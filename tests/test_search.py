@@ -7,9 +7,10 @@ import pytest
 from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
 from prefhtn.errors import ResourceLimit, UnboundVariable
-from prefhtn.model import (Atom, EndEvent, Literal, StartEvent, State, Task,
-                           Trace, relevant_methods, subst_literal, unify_args)
-from prefhtn import search
+from prefhtn.model import (Atom, EndEvent, Inst, Literal, OperatorEvent,
+                           StartEvent, State, Task, Trace, apply_event,
+                           relevant_methods, subst_literal, unify_args)
+from prefhtn import search, semantics
 from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
                             print_domain)
@@ -324,16 +325,22 @@ def _reference_satisfiers(pre, state, sigma):
 
 class TestSatisfiers:
     def test_same_bindings_in_the_same_order_as_a_full_scan(self):
-        # every decomposition on every enumerated trace of the zeno fixtures
-        # and of 20 random instances; zeno's (link ?via ?to) is ground once
-        # (link ?from ?via) has bound ?via
-        problems = [load_fixture("zeno", k) for k in (1, 2, 3)]
+        # every decomposition on every enumerated trace of the zeno and
+        # logistics fixtures and of 20 random instances; zeno's (link ?via
+        # ?to) is ground once (link ?from ?via) has bound ?via. The states
+        # are a search's, operator successors among them, so their fact
+        # indexes share the search's table of rigid predicates: zeno's
+        # link, logistics' road and vehicle are matched from it.
+        problems = [load_fixture(suite, k) for suite in ("zeno", "logistics")
+                    for k in (1, 2, 3)]
         problems += [gen_instance(GenConfig(seed=seed))[0]
                      for seed in range(20)]
-        calls, branches = 0, set()
+        calls, branches, rigid = 0, set(), set()
         for problem in problems:
+            tables = set()
             for trace in enumerate_all(problem).traces:
                 for event, state in zip(trace.events, trace.states):
+                    tables.add(id(state._index.rigid))
                     if not (isinstance(event, StartEvent)
                             and event.inst.kind == "task"):
                         continue
@@ -347,7 +354,49 @@ class TestSatisfiers:
                         calls += 1
                         if expected:
                             branches.add(method.branch)
+                    rigid.update(k if type(k) is str else k[0]
+                                 for k in state._index.rigid)
+            assert len(tables) <= 1  # one rigid table per search
         assert calls > 1000 and "move-one-stop" in branches
+        assert {"link", "road", "vehicle"} <= rigid
+
+    def test_an_operator_successor_reads_no_stale_list(self):
+        # (at ?x) is indexed in the root state; (!go a b) deletes (at a)
+        # and adds (at b), and its successor must see only (at b); a start
+        # event's successor shares the index of its facts
+        domain = parse_domain(GO_DOMAIN, "<go>")
+        root = State(frozenset({Atom("at", ("a",)), Atom("road", ("a", "b")),
+                                Atom("road", ("b", "c"))})).indexed(domain)
+        pre = (_literal(["at", "?x"]),)
+        assert [s["?x"] for s in satisfiers(pre, root, {})] == ["a"]
+        moved = apply_event(root, OperatorEvent("go", ("a", "b"), 0), domain)
+        assert [s["?x"] for s in satisfiers(pre, moved, {})] == ["b"]
+        assert moved._index is not root._index
+        assert moved._index.rigid is root._index.rigid
+        started = apply_event(moved, StartEvent(Inst("task", "t", (), 1)),
+                              domain)
+        assert started._index is moved._index
+        assert list(satisfiers(pre, started, {})) \
+            == _reference_satisfiers(pre, started, {})
+
+    def test_a_rigid_predicate_matched_on_a_bound_argument(self):
+        # (road ?from ?to) with ?from bound reads the rigid list of the
+        # roads out of ?from, which every state of the search shares
+        domain = parse_domain(GO_DOMAIN, "<go>")
+        facts = "((at a) (road a b) (road b c) (road a c) (road c a))"
+        root = State(frozenset(_literal(f).atom
+                               for f in _sexprs(facts))).indexed(domain)
+        moved = apply_event(root, OperatorEvent("go", ("a", "b"), 0), domain)
+        pre = (_literal(["at", "?from"]), _literal(["road", "?from", "?to"]))
+        for state, tos in ((root, ["b", "c"]), (moved, ["c"])):
+            expected = _reference_satisfiers(pre, state, {})
+            assert list(satisfiers(pre, state, {})) == expected
+            assert [s["?to"] for s in expected] == tos
+        assert "road" not in domain._changed
+        assert root._index.rigid[("road", 0, "a")] == [
+            Atom("road", ("a", "b")), Atom("road", ("a", "c"))]
+        assert moved._index.rigid is root._index.rigid
+        assert ("road", 0, "b") in root._index.rigid  # filled by moved
 
     # hand-built states for the branches the fixtures never reach: a negative
     # precondition, a fact of another arity, and a repeated variable or a
@@ -388,6 +437,12 @@ class TestSatisfiers:
         # a and c, in either order: the second visit cannot repeat the first
         assert report.plan_count == 2
 
+
+GO_DOMAIN = """
+(domain go
+  (:operator (!go ?from ?to) :pre ((at ?from) (road ?from ?to))
+    :del ((at ?from)) :add ((at ?to))))
+"""
 
 NEGATIVE_DOMAIN = """
 (domain neg
@@ -618,7 +673,31 @@ class TestDuplicateDetection:
     def test_signature_has_one_entry_per_case(self):
         problem, _ = signature_case(*SIGNATURE_CASES["facts"])
         root = make_root(problem)
-        assert len(search._signature(root, ())) == len(SIGNATURE_CASES)
+        assert len(search._signature(root)) == len(SIGNATURE_CASES)
+
+    def test_terminated_bits_are_read_off_the_state(self):
+        # a node's bits, inherited and set at operator and end events, are
+        # terminated_at of each ref on its state, as the signature had them
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += [gen_instance(GenConfig(seed=s))[0] for s in range(30)]
+        nodes = set_bits = 0
+        for problem in problems:
+            root = make_root(problem)
+            refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
+                                       for r in search._terminated_refs(phi)))
+            exp = _Expander(problem, SolveConfig(), SearchStats(), refs)
+            frontier = [root]
+            while frontier and nodes < 20_000:
+                node = frontier.pop()
+                state = node.trace.final_state
+                assert node.terminated == sum(
+                    1 << i for i, r in enumerate(refs)
+                    if semantics.terminated_at(state, r))
+                nodes += 1
+                set_bits += node.terminated != 0
+                if node.agenda:
+                    frontier.extend(exp.expand(node))
+        assert nodes > 1000 and set_bits > 100
 
     def test_branches_of_different_decomposition_counts_merge(self,
                                                                 monkeypatch):

@@ -96,6 +96,9 @@ def _run_one(problem, mode: str, config: SolveConfig,
 
 
 def cmd_solve(args) -> int:
+    if args.tiebreak_lex and args.mode == "bruteforce":
+        print("usage: --tiebreak-lex needs --mode bestfirst", file=sys.stderr)
+        return EXIT_USAGE
     config = SolveConfig(timeout=args.timeout,
                          tiebreak_lex=args.tiebreak_lex)
     problem = _load_problem(args.domain, args.problem, args.prefs)

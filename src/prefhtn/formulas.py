@@ -409,17 +409,6 @@ def expand_gpf(gpf: GPF, universe: tuple[str, ...]) -> GPF:
     return map_gpf(gpf, lambda b: expand_quantifiers(b, universe))
 
 
-def check_closed(phi: BDF, bound: frozenset = frozenset()) -> None:
-    """Raise UnboundVariable if a free variable occurs outside its quantifier."""
-    for a in leaf_args(phi):
-        if is_var(a) and a not in bound:
-            raise UnboundVariable(f"unbound variable {a}")
-    if isinstance(phi, (Exists, Forall)):
-        bound = bound | {phi.var}
-    for p in children(phi):
-        check_closed(p, bound)
-
-
 def formula_constants(gpf: GPF) -> set[str]:
     out: set[str] = set()
 

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import formulas as F
 from .errors import (ArityMismatch, BadValueOrder, DuplicateName,
-                     NonGroundInit, ParseError, UnboundVariable,
-                     UnknownMethodName, UnknownPredicate, UnknownTask)
+                     NonGroundInit, ParseError, UnknownMethodName,
+                     UnknownPredicate, UnknownTask)
 from .model import (Atom, Domain, Literal, Method, Operator, Problem, State,
                     Task, is_var)
 from .sexpr import SExpr, format_fraction, locate, parse_sexprs
@@ -409,22 +409,27 @@ def _parse_ref(kind: str, x: SExpr, domain: Domain) -> F.Ref:
     return F.Ref(kind, name, _parse_args(lst))
 
 
-def _parse_pref_literal(x: SExpr, arities: _ArityTable) -> Literal:
-    lit = _parse_literal(x)
-    arities.check(lit.atom, x)
-    return lit
-
-
-def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable):
-    """One argument of a BDF_FORMS form, of the given kind."""
+def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable,
+               bound: frozenset):
+    """One argument of a BDF_FORMS form, of the given kind, inside the
+    quantifiers of the variables in bound."""
     if kind == "formula":
-        return _parse_bdf(x, domain, arities)
+        return _parse_bdf(x, domain, arities, bound)
     if kind == "literal":
-        return _parse_pref_literal(x, arities)
-    return _parse_ref(kind, x, domain)
+        arg = _parse_literal(x)
+        arities.check(arg.atom, x)
+        args = arg.atom.args
+    else:
+        arg = _parse_ref(kind, x, domain)
+        args = arg.args
+    for a in args:
+        if is_var(a) and a not in bound:
+            raise _fail(f"unbound variable {a}", a, x)
+    return arg
 
 
-def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.BDF:
+def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
+               bound: frozenset = frozenset()) -> F.BDF:
     lst = _expect_list(x, "a formula")
     # an error inside lst that is about no list of its own is about lst
     try:
@@ -437,7 +442,7 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.BDF:
             cls, kinds = BDF_FORMS[head]
             if len(lst) != len(kinds) + 1:
                 raise _fail(f"expected ({head} {' '.join(kinds)})", head)
-            return cls(*(_parse_arg(kind, arg, domain, arities)
+            return cls(*(_parse_arg(kind, arg, domain, arities, bound)
                          for kind, arg in zip(kinds, lst[1:])))
         if head in ("exists", "forall"):
             if len(lst) != 3:
@@ -445,21 +450,22 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.BDF:
             var_list = _expect_list(lst[1], "a variable list")
             if not var_list:
                 raise _fail(f"({head} ...) needs at least one variable", head)
-            body = _parse_bdf(lst[2], domain, arities)
-            cls = F.Exists if head == "exists" else F.Forall
-            for v in reversed(var_list):
+            for v in var_list:
                 v = _expect_symbol(v, "a variable")
                 if not is_var(v):
                     raise _fail(f"quantified name {v!r} must start with '?'", v)
+            body = _parse_bdf(lst[2], domain, arities, bound.union(var_list))
+            cls = F.Exists if head == "exists" else F.Forall
+            for v in reversed(var_list):
                 body = cls(v, body)
             return body
         if head in ("and", "or"):
             join = F.mk_and if head == "and" else F.mk_or
-            return join(_parse_bdf(p, domain, arities) for p in lst[1:])
+            return join(_parse_bdf(p, domain, arities, bound) for p in lst[1:])
         if head in _GPF_KEYWORDS:
             raise _fail(f"{head} is a preference connective, not a formula", head)
         # anything else is a state literal
-        return F.LitF(_parse_pref_literal(x, arities))
+        return F.LitF(_parse_arg("literal", x, domain, arities, bound))
     except ParseError as exc:
         raise _about(exc, lst)
 
@@ -501,15 +507,7 @@ def parse_preference(text, domain: Domain, filename: str = "<preference>") -> F.
 def _preference(exprs: list, domain: Domain) -> F.GPF:
     if len(exprs) != 1:
         raise _fail(f"expected exactly one expression, found {len(exprs)}")
-    arities = _domain_arities(domain)
-    gpf = _parse_gpf(exprs[0], domain, arities)
-    gpf = F.nnf_gpf(gpf)
-    try:
-        for b in F.gpf_bdfs(gpf):
-            F.check_closed(b)
-    except UnboundVariable as e:
-        raise _fail(str(e)) from None
-    return gpf
+    return F.nnf_gpf(_parse_gpf(exprs[0], domain, _domain_arities(domain)))
 
 
 def empty_preference() -> F.GPF:

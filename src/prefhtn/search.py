@@ -5,13 +5,19 @@ agenda is what remains to do, front first: ground tasks, an Unordered group
 of tasks, the ground Literal of a method's before-constraint, and the
 pending EndEvent of each started task or method instance. The frontier holds
 nodes ordered by (optimistic weight, pessimistic weight, plan length,
-insertion order). Expansion drills through the front of the agenda — firing
-end events, splicing method bodies, checking before-constraints — until a
-ground operator is applied; each reachable operator yields one child. Every
-agenda item but a literal emits an event, and a literal always precedes a
-task, so a node is terminal exactly when its agenda is empty. Its weight is
-then exact (opt == pess), and the first terminal node popped is optimal (its
-optimistic weight is a lower bound on everything still in the frontier).
+insertion order); under --tiebreak-lex the plan key, the tuple of the plan's
+(name,) + args, takes the place of the pessimistic weight. Expansion drills
+through the front of the agenda — firing end events, splicing method bodies,
+checking before-constraints — until a ground operator is applied; each
+reachable operator yields one child. Every agenda item but a literal emits
+an event, and a literal always precedes a task, so a node is terminal
+exactly when its agenda is empty. Its weight is then exact (opt == pess),
+and the first terminal node popped is optimal (its optimistic weight is a
+lower bound on everything still in the frontier). Under --tiebreak-lex it is
+also the lexicographically smallest optimal plan: the plan key of a prefix
+is never above that of any of its extensions and opt is admissible, so no
+other terminal node is popped while a node on the way to that plan is in
+the frontier, and duplicate detection (below) always leaves one there.
 
 The nesting depth of a task is the number of task end events on the agenda
 behind it: the tasks still executing around it. Decomposing a task inside
@@ -39,10 +45,14 @@ the first popped has the smaller (plan length, insertion order), and so has
 each of its completions against the other's counterpart. Skipping a
 non-terminal node whose signature is already closed thus loses no plan and,
 in the default order, changes no returned plan. Under --tiebreak-lex the
-closed set is bypassed: insertion order, not the lexicographic plan key,
-decides which of two equal nodes is popped first. HPLAN-P makes the same
-argument when it folds the preference automata into the planning state
-(Baier, Bacchus & McIlraith, AIJ 2009).
+closed set keeps the plan key p1 of the first node expanded with each
+signature, and a later equal node is popped with a plan key p2 >= p1.
+Unless p1 is a proper prefix of p2, p1 + c <= p2 + c for every continuation
+c, so the first node has each completion of the later one at the same
+weight and a plan key no larger, and the later node is skipped. If p1 is
+one, p1 + c and p2 + c = p1 + x + c compare either way, so the later node
+is expanded. HPLAN-P makes the same argument when it folds the preference
+automata into the planning state (Baier, Bacchus & McIlraith, AIJ 2009).
 
 A product state whose residuals are all constant is settled: every letter
 leads back to it, so a node that reaches one keeps it without a
@@ -99,7 +109,7 @@ class SolveConfig(Record):
         self.timeout = timeout                # seconds, wall clock
         self.max_expansions = max_expansions  # cap on applied operators
         self.depth_cap = depth_cap            # task nesting depth
-        self.tiebreak_lex = tiebreak_lex      # break weight ties lexicographically
+        self.tiebreak_lex = tiebreak_lex      # order weight ties by plan key
 
 
 class SearchStats(Record):
@@ -368,6 +378,10 @@ def _plan_key(node: SearchNode):
     return tuple((e.name,) + e.args for e in node.trace.plan())
 
 
+def _proper_prefix(p: tuple, q: tuple) -> bool:
+    return len(p) < len(q) and q[:len(p)] == p
+
+
 def make_root(problem: Problem, with_preference: bool = True) -> SearchNode:
     """The root node; an empty task network makes it terminal."""
     trace = empty_trace(problem.init.indexed(problem.domain))
@@ -390,14 +404,6 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     stats = SearchStats()
     start = time.monotonic()
 
-    def finish(node: Optional[SearchNode]) -> Result:
-        stats.elapsed = time.monotonic() - start
-        if node is None:
-            return Result("noplan", None, None, stats)
-        plan = node.trace.plan()
-        stats.plan_length = len(plan)
-        return Result("ok", plan, node.opt, stats, node.trace)
-
     root = make_root(problem)
     refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
                                for r in _terminated_refs(phi)))
@@ -405,45 +411,42 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     root.terminated = sum(1 << i for i, r in enumerate(refs)
                           if semantics.terminated_at(init, r))
     exp = _Expander(problem, config, stats, refs)
-    closed: set = set()
+    lex = config.tiebreak_lex
+    closed: dict = {}  # signature -> plan key of its first expansion (lex)
     heap: list = []
     seq = itertools.count()
-    heapq.heappush(heap, (root.opt, root.pess, root.plan_length,
-                          next(seq), root))
+    heapq.heappush(heap, (root.opt, _plan_key(root) if lex else root.pess,
+                          root.plan_length, next(seq), root))
     stats.nodes_considered += 1
 
-    best: Optional[SearchNode] = None
+    found: Optional[SearchNode] = None
     try:
         while heap:
             if config.timeout is not None \
                     and time.monotonic() - start > config.timeout:
                 raise ResourceLimit("time", stats)
-            opt, _pess, _plen, _seq, node = heapq.heappop(heap)
-            if best is not None and opt > best.opt:
-                break
+            _opt, rank, _plen, _seq, node = heapq.heappop(heap)
             if not node.agenda:
-                if best is None:
-                    best = node
-                    if not config.tiebreak_lex:
-                        break
-                elif opt == best.opt \
-                        and _plan_key(node) < _plan_key(best):
-                    best = node
-                continue
-            if not config.tiebreak_lex:
-                key = _signature(node)
-                if key in closed:
+                found = node
+                break
+            key = _signature(node)
+            if key in closed:
+                if not (lex and _proper_prefix(closed[key], rank)):
                     stats.duplicates += 1
                     continue
-                closed.add(key)
+            else:
+                closed[key] = rank if lex else None
             for child in exp.expand(node):
-                heapq.heappush(heap, (child.opt, child.pess, child.plan_length,
-                                      next(seq), child))
+                heapq.heappush(heap, (child.opt,
+                                      _plan_key(child) if lex else child.pess,
+                                      child.plan_length, next(seq), child))
                 stats.nodes_considered += 1
-    except ResourceLimit:
-        stats.elapsed = time.monotonic() - start
-        raise
     finally:
+        stats.elapsed = time.monotonic() - start
         root.progressed.automaton.release()
 
-    return finish(best)
+    if found is None:
+        return Result("noplan", None, None, stats)
+    plan = found.trace.plan()
+    stats.plan_length = len(plan)
+    return Result("ok", plan, found.opt, stats, found.trace)

@@ -150,6 +150,15 @@ class TestSolveCommand:
         assert out.startswith("(!")
         assert len(calls) == 1
 
+    def test_bruteforce_with_tiebreak_lex_is_usage_error(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_all", None)  # never reached
+        code, out, err = run(capsys, *solve_args(
+            1, "--mode", "bruteforce", "--tiebreak-lex"))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "usage: --tiebreak-lex needs --mode bestfirst\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "--domain", "/nonexistent.htn",
                            "--problem", TRAVEL / "travel-1.prob")

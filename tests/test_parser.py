@@ -333,13 +333,19 @@ class TestErrorLocations:
         assert exc.value.message == message
         assert str(exc.value) == f"f:{line}:{col}: {message}"
 
-    def test_unbound_variable_stays_at_the_start(self, mini_domain):
-        # the formula is checked for closure once it is built, when no parsed
-        # list is at hand
+    # an unbound variable is reported at the reference or literal list that
+    # holds it; a quantifier binds its variables in its own body only
+    @pytest.mark.parametrize("text, col", [
+        ("(and (at a)\n  (eventually (occ (!go ?x))))", 20),
+        ("(and (forall (?x) (occ (!go ?x)))\n  (occ (!go ?x)))", 8),
+        ("(forall (?y) (and (at ?y)\n  (hold-after (trip ?y) (at ?x))))", 25),
+        ("(exists (?y)\n  (not (at ?x)))", 8),
+    ], ids=["reference", "outside-its-quantifier", "literal", "negated"])
+    def test_unbound_variable_reports_its_list(self, text, col):
         with pytest.raises(ParseError) as exc:
-            parse_preference("(and (paid)\n  (eventually (occ (pay ?x))))",
-                             mini_domain, "f")
-        assert str(exc.value) == "f:1:1: unbound variable ?x"
+            parse_preference(text, parse_domain(LEAF_DOMAIN), "f")
+        assert str(exc.value) == f"f:2:{col}: unbound variable ?x"
+        assert exc.value.token == "?x"
 
 
 class TestParsePreference:

@@ -562,11 +562,10 @@ DIFFERENTIAL = ([f"random-{seed}" for seed in range(300)]
                 + [f"{suite}-{k}" for suite, k in fixture_ids()])
 
 # instances on which a closed set that ignores --tiebreak-lex returns a plan
-# of the optimal weight that is not the lex-smallest one (random-183 too,
-# but its lex search takes seconds)
+# of the optimal weight that is not the lex-smallest one
 LEX_SENSITIVE = ([f"random-{seed}" for seed in (
     5, 8, 10, 20, 22, 25, 30, 57, 59, 66, 73, 74, 75, 87, 99, 105, 128, 143,
-    146, 147, 168, 177, 197, 266, 268)]
+    146, 147, 168, 177, 183, 197, 266, 268)]
     + [f"{suite}-{k}" for suite in ("zeno", "logistics") for k in (1, 2, 3)])
 
 # One hand-built case per part of the node signature, in the order
@@ -741,3 +740,53 @@ class TestDuplicateDetection:
                 if node.agenda:
                     frontier.extend(exp.expand(node))
         assert seen > 1000
+
+
+def plan_key(plan):
+    return [(e.name,) + e.args for e in plan]
+
+
+# The lex-smallest plan is b c w c z, by method two. After b c by method one
+# and after b c w c by method two the nodes are equal, and the first plan
+# key is a proper prefix of the second; skipping the second node would
+# return b c z.
+PREFIX_CASE = ("""
+      (:operator (!b) :pre () :del () :add ())
+      (:operator (!c) :pre () :del () :add ())
+      (:operator (!w) :pre () :del () :add ())
+      (:operator (!z) :pre () :del () :add ())
+      (:method (pick) :name one :pre () :tasks ((!b)))
+      (:method (pick) :name two :pre () :tasks ((!b) (!c) (!w)))
+      (:method (top) :name t :pre () :tasks ((pick) (!c) (!z)))""",
+               "((top))", "(and)", 0)
+
+
+class TestTiebreakLex:
+    @pytest.mark.parametrize("name", DIFFERENTIAL)
+    def test_plan_is_the_smallest_enumerated_optimal_plan(self, name):
+        problem = corpus_problem(name)
+        oracle = enumerate_all(problem)
+        result = solve(problem, SolveConfig(tiebreak_lex=True))
+        if oracle.plan_count == 0:
+            assert result.status == "noplan"
+            return
+        smallest = min(plan_key(t.plan()) for t, w in zip(
+            oracle.traces, oracle.all_weights) if w == oracle.best_weight)
+        assert result.weight == oracle.best_weight
+        assert plan_key(result.plan) == smallest
+
+    def test_equal_node_behind_a_proper_prefix_is_expanded(self,
+                                                          monkeypatch):
+        problem, right = signature_case(*PREFIX_CASE)
+        lex = SolveConfig(tiebreak_lex=True)
+        result = solve(problem, lex)
+        assert result.weight == right
+        assert plan_names(result) == ["b", "c", "w", "c", "z"]
+        # without the exception the equal node is skipped
+        monkeypatch.setattr(search, "_proper_prefix", lambda *_: False)
+        assert plan_names(solve(problem, lex)) == ["b", "c", "z"]
+
+    def test_duplicates_are_skipped(self):
+        lex = SolveConfig(tiebreak_lex=True)
+        assert sum(solve(corpus_problem(name), lex).stats.duplicates
+                   for name in LEX_SENSITIVE) > 0

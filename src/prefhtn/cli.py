@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -19,7 +20,7 @@ from .errors import CapExceeded, ParseError, ResourceLimit
 from .oracle import EnumerationCaps, cross_check, enumerate_all
 from .parser import empty_preference, parse_domain, parse_preference, \
     parse_problem
-from .search import SolveConfig, solve
+from .search import SearchStats, SolveConfig, solve
 from .sexpr import format_fraction
 
 EXIT_OK = 0
@@ -82,7 +83,10 @@ def _run_one(problem, mode: str, config: SolveConfig,
         status = "ok" if result.status == "ok" else "noplan"
         return _record(problem.name, mode, result.stats, result.weight,
                        status), result.plan
-    caps = EnumerationCaps(max_seconds=timeout if timeout else 600.0)
+    if timeout == 0:  # out of time before the first node; caps are > 0
+        return _record(problem.name, mode, SearchStats(), None, "timeout",
+                       0), None
+    caps = EnumerationCaps(max_seconds=600.0 if timeout is None else timeout)
     try:
         oracle = enumerate_all(problem, caps)
     except CapExceeded as exc:
@@ -222,6 +226,15 @@ def cmd_check(args) -> int:
     return code
 
 
+def _seconds(text: str) -> float:
+    """A --timeout value: a finite number of seconds, 0 or more."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of seconds >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="prefhtn",
@@ -234,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prefs", default=None)
     sp.add_argument("--mode", choices=("bestfirst", "bruteforce"),
                     default="bestfirst")
-    sp.add_argument("--timeout", type=float, default=None)
+    sp.add_argument("--timeout", type=_seconds, default=None)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--tiebreak-lex", action="store_true")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bench", help="benchmark a suite directory")
     bp.add_argument("--suite", required=True)
-    bp.add_argument("--timeout", type=float, default=60.0)
+    bp.add_argument("--timeout", type=_seconds, default=60.0)
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_bench)
 

@@ -1,8 +1,9 @@
 """Brute-force baseline: enumerate every solution plan, score each one with
 the direct trace semantics, and report the optimum.
 
-Enumeration reuses the planner's expansion relation with the preference
-bookkeeping switched off, so the two modes can only differ in search order.
+Enumeration reuses the planner's expansion relation under the trivial
+preference, whose product state is settled at the root and never stepped,
+so the two modes can only differ in search order.
 Plan weights are computed after enumeration finishes and are excluded from
 the reported elapsed time, which therefore measures pure plan generation.
 """
@@ -17,6 +18,7 @@ from . import progression as P
 from . import semantics
 from .errors import CapExceeded, ResourceLimit
 from .model import OperatorEvent, Problem, Record, Trace, Value, _set
+from .parser import empty_preference
 from .search import (SearchNode, SearchStats, SolveConfig, _Expander,
                      make_root, solve)
 
@@ -84,20 +86,24 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
         return OracleResult(len(traces), best_plan, best_w, weights, stats,
                             tuple(traces))
 
-    stack: list[SearchNode] = [make_root(problem, with_preference=False)]
-    while stack:
-        if time.monotonic() - start > caps.max_seconds:
-            raise CapExceeded("time", _finish(partial=True))
-        node = stack.pop()
-        if not node.agenda:
-            record(node)
-            continue
-        try:
-            children = exp.expand(node)
-        except ResourceLimit as exc:
-            raise CapExceeded(exc.kind, _finish(partial=True)) from exc
-        stats.nodes_considered += len(children)
-        stack.extend(reversed(children))
+    root = make_root(problem, empty_preference())
+    stack: list[SearchNode] = [root]
+    try:
+        while stack:
+            if time.monotonic() - start > caps.max_seconds:
+                raise CapExceeded("time", _finish(partial=True))
+            node = stack.pop()
+            if not node.agenda:
+                record(node)
+                continue
+            try:
+                children = exp.expand(node)
+            except ResourceLimit as exc:
+                raise CapExceeded(exc.kind, _finish(partial=True)) from exc
+            stats.nodes_considered += len(children)
+            stack.extend(reversed(children))
+    finally:
+        root.progressed.automaton.release()
     return _finish()
 
 

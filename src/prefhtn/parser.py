@@ -392,21 +392,34 @@ def _domain_arities(domain: Domain) -> _ArityTable:
 
 def _parse_ref(kind: str, x: SExpr, domain: Domain) -> F.Ref:
     """A reference of kind "task" (an operator, written with or without its
-    !, or a nonprimitive task) or of kind "method" (a method branch)."""
+    !, or a nonprimitive task) or of kind "method" (a method branch). It may
+    leave out arguments (model.args_match) but not give more than its
+    target ever carries: the operator's parameters, or the longest head of
+    the task's methods or of the branch."""
     lst = _expect_list(x, f"a {kind} reference")
     if not lst:
         raise _fail(f"empty {kind} reference", form=lst)
     head = _expect_symbol(lst[0], f"a {kind} name", lst)
     name = head[1:] if kind == "task" and head.startswith("!") else head
     if kind == "method":
-        if not any(m.branch == name for m in domain.methods):
+        heads = [m.task.args for m in domain.methods if m.branch == name]
+        if not heads:
             raise UnknownMethodName(f"unknown method branch {name}", token=name,
                                     form=lst)
     elif name in domain.operators:
         kind = "op"
-    elif not any(m.task.name == name for m in domain.methods):
-        raise UnknownTask(f"unknown task {name} in preference", token=name, form=lst)
-    return F.Ref(kind, name, _parse_args(lst))
+        heads = [domain.operators[name].params]
+    else:
+        heads = [m.task.args for m in domain.methods if m.task.name == name]
+        if not heads:
+            raise UnknownTask(f"unknown task {name} in preference", token=name,
+                              form=lst)
+    args = _parse_args(lst)
+    most = max(map(len, heads))
+    if len(args) > most:
+        raise ArityMismatch(f"reference to {name} takes at most {most} "
+                            f"args, got {len(args)}", token=name, form=lst)
+    return F.Ref(kind, name, args)
 
 
 def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable,

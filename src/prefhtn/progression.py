@@ -423,19 +423,13 @@ class Automaton:
         self._products.clear()
 
 
-def _eval_const(phi: F.BDF) -> bool:
-    """The value of a terminal residual: the terminal step resolves every
-    obligation and mk_and/mk_or fold the constants, so none is left open."""
-    if isinstance(phi, F.TrueC):
-        return True
-    if isinstance(phi, F.FalseC):
-        return False
-    raise ValueError(f"unresolved residual at terminal: {phi!r}")
-
-
 def terminal_weight(pf: Progressed) -> Fraction:
-    """Exact weight of a fully progressed (terminal) formula."""
-    return F.gpf_weight(pf.skeleton, lambda i: _eval_const(pf.residuals[i]))
+    """Exact weight of a fully progressed (terminal) formula. The terminal
+    step resolves every obligation and mk_and/mk_or fold the constants, so
+    pf is settled and its bounds meet at the weight."""
+    if not pf.settled:
+        raise ValueError(f"unresolved residual at terminal: {pf.residuals!r}")
+    return bounds(pf).opt
 
 
 # --- whole-trace replay --------------------------------------------------------------
@@ -451,7 +445,7 @@ def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
     stepped once; a trace's terminal step starts from its parent cell's.
     """
     root = init_progressed(gpf, universe)
-    done: dict = {}  # trace cell -> (its non-terminal Progressed, Bounds)
+    done: dict = {}  # trace cell -> its non-terminal Progressed
     out = []
     try:
         for trace in traces:
@@ -462,15 +456,13 @@ def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
             pf, prefix = root, []
             for cell in reversed(cells):
                 if cell not in done:
-                    pf = step(pf, StepContext(cell.event, cell.final_state,
-                                              False))
-                    done[cell] = pf, bounds(pf)
-                pf, b = done[cell]
-                prefix.append(b)
-            w = terminal_weight(step(pf, StepContext(trace.event,
-                                                     trace.final_state, True)))
-            prefix.append(Bounds(w, w))
-            out.append((w, prefix))
+                    done[cell] = step(pf, StepContext(cell.event,
+                                                      cell.final_state, False))
+                pf = done[cell]
+                prefix.append(bounds(pf))
+            pf = step(pf, StepContext(trace.event, trace.final_state, True))
+            prefix.append(bounds(pf))
+            out.append((terminal_weight(pf), prefix))
     finally:
         root.automaton.release()
     return out

@@ -1,6 +1,7 @@
 """Best-first preference planner over ordered task decomposition.
 
-A search node is its agenda, its trace and its progressed preference. The
+A search node is its agenda, its trace and its progressed preference, a
+product state whose bounds (progression.bounds) order the frontier. The
 agenda is what remains to do, front first: ground tasks, an Unordered group
 of tasks, the ground Literal of a method's before-constraint, and the
 pending EndEvent of each started task or method instance. The frontier holds
@@ -11,13 +12,14 @@ through the front of the agenda — firing end events, splicing method bodies,
 checking before-constraints — until a ground operator is applied; each
 reachable operator yields one child. Every agenda item but a literal emits
 an event, and a literal always precedes a task, so a node is terminal
-exactly when its agenda is empty. Its weight is then exact (opt == pess),
-and the first terminal node popped is optimal (its optimistic weight is a
-lower bound on everything still in the frontier). Under --tiebreak-lex it is
-also the lexicographically smallest optimal plan: the plan key of a prefix
-is never above that of any of its extensions and opt is admissible, so no
-other terminal node is popped while a node on the way to that plan is in
-the frontier, and duplicate detection (below) always leaves one there.
+exactly when its agenda is empty. Its product state is then settled and
+its bounds meet at the exact weight, and the first terminal node popped is
+optimal (its optimistic weight is a lower bound on everything still in the
+frontier). Under --tiebreak-lex it is also the lexicographically smallest
+optimal plan: the plan key of a prefix is never above that of any of its
+extensions and opt is admissible, so no other terminal node is popped while
+a node on the way to that plan is in the frontier, and duplicate detection
+(below) always leaves one there.
 
 The nesting depth of a task is the number of task end events on the agenda
 behind it: the tasks still executing around it. Decomposing a task inside
@@ -58,8 +60,9 @@ A product state whose residuals are all constant is settled: every letter
 leads back to it, so a node that reaches one keeps it without a
 progression step, and its bounds are the exact weight.
 
-The same expansion relation, with the preference bookkeeping switched off,
-drives the brute-force enumerator; legality is defined in exactly one place.
+The same expansion relation drives the brute-force enumerator, under the
+trivial preference: its product state is settled at the root and never
+stepped. Legality is defined in exactly one place.
 """
 
 from __future__ import annotations
@@ -127,17 +130,13 @@ class SearchStats(Record):
 
 
 class SearchNode(Record):
-    __slots__ = ("agenda", "trace", "progressed", "opt", "pess",
-                 "plan_length", "terminated")
+    __slots__ = ("agenda", "trace", "progressed", "plan_length", "terminated")
 
-    def __init__(self, agenda: tuple, trace: Trace,
-                 progressed: Optional[P.Progressed], opt: Fraction,
-                 pess: Fraction, plan_length: int, terminated: int):
+    def __init__(self, agenda: tuple, trace: Trace, progressed: P.Progressed,
+                 plan_length: int, terminated: int):
         self.agenda = agenda
         self.trace = trace
-        self.progressed = progressed
-        self.opt = opt  # the exact weight once the agenda is empty
-        self.pess = pess
+        self.progressed = progressed  # settled once the agenda is empty
         self.plan_length = plan_length
         self.terminated = terminated  # bit i: refs[i] has terminated
 
@@ -207,33 +206,21 @@ def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
     yield from bind(0, dict(sigma) if sigma else {})
 
 
-def _step(pf, trace: Trace, terminal: bool):
-    """Progress pf through the event that ended trace; None stays None,
-    and a settled product state, a fixpoint of every letter, stays too."""
-    if pf is None or pf.settled:
+def _step(pf: P.Progressed, trace: Trace, terminal: bool) -> P.Progressed:
+    """Progress pf through the event that ended trace; a settled product
+    state, a fixpoint of every letter, stays."""
+    if pf.settled:
         return pf
     return P.step(pf, P.StepContext(trace.event, trace.final_state, terminal))
 
 
-def _make_node(agenda, trace: Trace, pf, plan_length: int,
-               terminated: int) -> SearchNode:
-    if pf is None:
-        return SearchNode(agenda, trace, None, F.W_MIN, F.W_MAX, plan_length,
-                          terminated)
-    if not agenda:
-        w = P.terminal_weight(pf)
-        return SearchNode(agenda, trace, pf, w, w, plan_length, terminated)
-    b = P.bounds(pf)
-    return SearchNode(agenda, trace, pf, b.opt, b.pess, plan_length,
-                      terminated)
-
-
 class _Expander:
-    """Shared expansion relation. progressed=None disables all preference
-    bookkeeping (brute-force mode): nodes then carry trivial bounds, and
-    terminal ones are scored after the fact. refs are the ground references
-    whose termination the node's terminated bits record (see _signature);
-    watched maps each (kind, name) among them to its (bit, args) pairs."""
+    """Shared expansion relation: each child carries the product state its
+    events step its parent's to. The enumerator's, of the trivial
+    preference, is settled at the root and never stepped. refs are the
+    ground references whose termination the node's terminated bits record
+    (see _signature); watched maps each (kind, name) among them to its
+    (bit, args) pairs."""
 
     def __init__(self, problem: Problem, config: SolveConfig,
                  stats: SearchStats, refs: tuple[F.Ref, ...] = ()):
@@ -275,7 +262,7 @@ class _Expander:
                     terminated = self._terminate(terminated, *head.inst[:3])
                 pf = _step(pf, trace, not rest)
                 if not rest:
-                    return [_make_node(rest, trace, pf, plan_length,
+                    return [SearchNode(rest, trace, pf, plan_length,
                                        terminated)]
                 agenda = rest
                 continue
@@ -313,7 +300,7 @@ class _Expander:
             terminated = self._terminate(terminated, "op", task.name,
                                          task.args)
         pf = _step(pf, trace, not rest)
-        return [_make_node(rest, trace, pf, plan_length + 1, terminated)]
+        return [SearchNode(rest, trace, pf, plan_length + 1, terminated)]
 
     def _decompose(self, task: Task, rest, trace: Trace, pf,
                    plan_length: int, terminated: int) -> list[SearchNode]:
@@ -382,15 +369,16 @@ def _proper_prefix(p: tuple, q: tuple) -> bool:
     return len(p) < len(q) and q[:len(p)] == p
 
 
-def make_root(problem: Problem, with_preference: bool = True) -> SearchNode:
-    """The root node; an empty task network makes it terminal."""
+def make_root(problem: Problem, preference: F.GPF = None) -> SearchNode:
+    """The root node under preference, by default the problem's; an empty
+    task network makes it terminal."""
     trace = empty_trace(problem.init.indexed(problem.domain))
     agenda = tuple(problem.network)
-    pf = None
-    if with_preference:
-        pf = _step(P.init_progressed(problem.preference_or_empty,
-                                     problem.constants), trace, not agenda)
-    return _make_node(agenda, trace, pf, 0, 0)
+    if preference is None:
+        preference = problem.preference_or_empty
+    pf = _step(P.init_progressed(preference, problem.constants), trace,
+               not agenda)
+    return SearchNode(agenda, trace, pf, 0, 0)
 
 
 def solve(problem: Problem, config: SolveConfig = None) -> Result:
@@ -415,9 +403,14 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     closed: dict = {}  # signature -> plan key of its first expansion (lex)
     heap: list = []
     seq = itertools.count()
-    heapq.heappush(heap, (root.opt, _plan_key(root) if lex else root.pess,
-                          root.plan_length, next(seq), root))
-    stats.nodes_considered += 1
+
+    def push(node: SearchNode) -> None:
+        b = P.bounds(node.progressed)
+        heapq.heappush(heap, (b.opt, _plan_key(node) if lex else b.pess,
+                              node.plan_length, next(seq), node))
+        stats.nodes_considered += 1
+
+    push(root)
 
     found: Optional[SearchNode] = None
     try:
@@ -437,10 +430,7 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
             else:
                 closed[key] = rank if lex else None
             for child in exp.expand(node):
-                heapq.heappush(heap, (child.opt,
-                                      _plan_key(child) if lex else child.pess,
-                                      child.plan_length, next(seq), child))
-                stats.nodes_considered += 1
+                push(child)
     finally:
         stats.elapsed = time.monotonic() - start
         root.progressed.automaton.release()
@@ -449,4 +439,5 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
         return Result("noplan", None, None, stats)
     plan = found.trace.plan()
     stats.plan_length = len(plan)
-    return Result("ok", plan, found.opt, stats, found.trace)
+    return Result("ok", plan, P.terminal_weight(found.progressed), stats,
+                  found.trace)

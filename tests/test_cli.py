@@ -94,6 +94,25 @@ class TestSolveCommand:
         assert code == EXIT_TIMEOUT and err == "timeout\n"
         assert json.loads(out)["status"] == "timeout"
 
+    def test_bruteforce_timeout_zero_is_a_timeout(self, capsys):
+        code, out, err = run(capsys, *solve_args(3, "--mode", "bruteforce",
+                                                 "--timeout", "0", "--json"))
+        assert code == EXIT_TIMEOUT and err == "timeout\n"
+        rec = json.loads(out)
+        assert rec["status"] == "timeout" and rec["mode"] == "bruteforce"
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf", "soon"])
+    def test_timeout_must_be_finite_and_not_negative(self, capsys, value):
+        for mode in ("bestfirst", "bruteforce"):
+            code, out, err = run(capsys, *solve_args(3, "--mode", mode,
+                                                     f"--timeout={value}"))
+            assert code == EXIT_USAGE, mode
+            assert out == "" and "--timeout" in err
+        code, out, err = run(capsys, "bench", "--suite", TRAVEL,
+                             f"--timeout={value}")
+        assert code == EXIT_USAGE
+        assert out == "" and "--timeout" in err
+
     def test_depth_limit_exit_code(self, tmp_path, capsys):
         write_walk(tmp_path)
         walk = ("solve", "--domain", tmp_path / "walk.htn",

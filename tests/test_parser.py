@@ -312,6 +312,12 @@ class TestErrorLocations:
          "unknown predicate ghost"),
         ("preference", "(and (paid)\n  (final (paid x)))", ArityMismatch, 2, 10,
          "predicate paid expects 0 args, got 1"),
+        ("preference", "(and (paid)\n  (occ (!pay x y)))", ArityMismatch, 2, 8,
+         "reference to pay takes at most 0 args, got 2"),
+        ("preference", "(and (paid)\n  (occ (arrange-trans x)))", ArityMismatch,
+         2, 8, "reference to arrange-trans takes at most 0 args, got 1"),
+        ("preference", "(and (paid)\n  (apply (by-hotel x)))", ArityMismatch,
+         2, 10, "reference to by-hotel takes at most 0 args, got 1"),
     ], ids=["bad-term", "empty-atom", "bad-predicate", "not-two-atoms",
             "literal-not-a-list", "empty-task", "bad-task-symbol",
             "method-head-not-a-list", "operator-head-not-a-list",
@@ -320,7 +326,8 @@ class TestErrorLocations:
             "empty-form", "bad-form-head", "domain-header", "nonground-init",
             "unknown-init-predicate", "init-arity", "nonground-task",
             "problem-header", "formula-symbol", "empty-reference",
-            "unknown-predicate", "wrong-arity"])
+            "unknown-predicate", "wrong-arity", "operator-reference-arity",
+            "task-reference-arity", "method-reference-arity"])
     def test_validation_error_reports_its_list(self, mini_domain, kind, text,
                                                error, line, col, message):
         parse = {"domain": lambda: parse_domain(text, "f"),
@@ -346,6 +353,33 @@ class TestErrorLocations:
             parse_preference(text, parse_domain(LEAF_DOMAIN), "f")
         assert str(exc.value) == f"f:2:{col}: unbound variable ?x"
         assert exc.value.token == "?x"
+
+
+# trip's methods have heads of one and of two arguments
+ARITY_DOMAIN = """
+(domain d
+  (:operator (!go ?x ?y) :pre () :del () :add ())
+  (:method (trip ?x) :name short :pre () :tasks ((!go ?x ?x)))
+  (:method (trip ?x ?y) :name long :pre () :tasks ((!go ?x ?y))))
+"""
+
+
+class TestReferenceArity:
+    # a reference may leave out arguments (args_match) but not give more
+    # than its target ever carries; a task's longest head decides
+    @pytest.mark.parametrize("ref", [
+        "(occ (!go))", "(occ (go a))", "(occ (!go a b))", "(occ (trip))",
+        "(occ (trip a b))", "(apply (short))", "(apply (long a b))"])
+    def test_fewer_or_as_many_args_parse(self, ref):
+        gpf = parse_preference(f"(eventually {ref})",
+                               parse_domain(ARITY_DOMAIN))
+        assert isinstance(gpf, F.Atomic)
+
+    @pytest.mark.parametrize("ref", ["(occ (trip a b c))",
+                                     "(apply (short a b))"])
+    def test_more_args_than_the_head_fail(self, ref):
+        with pytest.raises(ArityMismatch):
+            parse_preference(f"(eventually {ref})", parse_domain(ARITY_DOMAIN))
 
 
 class TestParsePreference:

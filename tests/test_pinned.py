@@ -6,7 +6,8 @@ computes its nodes (indexes, caches, automaton states) must leave every one
 of these byte-identical; a change that means to move them updates the digest
 and says why. Lex plans and lex counters have digests of their own, so that
 a change to how the lex search prunes can move its counters while its plans
-stay pinned.
+stay pinned. The enumerator has one too: each instance's plan count, NE, NC
+and every plan's weight, in enumeration order.
 """
 
 import hashlib
@@ -16,7 +17,8 @@ import pytest
 from conftest import fixture_ids
 from test_search import LEX_SENSITIVE, corpus_problem
 
-from prefhtn.errors import ResourceLimit
+from prefhtn.errors import CapExceeded, ResourceLimit
+from prefhtn.oracle import enumerate_all
 from prefhtn.search import SolveConfig, solve
 
 FIXTURES = [f"{suite}-{k}" for suite, k in fixture_ids()]
@@ -55,3 +57,23 @@ def test_search_results_are_pinned(mode):
     config = SolveConfig(tiebreak_lex=lex)
     text = "\n".join(record(n, config, parts) for n in names)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+ENUMERATED = (
+    "a256fd90aafe87be2dfa72ead7d695369420ca2cc100176701c82aa6fe95fa9a")
+
+
+def enumerated(name: str) -> str:
+    try:
+        o = enumerate_all(corpus_problem(name))
+    except CapExceeded as exc:
+        return f"{name} {exc.kind}"
+    s = o.stats
+    weights = " ".join(str(w) for w in o.all_weights)
+    return (f"{name} {o.plan_count} {s.nodes_expanded} {s.nodes_considered}"
+            f" [{weights}]")
+
+
+def test_enumeration_is_pinned():
+    text = "\n".join(enumerated(n) for n in FIXTURES + RANDOM)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATED

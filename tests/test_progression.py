@@ -401,6 +401,22 @@ class TestProductStates:
         assert P.step(pf, ctx) is pf
         assert P.step(pf, ctx) is pf  # now a transition lookup
 
+    def test_terminal_weight_needs_a_settled_state(self, mini_domain,
+                                                   mini_trace):
+        # a settled state's weight is its bounds'; an open residual at the
+        # end of a plan is a progression fault, not a weight
+        gpf = parse_preference("(eventually (occ (!pay)))", mini_domain)
+        pf = P.init_progressed(gpf, ())
+        assert not pf.settled
+        with pytest.raises(ValueError, match="unresolved residual at terminal"):
+            P.terminal_weight(pf)
+        ctx = P.StepContext(None, mini_trace.states[0], True)
+        done = P.step(pf, ctx)
+        assert done.settled
+        assert P.terminal_weight(done) == P.bounds(done).opt \
+            == P.bounds(done).pess
+        pf.automaton.release()
+
     def test_a_settled_state_is_a_fixpoint_the_search_does_not_step(
             self, monkeypatch, mini_domain, mini_trace):
         # the trivial preference is settled from the start: every letter
@@ -434,7 +450,7 @@ class TestProductStates:
 
 class TestAutomatonLifetime:
     @pytest.mark.parametrize("run", ["solve", "progress_trace",
-                                     "cross_check"])
+                                     "cross_check", "enumerate_all"])
     def test_freed_when_its_search_returns(self, monkeypatch, run):
         # without the cyclic collector: product states and their automaton
         # refer to each other while the search runs
@@ -455,6 +471,8 @@ class TestAutomatonLifetime:
                 solve(problem)
             elif run == "progress_trace":
                 progress_trace(problem.preference, traces, problem.constants)
+            elif run == "enumerate_all":
+                enumerate_all(problem)
             else:
                 cross_check(problem)
             assert made and all(ref() is None for ref in made)

@@ -14,6 +14,7 @@ from prefhtn import search, semantics
 from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
                             print_domain)
+from prefhtn.progression import bounds
 from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.search import (SearchStats, SolveConfig, _Expander, make_root,
                             satisfiers, solve)
@@ -268,7 +269,8 @@ class TestExpansion:
             node = frontier.pop()
             if not node.agenda:
                 assert not node.trace.final_state.executing
-                assert node.opt == node.pess \
+                b = bounds(node.progressed)
+                assert b.opt == b.pess \
                     == weight_gpf(node.trace, gpf, universe)
                 plans.append(node.trace.plan())
                 continue

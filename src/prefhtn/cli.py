@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
@@ -132,9 +133,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _suite_triples(suite: str):
-    """(id, domain file, problem file, preference file or None) per problem."""
+def _suite_triples(suite: str) -> list:
+    """The --suite type: (id, domain file, problem file, preference file or
+    None) per problem. A suite that is not a directory, or holds no
+    problem, is a usage error."""
     root = Path(suite)
+    if not root.is_dir():
+        raise argparse.ArgumentTypeError(f"{suite} is not a directory")
     out = []
     for prob in sorted(root.glob("*.prob")):
         stem = prob.stem                      # NAME-k
@@ -143,6 +148,8 @@ def _suite_triples(suite: str):
         pref = root / f"{stem}.pref"
         out.append((stem, str(dom), str(prob),
                     str(pref) if pref.exists() else None))
+    if not out:
+        raise argparse.ArgumentTypeError(f"{suite} holds no *.prob file")
     return out
 
 
@@ -185,33 +192,34 @@ def bench_table(records: list[dict]) -> str:
 
 def cmd_bench(args) -> int:
     """Exit 5 at the first weight mismatch, after printing the table and
-    writing the records of every problem run so far, that one included."""
+    writing the records of every problem run so far, that one included.
+    --out is opened before the first problem, so a path that cannot be
+    written fails before anything runs."""
     records: list[dict] = []
     code = EXIT_OK
     config = SolveConfig(timeout=args.timeout)
-    for pid, dom, prob, pref in _suite_triples(args.suite):
-        problem = _load_problem(dom, prob, pref)
-        bf, _ = _run_one(problem, "bruteforce", config, args.timeout)
-        best, _ = _run_one(problem, "bestfirst", config, args.timeout)
-        records.extend([bf, best])
-        if (bf["status"] == "ok" and best["status"] == "ok"
-                and bf["weight"] != best["weight"]):
-            print(f"weight mismatch on {pid}: bruteforce {bf['weight']} "
-                  f"vs bestfirst {best['weight']}", file=sys.stderr)
-            code = EXIT_MISMATCH
-            break
-    print(bench_table(records))
-    if args.out:
-        with open(args.out, "w") as fh:
-            for r in records:
-                fh.write(json.dumps(r) + "\n")
+    with open(args.out, "w") if args.out else nullcontext() as fh:
+        for pid, dom, prob, pref in args.suite:
+            problem = _load_problem(dom, prob, pref)
+            bf, _ = _run_one(problem, "bruteforce", config, args.timeout)
+            best, _ = _run_one(problem, "bestfirst", config, args.timeout)
+            records.extend([bf, best])
+            if (bf["status"] == "ok" and best["status"] == "ok"
+                    and bf["weight"] != best["weight"]):
+                print(f"weight mismatch on {pid}: bruteforce {bf['weight']} "
+                      f"vs bestfirst {best['weight']}", file=sys.stderr)
+                code = EXIT_MISMATCH
+                break
+        print(bench_table(records))
+        if fh:
+            fh.writelines(json.dumps(r) + "\n" for r in records)
     return code
 
 
 def cmd_check(args) -> int:
     """Exit 5 if any check fails, else 4 if a cap cut any problem, else 0."""
     code = EXIT_OK
-    for pid, dom, prob, pref in _suite_triples(args.suite):
+    for pid, dom, prob, pref in args.suite:
         problem = _load_problem(dom, prob, pref)
         try:
             report = cross_check(problem)
@@ -253,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bench", help="benchmark a suite directory")
-    bp.add_argument("--suite", required=True)
+    bp.add_argument("--suite", required=True, type=_suite_triples)
     bp.add_argument("--timeout", type=_seconds, default=60.0)
     bp.add_argument("--out", default=None)
     bp.set_defaults(func=cmd_bench)
 
     cp = sub.add_parser("check", help="cross-check solver vs. enumerator")
-    cp.add_argument("--suite", required=True)
+    cp.add_argument("--suite", required=True, type=_suite_triples)
     cp.set_defaults(func=cmd_check)
     return ap
 
@@ -277,6 +285,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:  # not about a path the command line gave
+            raise
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -5,11 +5,13 @@ decomposition and before/hold constructs), atomic preference formulas
 (ordered alternatives with increasing weight values) and general preference
 formulas (conditional / conjunctive / disjunctive aggregation).
 
-Weights are exact rationals in [0, 1]; 0 is best, 1 is worst. Negation is
-pushed to atoms at construction time (nnf); the extended constructs TrueC,
-FalseC, OccNext, Terminated, Last and Window only ever appear in
+Weights are exact rationals in [0, 1]; 0 is best, 1 is worst. A Not may
+stand over any BDF: formulas keep the negations they were written with. The
+extended constructs OccNext, Terminated and Window only ever appear in
 progression: Window and the OccNext under a Next where progression.unfold
 writes out the before/hold* constructs, the others as progression outputs.
+TrueC and FalseC are what (and) and (or) parse to, and the constants a
+residual folds into.
 
 Every node class derives from model.Node: it declares its fields as
 annotations, and is an immutable value equal by class and fields, so
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import BadValueOrder, UnboundVariable
+from .errors import BadValueOrder
 from .model import Literal, Node, is_var, subst_args, subst_literal
 
 Weight = Fraction
@@ -138,10 +140,6 @@ class Terminated(Node):
     ref: Ref
 
 
-class Last(Node):
-    """True exactly at the final trace index (arises from nnf of Not(Next ...))."""
-
-
 class Window(Node):
     """True where t1 has terminated and t2 has neither started nor
     terminated (semantics.window_open): the before/hold-between window."""
@@ -152,7 +150,7 @@ class Window(Node):
 
 BDF = Union[TrueC, FalseC, LitF, Final, Occ, Apply, Before, HoldBefore,
             HoldAfter, HoldBetween, Not, And, Or, Exists, Forall, Next,
-            Always, Eventually, Until, OccNext, Terminated, Last, Window]
+            Always, Eventually, Until, OccNext, Terminated, Window]
 
 
 # --- APF / GPF ----------------------------------------------------------------
@@ -328,56 +326,6 @@ def mk_or(parts) -> BDF:
 
 def const(b: bool) -> BDF:
     return TRUE if b else FALSE
-
-
-# --- negation normal form -------------------------------------------------------
-
-_ATOMIC_NEGATABLE = (Occ, Apply, Terminated, Before, HoldBefore,
-                     HoldAfter, HoldBetween, OccNext, Window, Last)
-
-# Negating one of these swaps it for its dual and negates its sub-formulas
-# and its literal.
-_DUAL = {TrueC: FalseC, FalseC: TrueC, LitF: LitF, Final: Final,
-         Exists: Forall, Forall: Exists, Always: Eventually,
-         Eventually: Always}
-
-
-def nnf(phi: BDF) -> BDF:
-    """Push negation down to atoms. Next is strong: not(next p) = last or
-    next(not p), which is last alone when not p is false. Joins go through
-    mk_and/mk_or, so they stay flat and free of duplicates as parsed ones
-    are."""
-    if isinstance(phi, Not):
-        return _nnf_neg(phi.sub)
-    if isinstance(phi, (And, Or)):
-        join = mk_and if isinstance(phi, And) else mk_or
-        return join([nnf(p) for p in phi.parts])
-    return rebuild(phi, nnf)
-
-
-def _nnf_neg(phi: BDF) -> BDF:
-    if isinstance(phi, (And, Or)):
-        join = mk_or if isinstance(phi, And) else mk_and
-        return join([_nnf_neg(p) for p in phi.parts])
-    dual = _DUAL.get(type(phi))
-    if dual is not None:
-        return dual(*node_fields(rebuild(phi, _nnf_neg, f_lit=Literal.negate)))
-    if isinstance(phi, Not):
-        return nnf(phi.sub)
-    if isinstance(phi, Next):
-        sub = _nnf_neg(phi.sub)
-        return Last() if sub == FALSE else mk_or([Last(), Next(sub)])
-    if isinstance(phi, Until):
-        # not (p U q) = always(not q) or (not q) U (not p and not q)
-        np, nq = _nnf_neg(phi.hold), _nnf_neg(phi.goal)
-        return mk_or([Always(nq), Until(nq, mk_and([np, nq]))])
-    if isinstance(phi, _ATOMIC_NEGATABLE):
-        return Not(phi)
-    raise UnboundVariable(f"cannot negate {phi!r}")
-
-
-def nnf_gpf(gpf: GPF) -> GPF:
-    return map_gpf(gpf, nnf)
 
 
 # --- substitution and quantifier expansion ---------------------------------------

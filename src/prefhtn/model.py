@@ -162,9 +162,6 @@ class Literal(NamedTuple):
     atom: Atom
     positive: bool = True
 
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"(not {self.atom})"
 
@@ -548,47 +545,43 @@ class Trace:
     """A persistent event sequence, one cell per event: the trace it extends
     (None for the empty trace), the event, the state that event produced and
     the number of events. Extending is O(1) and shares the whole history.
-    The events and states tuples (|states| = |events| + 1) are built on
-    first use and kept."""
+    The events and states tuples (|states| = |events| + 1) are walked off
+    the cells on each read."""
 
-    __slots__ = ("parent", "event", "final_state", "length",
-                 "_events", "_states")
+    __slots__ = ("parent", "event", "final_state", "length")
 
     def __init__(self, parent: Optional[Trace], event: Optional[Event],
                  final_state: State):
         self.parent = parent
         self.event = event
         self.final_state = final_state
-        if parent is None:
-            self.length, self._events, self._states = 0, (), (final_state,)
-        else:
-            self.length, self._events, self._states = parent.length + 1, None, None
+        self.length = 0 if parent is None else parent.length + 1
 
-    def _materialize(self, cache: str, value: str) -> tuple:
-        """The nearest built ancestor's tuple plus the value of each newer
-        cell, kept in this cell."""
-        t, newer = self, []
-        while getattr(t, cache) is None:
-            newer.append(getattr(t, value))
+    def _walk(self, value: str) -> tuple:
+        """The value of each cell, the empty trace's first."""
+        out, t = [], self
+        while t is not None:
+            out.append(getattr(t, value))
             t = t.parent
-        out = getattr(t, cache) + tuple(reversed(newer))
-        setattr(self, cache, out)
-        return out
+        return tuple(reversed(out))
 
     @property
     def events(self) -> tuple[Event, ...]:
-        if self._events is None:
-            return self._materialize("_events", "event")
-        return self._events
+        return self._walk("event")[1:]
 
     @property
     def states(self) -> tuple[State, ...]:
-        if self._states is None:
-            return self._materialize("_states", "final_state")
-        return self._states
+        return self._walk("final_state")
 
     def plan(self) -> tuple[OperatorEvent, ...]:
-        return tuple(e for e in self.events if isinstance(e, OperatorEvent))
+        """The operator events, walked off the cells without building the
+        events tuple: the --tiebreak-lex plan key reads this on every push."""
+        out, t = [], self
+        while t.parent is not None:
+            if isinstance(t.event, OperatorEvent):
+                out.append(t.event)
+            t = t.parent
+        return tuple(reversed(out))
 
     def extend(self, event: Event, domain: Domain) -> "Trace":
         return Trace(self, event, apply_event(self.final_state, event, domain))

@@ -67,10 +67,10 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
 
     def record(node: SearchNode):
         if len(traces) >= caps.max_plans:
-            raise CapExceeded("plans", _finish(partial=True))
+            raise CapExceeded("plans", _finish())
         traces.append(node.trace)
 
-    def _finish(partial: bool = False) -> OracleResult:
+    def _finish() -> OracleResult:
         stats.elapsed = time.monotonic() - start
         gpf, universe = problem.preference_or_empty, problem.constants
         weights = tuple(semantics.weight_gpf(t, gpf, universe)
@@ -91,7 +91,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
     try:
         while stack:
             if time.monotonic() - start > caps.max_seconds:
-                raise CapExceeded("time", _finish(partial=True))
+                raise CapExceeded("time", _finish())
             node = stack.pop()
             if not node.agenda:
                 record(node)
@@ -99,7 +99,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
             try:
                 children = exp.expand(node)
             except ResourceLimit as exc:
-                raise CapExceeded(exc.kind, _finish(partial=True)) from exc
+                raise CapExceeded(exc.kind, _finish()) from exc
             stats.nodes_considered += len(children)
             stack.extend(reversed(children))
     finally:

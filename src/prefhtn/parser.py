@@ -16,8 +16,10 @@ of one must be bound by the head or by a positive literal, since a negative
 literal binds nothing. A preference BDF is a literal, (and bdf*), (or bdf*),
 (exists (?v+) bdf), (forall (?v+) bdf), or one of the fixed-arity forms of
 BDF_FORMS, which the parser, the printer and the random generator all read.
-Negation is pushed to atoms on the way in, so parsed formulas are in
-negation normal form.
+A (not bdf) may stand over any formula, and a preference is kept as it was
+written, except that formulas.mk_and and mk_or flatten nested joins and
+drop units and duplicates, and a quantifier over several variables nests
+one per variable.
 """
 
 from __future__ import annotations
@@ -520,7 +522,7 @@ def parse_preference(text, domain: Domain, filename: str = "<preference>") -> F.
 def _preference(exprs: list, domain: Domain) -> F.GPF:
     if len(exprs) != 1:
         raise _fail(f"expected exactly one expression, found {len(exprs)}")
-    return F.nnf_gpf(_parse_gpf(exprs[0], domain, _domain_arities(domain)))
+    return _parse_gpf(exprs[0], domain, _domain_arities(domain))
 
 
 def empty_preference() -> F.GPF:
@@ -588,8 +590,6 @@ def print_bdf(phi: F.BDF) -> str:
         return "(or)"
     if isinstance(phi, F.LitF):
         return str(phi.lit)
-    if isinstance(phi, F.Last):
-        return "(not (next (and)))"
     if isinstance(phi, (F.And, F.Or)):
         return "(%s %s)" % ("and" if isinstance(phi, F.And) else "or",
                             " ".join(map(print_bdf, phi.parts)))

@@ -35,9 +35,12 @@ Residual conventions (all indices relative to the event sequence):
     occNext is resolved against the next event.
   * before/hold* constructs are unfolded once, before the first step, into
     the LTL formulas they abbreviate (unfold), over at(t) = next(occNext(t)),
-    terminated and the Window leaf of the t1/t2 window. Any obligation still
-    pending counts as satisfied under the optimistic bound and falsified
-    under the pessimistic one.
+    terminated and the Window leaf of the t1/t2 window.
+  * An obligation still pending counts as satisfied under the optimistic
+    bound and falsified under the pessimistic one, and a not judges its
+    sub-formula under the other view (_sat). That is strong Kleene
+    evaluation with pending as the unknown value, so each bound stays
+    admissible and monotone whatever formula a not stands over.
   * final(l) stays open until the terminal step. Its pessimistic bound is
     "unsatisfied", not the current value of l: a fluent that is true now but
     deleted later would otherwise let the pessimistic weight increase along
@@ -201,8 +204,6 @@ _PROGRESS = {
         ctx.event is not None and semantics.event_matches(ctx.event, phi.ref)),
     F.Terminated: lambda phi, ctx:
         F.const(semantics.terminated_at(ctx.state, phi.ref)),
-    # a non-terminal step has a successor, so its index is not the last
-    F.Last: lambda phi, ctx: F.const(ctx.terminal),
     F.Window: lambda phi, ctx:
         F.const(semantics.window_open(ctx.state, phi.t1, phi.t2)),
     F.Not: _not,
@@ -285,7 +286,7 @@ def _reads(phi: F.BDF) -> list:
         return [r for p in phi.parts for r in _reads(p)]
     if isinstance(phi, F.Until):
         return _reads(phi.hold) + _reads(phi.goal)
-    return []  # TrueC, FalseC, Occ, Apply, Last, Next: the flag decides
+    return []  # TrueC, FalseC, Occ, Apply, Next: the flag decides
 
 
 def _group(refs) -> dict:

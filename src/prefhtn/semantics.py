@@ -18,7 +18,7 @@ Path, CONCUR 2003):
   * a literal: the states where it holds; final l: every bit or none;
   * terminated t: a suffix, since terminated instances never leave a state;
   * occ t, apply m: the events of t, read from an index of the event
-    positions by kind and name; last: bit n;
+    positions by kind and name;
   * not, and, or: complement within bits 0..n, intersection, union;
   * next p: p shifted down one bit, which leaves bit n clear;
   * always p: the bits above the highest one where p is false;
@@ -214,7 +214,6 @@ _RULES = {
         lab.full if lab.holds(phi.lit, env) >> len(lab.events) else 0,
     F.Occ: lambda lab, phi, env: lab.occurs(_bind(phi.ref, env)),
     F.Apply: lambda lab, phi, env: lab.occurs(_bind(phi.ref, env)),
-    F.Last: lambda lab, phi, env: (lab.full + 1) >> 1,
     F.Terminated: lambda lab, phi, env: lab.terminated(_bind(phi.ref, env)),
     F.Before: _window,
     F.HoldBefore: lambda lab, phi, env: _up_to_last(

@@ -184,6 +184,15 @@ class TestSolveCommand:
         assert code == EXIT_USAGE
         assert "missing file" in err
 
+    @pytest.mark.parametrize("flag", ["--domain", "--problem", "--prefs"])
+    def test_directory_path_is_usage_error(self, capsys, flag):
+        # an unreadable path is not a problem without a plan (exit 1)
+        argv = list(solve_args(1))
+        argv[argv.index(flag) + 1] = FIXTURES
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"cannot open {FIXTURES}: Is a directory\n"
+
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.htn"
         bad.write_text("(domain broken (:operator")
@@ -195,6 +204,14 @@ class TestSolveCommand:
     def test_bad_usage(self, capsys):
         assert run(capsys, "solve")[0] == EXIT_USAGE
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+def write_suites(tmp_path):
+    """A suite path per way of holding no problem: missing, an empty
+    directory, a file."""
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "file.prob").write_text("(problem p :init () :tasks ())")
+    return [tmp_path / name for name in ("missing", "empty", "file.prob")]
 
 
 class TestBenchCommand:
@@ -216,6 +233,34 @@ class TestBenchCommand:
         assert all(tuple(r) == RECORD_FIELDS for r in records)
         assert {r["mode"] for r in records} == {"bruteforce", "bestfirst"}
 
+    def test_suite_without_problems_is_usage_error(self, tmp_path, capsys):
+        for suite in write_suites(tmp_path):
+            code, out, err = run(capsys, "bench", "--suite", suite)
+            assert code == EXIT_USAGE, suite
+            assert out == "" and f"--suite: {suite} " in err
+
+    def test_out_directory_is_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        """--out is opened before the first problem, so a suite whose every
+        problem would mismatch stops at the bad path without running one."""
+        real, calls = cli.enumerate_all, []
+
+        def off_by_one(problem, *args, **kwargs):
+            calls.append(problem.name)
+            oracle = real(problem, *args, **kwargs)
+            oracle.best_weight += 1
+            return oracle
+
+        monkeypatch.setattr(cli, "enumerate_all", off_by_one)
+        code, out, err = run(capsys, "bench", "--suite", TRAVEL,
+                             "--out", tmp_path)
+        assert code == EXIT_USAGE and calls == []
+        assert out == "" and err == f"cannot open {tmp_path}: Is a directory\n"
+        # with a writable --out the same suite mismatches at once
+        code, _, err = run(capsys, "bench", "--suite", TRAVEL,
+                           "--out", tmp_path / "records.jsonl")
+        assert code == EXIT_MISMATCH and calls == ["travel-1"]
+        assert "weight mismatch on travel-1" in err
 
     def test_weight_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         """A mismatch on travel-3 stops the suite there, but the table and
@@ -250,6 +295,12 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert "FAIL" not in out
         assert "pass" in out
+
+    def test_suite_without_problems_is_usage_error(self, tmp_path, capsys):
+        for suite in write_suites(tmp_path):
+            code, out, err = run(capsys, "check", "--suite", suite)
+            assert code == EXIT_USAGE, suite
+            assert out == "" and f"--suite: {suite} " in err
 
     def test_enumeration_cap_exit_code(self, tmp_path, capsys):
         write_walk(tmp_path)

@@ -56,7 +56,6 @@ EXAMPLES = {
     F.Until: (P, Q),
     F.OccNext: (OP,),
     F.Terminated: (TASK,),
-    F.Last: (),
     F.Window: (OP, TASK),
     F.APF: (((P, Fraction(0)), (Q, Fraction(1, 2))),),
     F.Atomic: (F.APF(((P, Fraction(0)),)),),
@@ -246,7 +245,7 @@ def test_mutable_records_compare_by_field_and_do_not_hash():
     (F.And((P, Q)), F.Or((P, Q))),
     (F.Exists("?x", P), F.Forall("?x", P)),
     (F.TRUE, F.FALSE),
-    (F.TRUE, F.Last()),
+    (F.Occ(OP), F.Apply(OP)),
     (F.LitF(LIT), F.Final(LIT)),
     (F.Conj((F.bdf_gpf(P),)), F.Disj((F.bdf_gpf(P),))),
 ])

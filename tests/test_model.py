@@ -195,7 +195,6 @@ class TestTrace:
         assert child.parent is t and child.length == 1
         assert child.event == OperatorEvent("pay", (), 0)
         assert mini_trace.length == len(mini_trace.events) == 6
-        assert mini_trace.events is mini_trace.events  # built once
 
     def test_materialized_traces_match_replay_and_fold(self):
         # the returned plan and every enumerated trace of every fixture

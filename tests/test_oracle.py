@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES, MINI_DOMAIN, fixture_ids, load_fixture
+from test_search import corpus_problem
 
 from prefhtn import cli
 from prefhtn import formulas as F
@@ -84,6 +85,12 @@ class TestCrossCheck:
         report = cross_check(problem)
         assert report.ok
         assert report.plan_count == 0
+
+    def test_negated_corpus_passes_all_checks(self):
+        # randgen with not in its palette: a not over any formula
+        names = [f"negated-{seed}" for seed in range(100)]
+        assert [n for n in names
+                if not cross_check(corpus_problem(n)).ok] == []
 
 
 def _rename_constants(text: str) -> str:

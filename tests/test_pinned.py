@@ -6,8 +6,10 @@ computes its nodes (indexes, caches, automaton states) must leave every one
 of these byte-identical; a change that means to move them updates the digest
 and says why. Lex plans and lex counters have digests of their own, so that
 a change to how the lex search prunes can move its counters while its plans
-stay pinned. The enumerator has one too: each instance's plan count, NE, NC
-and every plan's weight, in enumeration order.
+stay pinned. The negation corpus adds not to randgen's palette; it is the
+only one that puts a not over a temporal formula. The enumerator has a
+digest too: each instance's plan count, NE, NC and every plan's weight, in
+enumeration order.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from prefhtn.search import SolveConfig, solve
 
 FIXTURES = [f"{suite}-{k}" for suite, k in fixture_ids()]
 RANDOM = [f"random-{seed}" for seed in range(300)]
+NEGATED = [f"negated-{seed}" for seed in range(300)]
 LEX = FIXTURES + [n for n in LEX_SENSITIVE if n not in FIXTURES]
 
 PINNED = {  # name -> (instances, tiebreak_lex, parts, sha256 of their records)
@@ -35,6 +38,9 @@ PINNED = {  # name -> (instances, tiebreak_lex, parts, sha256 of their records)
     "lex-counters": (
         LEX, True, ("counters",),
         "2f2e7369eba4e2b322b36325483df9cba81bef925f48ed392f1b5d7721b846f5"),
+    "negation": (
+        NEGATED, False, ("plan", "counters"),
+        "fdbab956a8d2d88753a50c097badb75c44588338eef98c6ca52fcfaa02e17b19"),
 }
 
 

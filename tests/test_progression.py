@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_ids, load_fixture
+from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 
 import prefhtn.formulas as F
 import prefhtn.progression as P
@@ -109,8 +109,8 @@ class TestConstructs:
         "(eventually (before (!book-train) (!pay)))",
         "(&! (eventually (occ (!pay)))"
         "    (>> ((always (not (occ (!book-car)))) 0) ((and) 1/2)))",
-        # nnf turns a negated next into last-or-next, and Last must hold
-        # exactly at the final index
+        # a negated next is false where the next holds, and true at the
+        # final index, which has no successor
         "(not (next (paid)))",
         "(always (not (next (paid))))",
         # a method application is observed through its start event
@@ -124,6 +124,89 @@ class TestConstructs:
         [(weight, _)] = progress_trace(gpf, [mini_trace], universe)
         assert weight == weight_gpf(mini_trace, gpf, universe)
 
+
+# The mini domain plus a tour that visits one of two constants, so that a
+# quantifier ranges over a universe of two.
+NEGATION_DOMAIN = MINI_DOMAIN.rstrip()[:-1] + """
+  (:operator (!visit ?c) :pre () :del () :add ((seen ?c)))
+  (:method (tour) :name via-a :pre () :tasks ((!visit a) (!pay)))
+  (:method (tour) :name via-b :pre () :tasks ((!visit b)))
+)
+"""
+_NEGATION_FORMULAS = ["(eventually (has-car))", "(always (not (seen b)))",
+                      "(next (apply (by-car-trans)))",
+                      "(until (not (paid)) (has-ticket))"]
+_NEGATION_BODIES = ["(eventually (and (seen ?x) (has-car)))",
+                    "(until (not (occ (!visit ?x))) (occ (!book-car)))",
+                    "(and (eventually (occ (!visit ?x)))"
+                    " (next (apply (by-train-trans))))"]
+_NEGATION_LITERALS = ["(has-ticket)", "(seen a)", "(seen b)"]
+
+
+def _rewrites():
+    """(not ..., the form negation normal form rewrote it into) pairs: one
+    per dual, over a few operands each."""
+    out = []
+    for p in _NEGATION_FORMULAS:
+        out.append((f"(not (always {p}))", f"(eventually (not {p}))"))
+        out.append((f"(not (next {p}))",
+                    f"(or (not (next (and))) (next (not {p})))"))
+        for q in _NEGATION_FORMULAS:
+            if p == q:
+                continue
+            out.append((f"(not (and {p} {q}))", f"(or (not {p}) (not {q}))"))
+            out.append((f"(not (until {p} {q}))",
+                        f"(or (always (not {q})) (until (not {q}) "
+                        f"(and (not {p}) (not {q}))))"))
+    for body in _NEGATION_BODIES:
+        out.append((f"(not (exists (?x) {body}))",
+                    f"(forall (?x) (not {body}))"))
+    for lit in _NEGATION_LITERALS:
+        out.append((f"(not (final {lit}))", f"(final (not {lit}))"))
+    return out
+
+
+class TestNegation:
+    """A not over any formula weighs what its negation normal form does,
+    on every plan, under the direct semantics, under progression and as
+    the best-first optimum."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        return parse_domain(NEGATION_DOMAIN, "<negation>")
+
+    def _problem(self, domain, text):
+        problem = parse_problem(
+            "(problem p :init () :tasks ((arrange-trans) (tour)))", domain)
+        problem.preference = parse_preference(text, domain)
+        return problem
+
+    @pytest.mark.parametrize("negated,rewritten", _rewrites())
+    def test_weighs_as_its_rewrite(self, domain, negated, rewritten):
+        weights = []
+        for text in (negated, rewritten):
+            problem = self._problem(domain, text)
+            gpf, universe = problem.preference, problem.constants
+            assert universe == ("a", "b")
+            traces = enumerate_all(problem).traces
+            direct = [weight_gpf(t, gpf, universe) for t in traces]
+            replayed = [w for w, _ in progress_trace(gpf, traces, universe)]
+            assert replayed == direct
+            weights.append((direct, solve(problem).weight))
+        assert weights[0] == weights[1]
+        assert weights[0][1] == min(weights[0][0])
+
+    def test_rewrites_tell_plans_apart(self, domain):
+        # most pairs weigh the four plans unequally, so the check above is
+        # not met by constant weights alone
+        spread = 0
+        for negated, _ in _rewrites():
+            problem = self._problem(domain, negated)
+            traces = enumerate_all(problem).traces
+            assert len(traces) == 4
+            spread += len({weight_gpf(t, problem.preference,
+                                      problem.constants) for t in traces}) > 1
+        assert spread > len(_rewrites()) // 2
 
 # Operators only: an operator terminates at its own event, so before(t1, t2)
 # has its window open from the t1 event up to the t2 event.
@@ -672,8 +755,6 @@ def _chain_progress_bdf(phi, ctx):
                        and semantics.event_matches(ctx.event, phi.ref))
     if isinstance(phi, F.Terminated):
         return F.const(semantics.terminated_at(ctx.state, phi.ref))
-    if isinstance(phi, F.Last):
-        return F.const(ctx.terminal)
     if isinstance(phi, F.Window):
         return F.const(semantics.window_open(ctx.state, phi.t1, phi.t2))
     if isinstance(phi, F.Not):
@@ -719,7 +800,7 @@ _ONE_OF_EACH = [
     F.And((_HELD, _OPEN)), F.Or((_HELD, _OPEN)), F.Exists("?y", _HELD),
     F.Forall("?y", _HELD), F.Next(_HELD), F.Always(_HELD),
     F.Eventually(_OPEN), F.Until(_OPEN, _HELD), F.Until(_HELD, _OPEN),
-    F.OccNext(_OP), F.OccNext(_TASK), F.Terminated(_TASK), F.Last(),
+    F.OccNext(_OP), F.OccNext(_TASK), F.Terminated(_TASK),
     F.Window(_OP, _TASK),
 ]
 

@@ -15,7 +15,7 @@ from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
                             print_domain)
 from prefhtn.progression import bounds
-from prefhtn.randgen import GenConfig, gen_instance
+from prefhtn.randgen import DEFAULT_CONSTRUCTS, GenConfig, gen_instance
 from prefhtn.search import (SearchStats, SolveConfig, _Expander, make_root,
                             satisfiers, solve)
 from prefhtn.semantics import weight_gpf
@@ -553,10 +553,14 @@ def outcome(problem, config=None):
 
 
 def corpus_problem(name):
-    """random-SEED is a randgen instance, SUITE-K a fixture."""
+    """random-SEED is a randgen instance, negated-SEED one whose palette
+    also holds not, SUITE-K a fixture."""
     suite, _, k = name.rpartition("-")
     if suite == "random":
         return gen_instance(GenConfig(seed=int(k)))[0]
+    if suite == "negated":
+        return gen_instance(GenConfig(
+            seed=int(k), constructs=DEFAULT_CONSTRUCTS | {"not"}))[0]
     return load_fixture(suite, int(k))
 
 

@@ -221,7 +221,7 @@ class TestDirectRules:
     def test_every_parsed_node_class_has_a_rule(self):
         parsed = {cls for cls, _ in BDF_FORMS.values()}
         parsed |= {F.TrueC, F.FalseC, F.LitF, F.And, F.Or, F.Exists,
-                   F.Forall, F.Last}
+                   F.Forall}
         assert parsed <= set(semantics._RULES)
 
     @pytest.mark.parametrize("phi", [

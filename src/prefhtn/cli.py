@@ -19,8 +19,7 @@ from typing import Optional
 
 from .errors import CapExceeded, ParseError, ResourceLimit
 from .oracle import EnumerationCaps, cross_check, enumerate_all
-from .parser import empty_preference, parse_domain, parse_preference, \
-    parse_problem
+from .parser import parse_domain, parse_preference, parse_problem
 from .search import SearchStats, SolveConfig, solve
 from .sexpr import format_fraction
 
@@ -59,8 +58,6 @@ def _load_problem(domain_path: str, problem_path: str,
     if prefs_path:
         problem.preference = parse_preference(Path(prefs_path).read_bytes(),
                                               domain, prefs_path)
-    else:
-        problem.preference = empty_preference()
     return problem
 
 

@@ -638,27 +638,19 @@ class Problem(Record):
                  "_constants")
 
     def __init__(self, name: str, init: State, network: tuple[Task, ...],
-                 domain: Domain, preference=None):
+                 domain: Domain, preference):
         self.name = name
         self.init = init
         self.network = network  # totally ordered
         self.domain = domain
-        self.preference = preference  # formulas.GPF, attached by the caller
-        self._constants: Optional[tuple[str, ...]] = None
-
-    @property
-    def preference_or_empty(self):
-        """The preference plans are scored by: the attached one, else
-        parser.empty_preference(), under which every plan weighs 0."""
-        if self.preference is not None:
-            return self.preference
-        from .parser import empty_preference  # local import, avoids a cycle
-        return empty_preference()
+        self.preference = preference  # formulas.GPF; callers may replace it
+        self._constants: Optional[tuple] = None  # (preference, universe)
 
     @property
     def constants(self) -> tuple[str, ...]:
-        """The constant universe: every constant mentioned anywhere in the problem."""
-        if self._constants is None:
+        """The constant universe: every constant mentioned anywhere in the
+        problem, its preference (the one attached at this read) included."""
+        if self._constants is None or self._constants[0] is not self.preference:
             seen: set[str] = set()
             for atom in self.init.facts:
                 seen.update(atom.args)
@@ -680,7 +672,6 @@ class Problem(Record):
                 for st in m.subtasks:
                     add_task(st)
             from .formulas import formula_constants  # local import, avoids a cycle
-            if self.preference is not None:
-                seen.update(formula_constants(self.preference))
-            self._constants = tuple(sorted(seen))
-        return self._constants
+            seen.update(formula_constants(self.preference))
+            self._constants = (self.preference, tuple(sorted(seen)))
+        return self._constants[1]

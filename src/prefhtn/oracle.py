@@ -72,7 +72,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
 
     def _finish() -> OracleResult:
         stats.elapsed = time.monotonic() - start
-        gpf, universe = problem.preference_or_empty, problem.constants
+        gpf, universe = problem.preference, problem.constants
         weights = tuple(semantics.weight_gpf(t, gpf, universe)
                         for t in traces)
         best_i = None
@@ -160,7 +160,7 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
                                      and result.weight == oracle.best_weight)
 
     prog_ok = mono_ok = conv_ok = True
-    replays = P.progress_trace(problem.preference_or_empty, oracle.traces,
+    replays = P.progress_trace(problem.preference, oracle.traces,
                                problem.constants)
     for direct, (final, prefix_bounds) in zip(oracle.all_weights, replays):
         if final != direct:

@@ -372,7 +372,8 @@ def _problem(exprs: list, domain: Domain) -> Problem:
     except ParseError as exc:
         raise _about(exc, top)
 
-    return Problem(name, State(frozenset(facts)), tuple(network), domain)
+    return Problem(name, State(frozenset(facts)), tuple(network), domain,
+                   empty_preference())
 
 
 def _domain_arities(domain: Domain) -> _ArityTable:

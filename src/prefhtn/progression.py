@@ -220,12 +220,12 @@ def step(pf: Progressed, ctx: StepContext) -> Progressed:
     """pf's successor under the letter ctx spells for it. Only a letter pf
     has not met steps its residuals; a step that moves none of them returns
     pf itself."""
-    reads, refs, delta, views = pf._probes or pf.automaton.probe(pf)
+    reads, refs, delta = pf._probes or pf.automaton.probe(pf)
     letter = _letter(reads, refs, ctx)
     nxt = delta.get(letter)
     if nxt is None:
         nxt = delta[letter] = pf.automaton.product(
-            pf.skeleton, pf.automaton.step(pf.residuals, views, letter, ctx))
+            pf.skeleton, pf.automaton.step(pf.residuals, ctx))
     return nxt
 
 
@@ -298,17 +298,6 @@ def _group(refs) -> dict:
     return out
 
 
-def _project(letter: tuple, view: tuple) -> tuple:
-    """One residual's letter, read off its product state's letter through
-    the residual's view (see Automaton.probe): the terminal flag, the
-    values at the positions of its own reads, and the numbers it gives
-    the matched refs it has, in its own order, as _letter spells them."""
-    positions, numbers, first_ref = view
-    own = [numbers[n] for n in letter[first_ref:] if n in numbers]
-    own.sort()
-    return (letter[0], *[letter[p] for p in positions], *own)
-
-
 def _letter(reads, refs: dict, ctx: StepContext) -> tuple:
     """The letter ctx spells for a state that probes reads and refs (see
     _group): the terminal flag, the value of each read and the numbers of
@@ -375,42 +364,30 @@ class Automaton:
 
     def probe(self, pf: Progressed) -> tuple:
         """Give pf the union of its residuals' probes, read off their
-        states, a transition table, and each residual's view of pf's
-        letter (see _project): the positions of its reads in the letter,
-        its own number of each of pf's ref numbers it has, and where the
-        ref numbers start. So (state reads, event refs, {}, views)."""
+        states, and a transition table: (state reads, event refs, {})."""
         sts = [self.state(phi) for phi in pf.residuals]
         reads = tuple(dict.fromkeys(r for st in sts for r in st.state_reads))
         refs = _group(ref for st in sts for refs, _ in st.event_refs.values()
                       for _, ref in refs)
-        position = {r: 1 + i for i, r in enumerate(reads)}
-        number = {ref: n for group, _ in refs.values() for n, ref in group}
-        views = tuple(
-            (tuple([position[r] for r in st.state_reads]),
-             {number[ref]: i for group, _ in st.event_refs.values()
-              for i, ref in group},
-             1 + len(reads)) for st in sts)
-        out = (reads, refs, {}, views)
+        out = (reads, refs, {})
         _progressed_probes(pf, out)
         return out
 
-    def step(self, residuals: tuple, views: tuple, letter: tuple,
-             ctx: StepContext) -> tuple:
+    def step(self, residuals: tuple, ctx: StepContext) -> tuple:
         """The successor of each residual under the letter ctx spells for
-        it, projected from its product state's letter. The same tuple comes
-        back when no residual moved."""
+        it, which it reads itself. The same tuple comes back when no
+        residual moved."""
         out = []
         moved = False
-        for phi, view in zip(residuals, views):
+        for phi in residuals:
             if phi is F.TRUE or phi is F.FALSE:
                 out.append(phi)
                 continue
             st = self.state(phi)
-            letter_phi = _project(letter, view)
-            nxt = st.delta.get(letter_phi)
+            letter = _letter(st.state_reads, st.event_refs, ctx)
+            nxt = st.delta.get(letter)
             if nxt is None:
-                nxt = st.delta[letter_phi] = self.intern(progress_bdf(phi,
-                                                                      ctx))
+                nxt = st.delta[letter] = self.intern(progress_bdf(phi, ctx))
             moved = moved or nxt is not phi
             out.append(nxt)
         return tuple(out) if moved else residuals

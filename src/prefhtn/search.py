@@ -375,7 +375,7 @@ def make_root(problem: Problem, preference: F.GPF = None) -> SearchNode:
     trace = empty_trace(problem.init.indexed(problem.domain))
     agenda = tuple(problem.network)
     if preference is None:
-        preference = problem.preference_or_empty
+        preference = problem.preference
     pf = _step(P.init_progressed(preference, problem.constants), trace,
                not agenda)
     return SearchNode(agenda, trace, pf, 0, 0)

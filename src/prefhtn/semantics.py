@@ -50,26 +50,20 @@ from .model import (OperatorEvent, StartEvent, State, Trace, args_match,
 Ordering = int  # -1: first preferred, 1: second preferred, 0: indistinguishable
 
 
-def event_matches(event, ref: F.Ref) -> bool:
-    if ref.kind == "op":
-        return (isinstance(event, OperatorEvent) and event.name == ref.name
-                and args_match(ref.args, event.args))
-    if not isinstance(event, StartEvent):
-        return False
-    inst = event.inst
-    return (inst.kind == ref.kind and inst.name == ref.name
-            and args_match(ref.args, inst.args))
-
-
 def event_key(event) -> tuple:
-    """((kind, name), args): the kind and name of every ref
-    event_matches(event, ref) accepts, and the args it matches them on;
-    (None, None) when it accepts none (an end event, or no event at all)."""
+    """((kind, name), args): the kind and name of the refs event can match,
+    and the args it matches them on; (None, None) when it can match none
+    (an end event, or no event at all)."""
     if type(event) is OperatorEvent:
         return ("op", event.name), event.args
     if type(event) is StartEvent:
         return event.inst[:2], event.inst.args
     return None, None
+
+
+def event_matches(event, ref: F.Ref) -> bool:
+    key, args = event_key(event)
+    return key == (ref.kind, ref.name) and args_match(ref.args, args)
 
 
 def terminated_at(state: State, ref: F.Ref) -> bool:

@@ -133,7 +133,7 @@ def test_criterion_2_progression_equals_direct_semantics(corpus_results):
     checked = 0
     bad = []
     for name, problem, oracle, _ in corpus_results:
-        gpf, universe = problem.preference_or_empty, problem.constants
+        gpf, universe = problem.preference, problem.constants
         replays = progress_trace(gpf, oracle.traces, universe)
         for trace, (final, _) in zip(oracle.traces, replays):
             if final != weight_gpf(trace, gpf, universe):
@@ -148,7 +148,7 @@ def test_criterion_3_prefix_bound_properties(corpus_results):
     checked = 0
     bad = []
     for name, problem, oracle, _ in corpus_results:
-        replays = progress_trace(problem.preference_or_empty, oracle.traces,
+        replays = progress_trace(problem.preference, oracle.traces,
                                  problem.constants)
         for final, bnds in replays:
             prev = None

@@ -13,7 +13,8 @@ from prefhtn import formulas as F
 from prefhtn import progression as P
 from prefhtn.errors import CapExceeded
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
-from prefhtn.parser import parse_domain, parse_preference, parse_problem
+from prefhtn.parser import (empty_preference, parse_domain,
+                            parse_preference, parse_problem)
 from prefhtn.randgen import GenConfig, gen_files
 from prefhtn.search import solve
 
@@ -63,7 +64,7 @@ class TestEnumerateAll:
         # preference must not change what counts as a plan
         problem = load_fixture("travel", 1)
         with_pref = enumerate_all(problem).plan_count
-        problem.preference = None
+        problem.preference = empty_preference()
         assert enumerate_all(problem).plan_count == with_pref
 
 

@@ -10,9 +10,9 @@ from prefhtn import formulas as F
 from prefhtn.errors import (ArityMismatch, BadValueOrder, DuplicateName,
                             NonGroundInit, ParseError, UnknownMethodName,
                             UnknownPredicate, UnknownTask)
-from prefhtn.parser import (BDF_FORMS, parse_domain, parse_preference,
-                            parse_problem, print_bdf, print_domain,
-                            print_preference, print_problem)
+from prefhtn.parser import (BDF_FORMS, empty_preference, parse_domain,
+                            parse_preference, parse_problem, print_bdf,
+                            print_domain, print_preference, print_problem)
 from prefhtn.randgen import GenConfig, gen_files
 from tests.conftest import FIXTURES, MINI_DOMAIN
 
@@ -80,6 +80,11 @@ class TestParseProblem:
                              " ((arrange-trans)))", mini_domain)
         assert len(prob.network) == 1
         assert not prob.network[0].primitive
+
+    def test_carries_the_trivial_preference(self, mini_domain):
+        prob = parse_problem("(problem p :init () :tasks ((arrange-trans)))",
+                             mini_domain)
+        assert prob.preference == empty_preference()
 
     def test_unknown_task(self, mini_domain):
         with pytest.raises(UnknownTask):

@@ -4,6 +4,7 @@ optimistic/pessimistic bounds."""
 import gc
 import typing
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -350,8 +351,7 @@ class TestAutomaton:
                      for seed in range(30)]
         steps = 0
         for problem in problems:
-            root = P.init_progressed(problem.preference_or_empty,
-                                     problem.constants)
+            root = P.init_progressed(problem.preference, problem.constants)
             oracle = enumerate_all(problem)
             for trace in oracle.traces:
                 pf, plain = root, root.residuals
@@ -377,7 +377,7 @@ class TestSharedReplay:
                      for seed in range(100)]
         traces = 0
         for problem in problems:
-            gpf, universe = problem.preference_or_empty, problem.constants
+            gpf, universe = problem.preference, problem.constants
             oracle = enumerate_all(problem)
             shared = progress_trace(gpf, oracle.traces, universe)
             alone = [progress_trace(gpf, [t], universe)[0]
@@ -524,7 +524,7 @@ class TestProductStates:
                 assert nxt.settled == all(phi is F.TRUE or phi is F.FALSE
                                           for phi in nxt.residuals)
                 settled += nxt.settled
-            problem.preference = None
+            problem.preference = empty_preference()
             steps.clear()
             solve(problem)
             assert steps == []
@@ -664,39 +664,19 @@ class TestLetters:
                             for suite, k in fixture_ids()] + [
             gen_instance(GenConfig(seed=seed))[0] for seed in range(30)]
 
-    def test_residual_letters_are_projected_from_the_product_letter(
-            self, monkeypatch, problem):
-        # the letter a residual's transitions are keyed by, read off its
-        # product state's letter, is the one _letter spells for it alone
-        steps = _record_steps(monkeypatch)
-        projected = 0
-        for p in self._corpus(problem):
-            steps.clear()
-            solve(p)
-            progress_trace(p.preference_or_empty, enumerate_all(p).traces,
-                           p.constants)
-            for pf, ctx, _ in steps:
-                reads, refs, _delta, views = pf.automaton.probe(pf)
-                letter = P._letter(reads, refs, ctx)
-                for phi, view in zip(pf.residuals, views):
-                    if phi is F.TRUE or phi is F.FALSE:
-                        continue
-                    st = pf.automaton.state(phi)
-                    assert P._project(letter, view) == P._letter(
-                        st.state_reads, st.event_refs, ctx)
-                    projected += 1
-        assert projected > 10_000
-
     def test_a_step_reads_each_probe_once(self, monkeypatch, problem):
         # outside progress_bdf, which reads the step itself on a residual
-        # transition not met before, one step evaluates each probe at most
-        # once, also when its product state misses
-        stepping, inside, reads = [False], [0], []
+        # transition not met before, a product state's letter evaluates each
+        # probe at most once; only a miss reads again, once per residual
+        # that holds the probe, as each residual reads its own letter
+        stepping, inside, missing = [False], [0], [False]
+        reads, again = [], []
 
         def counted(fn, record=True):
             def probe(*args):
                 if record and stepping[0] and not inside[0]:
-                    reads.append((fn, *map(id, args)))
+                    (again if missing[0] else reads).append(
+                        (probe, id(args[0]), args[1:]))
                 inside[0] += 1
                 try:
                     return fn(*args)
@@ -709,18 +689,29 @@ class TestLetters:
         def one_step(pf, ctx):
             stepping[0] = True
             reads.clear()
+            again.clear()
             try:
                 return original_step(pf, ctx)
             finally:
                 stepping[0] = False
                 assert len(reads) == len(set(reads))
+                owned = [set(P._reads(phi)) for phi in pf.residuals
+                         if phi is not F.TRUE and phi is not F.FALSE]
+                for (probe, _, args), n in Counter(again).items():
+                    assert n <= sum((probe, args) in o for o in owned)
                 total[0] += len(reads)
+                reread[0] += len(again)
 
-        total, misses, original_miss = [0], [0], P.Automaton.step
+        total, reread, misses = [0], [0], [0]
+        original_miss = P.Automaton.step
 
         def counted_miss(*args):
             misses[0] += 1
-            return original_miss(*args)
+            missing[0] = True
+            try:
+                return original_miss(*args)
+            finally:
+                missing[0] = False
 
         for name in ("event_matches", "terminated_at", "window_open"):
             monkeypatch.setattr(semantics, name,
@@ -731,7 +722,7 @@ class TestLetters:
         monkeypatch.setattr(P.Automaton, "step", counted_miss)
         for p in self._corpus(problem):
             solve(p)
-        assert total[0] > 1000 and misses[0] > 100
+        assert total[0] > 1000 and misses[0] > 100 and reread[0] > 0
 
 
 def _chain_progress_bdf(phi, ctx):

@@ -112,6 +112,20 @@ class TestSolve:
         assert plan_names(lex) == ["a", "b"]
         assert lex.weight == plain.weight
 
+    def test_universe_covers_a_preference_attached_after_a_read(self):
+        # only the preference names diners; a universe read before it was
+        # attached must not ground its exists without diners
+        pref = ("(>> ((and (exists (?c) (and (not (available ?c))"
+                " (not (has-card ?c)))) (not (used diners))) 0) ((and) 1/2))")
+        for read_first in (False, True):
+            problem = load_fixture("travel", 1)
+            if read_first:
+                assert "diners" not in problem.constants
+            problem.preference = parse_preference(pref, problem.domain)
+            assert "diners" in problem.constants
+            assert solve(problem).weight == 0
+            assert enumerate_all(problem).best_weight == 0
+
     def test_nc_counts_at_least_ne(self):
         for suite, k in [("travel", 1), ("zeno", 1), ("logistics", 1)]:
             result = solve(load_fixture(suite, k))
@@ -262,7 +276,7 @@ class TestExpansion:
         # any other node still has an event to fire, and the empty-agenda
         # nodes are exactly the enumerated plans
         problem = corpus_problem(name)
-        gpf, universe = problem.preference_or_empty, problem.constants
+        gpf, universe = problem.preference, problem.constants
         exp = _Expander(problem, SolveConfig(), SearchStats())
         frontier, plans = [make_root(problem)], []
         while frontier:

@@ -295,7 +295,7 @@ def traces_under_test():
     problems += [gen_instance(GenConfig(seed=seed))[0] for seed in range(50)]
     for problem in problems:
         for trace in enumerated(problem):
-            yield trace, problem.preference_or_empty, problem.constants
+            yield trace, problem.preference, problem.constants
 
 
 def subformulas(phi, out):

@@ -31,7 +31,7 @@ EXIT_LIMIT = 4    # a cap other than time: depth, expansions or plans
 EXIT_MISMATCH = 5  # a failed cross-check or a bench weight mismatch
 
 RECORD_FIELDS = ("problem", "mode", "planCount", "NE", "NC", "duplicates",
-                 "seconds", "PL", "weight", "status")
+                 "frontierPeak", "seconds", "PL", "weight", "status")
 
 
 def _record(problem: str, mode: str, stats, weight, status: str,
@@ -43,6 +43,7 @@ def _record(problem: str, mode: str, stats, weight, status: str,
         "NE": stats.nodes_expanded,
         "NC": stats.nodes_considered,
         "duplicates": stats.duplicates,
+        "frontierPeak": stats.frontier_peak,
         "seconds": round(stats.elapsed, 6),
         "PL": stats.plan_length,
         "weight": format_fraction(weight) if weight is not None else None,
@@ -125,6 +126,7 @@ def cmd_solve(args) -> int:
     print(f"NE: {rec['NE']}")
     print(f"NC: {rec['NC']}")
     print(f"duplicates: {rec['duplicates']}")
+    print(f"frontierPeak: {rec['frontierPeak']}")
     print(f"seconds: {rec['seconds']}")
     print(f"PL: {rec['PL']}")
     return EXIT_OK

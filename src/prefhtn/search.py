@@ -5,25 +5,45 @@ product state whose bounds (progression.bounds) order the frontier. The
 agenda is what remains to do, front first: ground tasks, an Unordered group
 of tasks, the ground Literal of a method's before-constraint, and the
 pending EndEvent of each started task or method instance. The frontier holds
-nodes ordered by (optimistic weight, pessimistic weight, plan length,
-insertion order); under --tiebreak-lex the plan key, the tuple of the plan's
-(name,) + args, takes the place of the pessimistic weight. Expansion drills
-through the front of the agenda — firing end events, splicing method bodies,
-checking before-constraints — until a ground operator is applied; each
-reachable operator yields one child. Every agenda item but a literal emits
-an event, and a literal always precedes a task, so a node is terminal
-exactly when its agenda is empty. Its product state is then settled and
-its bounds meet at the exact weight, and the first terminal node popped is
-optimal (its optimistic weight is a lower bound on everything still in the
-frontier). Under --tiebreak-lex it is also the lexicographically smallest
-optimal plan: the plan key of a prefix is never above that of any of its
-extensions and opt is admissible, so no other terminal node is popped while
-a node on the way to that plan is in the frontier, and duplicate detection
-(below) always leaves one there.
+nodes ordered by (optimistic weight, pessimistic weight, nesting, plan length
+descending, insertion order), the nesting being the number of task end
+events on the agenda: the tasks still open. Ties of the bounds thus go depth
+first, as in SHOP2 and in HTNPREF's depth tie-break (Sohrabi, Baier &
+McIlraith, IJCAI 2009), but to the fewest open tasks first: a recursion that
+leaves one more task open on each lap, such as a walk around a cycle, yields
+to every tied node with fewer tasks open, where deepest-first alone would
+follow it down to the depth cap. A tied branch with more tasks open can
+still reach the cap first; the cap then ends the search only if no plan is
+found at the same bound (below). Under --tiebreak-lex the plan key, the
+tuple of the plan's (name,) + args, takes the place of the pessimistic
+weight, and the rest of the key stays. Expansion drills through the front
+of the agenda — firing end events, splicing method bodies, checking
+before-constraints — until a ground operator is applied; each reachable
+operator yields one child. Every agenda item but a literal emits an event,
+and a literal always precedes a task, so a node is terminal exactly when
+its agenda is empty. Its product state is then settled and its bounds meet
+at the exact weight, and the first terminal node popped is optimal (its
+optimistic weight is a lower bound on everything still in the frontier).
+Under --tiebreak-lex it is also the lexicographically smallest optimal plan:
+the plan key of a prefix is never above that of any of its extensions and
+opt is admissible, so no other terminal node is popped while a node on the
+way to that plan is in the frontier, and duplicate detection (below) always
+leaves one there.
 
 The nesting depth of a task is the number of task end events on the agenda
-behind it: the tasks still executing around it. Decomposing a task inside
-depth_cap or more of them raises ResourceLimit("depth"). Method bodies are
+behind it: the tasks still executing around it. A node carries its agenda's
+count as nesting; decomposing a task adds one and firing a task's end event
+takes one away. A popped node whose expansion decomposes a task inside
+depth_cap or more of them is cut, and the first cut fixes a bound: its
+optimistic weight, with its plan key under --tiebreak-lex. Popped bounds
+never fall (see duplicate detection below), so the search goes on only
+through the nodes tied at that bound: a terminal node among them is
+returned, and a higher bound or an empty frontier raises
+ResourceLimit("depth"). A returned plan is still optimal, as no completion
+of a cut node is below its bound. Where ties broken shortest plan first
+would return a plan without reaching the cap, this order returns one of the
+same weight: a node cut below that weight has an equal node that the other
+order pops before its plan and that reaches the cap too. Method bodies are
 finite, so a decomposition tree of bounded nesting is finite, and so is the
 search tree.
 
@@ -42,13 +62,20 @@ Nothing downstream reads an instance uid: event_matches, terminated_at and
 window_open read references only. The executing set needs no entry, as each
 executing instance has exactly one end event on the agenda. So two nodes
 with equal signatures have the same completions at the same weights, and
-equal bounds. The key is checked when a node is popped: of two equal nodes
-the first popped has the smaller (plan length, insertion order), and so has
-each of its completions against the other's counterpart. Skipping a
-non-terminal node whose signature is already closed thus loses no plan and,
-in the default order, changes no returned plan. Under --tiebreak-lex the
-closed set keeps the plan key p1 of the first node expanded with each
-signature, and a later equal node is popped with a plan key p2 >= p1.
+equal bounds. The key is checked when a node is popped. Skipping a
+non-terminal node whose signature is already closed loses no weight: the
+node expanded first has each completion of the skipped one at the same
+weight, so until a terminal node is popped the frontier still holds a node
+on the way to an optimal plan, and its optimistic weight is at most the
+optimum. It may change which optimal plan is returned: two equal nodes can
+differ in plan length, a node popped later can carry a smaller key than one
+popped before it, and the completions of whichever is expanded are the ones
+the search goes on with. Under --tiebreak-lex the closed set keeps the plan
+key p1 of the first node expanded with each signature. A child's optimistic
+weight is no lower than its parent's and its plan key extends its parent's,
+so the popped (optimistic weight, plan key) pairs never fall, whatever the
+nesting and plan length behind them; a later equal node, with the same
+bounds, is therefore popped with a plan key p2 >= p1.
 Unless p1 is a proper prefix of p2, p1 + c <= p2 + c for every continuation
 c, so the first node has each completion of the later one at the same
 weight and a plan key no larger, and the later node is skipped. If p1 is
@@ -117,27 +144,30 @@ class SolveConfig(Record):
 
 class SearchStats(Record):
     __slots__ = ("nodes_expanded", "nodes_considered", "duplicates",
-                 "elapsed", "plan_length")
+                 "frontier_peak", "elapsed", "plan_length")
 
     def __init__(self, nodes_expanded: int = 0, nodes_considered: int = 0,
-                 duplicates: int = 0, elapsed: float = 0.0,
-                 plan_length: Optional[int] = None):
+                 duplicates: int = 0, frontier_peak: int = 0,
+                 elapsed: float = 0.0, plan_length: Optional[int] = None):
         self.nodes_expanded = nodes_expanded      # NE: applied operators
         self.nodes_considered = nodes_considered  # NC: frontier insertions
         self.duplicates = duplicates  # popped nodes skipped as already closed
+        self.frontier_peak = frontier_peak  # most nodes in the frontier
         self.elapsed = elapsed
         self.plan_length = plan_length
 
 
 class SearchNode(Record):
-    __slots__ = ("agenda", "trace", "progressed", "plan_length", "terminated")
+    __slots__ = ("agenda", "trace", "progressed", "plan_length", "nesting",
+                 "terminated")
 
     def __init__(self, agenda: tuple, trace: Trace, progressed: P.Progressed,
-                 plan_length: int, terminated: int):
+                 plan_length: int, nesting: int, terminated: int):
         self.agenda = agenda
         self.trace = trace
         self.progressed = progressed  # settled once the agenda is empty
         self.plan_length = plan_length
+        self.nesting = nesting  # task end events on the agenda
         self.terminated = terminated  # bit i: refs[i] has terminated
 
 
@@ -241,10 +271,10 @@ class _Expander:
 
     def expand(self, node: SearchNode) -> list[SearchNode]:
         return self._drill(node.agenda, node.trace, node.progressed,
-                           node.plan_length, node.terminated)
+                           node.plan_length, node.nesting, node.terminated)
 
     def _drill(self, agenda, trace: Trace, pf, plan_length: int,
-               terminated: int) -> list[SearchNode]:
+               nesting: int, terminated: int) -> list[SearchNode]:
         while True:
             head, rest = agenda[0], agenda[1:]
 
@@ -258,11 +288,13 @@ class _Expander:
 
             if type(head) is EndEvent:
                 trace = trace.extend(head, self.domain)
+                if head.inst.kind == "task":
+                    nesting -= 1
                 if self.watched:
                     terminated = self._terminate(terminated, *head.inst[:3])
                 pf = _step(pf, trace, not rest)
                 if not rest:
-                    return [SearchNode(rest, trace, pf, plan_length,
+                    return [SearchNode(rest, trace, pf, plan_length, nesting,
                                        terminated)]
                 agenda = rest
                 continue
@@ -274,18 +306,18 @@ class _Expander:
                     others = tasks[:i] + tasks[i + 1:]
                     tail = (Unordered(others),) if others else ()
                     out.extend(self._drill((task,) + tail + rest, trace, pf,
-                                           plan_length, terminated))
+                                           plan_length, nesting, terminated))
                 return out
 
             task: Task = head
             if task.primitive:
                 return self._apply_primitive(task, rest, trace, pf,
-                                             plan_length, terminated)
+                                             plan_length, nesting, terminated)
             return self._decompose(task, rest, trace, pf, plan_length,
-                                   terminated)
+                                   nesting, terminated)
 
     def _apply_primitive(self, task: Task, rest, trace: Trace, pf,
-                         plan_length: int, terminated: int
+                         plan_length: int, nesting: int, terminated: int
                          ) -> list[SearchNode]:
         event = OperatorEvent(task.name, task.args, trace.length)
         try:
@@ -300,13 +332,13 @@ class _Expander:
             terminated = self._terminate(terminated, "op", task.name,
                                          task.args)
         pf = _step(pf, trace, not rest)
-        return [SearchNode(rest, trace, pf, plan_length + 1, terminated)]
+        return [SearchNode(rest, trace, pf, plan_length + 1, nesting,
+                           terminated)]
 
     def _decompose(self, task: Task, rest, trace: Trace, pf,
-                   plan_length: int, terminated: int) -> list[SearchNode]:
-        cap = self.config.depth_cap
-        if len(rest) >= cap and cap <= sum(
-                type(x) is EndEvent and x.inst.kind == "task" for x in rest):
+                   plan_length: int, nesting: int, terminated: int
+                   ) -> list[SearchNode]:
+        if nesting >= self.config.depth_cap:
             raise ResourceLimit("depth", self.stats)
         out: list[SearchNode] = []
         state = trace.final_state
@@ -336,7 +368,7 @@ class _Expander:
                           + (EndEvent(method_inst), EndEvent(task_inst))
                           + rest)
                 out.extend(self._drill(agenda, t2, pf2, plan_length,
-                                       terminated))
+                                       nesting + 1, terminated))
         return out
 
 
@@ -378,7 +410,7 @@ def make_root(problem: Problem, preference: F.GPF = None) -> SearchNode:
         preference = problem.preference
     pf = _step(P.init_progressed(preference, problem.constants), trace,
                not agenda)
-    return SearchNode(agenda, trace, pf, 0, 0)
+    return SearchNode(agenda, trace, pf, 0, 0, 0)
 
 
 def solve(problem: Problem, config: SolveConfig = None) -> Result:
@@ -407,18 +439,24 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     def push(node: SearchNode) -> None:
         b = P.bounds(node.progressed)
         heapq.heappush(heap, (b.opt, _plan_key(node) if lex else b.pess,
-                              node.plan_length, next(seq), node))
+                              node.nesting, -node.plan_length, next(seq),
+                              node))
         stats.nodes_considered += 1
+        if len(heap) > stats.frontier_peak:
+            stats.frontier_peak = len(heap)
 
     push(root)
 
     found: Optional[SearchNode] = None
+    capped = None  # the bound of the nodes cut at the depth cap
     try:
         while heap:
             if config.timeout is not None \
                     and time.monotonic() - start > config.timeout:
                 raise ResourceLimit("time", stats)
-            _opt, rank, _plen, _seq, node = heapq.heappop(heap)
+            opt, rank, _nesting, _plen, _seq, node = heapq.heappop(heap)
+            if capped is not None and ((opt, rank) if lex else opt) > capped:
+                raise ResourceLimit("depth", stats)
             if not node.agenda:
                 found = node
                 break
@@ -429,8 +467,17 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                     continue
             else:
                 closed[key] = rank if lex else None
-            for child in exp.expand(node):
+            try:
+                children = exp.expand(node)
+            except ResourceLimit as exc:
+                if exc.kind != "depth":
+                    raise
+                capped = (opt, rank) if lex else opt
+                continue
+            for child in children:
                 push(child)
+        if found is None and capped is not None:
+            raise ResourceLimit("depth", stats)
     finally:
         stats.elapsed = time.monotonic() - start
         root.progressed.automaton.release()

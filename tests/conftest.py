@@ -22,6 +22,23 @@ MINI_DOMAIN = """
 """
 
 
+# A recursive walk: (go ?g) either stops at ?g or steps and recurses. The
+# n0-n1 cycle never reaches n2, so its optimistic weight stays 0 and both
+# best-first search and the enumerator descend it until the depth cap.
+WALK = {
+    "walk.htn": """(domain walk
+      (:operator (!step ?a ?b) :pre ((at ?a) (edge ?a ?b))
+        :del ((at ?a)) :add ((at ?b)))
+      (:method (go ?g) :name done :pre ((at ?g)) :tasks ())
+      (:method (go ?g) :name move :pre ((at ?a) (edge ?a ?b))
+        :tasks ((!step ?a ?b) (go ?g))))""",
+    "walk-1.prob": """(problem walk-1
+      :init ((at n0) (edge n0 n1) (edge n1 n0) (edge n1 n2))
+      :tasks ((go n2)))""",
+    "walk-1.pref": "(>> ((always (not (at n2))) 0) ((and) 0.5))",
+}
+
+
 @pytest.fixture
 def mini_domain():
     return parse_domain(MINI_DOMAIN, "<mini>")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, WALK
 
 from prefhtn import cli
 from prefhtn.cli import (EXIT_LIMIT, EXIT_MISMATCH, EXIT_NOPLAN, EXIT_OK,
@@ -16,23 +16,6 @@ from prefhtn.cli import (EXIT_LIMIT, EXIT_MISMATCH, EXIT_NOPLAN, EXIT_OK,
 from prefhtn.oracle import CheckReport, cross_check, enumerate_all
 
 TRAVEL = FIXTURES / "travel"
-
-# A recursive walk: (go ?g) either stops at ?g or steps and recurses. The
-# n0-n1 cycle never reaches n2, so its optimistic weight stays 0 and both
-# best-first search and the enumerator descend it until the depth cap.
-WALK = {
-    "walk.htn": """(domain walk
-      (:operator (!step ?a ?b) :pre ((at ?a) (edge ?a ?b))
-        :del ((at ?a)) :add ((at ?b)))
-      (:method (go ?g) :name done :pre ((at ?g)) :tasks ())
-      (:method (go ?g) :name move :pre ((at ?a) (edge ?a ?b))
-        :tasks ((!step ?a ?b) (go ?g))))""",
-    "walk-1.prob": """(problem walk-1
-      :init ((at n0) (edge n0 n1) (edge n1 n0) (edge n1 n2))
-      :tasks ((go n2)))""",
-    "walk-1.pref": "(>> ((always (not (at n2))) 0) ((and) 0.5))",
-}
-
 
 def write_walk(path):
     for name, text in WALK.items():
@@ -60,8 +43,8 @@ class TestSolveCommand:
         assert plan_lines and all(l.startswith("(!") for l in plan_lines)
         assert not any("mastercard" in l for l in plan_lines)
         tail_keys = [l.split(":")[0] for l in lines[len(plan_lines):]]
-        assert tail_keys == ["weight", "NE", "NC", "duplicates", "seconds",
-                             "PL"]
+        assert tail_keys == ["weight", "NE", "NC", "duplicates",
+                             "frontierPeak", "seconds", "PL"]
         assert f"PL: {len(plan_lines)}" in lines
 
     def test_json_record_fields_and_stability(self, capsys):

@@ -4,12 +4,13 @@ import heapq
 
 import pytest
 
-from conftest import MINI_DOMAIN, fixture_ids, load_fixture
+from conftest import MINI_DOMAIN, WALK, fixture_ids, load_fixture
 
 from prefhtn.errors import ResourceLimit, UnboundVariable
 from prefhtn.model import (Atom, EndEvent, Inst, Literal, OperatorEvent,
                            StartEvent, State, Task, Trace, apply_event,
-                           relevant_methods, subst_literal, unify_args)
+                           relevant_methods, subst_literal, unify_args,
+                           validate_trace)
 from prefhtn import search, semantics
 from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
@@ -85,17 +86,24 @@ class TestSolve:
         assert result.status == "ok"
         assert result.weight == 0
 
-    def test_equal_weight_prefers_shorter_plan(self):
+    def test_weight_ties_go_to_fewer_open_tasks_then_the_deeper_plan(self):
+        # the first children of top tie on weight and plan length; nested
+        # leaves two tasks open (wrap, top), flat one (top), so flat goes
+        # first, and its deeper nodes then come before nested's shallower
+        # one: a tie breaks by (open tasks, longest plan, insertion order)
         domain = parse_domain("""
         (domain d
           (:operator (!a) :pre () :del () :add ())
           (:operator (!b) :pre () :del () :add ())
-          (:method (top) :name long :pre () :tasks ((!a) (!a) (!b)))
-          (:method (top) :name short :pre () :tasks ((!b) (!a)))
+          (:method (wrap) :name w :pre () :tasks ((!a) (!a)))
+          (:method (top) :name nested :pre () :tasks ((wrap)))
+          (:method (top) :name flat :pre () :tasks ((!b) (!b) (!b)))
         )""", "<d>")
         problem = parse_problem("(problem p :init () :tasks ((top)))", domain)
         result = solve(problem)
-        assert plan_names(result) == ["b", "a"]
+        assert result.weight == 0
+        assert plan_names(result) == ["b", "b", "b"]
+        assert result.stats.nodes_expanded == 4
 
     def test_tiebreak_lex_picks_smallest_plan(self):
         domain = parse_domain("""
@@ -156,6 +164,14 @@ class TestSolve:
             assert popped == sorted(popped)  # the bounds never fall
 
 
+def walk_problem(pref):
+    """The recursive (go n2) walk over n0 <-> n1 -> n2 under pref."""
+    domain = parse_domain(WALK["walk.htn"], "<walk>")
+    problem = parse_problem(WALK["walk-1.prob"], domain)
+    problem.preference = parse_preference(pref, domain)
+    return problem
+
+
 class TestResourceLimits:
     def test_timeout_zero(self):
         with pytest.raises(ResourceLimit) as exc:
@@ -206,11 +222,61 @@ class TestResourceLimits:
             return parse_problem("(problem p :init () :tasks ((t0)))",
                                  domain)
         config = SolveConfig(depth_cap=cap)
-        assert solve(chain(cap), config).status == "ok"
+        result = solve(chain(cap), config)
+        assert result.status == "ok"
+        assert plan_names(result) == ["a"] * (cap - 1)
         assert enumerate_all(chain(cap)).plan_count == 1
         with pytest.raises(ResourceLimit) as exc:
             solve(chain(cap + 1), config)
         assert exc.value.kind == "depth"
+
+
+STEP_01 = "(!step n0 n1)"
+STEP_10 = "(!step n1 n0)"
+STEP_12 = "(!step n1 n2)"
+
+
+def tied_trap_problem():
+    """Two ways to do (top) at weight 0: (!a) under four nested tasks, or a
+    (loop) that applies (!a) and recurses, one more task open on each lap."""
+    domain = parse_domain("""
+    (domain d
+      (:operator (!a) :pre () :del () :add ())
+      (:method (top) :name deep :pre () :tasks ((t0)))
+      (:method (top) :name recur :pre () :tasks ((loop)))
+      (:method (t0) :name c0 :pre () :tasks ((t1)))
+      (:method (t1) :name c1 :pre () :tasks ((t2)))
+      (:method (t2) :name c2 :pre () :tasks ((t3)))
+      (:method (t3) :name c3 :pre () :tasks ((!a)))
+      (:method (loop) :name again :pre () :tasks ((!a) (loop)))
+    )""", "<d>")
+    return parse_problem("(problem p :init () :tasks ((top)))", domain)
+
+
+# name -> (problem, depth cap, (status, weight, plan)); each outcome is the
+# one the search had when it broke weight ties shortest plan first
+RECURSION_CASES = {
+    "walk-trivial": (lambda: walk_problem("(>> ((and) 0))"), 64,
+                     ("ok", 0, [STEP_01, STEP_12])),
+    "walk-back-once": (
+        lambda: walk_problem(
+            "(>> ((eventually (occ (!step n1 n0))) 0) ((and) 1))"), 64,
+        ("ok", 0, [STEP_01, STEP_10, STEP_01, STEP_12])),
+    "tied-trap-at-cap": (tied_trap_problem, 5, ("ok", 0, ["(!a)"])),
+    "tied-trap": (tied_trap_problem, 64, ("ok", 0, ["(!a)"])),
+}
+
+
+class TestRecursion:
+    # Deepest plan first alone dives into the n0 <-> n1 cycle of the walk,
+    # each lap one more open (go n2), and stops at the depth cap; fewer open
+    # tasks first leaves each lap behind the walk's way out. In the tied
+    # trap the loop still reaches a cap of 5 before the deep (!a) is popped,
+    # on a tie of weight 0, and the search goes on to that plan
+    @pytest.mark.parametrize("name", list(RECURSION_CASES))
+    def test_outcome_of_shortest_first(self, name):
+        make, cap, expected = RECURSION_CASES[name]
+        assert outcome(make(), SolveConfig(depth_cap=cap)) == expected
 
 
 class TestExpansion:
@@ -566,6 +632,20 @@ def outcome(problem, config=None):
     return result.status, result.weight, [str(e) for e in result.plan or ()]
 
 
+def rescored(problem):
+    """(status, weight) of solve, with a cap's kind as the status, once the
+    returned trace has replayed and rescored to that weight."""
+    try:
+        result = solve(problem)
+    except ResourceLimit as exc:
+        return exc.kind, None
+    if result.trace is not None:
+        validate_trace(result.trace, problem.domain)
+        assert weight_gpf(result.trace, problem.preference,
+                          problem.constants) == result.weight
+    return result.status, result.weight
+
+
 def corpus_problem(name):
     """random-SEED is a randgen instance, negated-SEED one whose palette
     also holds not, SUITE-K a fixture."""
@@ -638,14 +718,17 @@ SIGNATURE_CASES = {
 
 # Two branches that meet after different numbers of decompositions: one does
 # (!w) directly, the other through (wrap). The agenda decides the nesting
-# depth, so the closed set merges them.
+# depth, so the closed set merges them. Only (!x) breaks the preference, so
+# the search comes back to the second branch before the first one ends, and
+# meets the first one's node after (!v).
 MERGE_CASE = ("""
-      (:operator (!w) :pre () :del () :add ((x)))
+      (:operator (!w) :pre () :del () :add ())
       (:operator (!v) :pre () :del () :add ())
+      (:operator (!x) :pre () :del () :add ((x)))
       (:method (pick) :name pb :pre () :tasks ((!w)))
       (:method (pick) :name pa :pre () :tasks ((wrap)))
       (:method (wrap) :name wr :pre () :tasks ((!w)))
-      (:method (top) :name t :pre () :tasks ((pick) (!v) (!v) (!v)))""",
+      (:method (top) :name t :pre () :tasks ((pick) (!v) (!x)))""",
               "((top))", "(always (not (x)))", 1)
 
 
@@ -659,10 +742,12 @@ def signature_case(body, tasks, pref, right):
 class TestDuplicateDetection:
     @pytest.mark.parametrize("name", DIFFERENTIAL)
     def test_same_answer_as_without(self, name, monkeypatch):
+        # the same status and weight; the plans may differ, as a node popped
+        # later can carry a smaller key, so each is replayed and rescored
         problem = corpus_problem(name)
-        with_dedup = outcome(problem)
+        with_dedup = rescored(problem)
         disable_dedup(monkeypatch)
-        assert with_dedup == outcome(problem)
+        assert with_dedup == rescored(problem)
 
     @pytest.mark.parametrize("name", LEX_SENSITIVE)
     def test_lex_plans_are_those_without_dedup(self, name, monkeypatch):
@@ -730,7 +815,7 @@ class TestDuplicateDetection:
         assert on.stats.nodes_expanded < off.stats.nodes_expanded
 
     def test_duplicates_are_counted(self, monkeypatch):
-        problem = load_fixture("zeno", 3)
+        problem = corpus_problem("random-8")
         on = solve(problem).stats
         disable_dedup(monkeypatch)
         off = solve(problem).stats
@@ -755,7 +840,8 @@ class TestDuplicateDetection:
                 assert len(ends) == len(executing)
                 assert set(ends) == executing
                 assert sum(i.kind == "task" for i in ends) \
-                    == sum(i.kind == "task" for i in executing)
+                    == sum(i.kind == "task" for i in executing) \
+                    == node.nesting
                 seen += 1
                 if node.agenda:
                     frontier.extend(exp.expand(node))

@@ -20,14 +20,14 @@ from typing import Optional
 from .errors import CapExceeded, ParseError, ResourceLimit
 from .oracle import EnumerationCaps, cross_check, enumerate_all
 from .parser import parse_domain, parse_preference, parse_problem
-from .search import SearchStats, SolveConfig, solve
+from .search import SolveConfig, solve
 from .sexpr import format_fraction
 
 EXIT_OK = 0
 EXIT_NOPLAN = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
-EXIT_LIMIT = 4    # a cap other than time: depth, expansions or plans
+EXIT_LIMIT = 4    # a cap other than time: depth or plans
 EXIT_MISMATCH = 5  # a failed cross-check or a bench weight mismatch
 
 RECORD_FIELDS = ("problem", "mode", "planCount", "NE", "NC", "duplicates",
@@ -82,9 +82,6 @@ def _run_one(problem, mode: str, config: SolveConfig,
         status = "ok" if result.status == "ok" else "noplan"
         return _record(problem.name, mode, result.stats, result.weight,
                        status), result.plan
-    if timeout == 0:  # out of time before the first node; caps are > 0
-        return _record(problem.name, mode, SearchStats(), None, "timeout",
-                       0), None
     caps = EnumerationCaps(max_seconds=600.0 if timeout is None else timeout)
     try:
         oracle = enumerate_all(problem, caps)

@@ -80,7 +80,7 @@ class UnknownMethodName(ParseError):
 
 
 class ResourceLimit(PrefHtnError):
-    """A configured search cap (expansions, time, decomposition depth) was hit."""
+    """A configured search cap (time, decomposition depth) was hit."""
 
     def __init__(self, kind: str, stats=None):
         self.kind = kind

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import progression as P
 from . import semantics
-from .errors import CapExceeded, ResourceLimit
+from .errors import CapExceeded
 from .model import OperatorEvent, Problem, Record, Trace, Value, _set
 from .parser import empty_preference
 from .search import (SearchNode, SearchStats, SolveConfig, _Expander,
@@ -27,7 +27,7 @@ class EnumerationCaps(Value):
     __slots__ = ("max_plans", "max_seconds")
 
     def __init__(self, max_plans: int = 100_000, max_seconds: float = 600.0):
-        assert max_plans > 0 and max_seconds > 0
+        assert max_plans > 0 and max_seconds >= 0
         _set(self, "max_plans", max_plans)
         _set(self, "max_seconds", max_seconds)
 
@@ -55,7 +55,8 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
 
     Deterministic: children come out in method declaration order, then
     grounding order. Raises CapExceeded (carrying the partial result) when a
-    cap is hit.
+    cap is hit; a depth cut (see search) is reported after the enumeration,
+    with every plan under the cap, or in place of a later time or plan cap.
     """
     caps = caps or EnumerationCaps()
     config = SolveConfig()
@@ -64,10 +65,11 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
     start = time.monotonic()
 
     traces: list[Trace] = []
+    cut = False  # whether a branch was cut at the depth cap
 
     def record(node: SearchNode):
         if len(traces) >= caps.max_plans:
-            raise CapExceeded("plans", _finish())
+            raise CapExceeded("depth" if cut else "plans", _finish())
         traces.append(node.trace)
 
     def _finish() -> OracleResult:
@@ -91,19 +93,19 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
     try:
         while stack:
             if time.monotonic() - start > caps.max_seconds:
-                raise CapExceeded("time", _finish())
+                raise CapExceeded("depth" if cut else "time", _finish())
             node = stack.pop()
             if not node.agenda:
                 record(node)
                 continue
-            try:
-                children = exp.expand(node)
-            except ResourceLimit as exc:
-                raise CapExceeded(exc.kind, _finish()) from exc
+            children = exp.expand(node)
+            cut, exp.cut = cut or exp.cut, False
             stats.nodes_considered += len(children)
             stack.extend(reversed(children))
     finally:
         root.progressed.automaton.release()
+    if cut:
+        raise CapExceeded("depth", _finish())
     return _finish()
 
 

@@ -13,7 +13,7 @@ McIlraith, IJCAI 2009), but to the fewest open tasks first: a recursion that
 leaves one more task open on each lap, such as a walk around a cycle, yields
 to every tied node with fewer tasks open, where deepest-first alone would
 follow it down to the depth cap. A tied branch with more tasks open can
-still reach the cap first; the cap then ends the search only if no plan is
+still reach the cap first; the cut then ends the search only if no plan is
 found at the same bound (below). Under --tiebreak-lex the plan key, the
 tuple of the plan's (name,) + args, takes the place of the pessimistic
 weight, and the rest of the key stays. Expansion drills through the front
@@ -33,19 +33,19 @@ leaves one there.
 The nesting depth of a task is the number of task end events on the agenda
 behind it: the tasks still executing around it. A node carries its agenda's
 count as nesting; decomposing a task adds one and firing a task's end event
-takes one away. A popped node whose expansion decomposes a task inside
-depth_cap or more of them is cut, and the first cut fixes a bound: its
-optimistic weight, with its plan key under --tiebreak-lex. Popped bounds
-never fall (see duplicate detection below), so the search goes on only
-through the nodes tied at that bound: a terminal node among them is
-returned, and a higher bound or an empty frontier raises
-ResourceLimit("depth"). A returned plan is still optimal, as no completion
-of a cut node is below its bound. Where ties broken shortest plan first
-would return a plan without reaching the cap, this order returns one of the
-same weight: a node cut below that weight has an equal node that the other
-order pops before its plan and that reaches the cap too. Method bodies are
-finite, so a decomposition tree of bounded nesting is finite, and so is the
-search tree.
+takes one away. A task inside depth_cap or more of them gets no child: that
+branch is cut, the popped node's other children are pushed, and so is a
+marker at its bound (optimistic weight, with plan key under --tiebreak-lex)
+behind every node tied there; popping it raises ResourceLimit("depth").
+Popped bounds never fall (see duplicate detection), so a terminal node
+popped first is still optimal. Once an expansion has cut, it also cuts each
+task named as an open one it decomposed: a recursion that applies no
+operator, such as two methods (t) -> (t), would otherwise try 2^depth_cap
+decompositions, all stood for by the marker. Where ties broken shortest
+plan first would return a plan without reaching the cap, this order returns
+one of the same weight: a branch cut below that weight has an equal one
+that the other order reaches before its plan. Method bodies are finite, so
+a decomposition tree of bounded nesting is finite, as is the search tree.
 
 Duplicate detection. A node's signature (_signature) is the product of its
 HTN state and the state of the preference automaton:
@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from fractions import Fraction
 from typing import Optional
@@ -131,15 +132,13 @@ class Unordered(Value):
 
 
 class SolveConfig(Record):
-    __slots__ = ("timeout", "max_expansions", "depth_cap", "tiebreak_lex")
+    __slots__ = ("timeout", "depth_cap", "tiebreak_lex")
 
-    def __init__(self, timeout: Optional[float] = None,
-                 max_expansions: Optional[int] = None, depth_cap: int = 64,
+    def __init__(self, timeout: Optional[float] = None, depth_cap: int = 64,
                  tiebreak_lex: bool = False):
-        self.timeout = timeout                # seconds, wall clock
-        self.max_expansions = max_expansions  # cap on applied operators
-        self.depth_cap = depth_cap            # task nesting depth
-        self.tiebreak_lex = tiebreak_lex      # order weight ties by plan key
+        self.timeout = timeout            # seconds, wall clock
+        self.depth_cap = depth_cap        # task nesting depth
+        self.tiebreak_lex = tiebreak_lex  # order weight ties by plan key
 
 
 class SearchStats(Record):
@@ -250,13 +249,17 @@ class _Expander:
     preference, is settled at the root and never stepped. refs are the
     ground references whose termination the node's terminated bits record
     (see _signature); watched maps each (kind, name) among them to its
-    (bit, args) pairs."""
+    (bit, args) pairs. A task that would nest depth_cap deep gets no child
+    and sets cut, which the caller resets; while it is set, no task named
+    in opened[base:nesting], by nesting from the expanded node's, gets one."""
 
     def __init__(self, problem: Problem, config: SolveConfig,
                  stats: SearchStats, refs: tuple[F.Ref, ...] = ()):
         self.domain = problem.domain
         self.config = config
         self.stats = stats
+        self.cut = False
+        self.opened: list[Optional[str]] = [None] * config.depth_cap
         self.watched: dict[tuple, list] = {}
         for i, ref in enumerate(refs):
             self.watched.setdefault((ref.kind, ref.name), []).append(
@@ -270,6 +273,7 @@ class _Expander:
         return bits
 
     def expand(self, node: SearchNode) -> list[SearchNode]:
+        self.base = node.nesting
         return self._drill(node.agenda, node.trace, node.progressed,
                            node.plan_length, node.nesting, node.terminated)
 
@@ -325,9 +329,6 @@ class _Expander:
         except PreconditionViolation:
             return []
         self.stats.nodes_expanded += 1
-        cap = self.config.max_expansions
-        if cap is not None and self.stats.nodes_expanded > cap:
-            raise ResourceLimit("expansions", self.stats)
         if self.watched:
             terminated = self._terminate(terminated, "op", task.name,
                                          task.args)
@@ -339,7 +340,10 @@ class _Expander:
                    plan_length: int, nesting: int, terminated: int
                    ) -> list[SearchNode]:
         if nesting >= self.config.depth_cap:
-            raise ResourceLimit("depth", self.stats)
+            self.cut = True
+            return []
+        if self.cut and task.name in self.opened[self.base:nesting]:
+            return []
         out: list[SearchNode] = []
         state = trace.final_state
         task_inst = Inst("task", task.name, task.args, trace.length)
@@ -367,6 +371,7 @@ class _Expander:
                 agenda = (tuple(items)
                           + (EndEvent(method_inst), EndEvent(task_inst))
                           + rest)
+                self.opened[nesting] = task.name
                 out.extend(self._drill(agenda, t2, pf2, plan_length,
                                        nesting + 1, terminated))
         return out
@@ -417,8 +422,8 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     """Find a solution plan of minimum preference weight.
 
     Returns status "noplan" when the task network has no solution at all.
-    Raises ResourceLimit when a configured cap (time, expansions, depth) is
-    hit before an optimal node surfaces.
+    Raises ResourceLimit when a configured cap (time, depth) is hit before
+    an optimal node surfaces.
     """
     config = config or SolveConfig()
     stats = SearchStats()
@@ -448,14 +453,13 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     push(root)
 
     found: Optional[SearchNode] = None
-    capped = None  # the bound of the nodes cut at the depth cap
     try:
         while heap:
             if config.timeout is not None \
                     and time.monotonic() - start > config.timeout:
                 raise ResourceLimit("time", stats)
             opt, rank, _nesting, _plen, _seq, node = heapq.heappop(heap)
-            if capped is not None and ((opt, rank) if lex else opt) > capped:
+            if node is None:  # the marker of a branch cut at the depth cap
                 raise ResourceLimit("depth", stats)
             if not node.agenda:
                 found = node
@@ -467,17 +471,12 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                     continue
             else:
                 closed[key] = rank if lex else None
-            try:
-                children = exp.expand(node)
-            except ResourceLimit as exc:
-                if exc.kind != "depth":
-                    raise
-                capped = (opt, rank) if lex else opt
-                continue
-            for child in children:
+            for child in exp.expand(node):
                 push(child)
-        if found is None and capped is not None:
-            raise ResourceLimit("depth", stats)
+            if exp.cut:  # behind every node tied at the cut's bound
+                exp.cut = False
+                heapq.heappush(heap, (opt, rank if lex else math.inf,
+                                      math.inf, 0, next(seq), None))
     finally:
         stats.elapsed = time.monotonic() - start
         root.progressed.automaton.release()

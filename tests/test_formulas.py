@@ -177,8 +177,8 @@ def test_task_hash_is_computed_once_per_object():
 
 def test_records_take_keywords_and_apply_defaults():
     config = SolveConfig(timeout=2.5)
-    assert (config.timeout, config.max_expansions, config.depth_cap,
-            config.tiebreak_lex) == (2.5, None, 64, False)
+    assert (config.timeout, config.depth_cap, config.tiebreak_lex) == \
+        (2.5, 64, False)
     caps = EnumerationCaps(max_seconds=5.0)
     assert (caps.max_plans, caps.max_seconds) == (100_000, 5.0)
     assert GenConfig(seed=4).seed == 4
@@ -225,6 +225,9 @@ def test_value_checks_still_raise():
     with pytest.raises(AssertionError):
         EnumerationCaps(max_plans=0)
     with pytest.raises(AssertionError):
+        EnumerationCaps(max_seconds=-1.0)
+    assert EnumerationCaps(max_seconds=0).max_seconds == 0  # as timeout=0
+    with pytest.raises(AssertionError):
         GenConfig(max_subtasks=4)
 
 
@@ -233,8 +236,8 @@ def test_mutable_records_compare_by_field_and_do_not_hash():
     assert config == SolveConfig() and config != SolveConfig(depth_cap=3)
     config.depth_cap = 3
     assert config == SolveConfig(depth_cap=3)
-    assert repr(config) == ("SolveConfig(timeout=None, max_expansions=None, "
-                            "depth_cap=3, tiebreak_lex=False)")
+    assert repr(config) == ("SolveConfig(timeout=None, depth_cap=3, "
+                            "tiebreak_lex=False)")
     with pytest.raises(TypeError):
         hash(config)
 

@@ -1,18 +1,19 @@
 """Best-first search: optimality, expansion, tie-breaking, resource caps."""
 
 import heapq
+from fractions import Fraction
 
 import pytest
 
 from conftest import MINI_DOMAIN, WALK, fixture_ids, load_fixture
 
-from prefhtn.errors import ResourceLimit, UnboundVariable
+from prefhtn.errors import CapExceeded, ResourceLimit, UnboundVariable
 from prefhtn.model import (Atom, EndEvent, Inst, Literal, OperatorEvent,
                            StartEvent, State, Task, Trace, apply_event,
                            relevant_methods, subst_literal, unify_args,
                            validate_trace)
 from prefhtn import search, semantics
-from prefhtn.oracle import cross_check, enumerate_all
+from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
                             print_domain)
 from prefhtn.progression import bounds
@@ -172,17 +173,31 @@ def walk_problem(pref):
     return problem
 
 
+def deep_or_flat_problem():
+    """(top) done either by (!a) under two more nested tasks or by a flat
+    (!a)."""
+    domain = parse_domain("""
+    (domain d
+      (:operator (!a) :pre () :del () :add ())
+      (:method (top) :name deep :pre () :tasks ((t0)))
+      (:method (top) :name flat :pre () :tasks ((!a)))
+      (:method (t0) :name c0 :pre () :tasks ((t1)))
+      (:method (t1) :name c1 :pre () :tasks ((!a))))""", "<d>")
+    return parse_problem("(problem p :init () :tasks ((top)))", domain)
+
+
+def left_recursion_problem(methods: str):
+    """(t) under the given methods of t, with operators (!a), (!b), (!c)."""
+    ops = "".join(f"(:operator (!{o}) :pre () :del () :add ())" for o in "abc")
+    domain = parse_domain(f"(domain d {ops} {methods})", "<d>")
+    return parse_problem("(problem p :init () :tasks ((t)))", domain)
+
+
 class TestResourceLimits:
     def test_timeout_zero(self):
         with pytest.raises(ResourceLimit) as exc:
             solve(load_fixture("travel", 3), SolveConfig(timeout=0.0))
         assert exc.value.kind == "time"
-
-    def test_expansion_cap_zero(self):
-        with pytest.raises(ResourceLimit) as exc:
-            solve(mini_problem(), SolveConfig(max_expansions=0))
-        assert exc.value.kind == "expansions"
-        assert exc.value.stats.elapsed > 0
 
     def test_depth_cap(self):
         domain = parse_domain("""
@@ -230,6 +245,72 @@ class TestResourceLimits:
             solve(chain(cap + 1), config)
         assert exc.value.kind == "depth"
 
+    def test_depth_cap_cuts_the_branch_not_the_node(self):
+        # the deep branch reaches the cap in the same expansion as the flat
+        # one applies (!a); only the deep one is cut
+        assert outcome(deep_or_flat_problem(), SolveConfig(depth_cap=2)) == \
+            ("ok", 0, ["(!a)"])
+
+    def test_depth_cap_under_lex_holds_the_plan_key_bound(self):
+        # the cut is at (0, ()), below the plan key of (!a): a plan of the
+        # cut branch could be smaller, so the search stops at the cap
+        config = SolveConfig(depth_cap=2, tiebreak_lex=True)
+        assert outcome(deep_or_flat_problem(), config)[0] == "depth"
+
+    def test_enumeration_keeps_every_plan_under_the_cap(self):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_all(walk_problem(WALK["walk-1.pref"]))
+        assert exc.value.kind == "depth"
+        assert exc.value.partial.plan_count == 31
+        assert exc.value.partial.best_weight == Fraction(1, 2)
+
+    def test_recursion_without_operator_ends_at_the_cap(self):
+        # two methods recurse before any operator: one expansion would try
+        # 2 ** 64 decompositions were the recursion not cut by name after
+        # the first cut; no timeout is set
+        problem = left_recursion_problem(
+            "(:method (t) :name m1 :pre () :tasks ((t))) "
+            "(:method (t) :name m2 :pre () :tasks ((t)))")
+        assert outcome(problem)[0] == "depth"
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_all(problem)
+        assert (exc.value.kind, exc.value.partial.plan_count) == ("depth", 0)
+
+    def test_recursion_without_operator_keeps_its_base_case(self):
+        # (t) by (t) (!b), (t) (!c) or (!a): once the (t) (!b) chain has
+        # reached the cap, the root's expansion cuts (t) (!c) by name and
+        # keeps the (!a) at each nesting
+        problem = left_recursion_problem(
+            "(:method (t) :name m1 :pre () :tasks ((t) (!b))) "
+            "(:method (t) :name m2 :pre () :tasks ((t) (!c))) "
+            "(:method (t) :name m3 :pre () :tasks ((!a)))")
+        assert outcome(problem) == ("ok", 0, ["(!a)"])
+        for caps, count in ((None, 64), (EnumerationCaps(max_plans=5), 5)):
+            # the depth cut comes before the plan cap and is the kind raised
+            with pytest.raises(CapExceeded) as exc:
+                enumerate_all(problem, caps)
+            assert (exc.value.kind, exc.value.partial.plan_count) == \
+                ("depth", count)
+
+    def test_name_cut_stays_in_the_expansion_that_cut(self):
+        # the root's expansion cuts (deep); the expansion of each child then
+        # decomposes (t o1) into (t o2), named as an open task, and must not
+        # cut it. (!b) only declares the predicates of the init facts
+        domain = parse_domain("""
+        (domain d
+          (:operator (!a) :pre () :del () :add ())
+          (:operator (!b ?x ?y) :pre ((next ?x ?y) (last ?y)) :del () :add ())
+          (:method (deep) :name d1 :pre () :tasks ((deep)))
+          (:method (deep) :name d2 :pre () :tasks ((!a) (t o1)))
+          (:method (t ?x) :name t1 :pre ((next ?x ?y)) :tasks ((t ?y)))
+          (:method (t ?x) :name t2 :pre ((last ?x)) :tasks ((!a))))""",
+                              "<d>")
+        problem = parse_problem("(problem p :init ((next o1 o2) (last o2)) "
+                                ":tasks ((deep)))", domain)
+        assert outcome(problem) == ("ok", 0, ["(!a)", "(!a)"])
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_all(problem)
+        assert (exc.value.kind, exc.value.partial.plan_count) == ("depth", 62)
 
 STEP_01 = "(!step n0 n1)"
 STEP_10 = "(!step n1 n0)"

@@ -22,10 +22,11 @@ declaration order.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import is_
 from typing import Union
 
 from .errors import BadValueOrder
-from .model import Literal, Node, is_var, subst_args, subst_literal
+from .model import Atom, Literal, Node, is_var, subst_args
 
 Weight = Fraction
 W_MIN = Fraction(0)
@@ -209,38 +210,11 @@ def node_fields(node) -> tuple:
     return tuple(vars(node).values())
 
 
-_KEPT = (str,)
-
-
-def _map_field(v, f, f_ref, f_lit):
-    if isinstance(v, Literal):  # a NamedTuple, so it must be tested before tuple
-        return f_lit(v)
-    if isinstance(v, Ref):
-        return f_ref(v)
-    if isinstance(v, _KEPT):
-        return v
-    if isinstance(v, tuple):
-        return tuple(f(p) for p in v)
-    return f(v)
-
-
-def _same(x):
-    return x
-
-
-def rebuild(phi: BDF, f, f_ref=_same, f_lit=_same) -> BDF:
-    """A node of phi's class with f applied to each sub-formula (a tuple of
-    parts element by element), f_ref to each Ref and f_lit to each Literal;
-    str fields are kept."""
-    return type(phi)(*(_map_field(v, f, f_ref, f_lit)
-                       for v in node_fields(phi)))
-
-
 def children(phi: BDF) -> list[BDF]:
     """The immediate sub-formulas of phi."""
     out: list[BDF] = []
     for v in node_fields(phi):
-        if isinstance(v, (Literal, Ref) + _KEPT):
+        if isinstance(v, (Literal, Ref, str)):  # a Literal is a tuple
             continue
         if isinstance(v, tuple):
             out.extend(v)
@@ -328,33 +302,61 @@ def const(b: bool) -> BDF:
     return TRUE if b else FALSE
 
 
-# --- substitution and quantifier expansion ---------------------------------------
+# --- grounding ------------------------------------------------------------------
 
-def subst_bdf(phi: BDF, sigma: dict[str, str]) -> BDF:
-    if isinstance(phi, (Exists, Forall)):  # the quantifier shadows its variable
-        sigma = {k: v for k, v in sigma.items() if k != phi.var}
-    return rebuild(phi, lambda p: subst_bdf(p, sigma),
-                   lambda r: Ref(r.kind, r.name, subst_args(r.args, sigma)),
-                   lambda l: subst_literal(l, sigma))
+def _bind(v, sigma: dict[str, str]):
+    """A Ref or Literal with the variables sigma binds replaced; v itself
+    when it has none of them."""
+    if type(v) is Ref:
+        args = subst_args(v.args, sigma)
+        return v if args == v.args else Ref(v.kind, v.name, args)
+    args = subst_args(v.atom.args, sigma)
+    return v if args == v.atom.args else Literal(Atom(v.atom.pred, args),
+                                                 v.positive)
 
 
-def expand_quantifiers(phi: BDF, universe: tuple[str, ...]) -> BDF:
-    """Ground exists as a disjunction and forall as a conjunction over the universe."""
-    def expand(p: BDF) -> BDF:
-        return expand_quantifiers(p, universe)
+def ground(phi: BDF, universe: tuple[str, ...], write=lambda p: p) -> BDF:
+    """phi with exists grounded as a disjunction and forall as a
+    conjunction over the universe, in one walk (_ground), and then each
+    node that is not a join through write: progression.unfold writes out
+    the before/hold* constructs with it. A node in which nothing changed
+    comes back as it is."""
+    return _written(_ground(phi, universe, write, {}), write)
 
-    if isinstance(phi, (Exists, Forall)):
-        body = expand(phi.body)
-        join = mk_or if isinstance(phi, Exists) else mk_and
-        return join(expand(subst_bdf(body, {phi.var: c})) for c in universe)
-    if isinstance(phi, (And, Or)):
-        join = mk_and if isinstance(phi, And) else mk_or
-        return join(expand(p) for p in phi.parts)
-    return rebuild(phi, expand)
+
+def _ground(phi: BDF, universe: tuple[str, ...], write,
+            sigma: dict[str, str]) -> BDF:
+    """phi ground under the bindings sigma (variable -> constant), which
+    the walk carries down to the refs and literals; an inner quantifier
+    shadows an outer one. The joins take their parts unwritten, or mk_and
+    would splice the And that a before is written out as."""
+    cls = type(phi)
+    if cls is Exists or cls is Forall:
+        return (mk_or if cls is Exists else mk_and)(
+            [_ground(phi.body, universe, write, {**sigma, phi.var: c})
+             for c in universe])
+    if cls is And or cls is Or:
+        joined = (mk_and if cls is And else mk_or)(
+            [_ground(p, universe, write, sigma) for p in phi.parts])
+        return phi if joined == phi else joined
+    fields = vars(phi).values()
+    new = [_bind(v, sigma) if type(v) is Ref or type(v) is Literal
+           else _written(_ground(v, universe, write, sigma), write)
+           for v in fields]
+    return phi if all(map(is_, new, fields)) else cls(*new)
+
+
+def _written(phi: BDF, write) -> BDF:
+    """phi through write, or a join of its parts through _written."""
+    cls = type(phi)
+    if cls is And or cls is Or:
+        parts = tuple([_written(p, write) for p in phi.parts])
+        return phi if parts == phi.parts else cls(parts)
+    return write(phi)
 
 
 def expand_gpf(gpf: GPF, universe: tuple[str, ...]) -> GPF:
-    return map_gpf(gpf, lambda b: expand_quantifiers(b, universe))
+    return map_gpf(gpf, lambda b: ground(b, universe))
 
 
 def formula_constants(gpf: GPF) -> set[str]:

@@ -34,7 +34,9 @@ instead from one of three bases, which generate nothing:
     than the hash.
   * Node: a Value that declares its fields as annotations and shares one
     generic __init__; the base of the formula nodes and of Operator and
-    Method, which are built once per parse.
+    Method, which are built once per parse. Formula nodes are also built
+    on the search path, by grounding and progression, so Node, like Task,
+    sets _hash to None at construction and writes its own __hash__.
 """
 
 from __future__ import annotations
@@ -131,15 +133,23 @@ class Node(Value):
                 raise TypeError(f"{type(self).__name__} is missing "
                                 f"{[f for f in fields if f not in given]}")
             values = [given[f] for f in fields]
-        for name, value in zip(fields, values):
-            _set(self, name, value)
+        _node_hash(self, None)
+        self.__dict__.update(zip(fields, values))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return self is other or vars(self) == vars(other)
 
-    __hash__ = Value.__hash__
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((type(self), *vars(self).values()))
+            _node_hash(self, h)
+        return h
+
+
+(_node_hash,) = slot_setters(Value, "_hash")
 
 
 def is_var(term: str) -> bool:

@@ -49,9 +49,10 @@ class OracleResult(Record):
         self.traces = traces  # in enumeration order, as all_weights
 
 
-def enumerate_all(problem: Problem, caps: EnumerationCaps = None
-                  ) -> OracleResult:
-    """Depth-first exhaustive enumeration of all solution plans.
+def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
+                  config: SolveConfig = None) -> OracleResult:
+    """Depth-first exhaustive enumeration of all solution plans, at the
+    depth cap of config.
 
     Deterministic: children come out in method declaration order, then
     grounding order. Raises CapExceeded (carrying the partial result) when a
@@ -59,10 +60,10 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
     with every plan under the cap, or in place of a later time or plan cap.
     """
     caps = caps or EnumerationCaps()
-    config = SolveConfig()
     stats = SearchStats()
-    exp = _Expander(problem, config, stats)
     start = time.monotonic()
+    deadline = start + caps.max_seconds
+    exp = _Expander(problem, config or SolveConfig(), stats, deadline=deadline)
 
     traces: list[Trace] = []
     cut = False  # whether a branch was cut at the depth cap
@@ -92,7 +93,7 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
     stack: list[SearchNode] = [root]
     try:
         while stack:
-            if time.monotonic() - start > caps.max_seconds:
+            if time.monotonic() > deadline:
                 raise CapExceeded("depth" if cut else "time", _finish())
             node = stack.pop()
             if not node.agenda:
@@ -100,6 +101,8 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None
                 continue
             children = exp.expand(node)
             cut, exp.cut = cut or exp.cut, False
+            if exp.late:
+                raise CapExceeded("depth" if cut else "time", _finish())
             stats.nodes_considered += len(children)
             stack.extend(reversed(children))
     finally:
@@ -146,7 +149,7 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
     """
     caps = caps or EnumerationCaps()
     config = config or SolveConfig()
-    oracle = enumerate_all(problem, caps)
+    oracle = enumerate_all(problem, caps, config)
     result = solve(problem, config)
 
     report = CheckReport(problem.name, oracle.plan_count,
@@ -170,6 +173,8 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
         prev = None
         converged_at = None
         for b in prefix_bounds:
+            if b is prev:  # every check gives what it gave on prev
+                continue
             if not (b.opt <= final <= b.pess):
                 mono_ok = False
             if prev is not None and (b.opt < prev.opt or b.pess > prev.pess):

@@ -33,9 +33,10 @@ Residual conventions (all indices relative to the event sequence):
 
   * occ(X) and apply(X) hatch occNext(X) and eventually(terminated(X));
     occNext is resolved against the next event.
-  * before/hold* constructs are unfolded once, before the first step, into
-    the LTL formulas they abbreviate (unfold), over at(t) = next(occNext(t)),
-    terminated and the Window leaf of the t1/t2 window.
+  * before/hold* constructs are unfolded before the first step into the
+    LTL formulas they abbreviate (unfold), over at(t) = next(occNext(t)),
+    terminated and the Window leaf of the t1/t2 window, by the one walk
+    that grounds the quantifiers (formulas.ground) as it meets them.
   * An obligation still pending counts as satisfied under the optimistic
     bound and falsified under the pessimistic one, and a not judges its
     sub-formula under the other view (_sat). That is strong Kleene
@@ -110,15 +111,16 @@ class StepContext(NamedTuple):
 
 
 def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
-    """Ground the quantifiers, unfold the before/hold* constructs and number
-    the BDFs (no step yet). map_gpf and gpf_bdfs both visit a Cond's
-    condition before its body, so the numbers are the positions in
-    gpf_bdfs."""
-    gpf = F.expand_gpf(gpf, universe)
+    """Ground the quantifiers and unfold the before/hold* constructs of
+    each BDF in one walk of the parsed formula (formulas.ground with
+    unfold), and number the BDFs (no step yet). map_gpf and gpf_bdfs both
+    visit a Cond's condition before its body, so the numbers are the
+    positions in gpf_bdfs."""
     counter = itertools.count()
     automaton = Automaton()
     return automaton.product(F.map_gpf(gpf, lambda _: next(counter)),
-                             tuple(automaton.intern(unfold(b))
+                             tuple(automaton.intern(F.ground(b, universe,
+                                                             unfold))
                                    for b in F.gpf_bdfs(gpf)))
 
 
@@ -129,8 +131,8 @@ def _at(t: F.Ref) -> F.BDF:
 
 
 def unfold(phi: F.BDF) -> F.BDF:
-    """phi with each before/hold* construct written as the LTL formula it
-    abbreviates (see semantics), over at, terminated and the t1/t2 window."""
+    """A before/hold* construct as the LTL formula it abbreviates (see
+    semantics), over at, terminated and the t1/t2 window; any other as is."""
     if isinstance(phi, F.HoldBefore):
         return F.Eventually(F.And((F.LitF(phi.lit), _at(phi.t))))
     if isinstance(phi, F.HoldAfter):
@@ -144,7 +146,7 @@ def unfold(phi: F.BDF) -> F.BDF:
         return F.Until(F.Not(at2), F.And((
             F.Window(phi.t1, phi.t2),
             F.Until(held, F.And((held, at2))))))
-    return F.rebuild(phi, unfold)
+    return phi
 
 
 # --- one progression step ----------------------------------------------------------

@@ -251,14 +251,18 @@ class _Expander:
     (see _signature); watched maps each (kind, name) among them to its
     (bit, args) pairs. A task that would nest depth_cap deep gets no child
     and sets cut, which the caller resets; while it is set, no task named
-    in opened[base:nesting], by nesting from the expanded node's, gets one."""
+    in opened[base:nesting], by nesting from the expanded node's, gets one.
+    Once the clock has passed the caller's deadline, no task gets a child
+    and late is set, so one wide expansion ends there too."""
 
     def __init__(self, problem: Problem, config: SolveConfig,
-                 stats: SearchStats, refs: tuple[F.Ref, ...] = ()):
+                 stats: SearchStats, refs: tuple[F.Ref, ...] = (),
+                 deadline: float = math.inf):
         self.domain = problem.domain
         self.config = config
         self.stats = stats
-        self.cut = False
+        self.deadline = deadline  # on the time.monotonic clock
+        self.cut = self.late = False
         self.opened: list[Optional[str]] = [None] * config.depth_cap
         self.watched: dict[tuple, list] = {}
         for i, ref in enumerate(refs):
@@ -339,6 +343,9 @@ class _Expander:
     def _decompose(self, task: Task, rest, trace: Trace, pf,
                    plan_length: int, nesting: int, terminated: int
                    ) -> list[SearchNode]:
+        if time.monotonic() > self.deadline:
+            self.late = True
+            return []
         if nesting >= self.config.depth_cap:
             self.cut = True
             return []
@@ -435,7 +442,8 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     init = root.trace.final_state
     root.terminated = sum(1 << i for i, r in enumerate(refs)
                           if semantics.terminated_at(init, r))
-    exp = _Expander(problem, config, stats, refs)
+    deadline = math.inf if config.timeout is None else start + config.timeout
+    exp = _Expander(problem, config, stats, refs, deadline)
     lex = config.tiebreak_lex
     closed: dict = {}  # signature -> plan key of its first expansion (lex)
     heap: list = []
@@ -455,8 +463,7 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     found: Optional[SearchNode] = None
     try:
         while heap:
-            if config.timeout is not None \
-                    and time.monotonic() - start > config.timeout:
+            if time.monotonic() > deadline:
                 raise ResourceLimit("time", stats)
             opt, rank, _nesting, _plen, _seq, node = heapq.heappop(heap)
             if node is None:  # the marker of a branch cut at the depth cap
@@ -473,6 +480,8 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                 closed[key] = rank if lex else None
             for child in exp.expand(node):
                 push(child)
+            if exp.late:
+                raise ResourceLimit("time", stats)
             if exp.cut:  # behind every node tied at the cut's bound
                 exp.cut = False
                 heapq.heappush(heap, (opt, rank if lex else math.inf,

@@ -17,7 +17,7 @@ from prefhtn.errors import BadValueOrder
 from prefhtn.model import (Atom, EndEvent, Inst, Literal, Method, Operator,
                            OperatorEvent, StartEvent, State, Task)
 from prefhtn.oracle import EnumerationCaps
-from prefhtn.progression import Bounds
+from prefhtn.progression import Bounds, unfold
 from prefhtn.randgen import GenConfig
 from prefhtn.search import SearchStats, SolveConfig, Unordered
 from prefhtn.parser import BDF_FORMS, parse_preference, print_preference
@@ -173,6 +173,22 @@ def test_task_hash_is_computed_once_per_object():
     assert len(calls) == 1
     hash(Task("move", (Counted("c1"),)))
     assert len(calls) == 2
+
+
+def test_node_hash_is_computed_once_per_object():
+    calls = []
+
+    class Counted(str):
+        def __hash__(self):
+            calls.append(self)
+            return str.__hash__(self)
+
+    node = F.Occ(F.Ref("op", "drive", (Counted("c1"),)))
+    for _ in range(5):
+        hash(node)
+    assert node in {node} and {node: 1}[node] == 1
+    assert len(calls) == 1  # the Ref's hash, read once through the Occ's
+    assert hash(node) == hash((F.Occ, node.ref))
 
 
 def test_records_take_keywords_and_apply_defaults():
@@ -332,6 +348,81 @@ class TestJoin:
         joined = F.mk_and(parts + [F.And(tuple(parts[:50]))])
         assert joined.parts == tuple(parts)
         assert len(compares) <= 50 + 5  # the spliced repeats, not 200²
+
+
+# --- grounding (formulas.ground) ---------------------------------------------
+
+UNIVERSE = ("a", "b")
+O2 = F.Ref("op", "o2", ())
+
+
+def op(*args):
+    return F.Ref("op", "o", args)
+
+
+def lit(pred, *args):
+    return Literal(Atom(pred, args))
+
+
+def at(ref):
+    return F.Next(F.OccNext(ref))
+
+
+def before_ltl(c):
+    """before (!o c) (!o2), as progression.unfold writes it out."""
+    return F.And((F.Until(F.Not(at(O2)), F.Window(op(c), O2)),
+                  F.Eventually(at(O2))))
+
+
+def hold_between_ltl(c):
+    """hold-between (!o c) (p c) (!o2), written out."""
+    held = F.LitF(lit("p", c))
+    return F.Until(F.Not(at(O2)), F.And((
+        F.Window(op(c), O2), F.Until(held, F.And((held, at(O2)))))))
+
+
+def hold_after_ltl(c):
+    """hold-after (!o c) (p c), written out."""
+    return F.Eventually(F.And((F.Terminated(op(c)), F.LitF(lit("p", c)))))
+
+
+class TestGround:
+    def test_nested_quantifiers(self):
+        phi = F.Forall("?x", F.Exists("?y", F.Occ(op("?x", "?y"))))
+        assert F.ground(phi, UNIVERSE) == F.And((
+            F.Or((F.Occ(op("a", "a")), F.Occ(op("a", "b")))),
+            F.Or((F.Occ(op("b", "a")), F.Occ(op("b", "b"))))))
+
+    def test_inner_quantifier_shadows_the_outer_variable(self):
+        phi = F.Forall("?x", F.And((
+            F.LitF(lit("p", "?x")),
+            F.Exists("?x", F.LitF(lit("q", "?x"))))))
+        inner = F.Or((F.LitF(lit("q", "a")), F.LitF(lit("q", "b"))))
+        assert F.ground(phi, UNIVERSE) == F.And((
+            F.LitF(lit("p", "a")), inner, F.LitF(lit("p", "b"))))
+
+    @pytest.mark.parametrize("phi, expected", [
+        # the joins see a before as it was written, so its unfolded And
+        # stays one part of the forall's
+        (F.Forall("?x", F.Before(op("?x"), O2)),
+         F.And(tuple(before_ltl(c) for c in UNIVERSE))),
+        (F.Exists("?x", F.HoldBetween(op("?x"), lit("p", "?x"), O2)),
+         F.Or(tuple(hold_between_ltl(c) for c in UNIVERSE))),
+        (F.Forall("?x", F.Always(F.HoldAfter(op("?x"), lit("p", "?x")))),
+         F.And(tuple(F.Always(hold_after_ltl(c)) for c in UNIVERSE))),
+    ], ids=["before", "hold-between", "hold-after"])
+    def test_quantified_constructs_unfold_to_their_ltl(self, phi, expected):
+        assert F.ground(phi, UNIVERSE, unfold) == expected
+
+    def test_closed_sub_formula_comes_back_as_it_is(self):
+        closed = F.Always(F.Until(F.LitF(lit("p", "c")), F.Occ(O2)))
+        joined = F.mk_and([closed, F.Occ(O2)])
+        phi = F.Forall("?x", F.And((F.Occ(op("?x")), closed)))
+        out = F.ground(phi, UNIVERSE)
+        assert out == F.And((F.Occ(op("a")), closed, F.Occ(op("b"))))
+        assert out.parts[1] is closed
+        assert F.ground(closed, UNIVERSE) is closed
+        assert F.ground(joined, UNIVERSE) is joined
 
 
 def fresh_python(code: str):

@@ -194,6 +194,17 @@ class TestCrossCheckFailures:
         assert report.plan_count == 13
         assert {name for name, ok in report.checks.items() if not ok} == failed
 
+    def test_repeated_bound_objects_are_still_checked(self, monkeypatch):
+        # a prefix whose Bounds object is the previous prefix's is skipped;
+        # the fall between two runs of repeated objects still fails
+        def prefix_of(w):
+            high, low = _b(w, w + 1), _b(w - 1, w + 1)
+            return [high, high, low, low, _b(w, w)]
+        monkeypatch.setattr(P, "progress_trace", _replays_with(prefix_of))
+        report = cross_check(load_fixture("travel", 1))
+        assert {name for name, ok in report.checks.items() if not ok} \
+            == {"prefix-monotone"}
+
     def test_check_command_exits_5(self, monkeypatch, capsys):
         monkeypatch.setattr(P, "progress_trace", _replays_with(
             lambda w: [_b(w, w), _b(w - 1, w + 1)]))

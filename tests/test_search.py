@@ -12,7 +12,7 @@ from prefhtn.model import (Atom, EndEvent, Inst, Literal, OperatorEvent,
                            StartEvent, State, Task, Trace, apply_event,
                            relevant_methods, subst_literal, unify_args,
                            validate_trace)
-from prefhtn import search, semantics
+from prefhtn import oracle, search, semantics
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
                             print_domain)
@@ -193,6 +193,31 @@ def left_recursion_problem(methods: str):
     return parse_problem("(problem p :init () :tasks ((t)))", domain)
 
 
+def wide_chain_problem(levels: int = 10, width: int = 3):
+    """(t0) by width methods each doing (t1), and so on down to (t{levels}),
+    which does (!a): the root's one expansion yields width ** levels
+    children."""
+    methods = "".join(f"(:method (t{i}) :name m{i}-{j} :pre () "
+                      f":tasks ((t{i + 1})))"
+                      for i in range(levels) for j in range(width))
+    domain = parse_domain(
+        f"(domain d (:operator (!a) :pre () :del () :add ()) {methods}"
+        f" (:method (t{levels}) :name last :pre () :tasks ((!a))))", "<d>")
+    return parse_problem("(problem p :init () :tasks ((t0)))", domain)
+
+
+class FakeClock:
+    """A stand-in for the time module whose monotonic clock moves 1 ms a
+    read, so that a deadline passes after a fixed number of reads."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 0.001
+        return self.now
+
+
 class TestResourceLimits:
     def test_timeout_zero(self):
         with pytest.raises(ResourceLimit) as exc:
@@ -311,6 +336,49 @@ class TestResourceLimits:
         with pytest.raises(CapExceeded) as exc:
             enumerate_all(problem)
         assert (exc.value.kind, exc.value.partial.plan_count) == ("depth", 62)
+
+    @pytest.mark.parametrize("seconds", [0.005, 0.1])
+    def test_one_wide_expansion_ends_at_the_timeout(self, monkeypatch,
+                                                    seconds):
+        # 3 ** 10 = 59,049 children in the root's one expansion; the clock
+        # passes the deadline after about 5 or 100 reads, before or after
+        # the expansion's first child
+        clock = FakeClock()
+        monkeypatch.setattr(search, "time", clock)
+        monkeypatch.setattr(oracle, "time", clock)
+        with pytest.raises(ResourceLimit) as exc:
+            solve(wide_chain_problem(), SolveConfig(timeout=seconds))
+        assert exc.value.kind == "time"
+        assert exc.value.stats.nodes_considered < 1000
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_all(wide_chain_problem(),
+                          EnumerationCaps(max_seconds=seconds))
+        assert exc.value.kind == "time"
+        assert exc.value.partial.stats.nodes_expanded < 1000
+
+    def test_enumeration_takes_the_depth_cap_of_its_config(self):
+        # at cap 2 the deep branch is cut and only the flat (!a) is left
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_all(deep_or_flat_problem(),
+                          config=SolveConfig(depth_cap=2))
+        partial = exc.value.partial
+        assert exc.value.kind == "depth"
+        assert partial.plan_count == 1
+        assert [str(e) for e in partial.best_plan] == ["(!a)"]
+        assert enumerate_all(deep_or_flat_problem(),
+                             config=SolveConfig(depth_cap=3)).plan_count == 2
+
+    def test_cross_check_runs_both_sides_at_its_cap(self):
+        # the enumerator stops at the same cap as the search, so the capped
+        # enumeration is what cross_check reports
+        config = SolveConfig(depth_cap=2, tiebreak_lex=True)
+        with pytest.raises(CapExceeded) as exc:
+            cross_check(deep_or_flat_problem(), config=config)
+        assert (exc.value.kind, exc.value.partial.plan_count) == ("depth", 1)
+        report = cross_check(deep_or_flat_problem(),
+                             config=SolveConfig(depth_cap=3))
+        assert report.ok and report.plan_count == 2
+
 
 STEP_01 = "(!step n0 n1)"
 STEP_10 = "(!step n1 n0)"

@@ -381,7 +381,7 @@ class TestLabelsAtEveryIndex:
         assert len(set(expected)) > 1
 
         def refuse(*args):
-            raise AssertionError("subst_bdf called while evaluating")
+            raise AssertionError("ground called while evaluating")
 
-        monkeypatch.setattr(F, "subst_bdf", refuse)
+        monkeypatch.setattr(F, "ground", refuse)
         assert [weight_gpf(t, gpf, universe) for t in traces] == expected

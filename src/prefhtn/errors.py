@@ -19,10 +19,6 @@ class IllegalEvent(PrefHtnError):
     """A start/end/operator event was applied out of protocol."""
 
 
-class NotNonprimitive(PrefHtnError):
-    """A primitive task was passed where a nonprimitive one is required."""
-
-
 class UnboundVariable(PrefHtnError):
     """A formula contains a variable that is not bound by any quantifier."""
 

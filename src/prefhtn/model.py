@@ -14,8 +14,11 @@ trace onto its operator events.
 Records. No class here or elsewhere in the planner has generated methods:
 a class decorator that writes __init__, __eq__ and __hash__ as source text
 and runs it through exec, once per class each time its module is imported,
-was the largest part of starting the planner. Every record class derives
-instead from one of three bases, which generate nothing:
+was the largest part of starting the planner. The one thing the planner
+generates is a domain's decomposition kernels (kernel_table): one compile
+per distinct tuple of methods, made when the Domain is built, so a parse
+pays it where set-up time sees it. Every record class derives instead from
+one of three bases, which generate nothing:
   * Record: a slotted class whose __slots__ name its fields, in order, with
     a hand-written __init__. Equality goes by class and fields, and the repr
     is Cls(field=value, ...). Slots whose names start with _ are caches,
@@ -41,10 +44,11 @@ instead from one of three bases, which generate nothing:
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
-from .errors import IllegalEvent, NotNonprimitive, PreconditionViolation
+from .errors import IllegalEvent, PreconditionViolation, UnboundVariable
 
 _set = object.__setattr__  # sets a slot of a Value in its __init__
 
@@ -156,10 +160,6 @@ def is_var(term: str) -> bool:
     return term.startswith("?")
 
 
-def is_ground(args: tuple[str, ...]) -> bool:
-    return not any(is_var(a) for a in args)
-
-
 class Atom(NamedTuple):
     pred: str
     args: tuple[str, ...] = ()
@@ -189,21 +189,6 @@ def subst_atom(atom: Atom, sigma: Subst) -> Atom:
 
 def subst_literal(lit: Literal, sigma: Subst) -> Literal:
     return Literal(subst_atom(lit.atom, sigma), lit.positive)
-
-
-def unify_args(pattern: tuple[str, ...], ground: tuple[str, ...],
-               sigma: Optional[Subst] = None) -> Optional[Subst]:
-    """Match pattern args (may contain variables) against ground args."""
-    if len(pattern) != len(ground):
-        return None
-    out = dict(sigma) if sigma else {}
-    for p, g in zip(pattern, ground):
-        p = out.get(p, p)
-        if is_var(p):
-            out[p] = g
-        elif p != g:
-            return None
-    return out
 
 
 def args_match(pattern: tuple[str, ...], actual: tuple[str, ...]) -> bool:
@@ -244,9 +229,6 @@ class Task(Value):
             h = hash((Task, self.name, self.args, self.primitive))
             _task_hash(self, h)
         return h
-
-    def ground(self, sigma: Subst) -> "Task":
-        return Task(self.name, subst_args(self.args, sigma), self.primitive)
 
     def __str__(self) -> str:
         head = ("!" if self.primitive else "") + self.name
@@ -292,11 +274,11 @@ class GroundOperator(NamedTuple):
 
 class Domain(Record):
     """Operators by name and methods in declaration order. Built with it:
-    the methods by task name, and the predicates some operator adds or
-    deletes; the facts of every other predicate are rigid, the same in
-    every state a search reaches."""
+    the decomposition kernels by task name (see kernel_table), and the
+    predicates some operator adds or deletes; the facts of every other
+    predicate are rigid, the same in every state a search reaches."""
 
-    __slots__ = ("name", "operators", "methods", "_ground", "_by_task",
+    __slots__ = ("name", "operators", "methods", "_ground", "_kernels",
                  "_changed")
 
     def __init__(self, name: str, operators: dict[str, Operator],
@@ -305,9 +287,7 @@ class Domain(Record):
         self.operators = operators
         self.methods = methods
         self._ground: dict = {}
-        self._by_task: dict[str, list[Method]] = {}
-        for m in methods:
-            self._by_task.setdefault(m.task.name, []).append(m)
+        self._kernels = kernel_table(methods)
         self._changed = frozenset(a.pred for op in operators.values()
                                   for a in op.add + op.delete)
 
@@ -403,24 +383,171 @@ class FactIndex:
         self.rigid = rigid
         self.changed = changed  # the predicates an operator adds or deletes
 
-    def matching(self, pred: str, args: tuple[str, ...]) -> list[Atom]:
-        """The facts of pred, sorted, that have the first constant of the
-        pattern args at its position: all of them when args has none."""
-        key = pred
-        for pos, a in enumerate(args):
-            if a[0] != "?":
-                key = (pred, pos, a)
-                break
+    def matching(self, pred: str, key) -> list[Atom]:
+        """The facts of pred, sorted: all of them when key is pred, those
+        with the constant a at position pos when key is (pred, pos, a)."""
         table = self.fluent if pred in self.changed else self.rigid
         out = table.get(key)
         if out is None:
-            if key is pred:
+            if type(key) is str:
                 out = sorted([f for f in self.facts if f.pred == pred])
             else:
-                out = [f for f in self.matching(pred, ())
+                _, pos, a = key
+                out = [f for f in self.matching(pred, pred)
                        if len(f.args) > pos and f.args[pos] == a]
             table[key] = out
         return out
+
+
+# A method's kernel is one generated generator function kernel(args, state):
+# it yields the method's ground bodies for the ground task args in state,
+# one per satisfier of its preconditions, in a fixed order. It matches the
+# head against args; joins the positive preconditions in the order written,
+# a literal that the head and the earlier literals make ground as one test
+# in the facts, any other as a loop over the facts FactIndex.matching gives
+# (sorted, keyed on its first constant or bound position), so the yields
+# come in the order of a sorted scan; tests the negative preconditions once
+# the positives have bound their variables; and builds the body: for an
+# ordered method each subtask behind its :before literals, for an unordered
+# one the subtasks alone. A body variable that nothing binds stays as
+# written. Predicates, constants and names reach the source only through a
+# table of constants, so no input text is ever code.
+
+_NESTED_LOOPS = 16  # a function may nest 20 blocks; deeper joins go on in
+                    # a function of their own
+
+
+def _tuple_source(items) -> str:
+    return "(%s)" % "".join(f"{x}, " for x in items)
+
+
+def _kernel_source(k: int, method: Method,
+                   const: Callable[[object], str]) -> list[str]:
+    """The source of kernel k<k>, method's, and of the functions its join
+    goes on in. const(value) names value's entry in the table of constants;
+    every other identifier is generated."""
+    names: dict[str, str] = {}  # each bound variable -> its local
+    functions = [[f"def k{k}(args, state):"]]
+    depth = 1
+    loops = 0
+
+    def emit(*lines: str) -> None:
+        functions[-1].extend("    " * depth + line for line in lines)
+
+    def skip() -> str:  # the statement that drops this candidate
+        return "continue" if depth > 1 else "return"
+
+    def term(a: str) -> str:
+        return names[a] if a in names else const(a)
+
+    def unpack(pattern, source: str, keyed: Optional[int] = None):
+        """Unpack source, matched against pattern, binding the first-seen
+        variables; the conditions under which the match fails. The keyed
+        position needs no test: the index matched it."""
+        targets, fails = [], []
+        for j, a in enumerate(pattern):
+            if j == keyed:
+                targets.append("_")
+            elif is_var(a) and a not in names:
+                names[a] = f"v{len(names)}"
+                targets.append(names[a])
+            else:
+                targets.append(f"t{j}")
+                fails.append(f"t{j} != {term(a)}")
+        emit(f"{', '.join(targets)}, = {source}")
+        return " or ".join(fails)
+
+    head = method.task.args
+    emit(f"if len(args) != {len(head)}:", "    return")
+    if head:
+        fails = unpack(head, "args")
+        if fails:
+            emit(f"if {fails}:", "    return")
+    emit("facts = state.facts")
+    for pred, pattern in [l.atom for l in method.pre if l.positive]:
+        known = [j for j, a in enumerate(pattern)
+                 if not is_var(a) or a in names]
+        if len(known) == len(pattern):
+            emit(f"if ({const(pred)}, {_tuple_source(map(term, pattern))})"
+                 " not in facts:", f"    {skip()}")
+            continue
+        if loops == 0:
+            emit("index = state._index or FactIndex(facts, {}, frozenset())")
+        elif loops % _NESTED_LOOPS == 0:
+            params = ", ".join(["facts", "index", *names.values()])
+            name = f"k{k}_{len(functions)}"
+            emit(f"yield from {name}({params})")
+            functions.append([f"def {name}({params}):"])
+            depth = 1
+        key = const(pred)
+        if known:
+            key = f"({key}, {known[0]}, {term(pattern[known[0]])})"
+        emit(f"for _, fa in index.matching({const(pred)}, {key}):")
+        depth += 1
+        loops += 1
+        emit(f"if len(fa) != {len(pattern)}:", "    continue")
+        fails = unpack(pattern, "fa", known[0] if known else None)
+        if fails:
+            emit(f"if {fails}:", "    continue")
+    present = []
+    for lit in method.pre:
+        if lit.positive:
+            continue
+        pred, pattern = lit.atom
+        if any(is_var(a) and a not in names for a in pattern):
+            raise UnboundVariable(
+                f"negative precondition {lit} of method {method.branch} is "
+                "not grounded by the head or a positive precondition")
+        present.append(f"({const(pred)}, {_tuple_source(map(term, pattern))})"
+                       " in facts")
+    if present:
+        emit(f"if {' or '.join(present)}:", f"    {skip()}")
+
+    def task(t: Task) -> str:
+        if not any(a in names for a in t.args):
+            return const(t)
+        return (f"Task({const(t.name)}, {_tuple_source(map(term, t.args))}, "
+                f"{bool(t.primitive)})")
+
+    def literal(lit: Literal) -> str:
+        pred, args = lit.atom
+        if not any(a in names for a in args):
+            return const(Literal(Atom(pred, args), lit.positive))
+        return (f"Literal(Atom({const(pred)}, {_tuple_source(map(term, args))}"
+                f"), {bool(lit.positive)})")
+
+    body = []
+    for i, t in enumerate(method.subtasks):
+        if not method.unordered:
+            body += [literal(lit) for lit, at in method.before if at == i]
+        body.append(task(t))
+    emit(f"yield {_tuple_source(body)}")
+    return [line for fn in functions for line in fn]
+
+
+@functools.lru_cache(maxsize=64)
+def kernel_table(methods: tuple[Method, ...]) -> dict[str, tuple]:
+    """Each task name's (branch, unordered, kernel) triples, one per method
+    of the task in declaration order. All the kernels of one methods tuple
+    come from one compile, made once per distinct tuple: a kernel depends on
+    its method alone. Raises UnboundVariable for a negative precondition
+    whose variable neither the head nor a positive precondition binds."""
+    consts: dict = {}
+
+    def const(value) -> str:
+        return f"c{consts.setdefault(value, len(consts))}"
+
+    source = [line for k, m in enumerate(methods)
+              for line in _kernel_source(k, m, const)]
+    namespace = {"Task": Task, "Literal": Literal, "Atom": Atom,
+                 "FactIndex": FactIndex}
+    namespace.update((f"c{i}", value) for value, i in consts.items())
+    exec(compile("\n".join(source), "<kernels>", "exec"), namespace)
+    table: dict[str, list] = {}
+    for k, m in enumerate(methods):
+        table.setdefault(m.task.name, []).append(
+            (m.branch, m.unordered, namespace[f"k{k}"]))
+    return {name: tuple(kernels) for name, kernels in table.items()}
 
 
 class State(Value):
@@ -629,18 +756,6 @@ def validate_trace(trace: Trace, domain: Domain) -> None:
             if e.uid in seen_uids:
                 raise IllegalEvent(f"duplicate instance id {e.uid}")
             seen_uids.add(e.uid)
-
-
-def relevant_methods(task: Task, domain: Domain) -> list[tuple[Method, Subst]]:
-    """Methods whose head unifies with the ground task, in declaration order."""
-    if task.primitive:
-        raise NotNonprimitive(f"task {task.name} is primitive")
-    out = []
-    for m in domain._by_task.get(task.name, ()):
-        sigma = unify_args(m.task.args, task.args)
-        if sigma is not None:
-            out.append((m, sigma))
-    return out
 
 
 class Problem(Record):

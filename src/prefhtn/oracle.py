@@ -4,8 +4,9 @@ the direct trace semantics, and report the optimum.
 Enumeration reuses the planner's expansion relation under the trivial
 preference, whose product state is settled at the root and never stepped,
 so the two modes can only differ in search order.
-Plan weights are computed after enumeration finishes and are excluded from
-the reported elapsed time, which therefore measures pure plan generation.
+Plan weights are computed after enumeration finishes, inside its time cap,
+and are excluded from the reported elapsed time, which therefore measures
+pure plan generation.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class OracleResult(Record):
         self.plan_count = plan_count
         self.best_plan = best_plan
         self.best_weight = best_weight
-        self.all_weights = all_weights  # multiset, in enumeration order
+        self.all_weights = all_weights  # of the plans scored, in order
         self.stats = stats
-        self.traces = traces  # in enumeration order, as all_weights
+        self.traces = traces  # the plans scored, as all_weights
 
 
 def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
@@ -58,6 +59,10 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
     grounding order. Raises CapExceeded (carrying the partial result) when a
     cap is hit; a depth cut (see search) is reported after the enumeration,
     with every plan under the cap, or in place of a later time or plan cap.
+    The time cap bounds the scoring too: once it has passed, the result
+    keeps the traces scored so far, the first len(all_weights) of the
+    plan_count found, and an enumeration that finished is reported as cut
+    by time (or depth).
     """
     caps = caps or EnumerationCaps()
     stats = SearchStats()
@@ -76,8 +81,11 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
     def _finish() -> OracleResult:
         stats.elapsed = time.monotonic() - start
         gpf, universe = problem.preference, problem.constants
-        weights = tuple(semantics.weight_gpf(t, gpf, universe)
-                        for t in traces)
+        weights = []
+        for t in traces:
+            if time.monotonic() > deadline:
+                break
+            weights.append(semantics.weight_gpf(t, gpf, universe))
         best_i = None
         for i, w in enumerate(weights):
             if best_i is None or w < weights[best_i]:
@@ -86,8 +94,8 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
         best_w = weights[best_i] if best_i is not None else None
         if best_i is not None:
             stats.plan_length = len(best_plan)
-        return OracleResult(len(traces), best_plan, best_w, weights, stats,
-                            tuple(traces))
+        return OracleResult(len(traces), best_plan, best_w, tuple(weights),
+                            stats, tuple(traces[:len(weights)]))
 
     root = make_root(problem, empty_preference())
     stack: list[SearchNode] = [root]
@@ -107,9 +115,10 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
             stack.extend(reversed(children))
     finally:
         root.progressed.automaton.release()
-    if cut:
-        raise CapExceeded("depth", _finish())
-    return _finish()
+    result = _finish()
+    if cut or len(result.all_weights) < result.plan_count:
+        raise CapExceeded("depth" if cut else "time", result)
+    return result
 
 
 class CheckReport(Record):

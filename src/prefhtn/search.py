@@ -89,7 +89,10 @@ progression step, and its bounds are the exact weight.
 
 The same expansion relation drives the brute-force enumerator, under the
 trivial preference: its product state is settled at the root and never
-stepped. Legality is defined in exactly one place.
+stepped. Legality is defined in exactly one place: which methods apply to
+a task, under which bindings and with which ground bodies, is what the
+domain's decomposition kernels (model.kernel_table) yield, and nothing else
+matches a method.
 """
 
 from __future__ import annotations
@@ -104,11 +107,10 @@ from typing import Optional
 from . import formulas as F
 from . import progression as P
 from . import semantics
-from .errors import PreconditionViolation, ResourceLimit, UnboundVariable
-from .model import (EndEvent, FactIndex, Inst, Literal, OperatorEvent,
-                    Problem, Record, StartEvent, State, Subst, Task, Trace,
-                    Value, args_match, empty_trace, is_ground,
-                    relevant_methods, slot_setters, subst_literal)
+from .errors import PreconditionViolation, ResourceLimit
+from .model import (EndEvent, Inst, Literal, OperatorEvent, Problem, Record,
+                    StartEvent, State, Task, Trace, Value, args_match,
+                    empty_trace, slot_setters)
 
 
 class Unordered(Value):
@@ -183,56 +185,12 @@ class Result(Record):
         self.trace = trace
 
 
-def satisfiers(pre: tuple[Literal, ...], state: State, sigma: Subst):
-    """All substitutions under which every precondition literal holds.
-
-    Positive literals are matched in order: one that the bindings so far
-    make ground is looked up in the state's facts; any other is matched
-    against the facts of its predicate, sorted, so the enumeration order is
-    stable across runs. Those come from the state's FactIndex, narrowed to
-    the facts that share the pattern's first constant. Negative literals
-    must be ground once the positives have bound everything, and are
-    checked last.
-    """
-    positives = [l.atom for l in pre if l.positive]
-    negatives = [l for l in pre if not l.positive]
-    facts = state.facts
-    index = state._index or FactIndex(facts, {}, frozenset())
-
-    def bind(i: int, sigma: Subst):
-        if i == len(positives):
-            for l in negatives:
-                g = subst_literal(l, sigma)
-                if not is_ground(g.atom.args):
-                    raise UnboundVariable(
-                        f"negative precondition {g} not grounded by positives")
-                if not state.holds(g):
-                    return
-            yield sigma
-            return
-        pred, pattern = positives[i]
-        args = tuple([sigma.get(a, a) for a in pattern])
-        if "?" not in [a[0] for a in args]:  # ground: one lookup
-            if (pred, args) in facts:  # an Atom equals its plain tuple
-                yield from bind(i + 1, sigma)
-            return
-        for atom in index.matching(pred, args):
-            if len(atom.args) != len(args):
-                continue
-            ext = dict(sigma)
-            ok = True
-            for p, a in zip(args, atom.args):
-                if p[0] == "?":
-                    if ext.setdefault(p, a) != a:
-                        ok = False
-                        break
-                elif p != a:
-                    ok = False
-                    break
-            if ok:
-                yield from bind(i + 1, ext)
-
-    yield from bind(0, dict(sigma) if sigma else {})
+def satisfiers(kernel, args: tuple[str, ...], state: State):
+    """The ground bodies of one method for the task args in state: its
+    kernel's generator (see model.kernel_table), one body per satisfier of
+    the method's preconditions, in the order of a sorted scan of the facts.
+    The search calls this once per method of each decomposed task."""
+    return kernel(args, state)
 
 
 def _step(pf: P.Progressed, trace: Trace, terminal: bool) -> P.Progressed:
@@ -355,28 +313,18 @@ class _Expander:
         state = trace.final_state
         task_inst = Inst("task", task.name, task.args, trace.length)
         t1 = None  # the task's start, emitted at its first applicable method
-        for method, sigma0 in relevant_methods(task, self.domain):
-            for sigma in satisfiers(method.pre, state, sigma0):
+        for branch, unordered, kernel in self.domain._kernels.get(task.name,
+                                                                   ()):
+            for body in satisfiers(kernel, task.args, state):
                 if t1 is None:
                     t1 = trace.extend(StartEvent(task_inst), self.domain)
                     pf1 = _step(pf, t1, False)
-                method_inst = Inst("method", method.branch, task.args,
-                                   t1.length)
+                method_inst = Inst("method", branch, task.args, t1.length)
                 t2 = t1.extend(StartEvent(method_inst), self.domain)
                 pf2 = _step(pf1, t2, False)
-
-                subtasks = tuple(st.ground(sigma) for st in method.subtasks)
-                if method.unordered:
-                    items: list = [Unordered(subtasks)] if subtasks else []
-                else:
-                    items = []
-                    for i, st in enumerate(subtasks):
-                        items += [subst_literal(lit, sigma)
-                                  for lit, idx in method.before if idx == i]
-                        items.append(st)
-
-                agenda = (tuple(items)
-                          + (EndEvent(method_inst), EndEvent(task_inst))
+                if unordered:
+                    body = (Unordered(body),) if body else ()
+                agenda = (body + (EndEvent(method_inst), EndEvent(task_inst))
                           + rest)
                 self.opened[nesting] = task.name
                 out.extend(self._drill(agenda, t2, pf2, plan_length,

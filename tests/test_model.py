@@ -2,11 +2,11 @@
 
 import pytest
 
-from prefhtn.errors import IllegalEvent, NotNonprimitive, PreconditionViolation
+from prefhtn.errors import IllegalEvent, PreconditionViolation
 from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
-                           OperatorEvent, StartEvent, State, Task, Trace,
+                           OperatorEvent, StartEvent, State, Trace,
                            apply_event, args_match,
-                           empty_trace, ground_operator, relevant_methods, replay, unify_args,
+                           empty_trace, ground_operator, replay,
                            validate_trace)
 from prefhtn.oracle import enumerate_all
 from prefhtn.search import solve
@@ -127,21 +127,6 @@ class TestApplyEvent:
             apply_event(state(), Inst("op", "pay", (), 0), mini_domain)
 
 
-class TestRelevantMethods:
-    def test_declaration_order(self, mini_domain):
-        out = relevant_methods(Task("arrange-trans"), mini_domain)
-        assert [m.branch for m, _ in out] == ["by-train-trans", "by-car-trans"]
-
-    def test_primitive_task_rejected(self, mini_domain):
-        with pytest.raises(NotNonprimitive):
-            relevant_methods(Task("pay", (), primitive=True), mini_domain)
-
-    def test_conflicting_constant_args(self, mini_domain):
-        from tests.conftest import load_fixture
-        dom = load_fixture("travel", 1).domain
-        assert relevant_methods(Task("arrange-trans", ("x", "y")), dom) == []
-
-
 class TestTrace:
     def test_validator_accepts_replayed_trace(self, mini_trace, mini_domain):
         validate_trace(mini_trace, mini_domain)
@@ -239,10 +224,6 @@ def _reference_fold(events):
 
 
 class TestMatching:
-    def test_unify_binds_variables(self):
-        assert unify_args(("?x", "b"), ("a", "b")) == {"?x": "a"}
-        assert unify_args(("?x", "?x"), ("a", "b")) is None
-
     def test_args_match_equal_arity(self):
         assert args_match(("a", "b"), ("a", "b"))
         assert not args_match(("a", "b"), ("b", "a"))

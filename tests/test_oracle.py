@@ -8,7 +8,7 @@ import pytest
 from conftest import FIXTURES, MINI_DOMAIN, fixture_ids, load_fixture
 from test_search import corpus_problem
 
-from prefhtn import cli
+from prefhtn import cli, oracle, search, semantics
 from prefhtn import formulas as F
 from prefhtn import progression as P
 from prefhtn.errors import CapExceeded
@@ -17,6 +17,17 @@ from prefhtn.parser import (empty_preference, parse_domain,
                             parse_preference, parse_problem)
 from prefhtn.randgen import GenConfig, gen_files
 from prefhtn.search import solve
+
+
+class StillClock:
+    """A stand-in for the time module whose clock moves only when a test
+    moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
 
 
 class TestEnumerateAll:
@@ -46,6 +57,34 @@ class TestEnumerateAll:
                           EnumerationCaps(max_plans=1))
         assert exc.value.kind == "plans"
         assert exc.value.partial.plan_count == 1
+
+    @pytest.mark.parametrize("caps, kind", [
+        (EnumerationCaps(max_seconds=2.5), "time"),
+        (EnumerationCaps(max_plans=5, max_seconds=1.5), "plans"),
+    ])
+    def test_scoring_stops_at_the_time_cap(self, monkeypatch, caps, kind):
+        # the clock stands still while travel-1's 13 plans are enumerated
+        # and moves 1 s per plan scored: 3 (or 2) are scored by the cap
+        full = enumerate_all(load_fixture("travel", 1))
+        clock = StillClock()
+        monkeypatch.setattr(oracle, "time", clock)
+        monkeypatch.setattr(search, "time", clock)
+        weigh = semantics.weight_gpf
+
+        def slow_weight(*args):
+            clock.now += 1.0
+            return weigh(*args)
+
+        monkeypatch.setattr(semantics, "weight_gpf", slow_weight)
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_all(load_fixture("travel", 1), caps)
+        partial, n = exc.value.partial, int(caps.max_seconds) + 1
+        assert exc.value.kind == kind
+        assert partial.plan_count == min(13, caps.max_plans)
+        assert partial.all_weights == full.all_weights[:n]
+        assert [t.events for t in partial.traces] \
+            == [t.events for t in full.traces[:n]]
+        assert partial.best_weight == min(full.all_weights[:n])
 
     def test_deterministic_across_runs(self):
         problem = load_fixture("zeno", 1)

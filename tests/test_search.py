@@ -1,17 +1,21 @@
 """Best-first search: optimality, expansion, tie-breaking, resource caps."""
 
 import heapq
+import io
+import re
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import MINI_DOMAIN, WALK, fixture_ids, load_fixture
 
 from prefhtn.errors import CapExceeded, ResourceLimit, UnboundVariable
-from prefhtn.model import (Atom, EndEvent, Inst, Literal, OperatorEvent,
-                           StartEvent, State, Task, Trace, apply_event,
-                           relevant_methods, subst_literal, unify_args,
-                           validate_trace)
+from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Method,
+                           OperatorEvent, StartEvent, State, Task, Trace,
+                           apply_event, kernel_table, subst_args,
+                           subst_literal, validate_trace)
 from prefhtn import oracle, search, semantics
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
@@ -532,6 +536,20 @@ class TestExpansion:
         assert result.weight == 0
 
 
+def _reference_unify(pattern, ground, sigma=None):
+    """Match pattern args (may contain variables) against ground args."""
+    if len(pattern) != len(ground):
+        return None
+    out = dict(sigma) if sigma else {}
+    for p, g in zip(pattern, ground):
+        p = out.get(p, p)
+        if p.startswith("?"):
+            out[p] = g
+        elif p != g:
+            return None
+    return out
+
+
 def _reference_satisfiers(pre, state, sigma):
     """Each positive literal unified with every fact, all facts in sorted
     order; then the negatives, which must be ground."""
@@ -546,7 +564,7 @@ def _reference_satisfiers(pre, state, sigma):
             return
         atom = positives[i].atom
         for fact in facts:
-            ext = unify_args(atom.args, fact.args, sigma) \
+            ext = _reference_unify(atom.args, fact.args, sigma) \
                 if fact.pred == atom.pred else None
             if ext is not None:
                 yield from bind(i + 1, ext)
@@ -554,8 +572,55 @@ def _reference_satisfiers(pre, state, sigma):
     return list(bind(0, dict(sigma)))
 
 
-class TestSatisfiers:
-    def test_same_bindings_in_the_same_order_as_a_full_scan(self):
+def _reference_bodies(domain, task, state):
+    """Each method of the task's name, in declaration order, with its ground
+    bodies: the head unified with the task's args, the preconditions
+    satisfied by a full scan, the body grounded by substitution (an ordered
+    body puts each subtask behind its :before literals)."""
+    out = []
+    for m in domain.methods:
+        if m.task.name != task.name:
+            continue
+        sigma0 = _reference_unify(m.task.args, task.args)
+        bodies = []
+        for sigma in ([] if sigma0 is None
+                      else _reference_satisfiers(m.pre, state, sigma0)):
+            body = []
+            for i, st in enumerate(m.subtasks):
+                if not m.unordered:
+                    body += [subst_literal(lit, sigma)
+                             for lit, at in m.before if at == i]
+                body.append(Task(st.name, subst_args(st.args, sigma),
+                                 st.primitive))
+            bodies.append(tuple(body))
+        out.append((m.branch, bodies))
+    return out
+
+
+def _kernel_bodies(domain, task, state):
+    """Each kernel of the task's name, with the bodies it yields."""
+    return [(branch, list(satisfiers(kernel, task.args, state)))
+            for branch, _, kernel in domain._kernels.get(task.name, ())]
+
+
+def _seen(pre, state, sigma=None, body=("?x",)):
+    """The kernel's and the reference's bindings of body's variables: the
+    args of (!see body) in each body that the kernel of the hand-built
+    method (t sigma's variables) :pre pre yields for the task (t sigma's
+    values), and the same args under each reference satisfier."""
+    sigma = sigma or {}
+    method = Method("m", Task("t", tuple(sigma)), pre,
+                    (Task("see", body, True),))
+    ((_, _, kernel),) = kernel_table((method,))["t"]
+    got = [b[0].args for b in satisfiers(kernel, tuple(sigma.values()),
+                                         state)]
+    expected = [subst_args(body, s)
+                for s in _reference_satisfiers(pre, state, sigma)]
+    return got, expected
+
+
+class TestKernels:
+    def test_same_bodies_in_the_same_order_as_a_full_scan(self):
         # every decomposition on every enumerated trace of the zeno and
         # logistics fixtures and of 20 random instances; zeno's (link ?via
         # ?to) is ground once (link ?from ?via) has bound ?via. The states
@@ -576,20 +641,46 @@ class TestSatisfiers:
                             and event.inst.kind == "task"):
                         continue
                     task = Task(event.inst.name, event.inst.args)
-                    for method, sigma0 in relevant_methods(task,
-                                                           problem.domain):
-                        expected = _reference_satisfiers(method.pre, state,
-                                                         sigma0)
-                        assert list(satisfiers(method.pre, state, sigma0)) \
-                            == expected
-                        calls += 1
-                        if expected:
-                            branches.add(method.branch)
+                    expected = _reference_bodies(problem.domain, task, state)
+                    assert _kernel_bodies(problem.domain, task, state) \
+                        == expected
+                    calls += len(expected)
+                    branches.update(b for b, bodies in expected if bodies)
                     rigid.update(k if type(k) is str else k[0]
                                  for k in state._index.rigid)
             assert len(tables) <= 1  # one rigid table per search
         assert calls > 1000 and "move-one-stop" in branches
         assert {"link", "road", "vehicle"} <= rigid
+
+    def test_kernels_in_declaration_order(self, mini_domain):
+        kernels = mini_domain._kernels["arrange-trans"]
+        assert [b for b, _, _ in kernels] == ["by-train-trans",
+                                              "by-car-trans"]
+        assert "pay" not in mini_domain._kernels  # a primitive task has none
+
+    def test_conflicting_constant_args_yield_nothing(self):
+        dom = load_fixture("travel", 1).domain
+        task = Task("arrange-trans", ("x", "y"))
+        state = State(frozenset())
+        assert _kernel_bodies(dom, task, state) \
+            == _reference_bodies(dom, task, state)
+        assert all(not bodies for _, bodies
+                   in _kernel_bodies(dom, task, state))
+
+    def test_one_compile_per_distinct_methods_tuple(self, monkeypatch):
+        # the same text parsed three times builds its kernels once
+        text = print_domain(load_fixture("zeno", 1).domain)
+        compiles = []
+        real = compile
+
+        def counting(source, *args, **kwargs):
+            compiles.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.compile", counting)
+        kernel_table.cache_clear()
+        tables = {id(parse_domain(text, "<zeno>")._kernels) for _ in range(3)}
+        assert len(tables) == 1 and len(compiles) == 1
 
     def test_an_operator_successor_reads_no_stale_list(self):
         # (at ?x) is indexed in the root state; (!go a b) deletes (at a)
@@ -599,16 +690,16 @@ class TestSatisfiers:
         root = State(frozenset({Atom("at", ("a",)), Atom("road", ("a", "b")),
                                 Atom("road", ("b", "c"))})).indexed(domain)
         pre = (_literal(["at", "?x"]),)
-        assert [s["?x"] for s in satisfiers(pre, root, {})] == ["a"]
+        assert _seen(pre, root) == ([("a",)], [("a",)])
         moved = apply_event(root, OperatorEvent("go", ("a", "b"), 0), domain)
-        assert [s["?x"] for s in satisfiers(pre, moved, {})] == ["b"]
+        assert _seen(pre, moved) == ([("b",)], [("b",)])
         assert moved._index is not root._index
         assert moved._index.rigid is root._index.rigid
         started = apply_event(moved, StartEvent(Inst("task", "t", (), 1)),
                               domain)
         assert started._index is moved._index
-        assert list(satisfiers(pre, started, {})) \
-            == _reference_satisfiers(pre, started, {})
+        got, expected = _seen(pre, started)
+        assert got == expected == [("b",)]
 
     def test_a_rigid_predicate_matched_on_a_bound_argument(self):
         # (road ?from ?to) with ?from bound reads the rigid list of the
@@ -620,9 +711,8 @@ class TestSatisfiers:
         moved = apply_event(root, OperatorEvent("go", ("a", "b"), 0), domain)
         pre = (_literal(["at", "?from"]), _literal(["road", "?from", "?to"]))
         for state, tos in ((root, ["b", "c"]), (moved, ["c"])):
-            expected = _reference_satisfiers(pre, state, {})
-            assert list(satisfiers(pre, state, {})) == expected
-            assert [s["?to"] for s in expected] == tos
+            got, expected = _seen(pre, state, body=("?to",))
+            assert got == expected == [(to,) for to in tos]
         assert "road" not in domain._changed
         assert root._index.rigid[("road", 0, "a")] == [
             Atom("road", ("a", "b")), Atom("road", ("a", "c"))]
@@ -646,15 +736,132 @@ class TestSatisfiers:
     def test_branches_match_a_full_scan(self, pre, facts, sigma, xs):
         pre = tuple(_literal(l) for l in _sexprs(pre))
         state = State(frozenset(_literal(a).atom for a in _sexprs(facts)))
-        expected = _reference_satisfiers(pre, state, sigma)
-        assert list(satisfiers(pre, state, sigma)) == expected
-        assert [s["?x"] for s in expected] == xs
+        got, expected = _seen(pre, state, sigma)
+        assert got == expected == [(x,) for x in xs]
 
-    def test_unbound_negative_precondition_raises(self):
-        pre = (_literal(["at", "?x"]), _literal(["not", ["seen", "?y"]]))
+    # the head and the body: a constant head arg, a repeated head variable,
+    # :before literals, an :unordered body and an empty one
+    @pytest.mark.parametrize("method, args, bodies", [
+        ("(t a ?x) :name m :pre ((p ?x)) :tasks ((!see ?x))",
+         ("a", "b"), ["(!see b)"]),
+        ("(t a ?x) :name m :pre ((p ?x)) :tasks ((!see ?x))",
+         ("c", "b"), []),
+        ("(t ?x ?x) :name m :pre ((p ?x)) :tasks ((!see ?x))",
+         ("b", "b"), ["(!see b)"]),
+        ("(t ?x ?x) :name m :pre ((p ?x)) :tasks ((!see ?x))",
+         ("b", "c"), []),
+        ("(t ?x) :name m :pre ((q ?x ?y)) :tasks ((!see ?y) (!see ?x))"
+         " :before (((p ?y) 0) ((not (p ?x)) 1) ((p c) 1))",
+         ("a",), ["(p b) (!see b) (not (p a)) (p c) (!see a)",
+                  "(p c) (!see c) (not (p a)) (p c) (!see a)"]),
+        ("(t ?x) :name m :pre ((q ?x ?y)) :tasks ((!see ?y) (!see ?x))"
+         " :unordered", ("a",), ["(!see b) (!see a)", "(!see c) (!see a)"]),
+        ("(t ?x) :name m :pre ((q ?x ?y)) :tasks ()", ("a",), ["", ""]),
+    ], ids=["constant-head-arg", "constant-head-arg-rejects",
+            "repeated-head-variable", "repeated-head-variable-rejects",
+            "before", "unordered", "empty-body"])
+    def test_head_and_body_match_the_reference(self, method, args, bodies):
+        domain = parse_domain(
+            "(domain d (:operator (!see ?x) :pre () :del () :add ())"
+            f" (:method {method}))", "<d>")
+        state = State(frozenset(_literal(a).atom for a in _sexprs(
+            "((p b) (p c) (q a b) (q a c) (q b a))")))
+        task = Task("t", args)
+        got = _kernel_bodies(domain, task, state)
+        assert got == _reference_bodies(domain, task, state)
+        ((_, yielded),) = got
+        assert [" ".join(map(str, body)) for body in yielded] == bodies
+
+    def test_a_join_deeper_than_one_function(self):
+        # 20 unground literals, (p ?x0 ?x1) ... (p ?x19 ?x20): more loops
+        # than one Python function may nest, so the join goes on in a
+        # second function
+        pre = tuple(_literal(["p", f"?x{i}", f"?x{i + 1}"])
+                    for i in range(20)) + (_literal(["not", ["q", "?x20"]]),)
+        facts = [Atom("p", (f"n{i}", f"n{i + 1}")) for i in range(22)]
+        facts += [Atom("p", ("n3", "n0")), Atom("q", ("n21",))]
+        got, expected = _seen(pre, State(frozenset(facts)),
+                              body=("?x0", "?x20"))
+        assert got == expected and len(got) >= 2
+
+    def test_an_unbound_body_variable_stays_as_written(self):
+        # the parser rejects such a method; a hand-built one keeps ?free
         state = State(frozenset({Atom("at", ("a",))}))
-        with pytest.raises(UnboundVariable):
-            list(satisfiers(pre, state, {}))
+        got, expected = _seen((_literal(["at", "?x"]),), state,
+                              body=("?x", "?free"))
+        assert got == expected == [("a", "?free")]
+
+    def test_unbound_negative_precondition_raises_at_build(self):
+        pre = (_literal(["at", "?x"]), _literal(["not", ["seen", "?y"]]))
+        with pytest.raises(UnboundVariable, match="seen"):
+            Domain("d", {}, (Method("m", Task("t"), pre),))
+
+    def test_the_search_calls_satisfiers_per_method_per_decomposition(
+            self, monkeypatch):
+        # perfbench's tracer times the join and the grounding by wrapping
+        # search.satisfiers, the module-level name _decompose calls: one
+        # call for each method of each decomposed task
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1]
+                                        / "perfbench"))
+        import bench_gen
+        calls, expected = [], [0]
+        satisfy, decompose = search.satisfiers, _Expander._decompose
+
+        def counting_satisfiers(kernel, args, state):
+            calls.append(kernel)
+            return satisfy(kernel, args, state)
+
+        def counting_decompose(self, task, *rest):
+            expected[0] += len(self.domain._kernels[task.name])
+            return decompose(self, task, *rest)
+
+        monkeypatch.setattr(search, "satisfiers", counting_satisfiers)
+        monkeypatch.setattr(_Expander, "_decompose", counting_decompose)
+        for inst in bench_gen.workload_instances("flat-zeno", 7):
+            domain = parse_domain(inst.domain_text)
+            problem = parse_problem(inst.problem_text, domain)
+            problem.preference = parse_preference(inst.preference_text,
+                                                  domain)
+            assert solve(problem).status == "ok"
+        assert len(calls) == expected[0] > 100
+
+    def test_names_are_data(self, monkeypatch):
+        # every name of NAMES_DOMAIN renamed to one holding quotes,
+        # backslashes, braces, =, ., # or a Python keyword or builtin; the
+        # constants keep their order, so the search takes the same path
+        sources = []
+        real = compile
+
+        def keep(source, *args, **kwargs):
+            sources.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.compile", keep)
+        kernel_table.cache_clear()
+        plain = names_problem({name: name for name in ODD_NAMES})
+        odd = names_problem(ODD_NAMES)
+        got, want = solve(odd), solve(plain)
+        assert (got.status, got.weight) == (want.status, want.weight) \
+            == ("ok", Fraction(1, 2))
+        assert (got.stats.nodes_expanded, got.stats.nodes_considered) \
+            == (want.stats.nodes_expanded, want.stats.nodes_considered)
+        assert [(e.name, e.args) for e in got.plan] == [
+            (ODD_NAMES[e.name], tuple(ODD_NAMES[a] for a in e.args))
+            for e in want.plan]
+        # the generated source holds generated identifiers, integers and
+        # True/False only
+        allowed = {"def", "if", "for", "in", "not", "or", "return",
+                   "continue", "yield", "from", "len", "args", "state",
+                   "facts", "index", "fa", "_", "_index", "matching",
+                   "FactIndex", "frozenset", "Task", "Literal", "Atom",
+                   "True", "False"}
+        assert len(sources) == 2
+        for source in sources:
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                assert tok.type != tokenize.STRING, tok
+                if tok.type == tokenize.NAME:
+                    assert tok.string in allowed or re.fullmatch(
+                        r"[ckvt][0-9]+(_[0-9]+)?", tok.string), tok
 
     def test_method_with_a_negative_precondition_cross_checks(self):
         domain = parse_domain(NEGATIVE_DOMAIN, "<neg>")
@@ -667,6 +874,63 @@ class TestSatisfiers:
         assert report.ok, report.checks
         # a and c, in either order: the second visit cannot repeat the first
         assert report.plan_count == 2
+
+
+NAMES_DOMAIN = """
+(domain $dom
+  (:operator (!$board ?$p ?$c) :pre (($at ?$p ?$c) ($plane ?$c))
+    :del (($at ?$p ?$c)) :add (($aboard ?$p)))
+  (:operator (!$debark ?$p ?$c) :pre (($aboard ?$p) ($plane ?$c))
+    :del (($aboard ?$p)) :add (($at ?$p ?$c)))
+  (:operator (!$fly ?$p ?$c) :pre (($plane ?$p) ($link ?$p ?$c))
+    :del (($plane ?$p)) :add (($plane ?$c)))
+  (:method ($move ?$c) :name $stay :pre (($plane ?$c)) :tasks ())
+  (:method ($move ?$c) :name $direct
+    :pre (($plane ?$p) ($link ?$p ?$c) (not ($plane ?$c)))
+    :tasks ((!$fly ?$p ?$c)))
+  (:method ($move ?$c) :name $stop
+    :pre (($plane ?$p) ($link ?$p ?$v) ($link ?$v ?$c))
+    :tasks ((!$fly ?$p ?$v) (!$fly ?$v ?$c)) :before ((($link ?$v ?$c) 1)))
+  (:method ($trip ?$p ?$c) :name $go :pre (($at ?$p ?$v))
+    :tasks (($move ?$v) (!$board ?$p ?$v) ($move ?$c) (!$debark ?$p ?$c)))
+  (:method ($both ?$p ?$v ?$c) :name $any :pre ()
+    :tasks (($trip ?$p ?$c) ($trip ?$v ?$c)) :unordered))
+"""
+
+NAMES_PROBLEM = """
+(problem $prob :init (($plane $a) ($at $p1 $b) ($at $p2 $c) ($link $a $b)
+  ($link $b $a) ($link $b $c) ($link $c $b) ($link $a $c) ($link $c $d)
+  ($link $d $a))
+  :tasks (($both $p1 $p2 $d)))
+"""
+
+NAMES_PREFERENCE = """
+(>> ((always (not (occ (!$fly $c $d)))) 0)
+    ((and (eventually (apply ($stop))) (always (not ($aboard $p2)))) 0.25)
+    ((eventually (apply ($stop))) 0.5) ((and) 1))
+"""
+
+# a name for each $name of the three texts above; the constants a < b < c
+# < d < p1 < p2 keep their order, and a variable ?$x reads ?<name of x>
+ODD_NAMES = {
+    "dom": "d{'}", "prob": "p=.#", "board": "exec'", "debark": "None",
+    "fly": "fly\\{}=.#", "at": "at'{", "plane": "None",
+    "aboard": "__import__", "link": "link\\=.#", "move": "lambda",
+    "trip": "def{'", "both": "__import__", "stay": "pass",
+    "direct": "lambda'", "stop": "stop\\'{=}.#", "go": "__import__'",
+    "any": "return", "p": "lambda'", "v": "__import__{", "a": "None",
+    "b": "True'", "c": "__import__", "d": "lambda", "p1": "x\\{=}.#1",
+    "p2": "x\\{=}.#2"}
+
+
+def names_problem(names):
+    def rename(text):
+        return re.sub(r"\$(\w+)", lambda m: names[m.group(1)], text)
+
+    domain = parse_domain(rename(NAMES_DOMAIN), "<names>")
+    problem = parse_problem(rename(NAMES_PROBLEM), domain)
+    problem.preference = parse_preference(rename(NAMES_PREFERENCE), domain)
+    return problem
 
 
 GO_DOMAIN = """

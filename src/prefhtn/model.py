@@ -792,7 +792,7 @@ class Problem(Record):
                     seen.update(a for a in atom.args if not is_var(a))
             for m in self.domain.methods:
                 add_task(m.task)
-                for lit in m.pre:
+                for lit in m.pre + tuple(b for b, _ in m.before):
                     seen.update(a for a in lit.atom.args if not is_var(a))
                 for st in m.subtasks:
                     add_task(st)

@@ -218,10 +218,9 @@ def _domain(exprs: list) -> Domain:
             raise _about(exc, lst)
 
     dom = Domain(name, operators, tuple(methods))
-    head_names = {m.task.name for m in methods}
     for m, form in zip(methods, method_forms):
         for st in m.subtasks:
-            _check_call(st, dom, head_names, f"method {m.branch}", form)
+            _check_call(st, dom, f"method {m.branch}", form)
     return dom
 
 
@@ -316,15 +315,21 @@ def method_form(lst, arities) -> Method:
     return Method(branch, head, pre, subtasks, unordered, tuple(before))
 
 
-def _check_call(task: Task, dom: Domain, head_names: set[str], caller: str,
-                form: list) -> None:
+def _check_call(task: Task, dom: Domain, caller: str, form: list) -> None:
     """A task call names an operator and gives it its arity, or names a
-    nonprimitive task that some method decomposes; form is the list an
-    error reports."""
+    nonprimitive task with an arity that a head of its methods takes; form
+    is the list an error reports."""
     if not task.primitive:
-        if task.name not in head_names:
+        takes = {len(m.task.args) for m in dom.methods
+                 if m.task.name == task.name}
+        if not takes:
             raise UnknownTask(f"{caller} calls task {task.name}, which no "
                               "method decomposes", token=task.name, form=form)
+        if len(task.args) not in takes:
+            raise ArityMismatch(f"{caller} calls task {task.name} with "
+                                f"{len(task.args)} args, its methods take "
+                                f"{' or '.join(map(str, sorted(takes)))}",
+                                token=task.name, form=form)
         return
     op = dom.operators.get(task.name)
     if op is None:
@@ -361,13 +366,12 @@ def _problem(exprs: list, domain: Domain) -> Problem:
             arities.check(atom, a)
             facts.append(atom)
 
-        head_names = {m.task.name for m in domain.methods}
         network = []
         for t in _expect_list(sections.get(":tasks", []), ":tasks list"):
             task = _parse_task(t)
             if any(is_var(x) for x in task.args):
                 raise _fail(f"initial task {task.name} is not ground", task.name, t)
-            _check_call(task, domain, head_names, "the task network", t)
+            _check_call(task, domain, "the task network", t)
             network.append(task)
     except ParseError as exc:
         raise _about(exc, top)

@@ -12,6 +12,7 @@ from prefhtn import cli, oracle, search, semantics
 from prefhtn import formulas as F
 from prefhtn import progression as P
 from prefhtn.errors import CapExceeded
+from prefhtn.model import Domain
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (empty_preference, parse_domain,
                             parse_preference, parse_problem)
@@ -198,6 +199,22 @@ class TestMetamorphic:
                            f"(&! {gi.preference_text} "
                            f"(always (or {atom} (not {atom}))))")
         assert self._check(generated, rewrite) == len(generated)
+
+    def test_methods_declared_in_reverse_order(self, generated):
+        # method order decides which of two nodes tied on the whole key is
+        # pushed first, so NE moves on some instances and no weight does
+        def rewrite(gi):
+            d = gi.problem.domain
+            domain = Domain(d.name, d.operators, d.methods[::-1])
+            problem = parse_problem(gi.problem_text, domain, "<gen>")
+            problem.preference = parse_preference(gi.preference_text, domain,
+                                                  "<gen>")
+            moved.append(solve(problem).stats.nodes_expanded
+                         != solve(gi.problem).stats.nodes_expanded)
+            return problem
+        moved: list[bool] = []
+        self._check(generated, rewrite)
+        assert sum(moved) > 10
 
 
 def _replays_with(prefix_of):

@@ -139,6 +139,15 @@ class TestErrorLocations:
             parse_domain(BAD_HTN.replace("(ghost)", "(!a x)"))
         assert (exc.value.line, exc.value.col) == (4, 3)
 
+    def test_task_arity_reports_its_method(self):
+        # (t) is decomposed by m1 at arity 0 only
+        with pytest.raises(ArityMismatch) as exc:
+            parse_domain(BAD_HTN.replace("(ghost)", "(t x)"))
+        assert (exc.value.line, exc.value.col) == (4, 3)
+        assert exc.value.token == "t"
+        assert "method m2 calls task t with 1 args, its methods take 0" in \
+            str(exc.value)
+
     def test_unknown_task_in_preference_reports_its_list(self, mini_domain,
                                                          tmp_path):
         path = tmp_path / "bad.pref"
@@ -159,6 +168,21 @@ class TestErrorLocations:
             parse_problem("(problem p :init ()\n :tasks ((arrange-trans)"
                           " (ghost)))", mini_domain)
         assert (exc.value.line, exc.value.col) == (2, 26)
+
+    def test_network_task_arity_reports_its_list(self):
+        # heads of arity 1 and 2 take (t c1) and (t c1 c2), not (t)
+        domain = parse_domain(
+            "(domain d (:operator (!a) :pre () :del () :add ())"
+            " (:method (t ?x) :name one :pre () :tasks ((!a)))"
+            " (:method (t ?x ?y) :name two :pre () :tasks ((!a))))")
+        parse_problem("(problem p :init () :tasks ((t c1) (t c1 c2)))",
+                      domain)
+        with pytest.raises(ArityMismatch) as exc:
+            parse_problem("(problem p :init ()\n :tasks ((t c1) (t)))",
+                          domain)
+        assert (exc.value.line, exc.value.col) == (2, 17)
+        assert "the task network calls task t with 0 args, its methods " \
+            "take 1 or 2" in str(exc.value)
 
     # one preference shape error each, on line 2 or later: the text, the
     # line:col of the list it is about, and the start of its message

@@ -33,7 +33,7 @@ LEX = FIXTURES + [n for n in LEX_SENSITIVE if n not in FIXTURES]
 PINNED = {  # name -> (instances, tiebreak_lex, parts, sha256 of their records)
     "default": (
         FIXTURES + RANDOM, False, ("plan", "counters"),
-        "b3a1ff4c002ee7dd14b54296437d3083e41da719d931f772f17f0349775a11fe"),
+        "020900d1564a38759f268158fb69676a6f873f745eea36fe3855124580d21e0a"),
     "lex": (
         LEX, True, ("plan",),
         "2aa0d67e14669eb1ab8c0dbac0e28211985c194a699c76978df65365b5dc31d9"),
@@ -42,7 +42,7 @@ PINNED = {  # name -> (instances, tiebreak_lex, parts, sha256 of their records)
         "3dc32198e4c1ed944b81b18ab394443bca25438f0251d2db98477376d47117da"),
     "negation": (
         NEGATED, False, ("plan", "counters"),
-        "b1744f52f0e2801386c9c3e542e135bc3f8f8877f48e1b3a06feb031bf25455c"),
+        "64d49f0ad0988a42e4c953451165e4cab54b9712c74854e1ffb4c72bcc3b2f49"),
     "weights": (
         FIXTURES + RANDOM + NEGATED, False, ("weight",),
         "e3e496a91f31f35c66a18ee51e60d0018eb94b48d740b12c2efc5a055066807a"),

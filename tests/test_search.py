@@ -125,6 +125,22 @@ class TestSolve:
         assert plan_names(lex) == ["a", "b"]
         assert lex.weight == plain.weight
 
+    def test_universe_covers_the_constants_of_before_literals(self):
+        # c9 is named only in a before-constraint; its (not (p c9)) holds,
+        # so the exists holds on every plan
+        domain = parse_domain("""
+        (domain d
+          (:operator (!a) :pre () :del () :add ())
+          (:method (t) :name m :pre () :tasks ((!a))
+             :before (((not (p c9)) 0))))""", "<d>")
+        problem = parse_problem("(problem p :init ((p c1)) :tasks ((t)))",
+                                domain)
+        problem.preference = parse_preference(
+            "(>> ((exists (?x) (not (p ?x))) 0) ((and) 1))", domain)
+        assert problem.constants == ("c1", "c9")
+        assert solve(problem).weight == 0
+        assert enumerate_all(problem).best_weight == 0
+
     def test_universe_covers_a_preference_attached_after_a_read(self):
         # only the preference names diners; a universe read before it was
         # attached must not ground its exists without diners
@@ -1150,6 +1166,63 @@ def signature_case(body, tasks, pref, right):
     problem = parse_problem(f"(problem p :init () :tasks {tasks})", domain)
     problem.preference = parse_preference(pref, domain)
     return problem, right
+
+
+def _opt_key(tail):
+    """A variant of search._key: the optimistic weight, the empty plan key
+    that the closed set reads, then tail(node, bounds) of two slots. The
+    depth-cut marker's inf in slot three stays behind every number there."""
+    def key(node, lex):
+        b = search.P.bounds(node.progressed)
+        return (b.opt, ()) + tail(node, b)
+    return key
+
+
+# name -> a frontier order other than search._key's; each moves NE on the
+# corpus, and none may move a weight, as each keeps opt first
+KEY_VARIANTS = {
+    "with pess": _opt_key(lambda n, b: (b.pess, (n.nesting, -n.plan_length))),
+    "without plan length": _opt_key(lambda n, b: (n.nesting, 0)),
+    "without nesting": _opt_key(lambda n, b: (0, -n.plan_length)),
+    "pess, then shortest plan": _opt_key(lambda n, b: (b.pess, n.plan_length)),
+    "opt only": _opt_key(lambda n, b: (0, 0)),
+}
+
+ABLATION = DIFFERENTIAL + [f"negated-{seed}" for seed in range(300)]
+
+
+def weight_and_ne(problem):
+    """((status, weight), NE), with a cap's kind as the status."""
+    try:
+        result = solve(problem)
+    except ResourceLimit as exc:
+        return (exc.kind, None), exc.stats.nodes_expanded
+    return (result.status, result.weight), result.stats.nodes_expanded
+
+
+class TestKeyAblation:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        problems = [corpus_problem(name) for name in ABLATION]
+        return problems, [weight_and_ne(p) for p in problems]
+
+    @pytest.mark.parametrize("variant", list(KEY_VARIANTS))
+    def test_each_key_gives_the_same_weights(self, variant, corpus,
+                                             monkeypatch):
+        problems, shipped = corpus
+        monkeypatch.setattr(search, "_key", KEY_VARIANTS[variant])
+        ablated = [weight_and_ne(p) for p in problems]
+        assert [w for w, _ in ablated] == [w for w, _ in shipped]
+        assert sum(ne for _, ne in ablated) != sum(ne for _, ne in shipped)
+
+    def test_nesting_keeps_the_walk_short(self, monkeypatch):
+        # deepest first alone follows the walk's cycle, one more task open
+        # each lap, and comes out at the depth cap at the same weight
+        make, cap, expected = RECURSION_CASES["walk-trivial"]
+        monkeypatch.setattr(search, "_key", KEY_VARIANTS["without nesting"])
+        status, weight, plan = outcome(make(), SolveConfig(depth_cap=cap))
+        assert (status, weight) == expected[:2]
+        assert len(plan) == 62 > len(expected[2])
 
 
 class TestDuplicateDetection:

@@ -82,7 +82,8 @@ def _run_one(problem, mode: str, config: SolveConfig,
         status = "ok" if result.status == "ok" else "noplan"
         return _record(problem.name, mode, result.stats, result.weight,
                        status), result.plan
-    caps = EnumerationCaps(max_seconds=600.0 if timeout is None else timeout)
+    caps = (EnumerationCaps() if timeout is None
+            else EnumerationCaps(max_seconds=timeout))
     try:
         oracle = enumerate_all(problem, caps)
     except CapExceeded as exc:
@@ -244,26 +245,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prefhtn",
         description="preference-optimal HTN planner")
     sub = ap.add_subparsers(dest="command", required=True)
+    caps = EnumerationCaps()
+    enumeration = (f"enumeration stops at {caps.max_plans:,} plans or "
+                   f"{caps.max_seconds:g} s")
+    suite = "a directory of NAME.htn, NAME-k.prob and optional NAME-k.pref"
 
     sp = sub.add_parser("solve", help="solve one problem")
-    sp.add_argument("--domain", required=True)
-    sp.add_argument("--problem", required=True)
-    sp.add_argument("--prefs", default=None)
+    sp.add_argument("--domain", required=True, help="the domain file (.htn)")
+    sp.add_argument("--problem", required=True,
+                    help="the problem file (.prob)")
+    sp.add_argument("--prefs", default=None,
+                    help="the preference file (.pref); without it every "
+                         "plan weighs 0")
     sp.add_argument("--mode", choices=("bestfirst", "bruteforce"),
-                    default="bestfirst")
-    sp.add_argument("--timeout", type=_seconds, default=None)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--tiebreak-lex", action="store_true")
+                    default="bestfirst",
+                    help="best-first search (default), or brute force, whose "
+                         f"{enumeration} (--timeout replaces the "
+                         f"{caps.max_seconds:g} s)")
+    sp.add_argument("--timeout", type=_seconds, default=None,
+                    help="wall-clock seconds, finite and >= 0 (default: "
+                         f"none for bestfirst, {caps.max_seconds:g} for "
+                         "bruteforce)")
+    sp.add_argument("--json", action="store_true",
+                    help="print the plan and statistics as one JSON record")
+    sp.add_argument("--tiebreak-lex", action="store_true",
+                    help="return the lexicographically smallest optimal plan "
+                         "(bestfirst only)")
     sp.set_defaults(func=cmd_solve)
 
     bp = sub.add_parser("bench", help="benchmark a suite directory")
-    bp.add_argument("--suite", required=True, type=_suite_triples)
-    bp.add_argument("--timeout", type=_seconds, default=60.0)
-    bp.add_argument("--out", default=None)
+    bp.add_argument("--suite", required=True, type=_suite_triples,
+                    help=suite)
+    bp.add_argument("--timeout", type=_seconds, default=60.0,
+                    help="seconds per problem and mode (default 60); brute "
+                         f"force also stops at {caps.max_plans:,} plans")
+    bp.add_argument("--out", default=None,
+                    help="also write one JSON record per problem and mode")
     bp.set_defaults(func=cmd_bench)
 
-    cp = sub.add_parser("check", help="cross-check solver vs. enumerator")
-    cp.add_argument("--suite", required=True, type=_suite_triples)
+    cp = sub.add_parser("check", help="cross-check solver vs. enumerator",
+                        description="Cross-check the solver against the "
+                        f"enumerator on each problem; each {enumeration}, "
+                        "and check takes no --timeout.")
+    cp.add_argument("--suite", required=True, type=_suite_triples,
+                    help=suite)
     cp.set_defaults(func=cmd_check)
     return ap
 

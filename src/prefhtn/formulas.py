@@ -142,8 +142,8 @@ class Terminated(Node):
 
 
 class Window(Node):
-    """True where t1 has terminated and t2 has neither started nor
-    terminated (semantics.window_open): the before/hold-between window."""
+    """True where t1 has terminated and t2 has not started
+    (semantics.window_open): the before/hold-between window."""
 
     t1: Ref
     t2: Ref

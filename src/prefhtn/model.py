@@ -3,13 +3,14 @@
 Terms, literals, states, operators, methods, task networks, events and
 traces. All values are immutable, and extending one shares structure with
 its parent, so search nodes can be extended independently at O(1) new memory
-per event: a state keeps its parent's terminated instances as a linked
-record and adds one link per newly terminated instance, and a trace is a cell
-that points at the trace it extends.
+per event: a trace is a cell that points at the trace it extends, and a
+start or end event keeps its parent's state object.
 
-A trace records the full event history, including the start/end events of
-nonprimitive tasks and method applications; a plan is the projection of a
-trace onto its operator events.
+A state is its facts alone. A trace records the full event history,
+including the start/end events of nonprimitive tasks and method
+applications, and is the one record of which instances have started and
+which have terminated; a plan is the projection of a trace onto its
+operator events.
 
 Records. No class here or elsewhere in the planner has generated methods:
 a class decorator that writes __init__, __eq__ and __hash__ as source text
@@ -45,8 +46,7 @@ one of three bases, which generate nothing:
 from __future__ import annotations
 
 import functools
-import itertools
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import IllegalEvent, PreconditionViolation, UnboundVariable
 
@@ -368,9 +368,9 @@ Event = Union[OperatorEvent, StartEvent, EndEvent]
 class FactIndex:
     """The facts of one facts object as sorted lists, each built on first
     use: per predicate, and per (predicate, position, constant) the facts
-    with that constant at that position. The states that share a facts
-    object (a state and its start and end events' successors) share its
-    index; an operator's successor starts a new one. The lists of a rigid
+    with that constant at that position. A start or end event keeps its
+    parent's state, and so its index; an operator's successor starts a new
+    one. The lists of a rigid
     predicate, which no operator adds or deletes, are the same in every
     state of a search, and live in rigid, which all its indexes share."""
 
@@ -551,85 +551,33 @@ def kernel_table(methods: tuple[Method, ...]) -> dict[str, tuple]:
 
 
 class State(Value):
-    """Immutable planning state.
-
-    facts holds ground atoms under the closed-world assumption; executing and
-    terminated track task/method instances per the two successor state axioms
-    (operator occurrences go straight to terminated, never to executing).
-    Terminated instances never leave, so a state shares them with its parent:
-    terminated_links is a chain of (inst, rest) links, newest first, one per
-    terminated instance (None when there is none). max_uid is the largest
-    uid started or terminated so far (-1 for none; computed when not given),
-    so a start above it needs no scan of the links. Two states are equal
-    when their facts, executing and terminated instances are; the hash
-    reads the facts and the executing instances. The states of a search
-    carry the FactIndex of their facts (see indexed); others carry None.
+    """Immutable planning state: the ground atoms that hold, under the
+    closed-world assumption, and nothing else. Two states are equal when
+    their facts are. Which instances have started or terminated is a fact
+    of the event history, which the Trace keeps (Trace.started and
+    Trace.terminated), so a start or end event leaves the state as it is.
+    The states of a search carry the FactIndex of their facts (see
+    indexed); others carry None.
     """
 
-    __slots__ = ("facts", "executing", "terminated_links", "max_uid",
-                 "_index")
-    _fields = ("facts", "executing")
+    __slots__ = ("facts", "_index")
 
     def __init__(self, facts: frozenset[Atom],
-                 executing: frozenset[Inst] = frozenset(), *,
-                 terminated_links: Optional[tuple] = None,
-                 max_uid: Optional[int] = None,
                  index: Optional[FactIndex] = None):
         _state_facts(self, facts)
-        _state_executing(self, executing)
-        _state_terminated_links(self, terminated_links)
-        if max_uid is None:
-            max_uid = max((i.uid for i in itertools.chain(
-                executing, self._terminated())), default=-1)
-        _state_max_uid(self, max_uid)
         _state_index(self, index)
 
     def indexed(self, domain: Domain) -> State:
         """This state as the root of a search: with a FactIndex of its own,
         whose rigid table is new, so no search reads another's lists."""
-        return State(self.facts, self.executing,
-                     terminated_links=self.terminated_links,
-                     max_uid=self.max_uid,
-                     index=FactIndex(self.facts, {}, domain._changed))
-
-    def _terminated(self) -> Iterator[Inst]:
-        link = self.terminated_links
-        while link is not None:
-            inst, link = link
-            yield inst
-
-    @property
-    def terminated(self) -> frozenset[Inst]:
-        return frozenset(self._terminated())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, State):
-            return NotImplemented
-        return (self.facts == other.facts and self.executing == other.executing
-                and self.terminated == other.terminated)
-
-    __hash__ = Value.__hash__
+        return State(self.facts, FactIndex(self.facts, {}, domain._changed))
 
     def holds(self, lit: Literal) -> bool:
         present = lit.atom in self.facts
         return present if lit.positive else not present
 
-    def has_executing(self, kind: str, name: str, args: tuple[str, ...]) -> bool:
-        return any(i.kind == kind and i.name == name and args_match(args, i.args)
-                   for i in self.executing)
 
-    def has_terminated(self, kind: str, name: str, args: tuple[str, ...]) -> bool:
-        link = self.terminated_links
-        while link is not None:
-            i, link = link
-            if i.name == name and i.kind == kind and args_match(args, i.args):
-                return True
-        return False
-
-
-(_state_facts, _state_executing, _state_terminated_links,
- _state_max_uid, _state_index) = slot_setters(
-    State, "facts", "executing", "terminated_links", "max_uid", "_index")
+_state_facts, _state_index = slot_setters(State, "facts", "_index")
 
 
 def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
@@ -641,74 +589,78 @@ def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
                           frozenset(subst_atom(a, sigma) for a in op.add))
 
 
-def _apply_ground(state: State, op: GroundOperator, inst: Inst) -> State:
-    """STRIPS application: facts' = (facts \\ del) | add, and the operator's
-    instance terminates at once."""
+def _apply_ground(state: State, op: GroundOperator) -> State:
+    """STRIPS application: facts' = (facts \\ del) | add."""
     for lit in op.pre:
         if not state.holds(lit):
             raise PreconditionViolation(lit)
     facts, index = (state.facts - op.delete) | op.add, state._index
     if index is not None:
         index = FactIndex(facts, index.rigid, index.changed)
-    return State(facts, state.executing,
-                 terminated_links=(inst, state.terminated_links),
-                 max_uid=max(state.max_uid, inst.uid), index=index)
+    return State(facts, index)
 
 
 def apply_event(state: State, event: Event, domain: Domain) -> State:
-    if isinstance(event, OperatorEvent):
-        return _apply_ground(state, domain.ground(event.name, event.args),
-                             event.inst)
-    if isinstance(event, StartEvent):
-        inst = event.inst
-        if inst.uid <= state.max_uid and (inst in state.executing
-                                          or inst in state._terminated()):
-            raise IllegalEvent(f"instance already started: {inst}")
-        return State(state.facts, state.executing | {inst},
-                     terminated_links=state.terminated_links,
-                     max_uid=max(state.max_uid, inst.uid),
-                     index=state._index)
-    if isinstance(event, EndEvent):
-        inst = event.inst
-        if inst not in state.executing:
-            raise IllegalEvent(f"instance not executing: {inst}")
-        return State(state.facts, state.executing - {inst},
-                     terminated_links=(inst, state.terminated_links),
-                     max_uid=state.max_uid, index=state._index)
+    """The state after event: an operator's successor; for a start or end
+    event, state itself. The protocol of starts and ends is
+    validate_trace's to check."""
+    if type(event) is OperatorEvent:
+        return _apply_ground(state, domain.ground(event.name, event.args))
+    if type(event) is StartEvent or type(event) is EndEvent:
+        return state
     raise IllegalEvent(f"unknown event {event!r}")
 
 
 class Trace:
     """A persistent event sequence, one cell per event: the trace it extends
-    (None for the empty trace), the event, the state that event produced and
-    the number of events. Extending is O(1) and shares the whole history.
-    The events and states tuples (|states| = |events| + 1) are walked off
-    the cells on each read."""
+    (None for the empty trace), the event, the state that event produced,
+    the number of events, and the instances that have started and those
+    that have terminated once the event has happened. Each of the last two
+    is a chain of (inst, rest) links, newest first (None for none), that a
+    cell shares with its parent: a start event adds a link to started, an
+    end event one to terminated, and an operator event, whose instance
+    starts and terminates at once, one to each. They are the situation
+    calculus's successor state axioms of executing and terminated read off
+    the history: an instance executes from its start until its end. The
+    empty trace holds no instance, as no initial state carries one.
+    Extending is O(1) and shares the whole history. The cells, events and
+    states tuples (|states| = |events| + 1) are walked off the cells on
+    each read."""
 
-    __slots__ = ("parent", "event", "final_state", "length")
+    __slots__ = ("parent", "event", "final_state", "length", "started",
+                 "terminated")
 
     def __init__(self, parent: Optional[Trace], event: Optional[Event],
                  final_state: State):
         self.parent = parent
         self.event = event
         self.final_state = final_state
-        self.length = 0 if parent is None else parent.length + 1
+        if parent is None:
+            self.length, self.started, self.terminated = 0, None, None
+            return
+        self.length = parent.length + 1
+        inst, kind = event.inst, type(event)
+        self.started = (parent.started if kind is EndEvent
+                        else (inst, parent.started))
+        self.terminated = (parent.terminated if kind is StartEvent
+                           else (inst, parent.terminated))
 
-    def _walk(self, value: str) -> tuple:
-        """The value of each cell, the empty trace's first."""
+    @property
+    def cells(self) -> tuple[Trace, ...]:
+        """The cells from the empty trace's to this one."""
         out, t = [], self
         while t is not None:
-            out.append(getattr(t, value))
+            out.append(t)
             t = t.parent
         return tuple(reversed(out))
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return self._walk("event")[1:]
+        return tuple([t.event for t in self.cells[1:]])
 
     @property
     def states(self) -> tuple[State, ...]:
-        return self._walk("final_state")
+        return tuple([t.final_state for t in self.cells])
 
     def plan(self) -> tuple[OperatorEvent, ...]:
         """The operator events, walked off the cells without building the
@@ -736,26 +688,29 @@ def replay(init: State, events, domain: Domain) -> Trace:
 
 
 def validate_trace(trace: Trace, domain: Domain) -> None:
-    """Check the trace invariants; raises IllegalEvent on violation."""
+    """Check the trace invariants, the one check of the start/end protocol:
+    each state follows from event application, every instance id is
+    introduced once, and each instance ends at most once, after its start.
+    Raises IllegalEvent on a violation."""
     rebuilt = replay(trace.states[0], trace.events, domain)
     if rebuilt.states != trace.states:
         raise IllegalEvent("states do not follow from event application")
     seen_uids: set[int] = set()
     started: set[Inst] = set()
+    ended: set[Inst] = set()
     for e in trace.events:
-        if isinstance(e, (StartEvent, EndEvent)):
-            inst = e.inst
-            if isinstance(e, StartEvent):
-                if inst.uid in seen_uids:
-                    raise IllegalEvent(f"duplicate instance id {inst.uid}")
-                seen_uids.add(inst.uid)
-                started.add(inst)
-            elif inst not in started:
-                raise IllegalEvent(f"end without start: {inst}")
-        else:
-            if e.uid in seen_uids:
-                raise IllegalEvent(f"duplicate instance id {e.uid}")
-            seen_uids.add(e.uid)
+        if type(e) is EndEvent:
+            if e.inst not in started:
+                raise IllegalEvent(f"end without start: {e.inst}")
+            if e.inst in ended:
+                raise IllegalEvent(f"instance already ended: {e.inst}")
+            ended.add(e.inst)
+            continue
+        inst = e.inst
+        if inst.uid in seen_uids:
+            raise IllegalEvent(f"duplicate instance id {inst.uid}")
+        seen_uids.add(inst.uid)
+        started.add(inst)
 
 
 class Problem(Record):

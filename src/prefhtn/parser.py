@@ -11,6 +11,10 @@ File kinds (all UTF-8, `;` comments):
   .pref  one general preference formula:
            bdf | (>> (bdf value)+) | (if bdf gpf) | (&! gpf gpf+) | (|! gpf gpf+)
 
+In a preference, a task reference (!name term*) names the operator name; a
+bare (name term*) names the nonprimitive task name when a method decomposes
+it, and the operator name otherwise.
+
 Negative literals are written (not atom); in a method's :pre, each variable
 of one must be bound by the head or by a positive literal, since a negative
 literal binds nothing. A preference BDF is a literal, (and bdf*), (or bdf*),
@@ -398,29 +402,33 @@ def _domain_arities(domain: Domain) -> _ArityTable:
 # --- preferences ----------------------------------------------------------------
 
 def _parse_ref(kind: str, x: SExpr, domain: Domain) -> F.Ref:
-    """A reference of kind "task" (an operator, written with or without its
-    !, or a nonprimitive task) or of kind "method" (a method branch). It may
-    leave out arguments (model.args_match) but not give more than its
-    target ever carries: the operator's parameters, or the longest head of
-    the task's methods or of the branch."""
+    """A reference of kind "task" or of kind "method" (a method branch).
+    A task reference written !name names the operator name; a bare name
+    names the nonprimitive task when a method decomposes it, and the
+    operator otherwise. It may leave out arguments (model.args_match) but
+    not give more than its target ever carries: the operator's parameters,
+    or the longest head of the task's methods or of the branch."""
     lst = _expect_list(x, f"a {kind} reference")
     if not lst:
         raise _fail(f"empty {kind} reference", form=lst)
     head = _expect_symbol(lst[0], f"a {kind} name", lst)
-    name = head[1:] if kind == "task" and head.startswith("!") else head
+    primitive = kind == "task" and head.startswith("!")
+    name = head[1:] if primitive else head
     if kind == "method":
         heads = [m.task.args for m in domain.methods if m.branch == name]
         if not heads:
             raise UnknownMethodName(f"unknown method branch {name}", token=name,
                                     form=lst)
-    elif name in domain.operators:
-        kind = "op"
-        heads = [domain.operators[name].params]
     else:
-        heads = [m.task.args for m in domain.methods if m.task.name == name]
+        heads = [] if primitive else [m.task.args for m in domain.methods
+                                      if m.task.name == name]
+        if not heads and name in domain.operators:
+            kind = "op"
+            heads = [domain.operators[name].params]
         if not heads:
-            raise UnknownTask(f"unknown task {name} in preference", token=name,
-                              form=lst)
+            what = "operator" if primitive else "task"
+            raise UnknownTask(f"unknown {what} {name} in preference",
+                              token=name, form=lst)
     args = _parse_args(lst)
     most = max(map(len, heads))
     if len(args) > most:

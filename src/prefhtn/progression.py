@@ -13,21 +13,22 @@ to a constant and the bounds coincide with the true weight.
 The steps run through a two-level automaton that one search, or one
 progress_trace call, builds lazily and shares across its nodes or traces. A
 letter is the terminal flag plus the values of the reads progress_bdf makes
-of the step (holds on literals; event_matches, terminated_at and
-executing_at, or window_open, on refs): it decides the successor, so a
-transition met once is looked up after. Product states serve the hits: a
-Progressed, interned by its residual tuple, reads the union of its
-residuals' probes, and one lookup steps them all. Residual states serve the
-misses: each interned residual is stepped on its own letter, and a residual
-transition not met before calls progress_bdf, the one progression rule.
+of the step's trace cell (holds on its state's literals; event_matches on
+its event, terminated_at and window_open on its started and terminated
+chains): it decides the successor, so a transition met once is looked up
+after. Product states serve the hits: a Progressed, interned by its residual
+tuple, reads the union of its residuals' probes, and one lookup steps them
+all. Residual states serve the misses: each interned residual is stepped
+on its own letter, and a residual transition not met before calls
+progress_bdf, the one progression rule.
 Nothing is kept across searches or calls, so no problem sees another's.
 
 progress_trace also shares the steps themselves. The traces of one
 enumeration are parent-linked cells that share their prefixes, and a
 non-terminal step's result is a function of the previous result and the
-cell's event and state alone, so the Progressed after a cell is the same on
-every trace through it. Each distinct cell is stepped once, non-terminally;
-a trace's terminal step starts from its parent cell's Progressed.
+cell alone, so the Progressed after a cell is the same on every trace
+through it. Each distinct cell is stepped once, non-terminally; a trace's
+terminal step starts from its parent cell's Progressed.
 
 Residual conventions (all indices relative to the event sequence):
 
@@ -57,7 +58,7 @@ from typing import NamedTuple
 from . import formulas as F
 from . import semantics
 from .errors import UnboundVariable
-from .model import State, Value, slot_setters
+from .model import Trace, Value, slot_setters
 
 
 class Progressed(Value):
@@ -102,11 +103,11 @@ _bounds_opt, _bounds_pess = slot_setters(Bounds, "opt", "pess")
 
 
 class StepContext(NamedTuple):
-    """One progression step: the event just taken (None for the initial step),
-    the state it produced, and whether the plan is complete after it."""
+    """One progression step: the trace cell it reads, whose event was just
+    taken (None for the initial step) and whose state that event produced,
+    and whether the plan is complete after it."""
 
-    event: object
-    state: State
+    trace: Trace
     terminal: bool
 
 
@@ -192,22 +193,27 @@ def _until(phi: F.Until, ctx: StepContext) -> F.BDF:
     return F.mk_or([goal_now, F.mk_and([progress_bdf(phi.hold, ctx), phi])])
 
 
+def _literal(trace: Trace, lit) -> bool:
+    """The truth of lit in the cell's state: the probe of a literal."""
+    return trace.final_state.holds(lit)
+
+
 # One rule per node class, rule(phi, ctx) -> residual. Quantifiers and the
 # before/hold* constructs have none: they are gone before the first step.
 _PROGRESS = {
     F.TrueC: lambda phi, ctx: phi,
     F.FalseC: lambda phi, ctx: phi,
-    F.LitF: lambda phi, ctx: F.const(ctx.state.holds(phi.lit)),
+    F.LitF: lambda phi, ctx: F.const(_literal(ctx.trace, phi.lit)),
     F.Final: lambda phi, ctx:
-        F.const(ctx.state.holds(phi.lit)) if ctx.terminal else phi,
+        F.const(_literal(ctx.trace, phi.lit)) if ctx.terminal else phi,
     F.Occ: _occ,
     F.Apply: _occ,
     F.OccNext: lambda phi, ctx: F.const(
-        ctx.event is not None and semantics.event_matches(ctx.event, phi.ref)),
+        semantics.event_matches(ctx.trace.event, phi.ref)),
     F.Terminated: lambda phi, ctx:
-        F.const(semantics.terminated_at(ctx.state, phi.ref)),
+        F.const(semantics.terminated_at(ctx.trace, phi.ref)),
     F.Window: lambda phi, ctx:
-        F.const(semantics.window_open(ctx.state, phi.t1, phi.t2)),
+        F.const(semantics.window_open(ctx.trace, phi.t1, phi.t2)),
     F.Not: _not,
     F.And: lambda phi, ctx: F.mk_and([progress_bdf(p, ctx) for p in phi.parts]),
     F.Or: lambda phi, ctx: F.mk_or([progress_bdf(p, ctx) for p in phi.parts]),
@@ -271,11 +277,11 @@ def bounds(pf: Progressed) -> Bounds:
 def _reads(phi: F.BDF) -> list:
     """The (probe, args) pairs whose values, with the terminal flag, decide
     progress_bdf(phi, ctx): each is a read progress_bdf makes of ctx on phi
-    or on a sub-formula it progresses. event_matches reads ctx.event (false
-    when there is none); every other probe reads ctx.state, as
-    probe(ctx.state, *args)."""
+    or on a sub-formula it progresses. event_matches reads the cell's event
+    (false when there is none); every other probe reads the cell, as
+    probe(ctx.trace, *args)."""
     if isinstance(phi, (F.LitF, F.Final)):
-        return [(State.holds, (phi.lit,))]
+        return [(_literal, (phi.lit,))]
     if isinstance(phi, F.OccNext):
         return [(semantics.event_matches, (phi.ref,))]
     if isinstance(phi, F.Terminated):
@@ -305,17 +311,18 @@ def _letter(reads, refs: dict, ctx: StepContext) -> tuple:
     _group): the terminal flag, the value of each read and the numbers of
     the refs the event matches. event_matches reads only the kind, name and
     args of both sides, so each group memoises the numbers by args."""
-    letter = (ctx.terminal,)
+    letter, trace = (ctx.terminal,), ctx.trace
     if reads:  # most product states read none
-        letter += tuple([probe(ctx.state, *args) for probe, args in reads])
-    key, args = semantics.event_key(ctx.event)
+        letter += tuple([probe(trace, *args) for probe, args in reads])
+    event = trace.event
+    key, args = semantics.event_key(event)
     group = refs.get(key)
     if group is None:
         return letter
     numbers = group[1].get(args)
     if numbers is None:
         numbers = group[1][args] = tuple([
-            i for i, ref in group[0] if semantics.event_matches(ctx.event, ref)])
+            i for i, ref in group[0] if semantics.event_matches(event, ref)])
     return letter + numbers
 
 
@@ -429,18 +436,13 @@ def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
     out = []
     try:
         for trace in traces:
-            cells, cell = [], trace.parent
-            while cell is not None:
-                cells.append(cell)
-                cell = cell.parent
             pf, prefix = root, []
-            for cell in reversed(cells):
+            for cell in trace.cells[:-1]:
                 if cell not in done:
-                    done[cell] = step(pf, StepContext(cell.event,
-                                                      cell.final_state, False))
+                    done[cell] = step(pf, StepContext(cell, False))
                 pf = done[cell]
                 prefix.append(bounds(pf))
-            pf = step(pf, StepContext(trace.event, trace.final_state, True))
+            pf = step(pf, StepContext(trace, True))
             prefix.append(bounds(pf))
             out.append((terminal_weight(pf), prefix))
     finally:

@@ -55,29 +55,34 @@ HTN state and the state of the preference automaton:
   * the preference's product state, one per residual tuple, by identity;
   * one bit per ground reference whose termination progression can read
     (_terminated_refs): whether an instance it matches has terminated.
-A node carries these bits as one int, which it inherits from its parent;
-only an operator or end event that terminates an instance of a watched
-(kind, name) sets any, so the signature reads no state for them. The agenda
-decides the nesting depth, so the depth cap needs no entry.
+A node carries these bits as one int, which it inherits from its parent
+(the root's are clear: the empty trace holds no instance); only an operator
+or end event that terminates an instance of a watched (kind, name) sets
+any, so the signature walks no trace for them. The agenda decides the
+nesting depth, so the depth cap needs no entry.
 Nothing downstream reads an instance uid: event_matches, terminated_at and
-window_open read references only. The executing set needs no entry, as each
-executing instance has exactly one end event on the agenda. So two nodes
-with equal signatures have the same completions at the same weights, and
-equal bounds. The key is checked when a node is popped. Skipping a
-non-terminal node whose signature is already closed loses no weight: the
-node expanded first has each completion of the skipped one at the same
-weight, so until a terminal node is popped the frontier still holds a node
-on the way to an optimal plan, and its optimistic weight is at most the
-optimum. It may change which optimal plan is returned: two equal nodes can
-differ in plan length, a node popped later can carry a smaller key than one
-popped before it, and the completions of whichever is expanded are the ones
-the search goes on with. The closed set keeps the plan key p1 of the first
-node expanded with each signature; () is no proper prefix of (), so without
---tiebreak-lex a later equal node is always skipped. A child's optimistic
-weight is no lower than its parent's and its plan key extends its parent's,
-so the popped (optimistic weight, plan key) pairs never fall, whatever the
-nesting and plan length behind them; a later equal node, with the same
-bounds, is therefore popped with a plan key p2 >= p1.
+window_open read references only. The one other read of the trace is
+window_open's: whether t2, a watched ref, has started. An instance has
+started once it has terminated or while it executes, and each executing
+instance has exactly one end event on the agenda, so t2 has started iff
+its terminated bit is set or an end event of t2 is on the agenda; the
+started instances need no entry. So two nodes with equal signatures have
+the same completions at the same weights, and equal bounds. The key is
+checked when a node is popped. Skipping a non-terminal node whose signature
+is already closed loses no weight: the node expanded first has each
+completion of the skipped one at the same weight, so until a terminal node
+is popped the frontier still holds a node on the way to an optimal plan,
+and its optimistic weight is at most the optimum. It may change which
+optimal plan is returned: two equal nodes can differ in plan length, a node
+popped later can carry a smaller key than one popped before it, and the
+completions of whichever is expanded are the ones the search goes on with.
+The closed set keeps the plan key p1 of the first node expanded with each
+signature; () is no proper prefix of (), so without --tiebreak-lex a later
+equal node is always skipped. A child's optimistic weight is no lower than
+its parent's and its plan key extends its parent's, so the popped
+(optimistic weight, plan key) pairs never fall, whatever the nesting and
+plan length behind them; a later equal node, with the same bounds, is
+therefore popped with a plan key p2 >= p1.
 Unless p1 is a proper prefix of p2, p1 + c <= p2 + c for every continuation
 c, so the first node has each completion of the later one at the same
 weight and a plan key no larger, and the later node is skipped. If p1 is
@@ -108,7 +113,6 @@ from typing import Optional
 
 from . import formulas as F
 from . import progression as P
-from . import semantics
 from .errors import PreconditionViolation, ResourceLimit
 from .model import (EndEvent, Inst, Literal, OperatorEvent, Problem, Record,
                     StartEvent, State, Task, Trace, Value, args_match,
@@ -200,7 +204,7 @@ def _step(pf: P.Progressed, trace: Trace, terminal: bool) -> P.Progressed:
     state, a fixpoint of every letter, stays."""
     if pf.settled:
         return pf
-    return P.step(pf, P.StepContext(trace.event, trace.final_state, terminal))
+    return P.step(pf, P.StepContext(trace, terminal))
 
 
 class _Expander:
@@ -335,9 +339,9 @@ class _Expander:
 
 
 def _terminated_refs(phi: F.BDF):
-    """The refs whose terminated_at progression may read on phi or on a
-    residual phi progresses to: every ref but those only ever matched
-    against events (an operator's occ, an OccNext)."""
+    """The refs whose termination, or for a window's t2 start, progression
+    may read on phi or on a residual phi progresses to: every ref but those
+    only ever matched against events (an operator's occ, an OccNext)."""
     if not (isinstance(phi, F.Occ) and phi.ref.kind == "op"
             or isinstance(phi, F.OccNext)):
         yield from (v for v in F.node_fields(phi) if isinstance(v, F.Ref))
@@ -392,9 +396,6 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
     root = make_root(problem)
     refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
                                for r in _terminated_refs(phi)))
-    init = root.trace.final_state
-    root.terminated = sum(1 << i for i, r in enumerate(refs)
-                          if semantics.terminated_at(init, r))
     deadline = math.inf if config.timeout is None else start + config.timeout
     exp = _Expander(problem, config, stats, refs, deadline)
     lex = config.tiebreak_lex

@@ -16,7 +16,8 @@ sub-formula is labelled once over the whole trace, bottom up, the standard
 way to check LTL on one finite path (Markey & Schnoebelen, Model Checking a
 Path, CONCUR 2003):
   * a literal: the states where it holds; final l: every bit or none;
-  * terminated t: a suffix, since terminated instances never leave a state;
+  * terminated t: a suffix, read off the trace cells' terminated chains,
+    since a terminated instance never leaves them;
   * occ t, apply m: the events of t, read from an index of the event
     positions by kind and name;
   * not, and, or: complement within bits 0..n, intersection, union;
@@ -27,8 +28,9 @@ Path, CONCUR 2003):
   * hold-before(t, l): eventually (l & occ t);
   * hold-after(t, l): eventually (terminated t & l);
   * hold-between(t1, l, t2): eventually of the states where the t1/t2
-    window is open (t1 terminated, t2 neither started nor terminated) and
-    l until (l & occ t2) holds; before(t1, t2): the same with l true;
+    window is open (t1 terminated, t2 not started: the states up to t2's
+    first occurrence) and l until (l & occ t2) holds; before(t1, t2): the
+    same with l true;
   * exists x. p and forall x. p: the union and the intersection of the
     labels of p with x bound to each constant of the universe.
 The bindings are an environment that refs and literals read at the leaf, so
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 from . import formulas as F
 from .errors import UnboundVariable
-from .model import (OperatorEvent, StartEvent, State, Trace, args_match,
+from .model import (OperatorEvent, StartEvent, Trace, args_match,
                     subst_args, subst_literal)
 
 Ordering = int  # -1: first preferred, 1: second preferred, 0: indistinguishable
@@ -66,20 +68,24 @@ def event_matches(event, ref: F.Ref) -> bool:
     return key == (ref.kind, ref.name) and args_match(ref.args, args)
 
 
-def terminated_at(state: State, ref: F.Ref) -> bool:
-    return state.has_terminated(ref.kind, ref.name, ref.args)
+def _linked(links, kind: str, name: str, args) -> bool:
+    """Whether an instance on a chain of (inst, rest) links matches."""
+    while links is not None:
+        i, links = links
+        if i.name == name and i.kind == kind and args_match(args, i.args):
+            return True
+    return False
 
 
-def executing_at(state: State, kind: str, name: str, args) -> bool:
-    # operator occurrences are never "executing"
-    return kind != "op" and state.has_executing(kind, name, args)
+def terminated_at(trace: Trace, ref: F.Ref) -> bool:
+    """An instance ref matches has terminated by the end of trace."""
+    return _linked(trace.terminated, ref.kind, ref.name, ref.args)
 
 
-def window_open(state: State, t1: F.Ref, t2: F.Ref) -> bool:
-    """t1 has terminated and t2 has neither started nor terminated."""
-    return (terminated_at(state, t1)
-            and not executing_at(state, t2.kind, t2.name, t2.args)
-            and not terminated_at(state, t2))
+def window_open(trace: Trace, t1: F.Ref, t2: F.Ref) -> bool:
+    """t1 has terminated and t2 has not started (so not terminated either)."""
+    return (terminated_at(trace, t1)
+            and not _linked(trace.started, t2.kind, t2.name, t2.args))
 
 
 class _Labels:
@@ -87,10 +93,11 @@ class _Labels:
     (variable, constant) pairs with the innermost last. memo keeps labels
     by (id(phi), env) and occurrence masks by (kind, name, args)."""
 
-    __slots__ = ("states", "events", "full", "universe", "memo", "_by_key")
+    __slots__ = ("cells", "events", "full", "universe", "memo", "_by_key")
 
     def __init__(self, trace: Trace, universe: tuple[str, ...]):
-        self.states, self.events = trace.states, trace.events
+        self.cells = trace.cells
+        self.events = tuple([c.event for c in self.cells[1:]])
         self.full = (2 << trace.length) - 1  # bits 0..n
         self.universe, self.memo, self._by_key = universe, {}, None
 
@@ -106,7 +113,8 @@ class _Labels:
 
     def holds(self, lit, env: tuple) -> int:
         lit = subst_literal(lit, dict(env)) if env else lit
-        return sum(1 << i for i, s in enumerate(self.states) if s.holds(lit))
+        return sum(1 << i for i, c in enumerate(self.cells)
+                   if c.final_state.holds(lit))
 
     def occurs(self, key: tuple) -> int:
         """Bit k when event k matches the ref whose _bind key is key; only
@@ -128,18 +136,16 @@ class _Labels:
 
     def terminated(self, key: tuple) -> int:
         """The states where the ref whose _bind key is key has terminated,
-        a suffix. After state 0 an operator instance terminates at its own
-        event, so the suffix starts after the ref's first occurrence; a
-        binary search finds it otherwise."""
-        if self.states[0].has_terminated(*key):
-            return self.full
-        if key[0] == "op":
-            occ = self.occurs(key)
-            first = (occ & -occ).bit_length() or len(self.states)
-        else:
-            first = bisect_left(self.states, True,
-                                key=lambda s: s.has_terminated(*key))
+        a suffix, whose first state a binary search over the cells finds."""
+        first = bisect_left(self.cells, True,
+                            key=lambda c: _linked(c.terminated, *key))
         return self.full >> first << first
+
+    def not_started(self, key: tuple) -> int:
+        """The states where no instance the ref matches has started: those
+        up to its first occurrence (every state when it has none)."""
+        occ = self.occurs(key)
+        return ((occ & -occ) << 1) - 1 if occ else self.full
 
 
 def _bind(ref: F.Ref, env: tuple) -> tuple:
@@ -174,11 +180,8 @@ def _window(lab: _Labels, phi, env: tuple) -> int:
     held = lab.full if type(phi) is F.Before else lab.holds(phi.lit, env)
     maybe = _until(held, held & lab.occurs(t2))
     if maybe:
-        maybe &= lab.terminated(t1) & ~lab.terminated(t2)
-    for s in reversed(range(maybe.bit_length())):
-        if maybe >> s & 1 and not executing_at(lab.states[s], *t2):
-            return (2 << s) - 1
-    return 0
+        maybe &= lab.terminated(t1) & lab.not_started(t2)
+    return _up_to_last(maybe)
 
 
 def _join(lab: _Labels, phi, env: tuple) -> int:

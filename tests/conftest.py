@@ -61,6 +61,21 @@ def mini_trace(mini_domain):
                   events, mini_domain)
 
 
+def links(chain) -> frozenset:
+    """The instances on a chain of (inst, rest) links, such as a trace
+    cell's started or terminated chain."""
+    out = set()
+    while chain is not None:
+        inst, chain = chain
+        out.add(inst)
+    return frozenset(out)
+
+
+def executing(cell) -> frozenset:
+    """The instances that have started by a trace cell and not terminated."""
+    return links(cell.started) - links(cell.terminated)
+
+
 def load_fixture(suite: str, k: int):
     dom = parse_domain((FIXTURES / suite / f"{suite}.htn").read_bytes(),
                        f"{suite}.htn")

@@ -308,6 +308,29 @@ class TestCheckCommand:
         assert "walk-1: enumeration cap hit (depth)" in out
 
 
+class TestHelp:
+    def test_check_help_names_both_caps(self, capsys):
+        code, out, _ = run(capsys, "check", "--help")
+        assert code == EXIT_OK
+        assert "100,000 plans" in out and "600 s" in out
+        assert "no --timeout" in " ".join(out.split())
+
+    def test_bruteforce_help_names_both_caps(self, capsys):
+        code, out, _ = run(capsys, "solve", "--help")
+        out = " ".join(out.split())
+        assert code == EXIT_OK
+        assert "bruteforce" in out
+        assert "100,000 plans" in out and "600 s" in out
+
+    @pytest.mark.parametrize("command", ["solve", "bench", "check"])
+    def test_every_option_has_help(self, command):
+        (subparsers,) = [a for a in cli.build_parser()._actions
+                         if a.dest == "command"]
+        options = subparsers.choices[command]._actions
+        assert len(options) > 1
+        assert all(a.help for a in options)
+
+
 class TestModuleEntryPoint:
     @pytest.mark.parametrize("args", [["--help"],
                                       ["check", "--suite", str(TRAVEL)]],

@@ -210,27 +210,21 @@ def test_records_take_keywords_and_apply_defaults():
         Operator("go")
 
 
-def test_state_takes_keywords_and_derives_max_uid():
+def test_state_is_its_facts():
     facts = frozenset({LIT.atom})
-    later = INST._replace(uid=5)
-    state = State(facts, terminated_links=(later, (INST, None)), max_uid=9)
-    assert state.executing == frozenset() and state.max_uid == 9
-    assert state.terminated == {INST, later}
-    assert State(facts, terminated_links=(later, (INST, None))).max_uid == 5
-    assert State(facts, frozenset({INST})).max_uid == 0
-    assert State(facts).max_uid == -1
+    assert State._fields == ("facts",)
+    assert State(facts, index=None).facts == facts
+    assert State(facts)._index is None
     with pytest.raises(TypeError):
-        State(facts, frozenset(), None)  # the links are keyword-only
+        State(facts, None, None)  # no field beyond the facts and the index
 
 
-def test_state_equality_reads_terminated_and_hash_does_not():
+def test_state_equality_and_hash_read_the_facts():
     facts = frozenset({LIT.atom})
-    later = INST._replace(uid=5)
-    a = State(facts, terminated_links=(later, (INST, None)))
-    b = State(facts, terminated_links=(INST, (later, None)))
-    c = State(facts, terminated_links=(INST, None))
+    a, b, c = State(facts), State(frozenset({LIT.atom})), State(frozenset())
+    assert a.facts is not b.facts
     assert a == b and hash(a) == hash(b)
-    assert a != c and hash(a) == hash(c)
+    assert a != c
     with pytest.raises(AttributeError):
         a.facts = frozenset()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from prefhtn import formulas as F
 from prefhtn.errors import IllegalEvent, PreconditionViolation
 from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
                            OperatorEvent, StartEvent, State, Trace,
@@ -10,7 +11,8 @@ from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
                            validate_trace)
 from prefhtn.oracle import enumerate_all
 from prefhtn.search import solve
-from tests.conftest import fixture_ids, load_fixture
+from prefhtn.semantics import terminated_at
+from tests.conftest import executing, fixture_ids, links, load_fixture
 
 
 def atom(pred, *args):
@@ -40,9 +42,10 @@ class TestApplyOperator:
     def test_empty_effects_leave_facts_unchanged(self):
         noop = Operator("noop", ())
         before = state(atom("p", "a"))
-        out = apply_op(before, noop, (), 3)
-        assert out.facts == before.facts
-        assert Inst("op", "noop", (), 3) in out.terminated
+        out = empty_trace(before).extend(OperatorEvent("noop", (), 3),
+                                         Domain("d", {"noop": noop}, ()))
+        assert out.final_state.facts == before.facts
+        assert Inst("op", "noop", (), 3) in links(out.terminated)
 
     def test_travel_fixture_booking(self):
         from tests.conftest import load_fixture
@@ -63,55 +66,51 @@ class TestApplyOperator:
             apply_op(state(atom("busy")), op, (), 0)
 
 
+def _cells(domain, *events):
+    """The cells of the trace of events from the empty state, root first."""
+    return replay(state(), events, domain).cells
+
+
 class TestApplyEvent:
+    def test_start_and_end_keep_the_state(self, mini_domain):
+        s = state(atom("p", "a"))
+        inst = Inst("method", "m", (), 0)
+        assert apply_event(s, StartEvent(inst), mini_domain) is s
+        assert apply_event(s, EndEvent(inst), mini_domain) is s
+
     def test_start_adds_executing(self, mini_domain):
         inst = Inst("method", "m", (), 0)
-        out = apply_event(state(), StartEvent(inst), mini_domain)
-        assert out.executing == frozenset({inst})
-        assert out.terminated == frozenset()
+        _, c1 = _cells(mini_domain, StartEvent(inst))
+        assert links(c1.started) == executing(c1) == frozenset({inst})
+        assert c1.terminated is None
 
     def test_start_then_end(self, mini_domain):
         inst = Inst("method", "m", (), 0)
-        s1 = apply_event(state(), StartEvent(inst), mini_domain)
-        s2 = apply_event(s1, EndEvent(inst), mini_domain)
-        assert s2.executing == frozenset()
-        assert s2.terminated == frozenset({inst})
+        _, _, c2 = _cells(mini_domain, StartEvent(inst), EndEvent(inst))
+        assert executing(c2) == frozenset()
+        assert links(c2.terminated) == frozenset({inst})
 
     def test_operator_event_never_executing(self, mini_domain):
         ev = OperatorEvent("pay", (), 0)
-        out = apply_event(state(), ev, mini_domain)
-        assert out.executing == frozenset()
-        assert ev.inst in out.terminated
+        _, c1 = _cells(mini_domain, ev)
+        assert executing(c1) == frozenset()
+        assert links(c1.started) == links(c1.terminated) == {ev.inst}
 
-    def test_end_without_start_rejected(self, mini_domain):
-        with pytest.raises(IllegalEvent):
-            apply_event(state(), EndEvent(Inst("task", "t", (), 0)),
-                        mini_domain)
-
-    def test_double_start_rejected(self, mini_domain):
-        inst = Inst("task", "t", (), 0)
-        s1 = apply_event(state(), StartEvent(inst), mini_domain)
-        with pytest.raises(IllegalEvent):
-            apply_event(s1, StartEvent(inst), mini_domain)
-
-    def test_restart_after_end_rejected(self, mini_domain):
-        inst = Inst("task", "t", (), 0)
-        s1 = apply_event(state(), StartEvent(inst), mini_domain)
-        s2 = apply_event(s1, EndEvent(inst), mini_domain)
-        with pytest.raises(IllegalEvent):
-            apply_event(s2, StartEvent(inst), mini_domain)
-
-    def test_states_share_the_parent_terminated_record(self, mini_domain):
+    def test_cells_share_the_parent_chains(self, mini_domain):
         inst = Inst("task", "t", (), 1)
-        s0 = apply_event(state(), OperatorEvent("pay", (), 0), mini_domain)
-        s1 = apply_event(s0, StartEvent(inst), mini_domain)
-        s2 = apply_event(s1, EndEvent(inst), mini_domain)
-        assert s1.terminated_links is s0.terminated_links
-        assert s2.terminated_links[1] is s0.terminated_links
-        assert s2.has_terminated("task", "t", ())
-        assert s2.has_terminated("op", "pay", ())
-        assert not s1.has_terminated("task", "t", ())
-
+        c0, c1, c2, c3 = _cells(mini_domain, OperatorEvent("pay", (), 0),
+                                StartEvent(inst), EndEvent(inst))
+        assert c1.started[1] is c0.started is None
+        assert c1.terminated[1] is c0.terminated is None
+        assert c2.started[1] is c1.started
+        assert c2.terminated is c1.terminated
+        assert c3.started is c2.started
+        assert c3.terminated[1] is c2.terminated
+        assert c2.final_state is c1.final_state
+        assert c3.final_state is c1.final_state
+        assert terminated_at(c3, F.Ref("task", "t", ()))
+        assert terminated_at(c3, F.Ref("op", "pay", ()))
+        assert not terminated_at(c2, F.Ref("task", "t", ()))
 
     def test_unknown_operator_rejected(self, mini_domain):
         with pytest.raises(IllegalEvent, match="unknown operator ghost"):
@@ -154,21 +153,44 @@ class TestTrace:
 
     def test_validator_rejects_ending_an_instance_it_never_started(
             self, mini_domain):
-        # executing in the initial state, so replay accepts its end
+        # replay applies events without checking the protocol
         inst = Inst("task", "t", (), 0)
-        trace = replay(State(frozenset(), frozenset({inst})),
-                       [EndEvent(inst)], mini_domain)
+        trace = replay(state(), [EndEvent(inst)], mini_domain)
         with pytest.raises(IllegalEvent, match="end without start"):
             validate_trace(trace, mini_domain)
 
+    def test_validator_rejects_a_double_start(self, mini_domain):
+        inst = Inst("task", "t", (), 0)
+        trace = replay(state(), [StartEvent(inst), StartEvent(inst)],
+                       mini_domain)
+        with pytest.raises(IllegalEvent, match="duplicate instance id 0"):
+            validate_trace(trace, mini_domain)
+
+    def test_validator_rejects_a_restart_after_end(self, mini_domain):
+        inst = Inst("task", "t", (), 0)
+        trace = replay(state(), [StartEvent(inst), EndEvent(inst),
+                                 StartEvent(inst)], mini_domain)
+        with pytest.raises(IllegalEvent, match="duplicate instance id 0"):
+            validate_trace(trace, mini_domain)
+
+    def test_validator_rejects_a_second_end(self, mini_domain):
+        inst = Inst("task", "t", (), 0)
+        trace = replay(state(), [StartEvent(inst), EndEvent(inst),
+                                 EndEvent(inst)], mini_domain)
+        with pytest.raises(IllegalEvent, match="already ended"):
+            validate_trace(trace, mini_domain)
+        validate_trace(trace.parent, mini_domain)
+
     def test_terminated_grows_monotonically(self, mini_trace):
-        for a, b in zip(mini_trace.states, mini_trace.states[1:]):
-            assert a.terminated <= b.terminated
+        cells = mini_trace.cells
+        for a, b in zip(cells, cells[1:]):
+            assert links(a.terminated) <= links(b.terminated)
+            assert links(a.started) <= links(b.started)
 
     def test_executing_interval(self, mini_trace):
         # a unit instance is "executing" exactly between its start and end
         method = Inst("method", "by-train-trans", (), 1)
-        flags = [method in s.executing for s in mini_trace.states]
+        flags = [method in executing(c) for c in mini_trace.cells]
         assert flags == [False, False, True, True, True, False, False]
 
     def test_plan_projection(self, mini_trace):
@@ -197,11 +219,11 @@ class TestTrace:
                 assert trace.events == rebuilt.events
                 assert trace.states == rebuilt.states
                 assert trace.final_state == trace.states[-1]
-                for st, (executing, terminated) in zip(
-                        trace.states, _reference_fold(trace.events)):
-                    assert st.executing == executing
-                    assert st.terminated == terminated
-                    assert all(st.has_terminated(i.kind, i.name, i.args)
+                for cell, (running, terminated) in zip(
+                        trace.cells, _reference_fold(trace.events)):
+                    assert executing(cell) == running
+                    assert links(cell.terminated) == terminated
+                    assert all(terminated_at(cell, F.Ref(*i[:3]))
                                for i in terminated)
                 checked += 1
         assert checked > 100

@@ -422,6 +422,30 @@ class TestParsePreference:
         body = gpf.apf.alts[0][0]
         assert isinstance(body, F.Exists)
 
+    def test_the_bang_names_the_operator(self):
+        # travel has both the operator (!pay ?c) and the task (pay): !name
+        # names the operator, a bare name the task a method decomposes,
+        # and the operator only where no method does
+        domain = parse_domain(
+            (FIXTURES / "travel" / "travel.htn").read_bytes())
+
+        def ref(text):
+            gpf = parse_preference(f"(eventually (occ {text}))", domain)
+            return gpf.apf.alts[0][0].sub.ref
+
+        assert ref("(pay)") == F.Ref("task", "pay", ())
+        assert ref("(!pay)") == F.Ref("op", "pay", ())
+        assert ref("(!pay visa)") == F.Ref("op", "pay", ("visa",))
+        assert ref("(walk)") == ref("(!walk)") == F.Ref("op", "walk", ())
+        assert ref("(travel)") == F.Ref("task", "travel", ())
+        for text in ("(pay)", "(!pay)"):
+            bdf = f"(eventually (occ {text}))"
+            assert print_preference(parse_preference(bdf, domain)) == bdf
+        with pytest.raises(ArityMismatch):
+            ref("(pay visa)")  # the task pay takes no args
+        with pytest.raises(UnknownTask, match="unknown operator travel"):
+            ref("(!travel)")
+
     def test_apf_values(self, mini_domain):
         gpf = parse_preference(
             "(>> ((eventually (occ (!book-train))) 0)"

@@ -16,7 +16,7 @@ import prefhtn.progression as P
 from prefhtn import semantics
 from prefhtn.errors import UnboundVariable
 from prefhtn.model import (Atom, EndEvent, Literal, OperatorEvent,
-                           StartEvent, State, replay)
+                           StartEvent, State, Trace, replay)
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (empty_preference, parse_domain,
                             parse_preference, parse_problem)
@@ -356,9 +356,8 @@ class TestAutomaton:
             for trace in oracle.traces:
                 pf, plain = root, root.residuals
                 n = len(trace.events)
-                for i, state in enumerate(trace.states):
-                    ctx = P.StepContext(trace.events[i - 1] if i else None,
-                                        state, i == n)
+                for i, cell in enumerate(trace.cells):
+                    ctx = P.StepContext(cell, i == n)
                     pf = P.step(pf, ctx)
                     plain = tuple(P.progress_bdf(r, ctx) for r in plain)
                     assert pf.residuals == plain
@@ -415,8 +414,7 @@ class TestSharedReplay:
         inner = [ctx for ctx in steps if not ctx.terminal]
         terminal = [ctx for ctx in steps if ctx.terminal]
         assert len(terminal) == len(replayed)
-        assert sorted(id(ctx.state) for ctx in inner) == \
-            sorted(id(c.final_state) for c in cells.values())
+        assert sorted(id(ctx.trace) for ctx in inner) == sorted(cells)
         # the traces do share prefixes, so this is fewer than one step per
         # event of every trace
         assert len(inner) < sum(t.length for t in replayed)
@@ -480,7 +478,7 @@ class TestProductStates:
                                                   mini_trace):
         gpf = parse_preference("(final (paid))", mini_domain)
         pf = P.init_progressed(gpf, ())
-        ctx = P.StepContext(None, mini_trace.states[0], False)
+        ctx = P.StepContext(mini_trace.cells[0], False)
         assert P.step(pf, ctx) is pf
         assert P.step(pf, ctx) is pf  # now a transition lookup
 
@@ -493,7 +491,7 @@ class TestProductStates:
         assert not pf.settled
         with pytest.raises(ValueError, match="unresolved residual at terminal"):
             P.terminal_weight(pf)
-        ctx = P.StepContext(None, mini_trace.states[0], True)
+        ctx = P.StepContext(mini_trace.cells[0], True)
         done = P.step(pf, ctx)
         assert done.settled
         assert P.terminal_weight(done) == P.bounds(done).opt \
@@ -506,10 +504,9 @@ class TestProductStates:
         # leads back to it, and a search never steps it
         root = P.init_progressed(empty_preference(), ())
         assert root.settled
-        for i, state in enumerate(mini_trace.states):
+        for cell in mini_trace.cells:
             for terminal in (False, True):
-                ctx = P.StepContext(mini_trace.events[i - 1] if i else None,
-                                    state, terminal)
+                ctx = P.StepContext(cell, terminal)
                 assert P.step(root, ctx) is root
         steps = _record_steps(monkeypatch)
         problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
@@ -611,9 +608,8 @@ class TestLetters:
         for trace, (weight, prefix) in zip(oracle.traces, replays):
             assert weight == weight_gpf(trace, gpf, universe)
             plain, n = root.residuals, trace.length
-            for i, (state, b) in enumerate(zip(trace.states, prefix)):
-                ctx = P.StepContext(trace.events[i - 1] if i else None,
-                                    state, i == n)
+            for i, (cell, b) in enumerate(zip(trace.cells, prefix)):
+                ctx = P.StepContext(cell, i == n)
                 plain = tuple(P.progress_bdf(r, ctx) for r in plain)
                 if i < n:
                     assert b == _plain_bounds(root.skeleton, plain)
@@ -634,7 +630,7 @@ class TestLetters:
         assert {e.inst.args for e in events if type(e) is StartEvent
                 and e.inst[:2] == ("method", "a")} == {("c", "d"), ("d", "d")}
         states = {id(pf): pf for pf, _, _ in steps}.values()
-        keys = set()
+        keys, last = set(), oracle.traces[0]
         for pf in states:
             # progress_trace dropped its states' probes on return
             reads, refs = pf.automaton.probe(pf)[:2]
@@ -642,7 +638,7 @@ class TestLetters:
             numbered = _numbered_refs(refs)
             for e in events:
                 for _ in range(2):  # the second call reads the memo
-                    ctx = P.StepContext(e, oracle.traces[0].final_state,
+                    ctx = P.StepContext(Trace(last, e, last.final_state),
                                         False)
                     letter = P._letter(reads, refs, ctx)
                     assert list(letter[1 + len(reads):]) == [
@@ -716,7 +712,7 @@ class TestLetters:
         for name in ("event_matches", "terminated_at", "window_open"):
             monkeypatch.setattr(semantics, name,
                                 counted(getattr(semantics, name)))
-        monkeypatch.setattr(State, "holds", counted(State.holds))
+        monkeypatch.setattr(P, "_literal", counted(P._literal))
         monkeypatch.setattr(P, "progress_bdf", counted(P.progress_bdf, False))
         monkeypatch.setattr(P, "step", one_step)
         monkeypatch.setattr(P.Automaton, "step", counted_miss)
@@ -731,9 +727,10 @@ def _chain_progress_bdf(phi, ctx):
     if isinstance(phi, (F.TrueC, F.FalseC)):
         return phi
     if isinstance(phi, F.LitF):
-        return F.const(ctx.state.holds(phi.lit))
+        return F.const(ctx.trace.final_state.holds(phi.lit))
     if isinstance(phi, F.Final):
-        return F.const(ctx.state.holds(phi.lit)) if ctx.terminal else phi
+        return (F.const(ctx.trace.final_state.holds(phi.lit)) if ctx.terminal
+                else phi)
     if isinstance(phi, (F.Occ, F.Apply)):
         if ctx.terminal:
             return F.FALSE
@@ -742,12 +739,12 @@ def _chain_progress_bdf(phi, ctx):
         return F.mk_and([F.OccNext(phi.ref),
                          F.Eventually(F.Terminated(phi.ref))])
     if isinstance(phi, F.OccNext):
-        return F.const(ctx.event is not None
-                       and semantics.event_matches(ctx.event, phi.ref))
+        return F.const(ctx.trace.event is not None
+                       and semantics.event_matches(ctx.trace.event, phi.ref))
     if isinstance(phi, F.Terminated):
-        return F.const(semantics.terminated_at(ctx.state, phi.ref))
+        return F.const(semantics.terminated_at(ctx.trace, phi.ref))
     if isinstance(phi, F.Window):
-        return F.const(semantics.window_open(ctx.state, phi.t1, phi.t2))
+        return F.const(semantics.window_open(ctx.trace, phi.t1, phi.t2))
     if isinstance(phi, F.Not):
         inner = _chain_progress_bdf(phi.sub, ctx)
         if isinstance(inner, F.TrueC):
@@ -808,9 +805,7 @@ def test_dispatch_table_equals_the_chain(mini_trace):
     # every step of the mini trace, terminal and not: no event, start, end
     # and operator events, and states before and after paid holds and
     # arrange-trans terminates
-    contexts = [P.StepContext(mini_trace.events[i - 1] if i else None,
-                              state, terminal)
-                for i, state in enumerate(mini_trace.states)
+    contexts = [P.StepContext(cell, terminal) for cell in mini_trace.cells
                 for terminal in (False, True)]
     outcomes = set()
     for phi in _ONE_OF_EACH:

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MINI_DOMAIN, WALK, fixture_ids, load_fixture
+from conftest import (MINI_DOMAIN, WALK, executing, fixture_ids, links,
+                      load_fixture)
 
 from prefhtn.errors import CapExceeded, ResourceLimit, UnboundVariable
 from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Method,
                            OperatorEvent, StartEvent, State, Task, Trace,
-                           apply_event, kernel_table, subst_args,
-                           subst_literal, validate_trace)
+                           apply_event, args_match, kernel_table,
+                           subst_args, subst_literal, validate_trace)
 from prefhtn import oracle, search, semantics
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
@@ -53,6 +54,21 @@ class TestSolve:
         assert result.status == "ok"
         assert result.weight == 0
         assert ("book", ("train",)) in [(e.name, e.args) for e in result.plan]
+
+    def test_a_bare_name_references_the_task_not_the_operator(self):
+        # travel has both the operator (!pay ?c) and the task (pay); the
+        # network pays once outside the task, so only the operator's
+        # reading makes every plan pay, and walking avoids the task
+        domain = load_fixture("travel", 1).domain
+        problem = parse_problem(
+            "(problem p :init ((has-card visa) (available train))"
+            " :tasks ((!pay visa) (travel)))", domain)
+        for ref, weight in [("(pay)", 0), ("(!pay)", 1)]:
+            problem.preference = parse_preference(
+                f"(>> ((always (not (occ {ref}))) 0) ((and) 1))", domain)
+            result = solve(problem)
+            assert result.weight == weight
+            assert enumerate_all(problem).best_weight == weight
 
     def test_unsolvable_task(self):
         domain = parse_domain(MINI_DOMAIN, "<mini>")
@@ -517,7 +533,7 @@ class TestExpansion:
         while frontier:
             node = frontier.pop()
             if not node.agenda:
-                assert not node.trace.final_state.executing
+                assert not executing(node.trace)
                 b = bounds(node.progressed)
                 assert b.opt == b.pess \
                     == weight_gpf(node.trace, gpf, universe)
@@ -1265,9 +1281,11 @@ class TestDuplicateDetection:
         root = make_root(problem)
         assert len(search._signature(root)) == len(SIGNATURE_CASES)
 
-    def test_terminated_bits_are_read_off_the_state(self):
+    def test_terminated_bits_are_read_off_the_trace(self):
         # a node's bits, inherited and set at operator and end events, are
-        # terminated_at of each ref on its state, as the signature had them
+        # terminated_at of each ref on its trace; and a ref has started
+        # exactly when its bit is set or an end event on the agenda matches
+        # it, so the signature decides window_open
         problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
         problems += [gen_instance(GenConfig(seed=s))[0] for s in range(30)]
         nodes = set_bits = 0
@@ -1279,10 +1297,14 @@ class TestDuplicateDetection:
             frontier = [root]
             while frontier and nodes < 20_000:
                 node = frontier.pop()
-                state = node.trace.final_state
                 assert node.terminated == sum(
                     1 << i for i, r in enumerate(refs)
-                    if semantics.terminated_at(state, r))
+                    if semantics.terminated_at(node.trace, r))
+                ends = [x.inst for x in node.agenda if type(x) is EndEvent]
+                started = links(node.trace.started)
+                for i, r in enumerate(refs):
+                    assert _matched(r, started) == (
+                        bool(node.terminated >> i & 1) or _matched(r, ends))
                 nodes += 1
                 set_bits += node.terminated != 0
                 if node.agenda:
@@ -1321,17 +1343,23 @@ class TestDuplicateDetection:
             frontier = [make_root(problem)]
             while frontier:
                 node = frontier.pop()
-                executing = node.trace.final_state.executing
+                running = executing(node.trace)
                 ends = [x.inst for x in node.agenda if type(x) is EndEvent]
-                assert len(ends) == len(executing)
-                assert set(ends) == executing
+                assert len(ends) == len(running)
+                assert set(ends) == running
                 assert sum(i.kind == "task" for i in ends) \
-                    == sum(i.kind == "task" for i in executing) \
+                    == sum(i.kind == "task" for i in running) \
                     == node.nesting
                 seen += 1
                 if node.agenda:
                     frontier.extend(exp.expand(node))
         assert seen > 1000
+
+
+def _matched(ref, insts) -> bool:
+    """Whether one of insts matches ref, as terminated_at matches them."""
+    return any(i[:2] == (ref.kind, ref.name) and args_match(ref.args, i.args)
+               for i in insts)
 
 
 def plan_key(plan):

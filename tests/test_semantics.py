@@ -9,8 +9,8 @@ from conftest import FIXTURES, fixture_ids, load_fixture
 from prefhtn import formulas as F
 from prefhtn import semantics
 from prefhtn.errors import UnboundVariable
-from prefhtn.model import (Atom, Inst, Literal, OperatorEvent, State,
-                           StartEvent, replay)
+from prefhtn.model import (Atom, EndEvent, Inst, Literal, OperatorEvent,
+                           State, StartEvent, replay)
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (BDF_FORMS, parse_domain, parse_preference,
                             parse_problem)
@@ -93,21 +93,21 @@ class TestSatisfiesBDF:
         assert not satisfies_bdf(mini_trace, 0,
                                  F.HoldBetween(t1, lit("paid"), t2))
 
-    def test_terminated_is_read_from_every_state(self, mini_domain):
-        # an initial state may already hold terminated instances
-        done = State(frozenset(), terminated_links=(
-            (Inst("op", "pay", (), 0), (Inst("task", "arrange-acc", (), 1),
-                                        None))))
-        task = Inst("task", "arrange-trans", (), 2)
-        trace = replay(done, [StartEvent(task),
-                              OperatorEvent("book-train", (), 3)],
+    def test_terminated_is_read_from_every_cell(self, mini_domain):
+        acc = Inst("task", "arrange-acc", (), 1)
+        task = Inst("task", "arrange-trans", (), 4)
+        trace = replay(State(frozenset()),
+                       [OperatorEvent("pay", (), 0), StartEvent(acc),
+                        StartEvent(Inst("method", "by-hotel", (), 2)),
+                        EndEvent(acc), StartEvent(task),
+                        OperatorEvent("book-train", (), 5)],
                        mini_domain)
         for ref in [F.Ref("op", "pay", ()), F.Ref("task", "arrange-acc", ()),
                     F.Ref("op", "book-train", ()),
                     F.Ref("task", "arrange-trans", ())]:
             assert [satisfies_bdf(trace, i, F.Terminated(ref))
                     for i in range(trace.length + 1)] == \
-                [semantics.terminated_at(s, ref) for s in trace.states]
+                [semantics.terminated_at(c, ref) for c in trace.cells]
 
 
 class TestWeightBDF:
@@ -334,7 +334,7 @@ def by_definition(phi, trace, sat):
     lit = ([True] * (last + 1) if isinstance(phi, F.Before)
            else sat(F.LitF(phi.lit)))
     occ2 = sat(F.Occ(phi.t2))
-    opened = [semantics.window_open(s, phi.t1, phi.t2) for s in trace.states]
+    opened = [semantics.window_open(c, phi.t1, phi.t2) for c in trace.cells]
     return [any(opened[s1] and any(occ2[s2] and all(lit[k] for k in
                                                     range(s1, s2 + 1))
                                    for s2 in range(s1, last))

@@ -355,10 +355,6 @@ def _written(phi: BDF, write) -> BDF:
     return write(phi)
 
 
-def expand_gpf(gpf: GPF, universe: tuple[str, ...]) -> GPF:
-    return map_gpf(gpf, lambda b: ground(b, universe))
-
-
 def formula_constants(gpf: GPF) -> set[str]:
     out: set[str] = set()
 

@@ -275,11 +275,14 @@ class GroundOperator(NamedTuple):
 class Domain(Record):
     """Operators by name and methods in declaration order. Built with it:
     the decomposition kernels by task name (see kernel_table), and the
-    predicates some operator adds or deletes; the facts of every other
-    predicate are rigid, the same in every state a search reaches."""
+    domain's vocabulary, from one walk of its operators and methods: each
+    predicate's arity; the rigid predicates, which no operator adds or
+    deletes, so their facts are the same in every state a search reaches;
+    and the constants written in an operator, a method head, a
+    precondition, a :before literal or a subtask."""
 
     __slots__ = ("name", "operators", "methods", "_ground", "_kernels",
-                 "_changed")
+                 "_arity", "_rigid", "_constants")
 
     def __init__(self, name: str, operators: dict[str, Operator],
                  methods: tuple[Method, ...]):
@@ -288,8 +291,18 @@ class Domain(Record):
         self.methods = methods
         self._ground: dict = {}
         self._kernels = kernel_table(methods)
-        self._changed = frozenset(a.pred for op in operators.values()
-                                  for a in op.add + op.delete)
+        atoms, tasks, changed = [], [], set()
+        for op in operators.values():
+            atoms += [lit.atom for lit in op.pre] + [*op.add, *op.delete]
+            changed.update(a.pred for a in op.add + op.delete)
+        for m in methods:
+            atoms += [lit.atom for lit in m.pre]
+            atoms += [lit.atom for lit, _ in m.before]
+            tasks += [m.task, *m.subtasks]
+        self._arity = {a.pred: len(a.args) for a in atoms}
+        self._rigid = frozenset(self._arity.keys() - changed)
+        self._constants = frozenset(x for a in atoms + tasks for x in a.args
+                                    if not is_var(x))
 
     def ground(self, name: str, args: tuple[str, ...]) -> GroundOperator:
         """Operator `name` under `args`, grounded once per (name, args)."""
@@ -365,46 +378,12 @@ class EndEvent(Value):
 Event = Union[OperatorEvent, StartEvent, EndEvent]
 
 
-class FactIndex:
-    """The facts of one facts object as sorted lists, each built on first
-    use: per predicate, and per (predicate, position, constant) the facts
-    with that constant at that position. A start or end event keeps its
-    parent's state, and so its index; an operator's successor starts a new
-    one. The lists of a rigid
-    predicate, which no operator adds or deletes, are the same in every
-    state of a search, and live in rigid, which all its indexes share."""
-
-    __slots__ = ("facts", "fluent", "rigid", "changed")
-
-    def __init__(self, facts: frozenset[Atom], rigid: dict,
-                 changed: frozenset[str]):
-        self.facts = facts
-        self.fluent: dict = {}
-        self.rigid = rigid
-        self.changed = changed  # the predicates an operator adds or deletes
-
-    def matching(self, pred: str, key) -> list[Atom]:
-        """The facts of pred, sorted: all of them when key is pred, those
-        with the constant a at position pos when key is (pred, pos, a)."""
-        table = self.fluent if pred in self.changed else self.rigid
-        out = table.get(key)
-        if out is None:
-            if type(key) is str:
-                out = sorted([f for f in self.facts if f.pred == pred])
-            else:
-                _, pos, a = key
-                out = [f for f in self.matching(pred, pred)
-                       if len(f.args) > pos and f.args[pos] == a]
-            table[key] = out
-        return out
-
-
 # A method's kernel is one generated generator function kernel(args, state):
 # it yields the method's ground bodies for the ground task args in state,
 # one per satisfier of its preconditions, in a fixed order. It matches the
 # head against args; joins the positive preconditions in the order written,
 # a literal that the head and the earlier literals make ground as one test
-# in the facts, any other as a loop over the facts FactIndex.matching gives
+# in the facts, any other as a loop over the facts State.matching gives
 # (sorted, keyed on its first constant or bound position), so the yields
 # come in the order of a sorted scan; tests the negative preconditions once
 # the positives have bound their variables; and builds the body: for an
@@ -471,10 +450,8 @@ def _kernel_source(k: int, method: Method,
             emit(f"if ({const(pred)}, {_tuple_source(map(term, pattern))})"
                  " not in facts:", f"    {skip()}")
             continue
-        if loops == 0:
-            emit("index = state._index or FactIndex(facts, {}, frozenset())")
-        elif loops % _NESTED_LOOPS == 0:
-            params = ", ".join(["facts", "index", *names.values()])
+        if loops and loops % _NESTED_LOOPS == 0:
+            params = ", ".join(["facts", "state", *names.values()])
             name = f"k{k}_{len(functions)}"
             emit(f"yield from {name}({params})")
             functions.append([f"def {name}({params}):"])
@@ -482,7 +459,7 @@ def _kernel_source(k: int, method: Method,
         key = const(pred)
         if known:
             key = f"({key}, {known[0]}, {term(pattern[known[0]])})"
-        emit(f"for _, fa in index.matching({const(pred)}, {key}):")
+        emit(f"for _, fa in state.matching({const(pred)}, {key}):")
         depth += 1
         loops += 1
         emit(f"if len(fa) != {len(pattern)}:", "    continue")
@@ -539,8 +516,7 @@ def kernel_table(methods: tuple[Method, ...]) -> dict[str, tuple]:
 
     source = [line for k, m in enumerate(methods)
               for line in _kernel_source(k, m, const)]
-    namespace = {"Task": Task, "Literal": Literal, "Atom": Atom,
-                 "FactIndex": FactIndex}
+    namespace = {"Task": Task, "Literal": Literal, "Atom": Atom}
     namespace.update((f"c{i}", value) for value, i in consts.items())
     exec(compile("\n".join(source), "<kernels>", "exec"), namespace)
     table: dict[str, list] = {}
@@ -556,28 +532,59 @@ class State(Value):
     their facts are. Which instances have started or terminated is a fact
     of the event history, which the Trace keeps (Trace.started and
     Trace.terminated), so a start or end event leaves the state as it is.
-    The states of a search carry the FactIndex of their facts (see
-    indexed); others carry None.
+
+    A state indexes its own facts (see matching), in lists built on first
+    use. The lists of a rigid predicate are the same in every state of a
+    search and live in one table that its states share: indexed makes a
+    search's root, and successor passes the table and the rigid predicates
+    on. A state made outside a search counts no predicate as rigid.
     """
 
-    __slots__ = ("facts", "_index")
+    __slots__ = ("facts", "_rigid", "_shared", "_lists")
 
-    def __init__(self, facts: frozenset[Atom],
-                 index: Optional[FactIndex] = None):
+    def __init__(self, facts: frozenset[Atom], rigid: frozenset = frozenset(),
+                 shared: Optional[dict] = None):
         _state_facts(self, facts)
-        _state_index(self, index)
+        _state_rigid(self, rigid)  # the predicates whose lists are shared
+        _state_shared(self, {} if shared is None else shared)
+        _state_lists(self, {})  # the lists of every other predicate
 
     def indexed(self, domain: Domain) -> State:
-        """This state as the root of a search: with a FactIndex of its own,
-        whose rigid table is new, so no search reads another's lists."""
-        return State(self.facts, FactIndex(self.facts, {}, domain._changed))
+        """This state as the root of a search: the domain's rigid predicates
+        share a table that is new, so no search reads another's lists."""
+        return State(self.facts, domain._rigid, {})
+
+    def successor(self, op: GroundOperator) -> State:
+        """STRIPS application: facts' = (facts \\ del) | add, in the same
+        search as this state."""
+        for lit in op.pre:
+            if not self.holds(lit):
+                raise PreconditionViolation(lit)
+        return State((self.facts - op.delete) | op.add, self._rigid,
+                     self._shared)
 
     def holds(self, lit: Literal) -> bool:
         present = lit.atom in self.facts
         return present if lit.positive else not present
 
+    def matching(self, pred: str, key) -> list[Atom]:
+        """The facts of pred, sorted: all of them when key is pred, those
+        with the constant a at position pos when key is (pred, pos, a)."""
+        table = self._shared if pred in self._rigid else self._lists
+        out = table.get(key)
+        if out is None:
+            if type(key) is str:
+                out = sorted([f for f in self.facts if f.pred == pred])
+            else:
+                _, pos, a = key
+                out = [f for f in self.matching(pred, pred)
+                       if len(f.args) > pos and f.args[pos] == a]
+            table[key] = out
+        return out
 
-_state_facts, _state_index = slot_setters(State, "facts", "_index")
+
+_state_facts, _state_rigid, _state_shared, _state_lists = slot_setters(
+    State, "facts", "_rigid", "_shared", "_lists")
 
 
 def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
@@ -589,23 +596,12 @@ def ground_operator(op: Operator, args: tuple[str, ...]) -> GroundOperator:
                           frozenset(subst_atom(a, sigma) for a in op.add))
 
 
-def _apply_ground(state: State, op: GroundOperator) -> State:
-    """STRIPS application: facts' = (facts \\ del) | add."""
-    for lit in op.pre:
-        if not state.holds(lit):
-            raise PreconditionViolation(lit)
-    facts, index = (state.facts - op.delete) | op.add, state._index
-    if index is not None:
-        index = FactIndex(facts, index.rigid, index.changed)
-    return State(facts, index)
-
-
 def apply_event(state: State, event: Event, domain: Domain) -> State:
     """The state after event: an operator's successor; for a start or end
     event, state itself. The protocol of starts and ends is
     validate_trace's to check."""
     if type(event) is OperatorEvent:
-        return _apply_ground(state, domain.ground(event.name, event.args))
+        return state.successor(domain.ground(event.name, event.args))
     if type(event) is StartEvent or type(event) is EndEvent:
         return state
     raise IllegalEvent(f"unknown event {event!r}")
@@ -731,26 +727,9 @@ class Problem(Record):
         """The constant universe: every constant mentioned anywhere in the
         problem, its preference (the one attached at this read) included."""
         if self._constants is None or self._constants[0] is not self.preference:
-            seen: set[str] = set()
-            for atom in self.init.facts:
-                seen.update(atom.args)
-
-            def add_task(t: Task):
-                seen.update(a for a in t.args if not is_var(a))
-
-            for t in self.network:
-                add_task(t)
-            for op in self.domain.operators.values():
-                for lit in op.pre:
-                    seen.update(a for a in lit.atom.args if not is_var(a))
-                for atom in op.add + op.delete:
-                    seen.update(a for a in atom.args if not is_var(a))
-            for m in self.domain.methods:
-                add_task(m.task)
-                for lit in m.pre + tuple(b for b, _ in m.before):
-                    seen.update(a for a in lit.atom.args if not is_var(a))
-                for st in m.subtasks:
-                    add_task(st)
+            seen = set(self.domain._constants)
+            for x in (*self.init.facts, *self.network):
+                seen.update(a for a in x.args if not is_var(a))
             from .formulas import formula_constants  # local import, avoids a cycle
             seen.update(formula_constants(self.preference))
             self._constants = (self.preference, tuple(sorted(seen)))

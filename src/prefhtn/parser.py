@@ -160,28 +160,25 @@ def _keyword_sections(lst: list, allowed: dict[str, bool]) -> dict:
     return out
 
 
-class _ArityTable:
-    """Fixed arity per predicate across a domain."""
+def _note(arity: dict[str, int], atom: Atom) -> None:
+    """Enter atom's arity in arity, the table of the domain being read."""
+    prev = arity.setdefault(atom.pred, len(atom.args))
+    if prev != len(atom.args):
+        raise ArityMismatch(
+            f"predicate {atom.pred} used with arity {len(atom.args)} and {prev}",
+            token=atom.pred)
 
-    def __init__(self):
-        self.arity: dict[str, int] = {}
 
-    def note(self, atom: Atom) -> None:
-        prev = self.arity.setdefault(atom.pred, len(atom.args))
-        if prev != len(atom.args):
-            raise ArityMismatch(
-                f"predicate {atom.pred} used with arity {len(atom.args)} and {prev}",
-                token=atom.pred)
-
-    def check(self, atom: Atom, form: list) -> None:
-        """Raise unless atom, read from form, fits the table."""
-        if atom.pred not in self.arity:
-            raise UnknownPredicate(f"unknown predicate {atom.pred}",
-                                   token=atom.pred, form=form)
-        if self.arity[atom.pred] != len(atom.args):
-            raise ArityMismatch(
-                f"predicate {atom.pred} expects {self.arity[atom.pred]} args, "
-                f"got {len(atom.args)}", token=atom.pred, form=form)
+def _check_atom(atom: Atom, domain: Domain, form: list) -> None:
+    """Raise unless atom, read from form, fits the domain's arities."""
+    arity = domain._arity.get(atom.pred)
+    if arity is None:
+        raise UnknownPredicate(f"unknown predicate {atom.pred}",
+                               token=atom.pred, form=form)
+    if arity != len(atom.args):
+        raise ArityMismatch(
+            f"predicate {atom.pred} expects {arity} args, "
+            f"got {len(atom.args)}", token=atom.pred, form=form)
 
 
 def _lit_vars(lits) -> set[str]:
@@ -203,7 +200,7 @@ def _domain(exprs: list) -> Domain:
     operators: dict[str, Operator] = {}
     methods: list[Method] = []
     method_forms: list[list] = []
-    arities = _ArityTable()
+    arity: dict[str, int] = {}  # each predicate's, as the forms so far use it
 
     # an error inside a form that is about no list of its own is about the form
     for form in top[2:]:
@@ -212,9 +209,9 @@ def _domain(exprs: list) -> Domain:
             if not lst:
                 raise _fail("empty form in domain")
             if lst[0] == ":operator":
-                operators_form(lst, operators, arities)
+                operators_form(lst, operators, arity)
             elif lst[0] == ":method":
-                methods.append(method_form(lst, arities))
+                methods.append(method_form(lst, arity))
                 method_forms.append(lst)
             else:
                 raise _fail(f"expected :operator or :method, got {lst[0]!r}", lst[0])
@@ -228,7 +225,7 @@ def _domain(exprs: list) -> Domain:
     return dom
 
 
-def operators_form(lst, operators, arities) -> None:
+def operators_form(lst, operators, arity) -> None:
     if len(lst) < 2:
         raise _fail(":operator needs a head")
     head = _expect_list(lst[1], "an operator head")
@@ -256,14 +253,14 @@ def operators_form(lst, operators, arities) -> None:
     add = tuple(_parse_atom(a)
                 for a in _expect_list(sections.get(":add", []), ":add list"))
     for atom in [l.atom for l in pre] + list(delete) + list(add):
-        arities.note(atom)
+        _note(arity, atom)
         for a in atom.args:
             if is_var(a) and a not in params:
                 raise _fail(f"variable {a} of operator {name} not in its parameters", a)
     operators[name] = Operator(name, tuple(params), pre, add, delete)
 
 
-def method_form(lst, arities) -> Method:
+def method_form(lst, arity) -> Method:
     if len(lst) < 2:
         raise _fail(":method needs a head task")
     head = _parse_task(lst[1])
@@ -293,7 +290,7 @@ def method_form(lst, arities) -> Method:
         raise _fail(":before cannot be combined with :unordered")
 
     for lit in pre:
-        arities.note(lit.atom)
+        _note(arity, lit.atom)
     # a negative literal binds nothing: it is only tested once the head and
     # the positive literals have bound its variables
     bound = {a for a in head.args if is_var(a)} \
@@ -312,7 +309,7 @@ def method_form(lst, arities) -> Method:
                 raise _fail(f"subtask variable {a} of method {branch} is not bound "
                             "by the head or preconditions", a)
     for lit, _ in before:
-        arities.note(lit.atom)
+        _note(arity, lit.atom)
         for a in lit.atom.args:
             if is_var(a) and a not in bound:
                 raise _fail(f":before variable {a} of method {branch} is unbound", a)
@@ -360,14 +357,13 @@ def _problem(exprs: list, domain: Domain) -> Problem:
         name = _expect_symbol(top[1], "a problem name")
         sections = _keyword_sections(top[2:], {":init": True, ":tasks": True})
 
-        arities = _domain_arities(domain)
         facts = []
         for a in _expect_list(sections.get(":init", []), ":init list"):
             atom = _parse_atom(a)
             if any(is_var(x) for x in atom.args):
                 raise NonGroundInit(f"init atom {atom} is not ground",
                                     token=atom.pred, form=a)
-            arities.check(atom, a)
+            _check_atom(atom, domain, a)
             facts.append(atom)
 
         network = []
@@ -382,21 +378,6 @@ def _problem(exprs: list, domain: Domain) -> Problem:
 
     return Problem(name, State(frozenset(facts)), tuple(network), domain,
                    empty_preference())
-
-
-def _domain_arities(domain: Domain) -> _ArityTable:
-    arities = _ArityTable()
-    for op in domain.operators.values():
-        for lit in op.pre:
-            arities.note(lit.atom)
-        for atom in op.add + op.delete:
-            arities.note(atom)
-    for m in domain.methods:
-        for lit in m.pre:
-            arities.note(lit.atom)
-        for lit, _ in m.before:
-            arities.note(lit.atom)
-    return arities
 
 
 # --- preferences ----------------------------------------------------------------
@@ -437,15 +418,14 @@ def _parse_ref(kind: str, x: SExpr, domain: Domain) -> F.Ref:
     return F.Ref(kind, name, args)
 
 
-def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable,
-               bound: frozenset):
+def _parse_arg(kind: str, x: SExpr, domain: Domain, bound: frozenset):
     """One argument of a BDF_FORMS form, of the given kind, inside the
     quantifiers of the variables in bound."""
     if kind == "formula":
-        return _parse_bdf(x, domain, arities, bound)
+        return _parse_bdf(x, domain, bound)
     if kind == "literal":
         arg = _parse_literal(x)
-        arities.check(arg.atom, x)
+        _check_atom(arg.atom, domain, x)
         args = arg.atom.args
     else:
         arg = _parse_ref(kind, x, domain)
@@ -456,7 +436,7 @@ def _parse_arg(kind: str, x: SExpr, domain: Domain, arities: _ArityTable,
     return arg
 
 
-def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
+def _parse_bdf(x: SExpr, domain: Domain,
                bound: frozenset = frozenset()) -> F.BDF:
     lst = _expect_list(x, "a formula")
     # an error inside lst that is about no list of its own is about lst
@@ -470,7 +450,7 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
             cls, kinds = BDF_FORMS[head]
             if len(lst) != len(kinds) + 1:
                 raise _fail(f"expected ({head} {' '.join(kinds)})", head)
-            return cls(*(_parse_arg(kind, arg, domain, arities, bound)
+            return cls(*(_parse_arg(kind, arg, domain, bound)
                          for kind, arg in zip(kinds, lst[1:])))
         if head in ("exists", "forall"):
             if len(lst) != 3:
@@ -482,23 +462,23 @@ def _parse_bdf(x: SExpr, domain: Domain, arities: _ArityTable,
                 v = _expect_symbol(v, "a variable")
                 if not is_var(v):
                     raise _fail(f"quantified name {v!r} must start with '?'", v)
-            body = _parse_bdf(lst[2], domain, arities, bound.union(var_list))
+            body = _parse_bdf(lst[2], domain, bound.union(var_list))
             cls = F.Exists if head == "exists" else F.Forall
             for v in reversed(var_list):
                 body = cls(v, body)
             return body
         if head in ("and", "or"):
             join = F.mk_and if head == "and" else F.mk_or
-            return join(_parse_bdf(p, domain, arities, bound) for p in lst[1:])
+            return join(_parse_bdf(p, domain, bound) for p in lst[1:])
         if head in _GPF_KEYWORDS:
             raise _fail(f"{head} is a preference connective, not a formula", head)
         # anything else is a state literal
-        return F.LitF(_parse_arg("literal", x, domain, arities, bound))
+        return F.LitF(_parse_arg("literal", x, domain, bound))
     except ParseError as exc:
         raise _about(exc, lst)
 
 
-def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.GPF:
+def _parse_gpf(x: SExpr, domain: Domain) -> F.GPF:
     lst = _expect_list(x, "a preference formula")
     head = lst[0] if lst else None
     # as in _parse_bdf; F.APF's BadValueOrder is about lst too
@@ -509,21 +489,21 @@ def _parse_gpf(x: SExpr, domain: Domain, arities: _ArityTable) -> F.GPF:
                 pair = _expect_list(entry, "a (formula value) alternative")
                 if len(pair) != 2 or not isinstance(pair[1], Fraction):
                     raise _fail("alternatives are written (formula value)", form=pair)
-                alts.append((_parse_bdf(pair[0], domain, arities), pair[1]))
+                alts.append((_parse_bdf(pair[0], domain), pair[1]))
             if not alts:
                 raise _fail("(>> ...) needs at least one alternative")
             return F.Atomic(F.APF(tuple(alts)))
         if head == "if":
             if len(lst) != 3:
                 raise _fail("(if condition preference)")
-            return F.Cond(_parse_bdf(lst[1], domain, arities),
-                          _parse_gpf(lst[2], domain, arities))
+            return F.Cond(_parse_bdf(lst[1], domain),
+                          _parse_gpf(lst[2], domain))
         if head in ("&!", "|!"):
             if len(lst) < 3:
                 raise _fail(f"({head} ...) needs at least two preferences", head)
-            parts = tuple(_parse_gpf(p, domain, arities) for p in lst[1:])
+            parts = tuple(_parse_gpf(p, domain) for p in lst[1:])
             return F.Conj(parts) if head == "&!" else F.Disj(parts)
-        return F.bdf_gpf(_parse_bdf(x, domain, arities))
+        return F.bdf_gpf(_parse_bdf(x, domain))
     except ParseError as exc:
         raise _about(exc, lst)
 
@@ -535,7 +515,7 @@ def parse_preference(text, domain: Domain, filename: str = "<preference>") -> F.
 def _preference(exprs: list, domain: Domain) -> F.GPF:
     if len(exprs) != 1:
         raise _fail(f"expected exactly one expression, found {len(exprs)}")
-    return _parse_gpf(exprs[0], domain, _domain_arities(domain))
+    return _parse_gpf(exprs[0], domain)
 
 
 def empty_preference() -> F.GPF:

@@ -213,10 +213,11 @@ def test_records_take_keywords_and_apply_defaults():
 def test_state_is_its_facts():
     facts = frozenset({LIT.atom})
     assert State._fields == ("facts",)
-    assert State(facts, index=None).facts == facts
-    assert State(facts)._index is None
+    assert State(facts).facts == facts
+    assert State(facts)._rigid == frozenset()  # no search, no rigid list
     with pytest.raises(TypeError):
-        State(facts, None, None)  # no field beyond the facts and the index
+        State(facts, frozenset(), {}, {})  # nothing beyond the facts and
+                                           # a search's rigid lists
 
 
 def test_state_equality_and_hash_read_the_facts():

@@ -10,6 +10,7 @@ from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
                            empty_trace, ground_operator, replay,
                            validate_trace)
 from prefhtn.oracle import enumerate_all
+from prefhtn.parser import parse_domain
 from prefhtn.search import solve
 from prefhtn.semantics import terminated_at
 from tests.conftest import executing, fixture_ids, links, load_fixture
@@ -64,6 +65,36 @@ class TestApplyOperator:
         apply_op(state(), op, (), 0)  # absent fact satisfies (not busy)
         with pytest.raises(PreconditionViolation):
             apply_op(state(atom("busy")), op, (), 0)
+
+
+class TestDomainVocabulary:
+    @pytest.mark.parametrize("suite, rigid, arity", [
+        ("logistics", {"air", "plane", "road", "truck", "vehicle"},
+         {"at": 2, "in": 2, "veh-at": 2, "truck": 1, "road": 2, "plane": 1,
+          "air": 2, "vehicle": 1}),
+        ("zeno", {"link"},
+         {"person-at": 2, "aircraft-at": 1, "aboard": 1, "link": 2}),
+        ("travel", {"available", "has-card", "hotel"},
+         {"at-destination": 0, "available": 1, "booked": 1, "has-card": 1,
+          "used": 1, "hotel": 1, "lodged": 1}),
+    ])
+    def test_fixture_domains(self, suite, rigid, arity):
+        domain = load_fixture(suite, 1).domain
+        assert domain._rigid == rigid
+        assert domain._arity == arity
+        assert domain._constants == frozenset()  # the fixtures write none
+
+    def test_constants_from_every_place_one_is_written(self):
+        domain = parse_domain("""
+            (domain d
+              (:operator (!o ?x) :pre ((p ?x c1)) :del ((q c2)) :add ((q c3)))
+              (:method (t c4 ?y) :name m :pre ((p ?y c5)) :tasks ((!o c6) (u))
+                :before (((q c7) 1)))
+              (:method (u) :name n :pre ((not (q c8))) :tasks ()))
+            """, "<d>")
+        assert domain._constants == {f"c{i}" for i in range(1, 9)}
+        assert domain._rigid == {"p"}
+        assert domain._arity == {"p": 2, "q": 1}
 
 
 def _cells(domain, *events):

@@ -657,7 +657,7 @@ class TestKernels:
         # logistics fixtures and of 20 random instances; zeno's (link ?via
         # ?to) is ground once (link ?from ?via) has bound ?via. The states
         # are a search's, operator successors among them, so their fact
-        # indexes share the search's table of rigid predicates: zeno's
+        # lists share the search's table of rigid predicates: zeno's
         # link, logistics' road and vehicle are matched from it.
         problems = [load_fixture(suite, k) for suite in ("zeno", "logistics")
                     for k in (1, 2, 3)]
@@ -668,7 +668,7 @@ class TestKernels:
             tables = set()
             for trace in enumerate_all(problem).traces:
                 for event, state in zip(trace.events, trace.states):
-                    tables.add(id(state._index.rigid))
+                    tables.add(id(state._shared))
                     if not (isinstance(event, StartEvent)
                             and event.inst.kind == "task"):
                         continue
@@ -679,7 +679,7 @@ class TestKernels:
                     calls += len(expected)
                     branches.update(b for b, bodies in expected if bodies)
                     rigid.update(k if type(k) is str else k[0]
-                                 for k in state._index.rigid)
+                                 for k in state._shared)
             assert len(tables) <= 1  # one rigid table per search
         assert calls > 1000 and "move-one-stop" in branches
         assert {"link", "road", "vehicle"} <= rigid
@@ -717,7 +717,7 @@ class TestKernels:
     def test_an_operator_successor_reads_no_stale_list(self):
         # (at ?x) is indexed in the root state; (!go a b) deletes (at a)
         # and adds (at b), and its successor must see only (at b); a start
-        # event's successor shares the index of its facts
+        # event keeps its parent's state, lists and all
         domain = parse_domain(GO_DOMAIN, "<go>")
         root = State(frozenset({Atom("at", ("a",)), Atom("road", ("a", "b")),
                                 Atom("road", ("b", "c"))})).indexed(domain)
@@ -725,11 +725,11 @@ class TestKernels:
         assert _seen(pre, root) == ([("a",)], [("a",)])
         moved = apply_event(root, OperatorEvent("go", ("a", "b"), 0), domain)
         assert _seen(pre, moved) == ([("b",)], [("b",)])
-        assert moved._index is not root._index
-        assert moved._index.rigid is root._index.rigid
+        assert moved._lists is not root._lists
+        assert moved._shared is root._shared
         started = apply_event(moved, StartEvent(Inst("task", "t", (), 1)),
                               domain)
-        assert started._index is moved._index
+        assert started is moved
         got, expected = _seen(pre, started)
         assert got == expected == [("b",)]
 
@@ -745,11 +745,23 @@ class TestKernels:
         for state, tos in ((root, ["b", "c"]), (moved, ["c"])):
             got, expected = _seen(pre, state, body=("?to",))
             assert got == expected == [(to,) for to in tos]
-        assert "road" not in domain._changed
-        assert root._index.rigid[("road", 0, "a")] == [
+        assert domain._rigid == {"road"}
+        assert root._shared[("road", 0, "a")] == [
             Atom("road", ("a", "b")), Atom("road", ("a", "c"))]
-        assert moved._index.rigid is root._index.rigid
-        assert ("road", 0, "b") in root._index.rigid  # filled by moved
+        assert moved._shared is root._shared
+        assert ("road", 0, "b") in root._shared  # filled by moved
+
+    def test_a_state_outside_a_search_shares_no_list(self):
+        # a state that indexed did not make counts no predicate as rigid,
+        # so its operator successor reads its own facts, not the (at ?x)
+        # list the kernel built on the parent, which (!go a b) made stale
+        domain = parse_domain(GO_DOMAIN, "<go>")
+        root = State(frozenset({Atom("at", ("a",)),
+                                Atom("road", ("a", "b"))}))
+        pre = (_literal(["at", "?x"]),)
+        assert _seen(pre, root) == ([("a",)], [("a",)])
+        moved = apply_event(root, OperatorEvent("go", ("a", "b"), 0), domain)
+        assert _seen(pre, moved) == ([("b",)], [("b",)])
 
     # hand-built states for the branches the fixtures never reach: a negative
     # precondition, a fact of another arity, and a repeated variable or a
@@ -884,9 +896,8 @@ class TestKernels:
         # True/False only
         allowed = {"def", "if", "for", "in", "not", "or", "return",
                    "continue", "yield", "from", "len", "args", "state",
-                   "facts", "index", "fa", "_", "_index", "matching",
-                   "FactIndex", "frozenset", "Task", "Literal", "Atom",
-                   "True", "False"}
+                   "facts", "fa", "_", "matching", "Task", "Literal",
+                   "Atom", "True", "False"}
         assert len(sources) == 2
         for source in sources:
             for tok in tokenize.generate_tokens(io.StringIO(source).readline):

@@ -178,7 +178,7 @@ class TestQuantifiers:
         universe = ("train", "ticket")
         gpf = parse_preference(
             "(exists (?x) (final (has-ticket)))", mini_domain)
-        expanded = F.expand_gpf(gpf, universe)
+        expanded = F.map_gpf(gpf, lambda b: F.ground(b, universe))
         assert weight_gpf(mini_trace, gpf, universe) \
             == weight_gpf(mini_trace, expanded, universe)
 
@@ -186,8 +186,9 @@ class TestQuantifiers:
         dom = mini_domain
         gpf = parse_preference("(forall (?x) (eventually (paid)))", dom)
         universe = ("a", "b")
+        expanded = F.map_gpf(gpf, lambda b: F.ground(b, universe))
         assert weight_gpf(mini_trace, gpf, universe) \
-            == weight_gpf(mini_trace, F.expand_gpf(gpf, universe), universe)
+            == weight_gpf(mini_trace, expanded, universe)
 
 
 class TestComparePlans:
@@ -376,7 +377,7 @@ class TestLabelsAtEveryIndex:
             problem.domain)
         universe = problem.constants
         traces = enumerated(problem)
-        expanded = F.expand_gpf(gpf, universe)
+        expanded = F.map_gpf(gpf, lambda b: F.ground(b, universe))
         expected = [weight_gpf(t, expanded, universe) for t in traces]
         assert len(set(expected)) > 1
 

@@ -97,7 +97,8 @@ def enumerate_all(problem: Problem, caps: EnumerationCaps = None,
         return OracleResult(len(traces), best_plan, best_w, tuple(weights),
                             stats, tuple(traces[:len(weights)]))
 
-    root = make_root(problem, empty_preference())
+    root = make_root(problem, P.init_progressed(empty_preference(),
+                                                problem.constants))
     stack: list[SearchNode] = [root]
     try:
         while stack:
@@ -142,7 +143,9 @@ class CheckReport(Record):
 
 def cross_check(problem: Problem, caps: EnumerationCaps = None,
                 config: SolveConfig = None) -> CheckReport:
-    """Run the planner and the enumerator against each other.
+    """Run the planner and the enumerator against each other. The search
+    and the replay run on one automaton: the preference is ground once,
+    and the replay finds the transitions the search met already built.
 
     Asserted properties, one pass/fail entry each:
       * weight-match: the planner's returned weight equals the enumerated
@@ -159,7 +162,13 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
     caps = caps or EnumerationCaps()
     config = config or SolveConfig()
     oracle = enumerate_all(problem, caps, config)
-    result = solve(problem, config)
+    root = P.init_progressed(problem.preference, problem.constants)
+    try:
+        result = solve(problem, config, root)
+        replays = P.progress_trace(problem.preference, oracle.traces,
+                                   problem.constants, root)
+    finally:
+        root.automaton.release()
 
     report = CheckReport(problem.name, oracle.plan_count,
                          result.weight, oracle.best_weight)
@@ -174,8 +183,6 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
                                      and result.weight == oracle.best_weight)
 
     prog_ok = mono_ok = conv_ok = True
-    replays = P.progress_trace(problem.preference, oracle.traces,
-                               problem.constants)
     for direct, (final, prefix_bounds) in zip(oracle.all_weights, replays):
         if final != direct:
             prog_ok = False

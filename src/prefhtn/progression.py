@@ -10,9 +10,10 @@ the initial state (no event) and then once per event; the step that produces
 a complete plan is flagged terminal, at which point every residual collapses
 to a constant and the bounds coincide with the true weight.
 
-The steps run through a two-level automaton that one search, or one
-progress_trace call, builds lazily and shares across its nodes or traces. A
-letter is the terminal flag plus the values of the reads progress_bdf makes
+The steps run through a two-level automaton, built lazily: one per
+search, per progress_trace call, or per cross-check, shared by its search
+and its replay, and across their nodes or traces.
+A letter is the terminal flag plus the values of the reads progress_bdf makes
 of the step's trace cell (holds on its state's literals; event_matches on
 its event, terminated_at and window_open on its started and terminated
 chains): it decides the successor, so a transition met once is looked up
@@ -21,7 +22,8 @@ tuple, reads the union of its residuals' probes, and one lookup steps them
 all. Residual states serve the misses: each interned residual is stepped
 on its own letter, and a residual transition not met before calls
 progress_bdf, the one progression rule.
-Nothing is kept across searches or calls, so no problem sees another's.
+No automaton outlives its search, call or cross-check, so no problem sees
+another's.
 
 progress_trace also shares the steps themselves. The traces of one
 enumeration are parent-linked cells that share their prefixes, and a
@@ -344,10 +346,11 @@ class _Residual:
 
 
 class Automaton:
-    """The part of a preference's progression automaton one search visits,
-    built as the search reaches it (see the module docstring). Its product
-    states are the Progressed of the one skeleton it serves, by residual
-    tuple; its residual states the _Residual of each interned residual."""
+    """The part of a preference's progression automaton that one search,
+    replay or cross-check visits, built as it is reached (see the module
+    docstring). Its product states are the Progressed of the one skeleton
+    it serves, by residual tuple; its residual states the _Residual of each
+    interned residual."""
 
     def __init__(self):
         self._interned: dict = {F.TRUE: F.TRUE, F.FALSE: F.FALSE}
@@ -421,9 +424,12 @@ def terminal_weight(pf: Progressed) -> Fraction:
 
 # --- whole-trace replay --------------------------------------------------------------
 
-def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
+def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...],
+                   start: Progressed = None
                    ) -> list[tuple[Fraction, list[Bounds]]]:
-    """Replay complete traces through progression, all on one automaton.
+    """Replay complete traces through progression, all on one automaton:
+    start's, an init_progressed(gpf, universe) whose release is left to the
+    caller, or by default a fresh one.
 
     Returns, per trace, the terminal weight and the bounds after every step
     (the entry for the final step collapses to the exact weight). A trace
@@ -431,7 +437,7 @@ def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
     and states from the root to that cell, so each cell the traces share is
     stepped once; a trace's terminal step starts from its parent cell's.
     """
-    root = init_progressed(gpf, universe)
+    root = start or init_progressed(gpf, universe)
     done: dict = {}  # trace cell -> its non-terminal Progressed
     out = []
     try:
@@ -446,5 +452,6 @@ def progress_trace(gpf: F.GPF, traces, universe: tuple[str, ...]
             prefix.append(bounds(pf))
             out.append((terminal_weight(pf), prefix))
     finally:
-        root.automaton.release()
+        if start is None:
+            root.automaton.release()
     return out

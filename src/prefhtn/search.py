@@ -370,33 +370,35 @@ def _proper_prefix(p: tuple, q: tuple) -> bool:
     return len(p) < len(q) and q[:len(p)] == p
 
 
-def make_root(problem: Problem, preference: F.GPF = None) -> SearchNode:
-    """The root node under preference, by default the problem's; an empty
-    task network makes it terminal."""
+def make_root(problem: Problem, start: P.Progressed = None) -> SearchNode:
+    """The root node, its product state stepped from start, by default a
+    fresh init_progressed of the problem's preference; an empty task
+    network makes it terminal."""
     trace = empty_trace(problem.init.indexed(problem.domain))
     agenda = tuple(problem.network)
-    if preference is None:
-        preference = problem.preference
-    pf = _step(P.init_progressed(preference, problem.constants), trace,
-               not agenda)
-    return SearchNode(agenda, trace, pf, 0, 0, 0)
+    if start is None:
+        start = P.init_progressed(problem.preference, problem.constants)
+    return SearchNode(agenda, trace, _step(start, trace, not agenda), 0, 0, 0)
 
 
-def solve(problem: Problem, config: SolveConfig = None) -> Result:
+def solve(problem: Problem, config: SolveConfig = None,
+          start: P.Progressed = None) -> Result:
     """Find a solution plan of minimum preference weight.
 
     Returns status "noplan" when the task network has no solution at all.
     Raises ResourceLimit when a configured cap (time, depth) is hit before
-    an optimal node surfaces.
+    an optimal node surfaces. Given start, the problem preference's
+    init_progressed, it searches from it and leaves the release of its
+    automaton to the caller.
     """
     config = config or SolveConfig()
     stats = SearchStats()
-    start = time.monotonic()
+    began = time.monotonic()
 
-    root = make_root(problem)
+    root = make_root(problem, start)
     refs = tuple(dict.fromkeys(r for phi in root.progressed.residuals
                                for r in _terminated_refs(phi)))
-    deadline = math.inf if config.timeout is None else start + config.timeout
+    deadline = math.inf if config.timeout is None else began + config.timeout
     exp = _Expander(problem, config, stats, refs, deadline)
     lex = config.tiebreak_lex
     closed: dict = {}  # signature -> plan key of its first expansion
@@ -436,8 +438,9 @@ def solve(problem: Problem, config: SolveConfig = None) -> Result:
                 exp.cut = False
                 heapq.heappush(heap, (opt, rank, math.inf, 0, next(seq), None))
     finally:
-        stats.elapsed = time.monotonic() - start
-        root.progressed.automaton.release()
+        stats.elapsed = time.monotonic() - began
+        if start is None:
+            root.progressed.automaton.release()
 
     if found is None:
         return Result("noplan", None, None, stats)

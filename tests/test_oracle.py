@@ -1,5 +1,6 @@
 """Brute-force enumeration and the planner/enumerator cross checks."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -216,14 +217,49 @@ class TestMetamorphic:
         self._check(generated, rewrite)
         assert sum(moved) > 10
 
+    def test_shuffled_init(self, generated):
+        # the initial facts are a set: their written order reaches no weight
+        rng = random.Random(29)
+        shuffled = []
+
+        def rewrite(gi):
+            head, facts, tail = re.fullmatch(
+                r"(.*:init \()(.*?)(\) :tasks.*)", gi.problem_text,
+                re.S).groups()
+            atoms = re.findall(r"\([^()]*\)", facts)
+            order = rng.sample(atoms, len(atoms))
+            shuffled.append(order != atoms)
+            return _parsed(gi.domain_text, head + " ".join(order) + tail,
+                           gi.preference_text)
+        assert self._check(generated, rewrite) == 0
+        assert sum(shuffled) > 20
+
+    def test_preference_attached_after_constants_are_read(self, generated):
+        # a universe read before the preference is attached leaves out the
+        # preference's own constants; the cross check must read it afresh
+        grown = []
+
+        def rewrite(gi):
+            domain = parse_domain(gi.domain_text, "<gen>")
+            problem = parse_problem(gi.problem_text, domain, "<gen>")
+            before = problem.constants
+            problem.preference = parse_preference(gi.preference_text, domain,
+                                                  "<gen>")
+            grown.append(problem.constants != before)
+            return problem
+        # equal universes and preferences: the cache saw the new preference
+        assert self._check(generated, rewrite) == 0
+        assert sum(grown) > 0  # 4 of the 100 mention a constant of their own
+
 
 def _replays_with(prefix_of):
     """A stand-in for progress_trace: each trace keeps its true final weight
     w, and its prefix bounds become prefix_of(w)."""
     real = P.progress_trace
 
-    def fake(gpf, traces, universe):
-        return [(w, prefix_of(w)) for w, _ in real(gpf, traces, universe)]
+    def fake(gpf, traces, universe, start=None):
+        return [(w, prefix_of(w))
+                for w, _ in real(gpf, traces, universe, start)]
     return fake
 
 

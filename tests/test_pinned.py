@@ -11,7 +11,8 @@ corpora, so it pins the optima across a change that means to move plans or
 counters. The negation corpus adds not to randgen's palette; it is the
 only one that puts a not over a temporal formula. The enumerator has a
 digest too: each instance's plan count, NE, NC and every plan's weight, in
-enumeration order.
+enumeration order. So has the cross check: each instance's CheckReport and,
+per replayed trace, the weight and the prefix bounds that cross_check read.
 """
 
 import hashlib
@@ -22,7 +23,8 @@ from conftest import fixture_ids
 from test_search import LEX_SENSITIVE, corpus_problem
 
 from prefhtn.errors import CapExceeded, ResourceLimit
-from prefhtn.oracle import enumerate_all
+from prefhtn import progression as P
+from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.search import SolveConfig, solve
 
 FIXTURES = [f"{suite}-{k}" for suite, k in fixture_ids()]
@@ -89,3 +91,36 @@ def enumerated(name: str) -> str:
 def test_enumeration_is_pinned():
     text = "\n".join(enumerated(n) for n in FIXTURES + RANDOM)
     assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATED
+
+
+CHECKED = (
+    "f17730038f7483d6f2d45ad910bb32b933b236b33574296430b73a74965c5a25")
+
+
+def checked(name: str, replays: list) -> str:
+    """name's CheckReport and the replays its cross check read, which a
+    wrapped progress_trace appends to replays."""
+    replays.clear()
+    try:
+        r = cross_check(corpus_problem(name))
+    except (CapExceeded, ResourceLimit) as exc:
+        return f"{name} {exc.kind}"
+    checks = " ".join(f"{k}={v}" for k, v in sorted(r.checks.items()))
+    traces = " ".join(
+        f"{w}[" + ",".join(f"{b.opt}:{b.pess}" for b in prefix) + "]"
+        for w, prefix in replays)
+    return (f"{r.problem} {r.plan_count} {r.solve_weight} {r.oracle_weight}"
+            f" {checks} {traces}")
+
+
+def test_cross_check_is_pinned(monkeypatch):
+    replays, original = [], P.progress_trace
+
+    def recording_replay(*args):
+        out = original(*args)
+        replays.extend(out)
+        return out
+
+    monkeypatch.setattr(P, "progress_trace", recording_replay)
+    text = "\n".join(checked(n, replays) for n in FIXTURES + RANDOM)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHECKED

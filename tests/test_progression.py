@@ -14,13 +14,13 @@ from conftest import MINI_DOMAIN, fixture_ids, load_fixture
 import prefhtn.formulas as F
 import prefhtn.progression as P
 from prefhtn import semantics
-from prefhtn.errors import UnboundVariable
+from prefhtn.errors import ResourceLimit, UnboundVariable
 from prefhtn.model import (Atom, EndEvent, Literal, OperatorEvent,
                            StartEvent, State, Trace, replay)
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (empty_preference, parse_domain,
                             parse_preference, parse_problem)
-from prefhtn.search import solve
+from prefhtn.search import SolveConfig, solve
 from prefhtn.progression import Bounds, progress_trace
 from prefhtn.randgen import GenConfig, gen_instance
 from prefhtn.semantics import weight_gpf
@@ -396,9 +396,9 @@ class TestSharedReplay:
                 steps.append(ctx)
             return original_step(pf, ctx)
 
-        def recording_replay(gpf, traces, universe):
+        def recording_replay(gpf, traces, universe, start=None):
             replayed.extend(traces)
-            return original_replay(gpf, traces, universe)
+            return original_replay(gpf, traces, universe, start)
 
         monkeypatch.setattr(P, "step", counting_step)
         monkeypatch.setattr(P, "progress_trace", recording_replay)
@@ -418,6 +418,76 @@ class TestSharedReplay:
         # the traces do share prefixes, so this is fewer than one step per
         # event of every trace
         assert len(inner) < sum(t.length for t in replayed)
+
+
+class TestCrossCheckSharesOneAutomaton:
+    """cross_check grounds the preference once: its search and its replay
+    step one automaton."""
+
+    def test_one_init_for_the_preference(self, monkeypatch):
+        made, released = [], []
+        original_init = P.init_progressed
+        original_release = P.Automaton.release
+
+        def recording_init(gpf, universe):
+            pf = original_init(gpf, universe)
+            made.append((gpf, pf.automaton))
+            return pf
+
+        def recording_release(automaton):
+            released.append(automaton)
+            original_release(automaton)
+
+        monkeypatch.setattr(P, "init_progressed", recording_init)
+        monkeypatch.setattr(P.Automaton, "release", recording_release)
+        problem = load_fixture("logistics", 1)
+        assert cross_check(problem).ok
+        # the enumerator's trivial preference, then the problem's
+        assert [gpf for gpf, _ in made] == [empty_preference(),
+                                            problem.preference]
+        # each released once
+        assert sorted(map(id, released)) == sorted(id(a) for _, a in made)
+
+    @pytest.mark.parametrize("suite,k", [("travel", 1), ("logistics", 1),
+                                         ("zeno", 1)])
+    def test_replay_steps_the_search_automaton(self, monkeypatch, suite,
+                                               k):
+        made, searched, replayed, calls = [], [], [], []
+        original_init, original_step = P.init_progressed, P.step
+        original_replay, original_bdf = P.progress_trace, P.progress_bdf
+
+        def recording_init(gpf, universe):
+            pf = original_init(gpf, universe)
+            made.append(pf.automaton)
+            return pf
+
+        def recording_step(pf, ctx):
+            (replayed if calls else searched).append(pf.automaton)
+            return original_step(pf, ctx)
+
+        def counting_replay(*args):
+            calls.append(0)
+            return original_replay(*args)
+
+        def counting_bdf(phi, ctx):
+            if calls:
+                calls[-1] += 1
+            return original_bdf(phi, ctx)
+
+        monkeypatch.setattr(P, "init_progressed", recording_init)
+        monkeypatch.setattr(P, "step", recording_step)
+        monkeypatch.setattr(P, "progress_trace", counting_replay)
+        monkeypatch.setattr(P, "progress_bdf", counting_bdf)
+        problem = load_fixture(suite, k)
+        assert cross_check(problem).ok
+        automaton = made[-1]
+        assert searched and replayed
+        assert all(a is automaton for a in searched + replayed)
+        # the search's transitions serve the replay: a fresh automaton
+        # calls progress_bdf more often on the same traces
+        P.progress_trace(problem.preference, enumerate_all(problem).traces,
+                         problem.constants)
+        assert calls[0] < calls[1]
 
 
 def _record_steps(monkeypatch):
@@ -528,9 +598,22 @@ class TestProductStates:
         assert settled > 0
 
 
+def _unsolvable():
+    """The mini domain with !pay blocked, under a preference over !pay."""
+    domain = parse_domain(MINI_DOMAIN.replace(
+        "(:operator (!pay) :pre ()", "(:operator (!pay) :pre ((blocked))"))
+    problem = parse_problem("(problem p :init () :tasks ((arrange-trans)))",
+                            domain)
+    problem.preference = parse_preference(
+        "(>> ((eventually (occ (!pay))) 0) ((and) 1))", domain)
+    return problem
+
+
 class TestAutomatonLifetime:
     @pytest.mark.parametrize("run", ["solve", "progress_trace",
-                                     "cross_check", "enumerate_all"])
+                                     "cross_check", "enumerate_all",
+                                     "cross_check-noplan",
+                                     "cross_check-timeout"])
     def test_freed_when_its_search_returns(self, monkeypatch, run):
         # without the cyclic collector: product states and their automaton
         # refer to each other while the search runs
@@ -553,6 +636,11 @@ class TestAutomatonLifetime:
                 progress_trace(problem.preference, traces, problem.constants)
             elif run == "enumerate_all":
                 enumerate_all(problem)
+            elif run == "cross_check-noplan":
+                assert cross_check(_unsolvable()).plan_count == 0
+            elif run == "cross_check-timeout":
+                with pytest.raises(ResourceLimit):  # raised by the search
+                    cross_check(problem, config=SolveConfig(timeout=0))
             else:
                 cross_check(problem)
             assert made and all(ref() is None for ref in made)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import is_
-from typing import Union
+from typing import Optional, Union
 
 from .errors import BadValueOrder
 from .model import Atom, Literal, Node, is_var, subst_args
@@ -315,35 +315,81 @@ def _bind(v, sigma: dict[str, str]):
                                                  v.positive)
 
 
-def ground(phi: BDF, universe: tuple[str, ...], write=lambda p: p) -> BDF:
+def ground(phi: BDF, universe: tuple[str, ...], write=lambda p: p,
+           reach=None) -> BDF:
     """phi with exists grounded as a disjunction and forall as a
     conjunction over the universe, in one walk (_ground), and then each
     node that is not a join through write: progression.unfold writes out
     the before/hold* constructs with it. A node in which nothing changed
-    comes back as it is."""
-    return _written(_ground(phi, universe, write, {}), write)
+    comes back as it is.
+
+    reach, when given, returns the analysis of model.reachable and is
+    called only at a quantifier. A forall drops each instance that _known
+    finds true on every trace a plan can reach, and an exists each one it
+    finds false, which moves no plan's weight. A dropped forall instance
+    holds on every prefix too, so by Kleene monotonicity its residual is
+    never optimistically unsatisfied: where the bounds read it under their
+    own view opt stays, and only pess meets the weight earlier. Read under
+    the other view (in a condition or under a not), or dropped from an
+    exists, an instance can only bring a bound closer to the weight."""
+    return _written(_ground(phi, universe, write, {}, reach), write)
 
 
 def _ground(phi: BDF, universe: tuple[str, ...], write,
-            sigma: dict[str, str]) -> BDF:
+            sigma: dict[str, str], reach) -> BDF:
     """phi ground under the bindings sigma (variable -> constant), which
     the walk carries down to the refs and literals; an inner quantifier
     shadows an outer one. The joins take their parts unwritten, or mk_and
     would splice the And that a before is written out as."""
     cls = type(phi)
     if cls is Exists or cls is Forall:
-        return (mk_or if cls is Exists else mk_and)(
-            [_ground(phi.body, universe, write, {**sigma, phi.var: c})
-             for c in universe])
+        parts = [_ground(phi.body, universe, write, {**sigma, phi.var: c},
+                         reach) for c in universe]
+        if reach is not None:
+            drop = cls is Forall
+            parts = [p for p in parts if _known(p, reach()) is not drop]
+        return (mk_or if cls is Exists else mk_and)(parts)
     if cls is And or cls is Or:
         joined = (mk_and if cls is And else mk_or)(
-            [_ground(p, universe, write, sigma) for p in phi.parts])
+            [_ground(p, universe, write, sigma, reach) for p in phi.parts])
         return phi if joined == phi else joined
     fields = vars(phi).values()
     new = [_bind(v, sigma) if type(v) is Ref or type(v) is Literal
-           else _written(_ground(v, universe, write, sigma), write)
+           else _written(_ground(v, universe, write, sigma, reach), write)
            for v in fields]
     return phi if all(map(is_, new, fields)) else cls(*new)
+
+
+def _known(phi: BDF, reach) -> Optional[bool]:
+    """The truth of ground phi at every index of every trace a plan can
+    reach, by the analysis reach = (facts, operators) of model.reachable,
+    or None when it does not decide it: an operator's occ is false when no
+    embedding of its args (args_match) fits the parameters' sets, a literal
+    whose atom no reachable state holds has its sign's opposite, and not,
+    and, or, always and eventually fold constants."""
+    cls = type(phi)
+    if cls is Not:
+        sub = _known(phi.sub, reach)
+        return None if sub is None else not sub
+    if cls is Always or cls is Eventually:
+        return _known(phi.sub, reach)
+    if cls is And or cls is Or:
+        values = {_known(p, reach) for p in phi.parts}
+        zero = cls is Or  # the value that decides the join
+        return zero if zero in values else None if None in values else not zero
+    if cls is LitF:
+        (pred, args), positive = phi.lit
+        held = all(a in reach[0].get((pred, pos), ()) for pos, a
+                   in enumerate(args))
+        return None if held else not positive
+    if cls is Occ and phi.ref.kind == "op":
+        params = reach[1].get(phi.ref.name)
+        if params is None:
+            return False
+        it = iter(params)  # the leftmost embedding, taken greedily
+        return None if all(any(a in can for can in it)
+                           for a in phi.ref.args) else False
+    return None
 
 
 def _written(phi: BDF, write) -> BDF:

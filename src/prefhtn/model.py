@@ -734,3 +734,46 @@ class Problem(Record):
             seen.update(formula_constants(self.preference))
             self._constants = (self.preference, tuple(sorted(seen)))
         return self._constants[1]
+
+
+def reachable(problem: Problem) -> tuple[dict, dict]:
+    """A superset of the constants that can stand at each position of a
+    fact in a state that a plan reaches, {(pred, pos): set}, and of those
+    that can bind each parameter of an operator event in it, {name: [set
+    per parameter]}. It is the position-wise projection of delete-relaxed
+    reachability from problem.init (Helmert, AIJ 2009): a fixpoint over
+    the positive preconditions and the add lists. A parameter that no
+    positive precondition binds may be any constant, and an operator with
+    a precondition constant that its position never holds is left out."""
+    at: dict = {}
+    for fact in problem.init.facts:
+        for pos, a in enumerate(fact.args):
+            at.setdefault((fact.pred, pos), set()).add(a)
+    anything = set(problem.constants)
+    rules = [(op, [((lit.atom.pred, pos), a, is_var(a)) for lit in op.pre
+                   if lit.positive for pos, a in enumerate(lit.atom.args)],
+              [((atom.pred, pos), a, is_var(a)) for atom in op.add
+               for pos, a in enumerate(atom.args)])
+             for op in problem.domain.operators.values()]
+    ops: dict = {}
+    grew = True
+    while grew:
+        grew = False
+        for op, pre, add in rules:
+            binds: dict = {}
+            for key, a, var in pre:
+                can = at.get(key, frozenset())
+                if not var:
+                    if a not in can:
+                        break  # the operator does not fire yet
+                else:
+                    binds[a] = binds[a].intersection(can) if a in binds else can
+            else:
+                ops[op.name] = [binds.get(p, anything) for p in op.params]
+                for key, a, var in add:
+                    new = binds.get(a, anything) if var else (a,)
+                    cell = at.setdefault(key, set())
+                    if not cell.issuperset(new):
+                        cell.update(new)
+                        grew = True
+    return at, ops

@@ -162,7 +162,7 @@ def cross_check(problem: Problem, caps: EnumerationCaps = None,
     caps = caps or EnumerationCaps()
     config = config or SolveConfig()
     oracle = enumerate_all(problem, caps, config)
-    root = P.init_progressed(problem.preference, problem.constants)
+    root = P.init_progressed(problem.preference, problem.constants, problem)
     try:
         result = solve(problem, config, root)
         replays = P.progress_trace(problem.preference, oracle.traces,

@@ -40,6 +40,9 @@ Residual conventions (all indices relative to the event sequence):
     LTL formulas they abbreviate (unfold), over at(t) = next(occNext(t)),
     terminated and the Window leaf of the t1/t2 window, by the one walk
     that grounds the quantifiers (formulas.ground) as it meets them.
+  * A quantifier of a search's or cross-check's preference is ground over
+    the constants less the instances that no plan can make anything but
+    the join's unit (model.reachable): those are never residuals.
   * An obligation still pending counts as satisfied under the optimistic
     bound and falsified under the pessimistic one, and a not judges its
     sub-formula under the other view (_sat). That is strong Kleene
@@ -60,7 +63,7 @@ from typing import NamedTuple
 from . import formulas as F
 from . import semantics
 from .errors import UnboundVariable
-from .model import Trace, Value, slot_setters
+from .model import Problem, Trace, Value, reachable, slot_setters
 
 
 class Progressed(Value):
@@ -113,17 +116,29 @@ class StepContext(NamedTuple):
     terminal: bool
 
 
-def init_progressed(gpf: F.GPF, universe: tuple[str, ...]) -> Progressed:
+def init_progressed(gpf: F.GPF, universe: tuple[str, ...],
+                    problem: Problem = None) -> Progressed:
     """Ground the quantifiers and unfold the before/hold* constructs of
     each BDF in one walk of the parsed formula (formulas.ground with
     unfold), and number the BDFs (no step yet). map_gpf and gpf_bdfs both
     visit a Cond's condition before its body, so the numbers are the
-    positions in gpf_bdfs."""
+    positions in gpf_bdfs. Given the problem, a quantifier keeps only the
+    instances that a plan of it can make anything but the join's unit,
+    by the analysis of model.reachable, made at the first quantifier the
+    walk meets and dropped with this call."""
     counter = itertools.count()
     automaton = Automaton()
+    analysis = []  # model.reachable(problem), once a quantifier needs it
+
+    def reach():
+        if not analysis:
+            analysis.append(reachable(problem))
+        return analysis[0]
+
+    analysed = None if problem is None else reach
     return automaton.product(F.map_gpf(gpf, lambda _: next(counter)),
                              tuple(automaton.intern(F.ground(b, universe,
-                                                             unfold))
+                                                             unfold, analysed))
                                    for b in F.gpf_bdfs(gpf)))
 
 

@@ -5,6 +5,10 @@ Instances are deliberately tiny: a handful of ground operators, a layered
 configurable construct palette under an AST-size budget. Every instance is
 emitted as source text and re-parsed, so whatever the generator produces is
 by construction reachable through the normal input path.
+
+With a quantifier among the constructs (never by default), each operator
+takes a parameter ?x, which half of its atoms and every call bind, and a
+quantifier's variable may stand in the literals and operator refs under it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from .parser import BDF_FORMS, parse_domain, parse_preference, parse_problem
 from .sexpr import format_fraction
 
 DEFAULT_CONSTRUCTS = frozenset(BDF_FORMS) - {"not"}
+QUANTIFIERS = ("exists", "forall")
 
 
 class GenConfig(Value):
@@ -70,9 +75,20 @@ def gen_files(config: GenConfig = None) -> GeneratedInstance:
     consts = [f"c{i + 1}" for i in range(config.num_constants)]
     preds = [f"p{i + 1}" for i in range(3)]
     blocked = "blocked"  # never added by any operator
+    quantified = not config.constructs.isdisjoint(QUANTIFIERS)
 
     def ground_atom() -> str:
         return f"({rng.choice(preds)} {rng.choice(consts)})"
+
+    def op_atom() -> str:
+        if quantified and rng.random() < 0.5:
+            return f"({rng.choice(preds)} ?x)"
+        return ground_atom()
+
+    def call(name: str) -> str:
+        if quantified and name.startswith("!"):
+            return f"({name} {rng.choice(consts)})"
+        return f"({name})"
 
     # ground operators; most have no precondition so decomposition chains
     # rarely dead-end, a few flip fluents to exercise state change
@@ -89,10 +105,11 @@ def gen_files(config: GenConfig = None) -> GeneratedInstance:
     for i in range(config.num_operators):
         name = f"op{i + 1}"
         op_names.append(name)
-        pre = track(ground_atom()) if i > 0 and rng.random() < 0.3 else ""
-        add = track(ground_atom()) if i == 0 or rng.random() < 0.6 else ""
-        dele = track(ground_atom()) if rng.random() < 0.4 else ""
-        op_lines.append(f"  (:operator (!{name}) :pre ({pre}) "
+        pre = track(op_atom()) if i > 0 and rng.random() < 0.3 else ""
+        add = track(op_atom()) if i == 0 or rng.random() < 0.6 else ""
+        dele = track(op_atom()) if rng.random() < 0.4 else ""
+        param = " ?x" if quantified else ""
+        op_lines.append(f"  (:operator (!{name}{param}) :pre ({pre}) "
                         f":del ({dele}) :add ({add}))")
         if not pre:
             safe_ops.append(name)
@@ -142,7 +159,7 @@ def gen_files(config: GenConfig = None) -> GeneratedInstance:
                         return rng.choice(lower)
                     return rng.choice(pool)
 
-                subs = " ".join(f"({pick()})" for _ in range(k))
+                subs = " ".join(call(pick()) for _ in range(k))
                 pre = ""
                 if j > 0 and rng.random() < 0.4:
                     pre = track(ground_atom())
@@ -160,7 +177,7 @@ def gen_files(config: GenConfig = None) -> GeneratedInstance:
         # operator can ever produce
         method_lines.append(f"  (:method (tdead) :name tdead-m1 "
                             f":pre (({blocked} {consts[0]})) "
-                            f":tasks ((!{op_names[0]})))")
+                            f":tasks ({call('!' + op_names[0])}))")
         goal_tasks.append("tdead")
 
     domain_text = "(domain rnd%d\n%s\n%s\n)" % (
@@ -189,13 +206,21 @@ def _gen_preference(rng: random.Random, config: GenConfig, preds, consts,
         budget[0] -= n
         return True
 
+    bound: list[str] = []  # the variables of the quantifiers around
+
+    def term() -> str:
+        if bound and rng.random() < 0.6:
+            return rng.choice(bound)
+        return rng.choice(consts)
+
     def lit() -> str:
-        a = f"({rng.choice(preds)} {rng.choice(consts)})"
+        a = f"({rng.choice(preds)} {term()})"
         return f"(not {a})" if rng.random() < 0.3 else a
 
     def ref() -> str:
         if rng.random() < 0.5:
-            return f"(!{rng.choice(op_names)})"
+            op = rng.choice(op_names)
+            return f"(!{op} {term()})" if bound else f"(!{op})"
         return f"({rng.choice(task_names)})"
 
     def bdf(depth: int) -> str:
@@ -203,10 +228,15 @@ def _gen_preference(rng: random.Random, config: GenConfig, preds, consts,
         if depth < 3 and budget[0] > 1:
             choices += [c for c in BDF_FORMS if c in config.constructs]
             choices += ["and", "or"]
+            choices += [q for q in QUANTIFIERS if q in config.constructs]
         c = rng.choice(choices)
         if c == "lit" or not spend(1):
             spend(1)
             return lit()
+        if c in QUANTIFIERS:
+            bound.append(f"?v{len(bound)}")
+            body = bdf(depth + 1)
+            return f"({c} ({bound.pop()}) {body})"
         kinds = BDF_FORMS[c][1] if c in BDF_FORMS else ("formula", "formula")
         spend(len(kinds) - 1)
         arg = {"formula": lambda: bdf(depth + 1), "literal": lit, "task": ref,

@@ -377,7 +377,8 @@ def make_root(problem: Problem, start: P.Progressed = None) -> SearchNode:
     trace = empty_trace(problem.init.indexed(problem.domain))
     agenda = tuple(problem.network)
     if start is None:
-        start = P.init_progressed(problem.preference, problem.constants)
+        start = P.init_progressed(problem.preference, problem.constants,
+                                  problem)
     return SearchNode(agenda, trace, _step(start, trace, not agenda), 0, 0, 0)
 
 

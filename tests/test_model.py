@@ -7,10 +7,12 @@ from prefhtn.errors import IllegalEvent, PreconditionViolation
 from prefhtn.model import (Atom, Domain, EndEvent, Inst, Literal, Operator,
                            OperatorEvent, StartEvent, State, Trace,
                            apply_event, args_match,
-                           empty_trace, ground_operator, replay,
+                           empty_trace, ground_operator, reachable, replay,
                            validate_trace)
 from prefhtn.oracle import enumerate_all
-from prefhtn.parser import parse_domain
+from prefhtn.parser import parse_domain, parse_problem
+from prefhtn.randgen import (DEFAULT_CONSTRUCTS, QUANTIFIERS, GenConfig,
+                             gen_instance)
 from prefhtn.search import solve
 from prefhtn.semantics import terminated_at
 from tests.conftest import executing, fixture_ids, links, load_fixture
@@ -286,3 +288,47 @@ class TestMatching:
         assert args_match(("a", "c"), ("a", "b", "c"))
         assert not args_match(("c", "a"), ("a", "b", "c"))
         assert args_match((), ("a",))
+
+
+class TestReachable:
+    def test_every_plan_stays_inside_the_sets(self):
+        # the analysis over-approximates what a plan reaches: every fact of
+        # every state and every parameter of every operator event of every
+        # enumerated plan lies in its position's set, on the fixtures and on
+        # randgen instances whose operators take a parameter
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += [gen_instance(GenConfig(
+            seed=seed, constructs=DEFAULT_CONSTRUCTS | set(QUANTIFIERS)))[0]
+            for seed in range(100)]
+        bound = 0
+        for problem in problems:
+            facts, ops = reachable(problem)
+            for trace in enumerate_all(problem).traces:
+                for cell in trace.cells:
+                    for f in cell.final_state.facts:
+                        for pos, a in enumerate(f.args):
+                            assert a in facts[f.pred, pos], (problem.name, f)
+                    e = cell.event
+                    if type(e) is OperatorEvent:
+                        for a, can in zip(e.args, ops[e.name], strict=True):
+                            assert a in can, (problem.name, e)
+                            bound += 1
+        assert bound > 10_000
+
+    def test_sets_on_logistics(self):
+        # a package is only ever at a place or in a vehicle, and only !load
+        # and !unload bind one; a parameter no precondition binds, and an
+        # operator whose precondition constant is never held, as documented
+        domain = parse_domain("""(domain d
+          (:operator (!load ?p ?v) :pre ((at ?p) (car ?v)) :del ((at ?p))
+            :add ((in ?p ?v)))
+          (:operator (!paint ?x) :pre () :del () :add ((red ?x)))
+          (:operator (!fix) :pre ((car wreck)) :del () :add ((red wreck))))""")
+        problem = parse_problem("""(problem p :init ((at p1) (car v1))
+          :tasks ((!load p1 v1)))""", domain)
+        facts, ops = reachable(problem)
+        everything = set(problem.constants)
+        assert facts == {("at", 0): {"p1"}, ("car", 0): {"v1"},
+                         ("in", 0): {"p1"}, ("in", 1): {"v1"},
+                         ("red", 0): everything}
+        assert ops == {"load": [{"p1"}, {"v1"}], "paint": [everything]}

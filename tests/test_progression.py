@@ -20,9 +20,10 @@ from prefhtn.model import (Atom, EndEvent, Literal, OperatorEvent,
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (empty_preference, parse_domain,
                             parse_preference, parse_problem)
-from prefhtn.search import SolveConfig, solve
+from prefhtn.search import SolveConfig, make_root, solve
 from prefhtn.progression import Bounds, progress_trace
-from prefhtn.randgen import GenConfig, gen_instance
+from prefhtn.randgen import (DEFAULT_CONSTRUCTS, QUANTIFIERS, GenConfig,
+                             gen_instance)
 from prefhtn.semantics import weight_gpf
 
 
@@ -429,8 +430,8 @@ class TestCrossCheckSharesOneAutomaton:
         original_init = P.init_progressed
         original_release = P.Automaton.release
 
-        def recording_init(gpf, universe):
-            pf = original_init(gpf, universe)
+        def recording_init(gpf, universe, problem=None):
+            pf = original_init(gpf, universe, problem)
             made.append((gpf, pf.automaton))
             return pf
 
@@ -456,8 +457,8 @@ class TestCrossCheckSharesOneAutomaton:
         original_init, original_step = P.init_progressed, P.step
         original_replay, original_bdf = P.progress_trace, P.progress_bdf
 
-        def recording_init(gpf, universe):
-            pf = original_init(gpf, universe)
+        def recording_init(gpf, universe, problem=None):
+            pf = original_init(gpf, universe, problem)
             made.append(pf.automaton)
             return pf
 
@@ -903,3 +904,114 @@ def test_dispatch_table_equals_the_chain(mini_trace):
             outcomes.add(out if isinstance(out, type) else type(out))
     assert {UnboundVariable, TypeError, F.TrueC, F.FalseC, F.OccNext,
             F.Or, F.And} <= outcomes
+
+
+# On logistics-3 the packages are pkg1 and pkg2; the universe has ten
+# constants.
+PRUNED = {
+    "forall-occ": ("(forall (?p) (always (not (occ (!load ?p t1)))))",
+                   {("pkg1", "t1"), ("pkg2", "t1")}),
+    "exists-occ": ("(exists (?p) (eventually (occ (!load ?p t1))))",
+                   {("pkg1", "t1"), ("pkg2", "t1")}),
+    "forall-literal": ("(forall (?x) (always (not (at ?x dock))))",
+                       {("pkg1", "dock"), ("pkg2", "dock")}),
+}
+
+
+def _leaves(phi) -> set:
+    """The args of every ref and literal in phi."""
+    out = {v.args if isinstance(v, F.Ref) else v.atom.args
+           for v in F.node_fields(phi) if isinstance(v, (F.Ref, Literal))}
+    for p in F.children(phi):
+        out |= _leaves(p)
+    return out
+
+
+def _pruning_corpus():
+    """logistics-3 under each PRUNED preference, and randgen seeds 0-99
+    with the quantifiers on."""
+    out = []
+    for text, _ in PRUNED.values():
+        problem = load_fixture("logistics", 3)
+        problem.preference = parse_preference(text, problem.domain)
+        out.append(problem)
+    constructs = DEFAULT_CONSTRUCTS | set(QUANTIFIERS)
+    out += [gen_instance(GenConfig(seed=seed, constructs=constructs))[0]
+            for seed in range(100)]
+    return out
+
+
+class _Everything(dict):
+    def __init__(self, universe):
+        super().__init__()
+        self.universe = universe
+
+    def get(self, key, default=None):
+        return self.universe
+
+
+def _everything_reachable(problem):
+    """An analysis that finds every constant everywhere: no instance is
+    dropped."""
+    universe = set(problem.constants)
+    return _Everything(universe), {name: [universe] * len(op.params)
+                                   for name, op in
+                                   problem.domain.operators.items()}
+
+
+class TestQuantifierPruning:
+    @pytest.mark.parametrize("case", sorted(PRUNED))
+    def test_keeps_the_instances_a_plan_can_touch(self, case):
+        text, kept = PRUNED[case]
+        problem = load_fixture("logistics", 3)
+        problem.preference = parse_preference(text, problem.domain)
+        [phi] = P.init_progressed(problem.preference, problem.constants,
+                                  problem).residuals
+        assert type(phi) is (F.Or if case.startswith("exists") else F.And)
+        assert len(phi.parts) == len(kept) and _leaves(phi) == kept
+        # without the problem, one instance per constant
+        [whole] = P.init_progressed(problem.preference,
+                                    problem.constants).residuals
+        assert len(whole.parts) == len(problem.constants) == 10
+
+    def test_the_search_grounds_with_the_problem(self):
+        text, kept = PRUNED["forall-occ"]
+        problem = load_fixture("logistics", 3)
+        problem.preference = parse_preference(text, problem.domain)
+        [phi] = make_root(problem).progressed.residuals
+        assert _leaves(phi) == kept
+
+    def test_analysis_runs_only_at_a_quantifier(self, monkeypatch):
+        # once per search that meets one, however many it meets, and never
+        # for a preference without one (so flat-zeno never pays for it)
+        calls, original = [], P.reachable
+        monkeypatch.setattr(P, "reachable",
+                            lambda problem: calls.append(problem)
+                            or original(problem))
+        problem = load_fixture("logistics", 3)
+        assert solve(problem).status == "ok" and cross_check(problem).ok
+        assert calls == []
+        problem.preference = parse_preference(
+            "(&! %s %s)" % (PRUNED["forall-occ"][0], PRUNED["exists-occ"][0]),
+            problem.domain)
+        assert solve(problem).status == "ok"
+        assert calls == [problem]
+        assert cross_check(problem).ok  # the enumerator's preference has none
+        assert calls == [problem, problem]
+
+    def test_weights_equal_grounding_over_everything(self, monkeypatch):
+        problems = _pruning_corpus()
+        pruned = 0
+        for problem in problems:
+            gpf, universe = problem.preference, problem.constants
+            pruned += (P.init_progressed(gpf, universe, problem).residuals
+                       != P.init_progressed(gpf, universe).residuals)
+        assert pruned >= 3 + 5
+        reports = [cross_check(problem) for problem in problems]
+        assert all(report.ok for report in reports)
+        monkeypatch.setattr(P, "reachable", _everything_reachable)
+        for problem, report in zip(problems, reports):
+            gpf, universe = problem.preference, problem.constants
+            assert (P.init_progressed(gpf, universe, problem).residuals
+                    == P.init_progressed(gpf, universe).residuals)
+            assert solve(problem).weight == report.solve_weight, problem.name

@@ -1,10 +1,13 @@
 """Random instance generator: determinism, structure, solvability labels."""
 
+import re
+
 import pytest
 
 from prefhtn.errors import CapExceeded
 from prefhtn.oracle import EnumerationCaps, enumerate_all
-from prefhtn.randgen import GenConfig, gen_files, gen_instance
+from prefhtn.randgen import (DEFAULT_CONSTRUCTS, QUANTIFIERS, GenConfig,
+                             gen_files, gen_instance)
 
 
 class TestDeterminism:
@@ -62,3 +65,31 @@ class TestSolvabilityLabel:
         labels = {gen_instance(GenConfig(seed=s, unsolvable_rate=0.3))[1]
                   for s in range(20)}
         assert labels == {True, False}
+
+
+class TestQuantifiers:
+    def test_default_palette_has_none(self):
+        assert DEFAULT_CONSTRUCTS.isdisjoint(QUANTIFIERS)
+        for seed in range(30):
+            inst = gen_files(GenConfig(seed=seed))
+            assert "?" not in inst.domain_text + inst.preference_text
+
+    def test_variables_reach_literals_and_operator_refs(self):
+        # every operator takes ?x and every call binds it to a constant; a
+        # quantifier's variable stands in literals and operator references
+        constructs = DEFAULT_CONSTRUCTS | set(QUANTIFIERS)
+        texts = []
+        for seed in range(100):
+            inst = gen_files(GenConfig(seed=seed, constructs=constructs))
+            domain = inst.problem.domain
+            assert all(op.params == ("?x",)
+                       for op in domain.operators.values())
+            calls = [t for m in domain.methods for t in m.subtasks
+                     if t.primitive]
+            assert all(re.fullmatch(r"c\d", " ".join(t.args)) for t in calls)
+            texts.append(inst.preference_text)
+        text = "\n".join(texts)
+        assert len(re.findall(r"\((forall|exists) \(\?v0\)", text)) > 30
+        assert re.search(r"\(p\d \?v\d\)", text)
+        assert re.search(r"\(!op\d \?v\d\)", text)
+        assert re.search(r"\((forall|exists) \(\?v1\)", text)  # nested

@@ -339,16 +339,19 @@ def _ground(phi: BDF, universe: tuple[str, ...], write,
             sigma: dict[str, str], reach) -> BDF:
     """phi ground under the bindings sigma (variable -> constant), which
     the walk carries down to the refs and literals; an inner quantifier
-    shadows an outer one. The joins take their parts unwritten, or mk_and
-    would splice the And that a before is written out as."""
+    shadows an outer one. A quantifier builds only the instances it keeps,
+    deciding each binding first (_known). The joins take their parts
+    unwritten, or mk_and would splice the And that a before is written out
+    as."""
     cls = type(phi)
     if cls is Exists or cls is Forall:
-        parts = [_ground(phi.body, universe, write, {**sigma, phi.var: c},
-                         reach) for c in universe]
+        bindings = [{**sigma, phi.var: c} for c in universe]
         if reach is not None:
-            drop = cls is Forall
-            parts = [p for p in parts if _known(p, reach()) is not drop]
-        return (mk_or if cls is Exists else mk_and)(parts)
+            known, drop = reach(), cls is Forall
+            bindings = [b for b in bindings
+                        if _known(phi.body, known, universe, b) is not drop]
+        return (mk_or if cls is Exists else mk_and)(
+            [_ground(phi.body, universe, write, b, reach) for b in bindings])
     if cls is And or cls is Or:
         joined = (mk_and if cls is And else mk_or)(
             [_ground(p, universe, write, sigma, reach) for p in phi.parts])
@@ -360,36 +363,50 @@ def _ground(phi: BDF, universe: tuple[str, ...], write,
     return phi if all(map(is_, new, fields)) else cls(*new)
 
 
-def _known(phi: BDF, reach) -> Optional[bool]:
-    """The truth of ground phi at every index of every trace a plan can
-    reach, by the analysis reach = (facts, operators) of model.reachable,
-    or None when it does not decide it: an operator's occ is false when no
-    embedding of its args (args_match) fits the parameters' sets, a literal
-    whose atom no reachable state holds has its sign's opposite, and not,
-    and, or, always and eventually fold constants."""
+def _known(phi: BDF, reach, universe: tuple[str, ...],
+           sigma: dict[str, str]) -> Optional[bool]:
+    """The truth of phi under the bindings sigma at every index of every
+    trace a plan can reach, by the analysis reach = (facts, operators) of
+    model.reachable, or None when it does not decide it: TRUE and FALSE
+    are their value; an operator's occ is false when no embedding of its
+    args (args_match) fits the parameters' sets; a literal whose atom no
+    reachable state holds has its sign's opposite, and a hold-before or
+    hold-after over such a positive literal is false, as is the eventually
+    of a conjunction with it that progression.unfold writes it as; not,
+    and, or, always, eventually, exists and forall fold. It decides the
+    same of phi under sigma as of phi ground under sigma: the joins that
+    build it fold the same values, and a ground quantifier is the join of
+    the instances it keeps."""
     cls = type(phi)
+    if cls is TrueC or cls is FalseC:
+        return cls is TrueC
     if cls is Not:
-        sub = _known(phi.sub, reach)
+        sub = _known(phi.sub, reach, universe, sigma)
         return None if sub is None else not sub
     if cls is Always or cls is Eventually:
-        return _known(phi.sub, reach)
+        return _known(phi.sub, reach, universe, sigma)
     if cls is And or cls is Or:
-        values = {_known(p, reach) for p in phi.parts}
-        zero = cls is Or  # the value that decides the join
-        return zero if zero in values else None if None in values else not zero
-    if cls is LitF:
+        values = {_known(p, reach, universe, sigma) for p in phi.parts}
+    elif cls is Exists or cls is Forall:
+        values = {_known(phi.body, reach, universe, {**sigma, phi.var: c})
+                  for c in universe}
+    elif cls is LitF or cls is HoldBefore or cls is HoldAfter:
         (pred, args), positive = phi.lit
-        held = all(a in reach[0].get((pred, pos), ()) for pos, a
-                   in enumerate(args))
-        return None if held else not positive
-    if cls is Occ and phi.ref.kind == "op":
+        if all(sigma.get(a, a) in reach[0].get((pred, pos), ())
+               for pos, a in enumerate(args)):
+            return None
+        return not positive if cls is LitF else False if positive else None
+    elif cls is Occ and phi.ref.kind == "op":
         params = reach[1].get(phi.ref.name)
         if params is None:
             return False
         it = iter(params)  # the leftmost embedding, taken greedily
-        return None if all(any(a in can for can in it)
+        return None if all(any(sigma.get(a, a) in can for can in it)
                            for a in phi.ref.args) else False
-    return None
+    else:
+        return None
+    zero = cls is Or or cls is Exists  # the value that decides the join
+    return zero if zero in values else None if None in values else not zero
 
 
 def _written(phi: BDF, write) -> BDF:

@@ -19,7 +19,7 @@ was the largest part of starting the planner. The one thing the planner
 generates is a domain's decomposition kernels (kernel_table): one compile
 per distinct tuple of methods, made when the Domain is built, so a parse
 pays it where set-up time sees it. Every record class derives instead from
-one of three bases, which generate nothing:
+one of four bases, which generate nothing:
   * Record: a slotted class whose __slots__ name its fields, in order, with
     a hand-written __init__. Equality goes by class and fields, and the repr
     is Cls(field=value, ...). Slots whose names start with _ are caches,
@@ -41,12 +41,18 @@ one of three bases, which generate nothing:
     Method, which are built once per parse. Formula nodes are also built
     on the search path, by grounding and progression, so Node, like Task,
     sets _hash to None at construction and writes its own __hash__.
+  * Row: a tuple whose items its _fields name, as typing.NamedTuple has
+    it, but with a hand-written __new__ (NamedTuple evals one per class).
+    Equality, hashing, slicing and unpacking are the tuple's; the repr is
+    Cls(field=value, ...). Atom, Literal, GroundOperator, Inst and
+    progression's StepContext are Rows.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Optional, Union
+from operator import itemgetter
+from typing import Callable, Optional, Union
 
 from .errors import IllegalEvent, PreconditionViolation, UnboundVariable
 
@@ -156,21 +162,53 @@ class Node(Value):
 (_node_hash,) = slot_setters(Value, "_hash")
 
 
+try:  # the C descriptor collections.namedtuple reads its fields with
+    from _collections import _tuplegetter
+except ImportError:  # pragma: no cover - other Python implementations
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
+
+
+class Row(tuple):
+    """A tuple with named items (see the module docstring). A subclass
+    lists _fields and writes __new__ and __slots__ = ()."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Item {i}: {name}."))
+
+    def __getnewargs__(self):  # pickling and copying pass the items
+        return tuple(self)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self)))
+
+
 def is_var(term: str) -> bool:
     return term.startswith("?")
 
 
-class Atom(NamedTuple):
-    pred: str
-    args: tuple[str, ...] = ()
+class Atom(Row):
+    __slots__ = ()
+    _fields = ("pred", "args")
+
+    def __new__(cls, pred: str, args: tuple[str, ...] = ()):
+        return tuple.__new__(cls, (pred, args))
 
     def __str__(self) -> str:
         return "(%s)" % " ".join((self.pred,) + self.args)
 
 
-class Literal(NamedTuple):
-    atom: Atom
-    positive: bool = True
+class Literal(Row):
+    __slots__ = ()
+    _fields = ("atom", "positive")
+
+    def __new__(cls, atom: Atom, positive: bool = True):
+        return tuple.__new__(cls, (atom, positive))
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"(not {self.atom})"
@@ -264,12 +302,15 @@ class Method(Node):
     before: tuple[tuple[Literal, int], ...] = ()
 
 
-class GroundOperator(NamedTuple):
+class GroundOperator(Row):
     """An operator under one binding of its parameters."""
 
-    pre: tuple[Literal, ...]
-    delete: frozenset[Atom]
-    add: frozenset[Atom]
+    __slots__ = ()
+    _fields = ("pre", "delete", "add")
+
+    def __new__(cls, pre: tuple[Literal, ...], delete: frozenset[Atom],
+                add: frozenset[Atom]):
+        return tuple.__new__(cls, (pre, delete, add))
 
 
 class Domain(Record):
@@ -316,17 +357,18 @@ class Domain(Record):
         return g
 
 
-class Inst(NamedTuple):
+class Inst(Row):
     """One occurrence of an operator, task or method application.
 
     kind is "op", "task" or "method"; uid is unique within a trace (the index
     of the event that introduced the instance).
     """
 
-    kind: str
-    name: str
-    args: tuple[str, ...]
-    uid: int
+    __slots__ = ()
+    _fields = ("kind", "name", "args", "uid")
+
+    def __new__(cls, kind: str, name: str, args: tuple[str, ...], uid: int):
+        return tuple.__new__(cls, (kind, name, args, uid))
 
 
 class OperatorEvent(Value):

@@ -58,12 +58,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import formulas as F
 from . import semantics
 from .errors import UnboundVariable
-from .model import Problem, Trace, Value, reachable, slot_setters
+from .model import Problem, Row, Trace, Value, reachable, slot_setters
 
 
 class Progressed(Value):
@@ -107,13 +106,16 @@ class Bounds(Value):
 _bounds_opt, _bounds_pess = slot_setters(Bounds, "opt", "pess")
 
 
-class StepContext(NamedTuple):
+class StepContext(Row):
     """One progression step: the trace cell it reads, whose event was just
     taken (None for the initial step) and whose state that event produced,
     and whether the plan is complete after it."""
 
-    trace: Trace
-    terminal: bool
+    __slots__ = ()
+    _fields = ("trace", "terminal")
+
+    def __new__(cls, trace: Trace, terminal: bool):
+        return tuple.__new__(cls, (trace, terminal))
 
 
 def init_progressed(gpf: F.GPF, universe: tuple[str, ...],

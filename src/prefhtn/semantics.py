@@ -32,11 +32,22 @@ Path, CONCUR 2003):
     first occurrence) and l until (l & occ t2) holds; before(t1, t2): the
     same with l true;
   * exists x. p and forall x. p: the union and the intersection of the
-    labels of p with x bound to each constant of the universe.
+    labels of p with x bound to each constant the trace tells apart in p,
+    and to one more constant, which stands for all the others (_bindings).
+    A constant c is told apart when a leaf of p that reads x matches the
+    trace with c for x, the variables of the quantifiers inside p read as
+    any constant: a ref an event of its kind and name (events of its
+    instances carry its args), a literal a fact of one of the states. Under
+    every other constant each such leaf reads what it reads when nothing
+    matches (no occurrence, never terminated, a literal's atom never
+    held), so p has one label under all of them, and as the join is
+    idempotent one of them stands for all (the symmetry reduction of model
+    checking: Emerson & Sistla, Symmetry and Model Checking, FMSD 1996). A
+    node class with no rule tells every constant apart.
 The bindings are an environment that refs and literals read at the leaf, so
 no formula is built: a ref is read as its bound (kind, name, args). A trace
-costs O(|phi| n) bit operations, times |U| under each quantifier. Labels
-are memoised within one call, not across.
+costs O(|phi| n) bit operations, times the constants told apart plus one
+under each quantifier. Labels are memoised within one call, not across.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from fractions import Fraction
 
 from . import formulas as F
 from .errors import UnboundVariable
-from .model import (OperatorEvent, StartEvent, Trace, args_match,
+from .model import (Literal, OperatorEvent, StartEvent, Trace, args_match,
                     subst_args, subst_literal)
 
 Ordering = int  # -1: first preferred, 1: second preferred, 0: indistinguishable
@@ -93,13 +104,15 @@ class _Labels:
     (variable, constant) pairs with the innermost last. memo keeps labels
     by (id(phi), env) and occurrence masks by (kind, name, args)."""
 
-    __slots__ = ("cells", "events", "full", "universe", "memo", "_by_key")
+    __slots__ = ("cells", "events", "full", "universe", "memo", "_by_key",
+                 "_facts")
 
     def __init__(self, trace: Trace, universe: tuple[str, ...]):
         self.cells = trace.cells
         self.events = tuple([c.event for c in self.cells[1:]])
         self.full = (2 << trace.length) - 1  # bits 0..n
-        self.universe, self.memo, self._by_key = universe, {}, None
+        self.universe, self.memo = universe, {}
+        self._by_key = self._facts = None
 
     def __call__(self, phi: F.BDF, env: tuple = ()) -> int:
         key = (id(phi), env)  # phi outlives the call, so its id is fixed
@@ -123,16 +136,31 @@ class _Labels:
         event_key gives it."""
         out = self.memo.get(key)
         if out is None:
-            if self._by_key is None:
-                self._by_key = {}
-                for k, (kind_name, args) in enumerate(map(event_key,
-                                                          self.events)):
-                    self._by_key.setdefault(kind_name, []).append((k, args))
             pattern = key[2]
             out = self.memo[key] = sum(
-                1 << k for k, args in self._by_key.get(key[:2], ())
+                1 << k for k, args in self.by_key(key[:2])
                 if args_match(pattern, args))
         return out
+
+    def by_key(self, kind_name: tuple) -> list:
+        """The (k, args) of the events that can match a ref of kind_name,
+        event k carrying args (event_key); indexed on first use."""
+        if self._by_key is None:
+            self._by_key = {}
+            for k, (key, args) in enumerate(map(event_key, self.events)):
+                self._by_key.setdefault(key, []).append((k, args))
+        return self._by_key.get(kind_name, ())
+
+    def facts(self, pred: str) -> list:
+        """The args of the facts of pred that some state of the trace
+        holds; indexed on first use."""
+        if self._facts is None:
+            states = {id(c.final_state): c.final_state.facts
+                      for c in self.cells}
+            self._facts = {}
+            for atom in frozenset().union(*states.values()):
+                self._facts.setdefault(atom.pred, []).append(atom.args)
+        return self._facts.get(pred, ())
 
     def terminated(self, key: tuple) -> int:
         """The states where the ref whose _bind key is key has terminated,
@@ -186,12 +214,13 @@ def _window(lab: _Labels, phi, env: tuple) -> int:
 
 def _join(lab: _Labels, phi, env: tuple) -> int:
     """The intersection (and, forall) or union (or, exists) of the labels of
-    the parts, or of the body under each constant of the universe; it stops
+    the parts, or of the body under the constants _bindings gives; it stops
     once settled."""
     if type(phi) in (F.And, F.Or):
         parts = ((p, env) for p in phi.parts)
     else:
-        parts = ((phi.body, env + ((phi.var, c),)) for c in lab.universe)
+        parts = ((phi.body, env + ((phi.var, c),))
+                 for c in _bindings(lab, phi, env))
     conj = type(phi) in (F.And, F.Forall)
     out, settled = (lab.full, 0) if conj else (0, lab.full)
     for p, e in parts:
@@ -199,6 +228,80 @@ def _join(lab: _Labels, phi, env: tuple) -> int:
         if out == settled:
             break
     return out
+
+
+def _bindings(lab: _Labels, phi, env: tuple) -> tuple:
+    """The constants of the universe, in its order, that the trace tells
+    apart in the body of the quantifier phi under env, and the first of the
+    others, which stands for them all (see the module docstring)."""
+    told = _told_apart(lab, phi.body, phi.var, dict(env), frozenset())
+    if told is None:
+        return lab.universe
+    rest = next((c for c in lab.universe if c not in told), None)
+    return tuple([c for c in lab.universe if c in told or c == rest])
+
+
+def _told_apart(lab: _Labels, phi, var: str, sigma: dict,
+                wild: frozenset):
+    """The constants c under which a ref or literal of phi that reads var
+    matches an event or a fact of the trace, with c for var, sigma's
+    constants for the variables it binds and any constant for those in
+    wild, the variables of the quantifiers inside; None when phi has a
+    node with no rule, which may tell any constant apart."""
+    cls = type(phi)
+    if cls not in _RULES:
+        return None
+    if cls is F.Exists or cls is F.Forall:
+        if phi.var == var:  # shadowed: the body does not read var
+            return set()
+        return _told_apart(lab, phi.body, var, sigma, wild | {phi.var})
+    out = set()
+    for v in vars(phi).values():
+        if type(v) is F.Ref or type(v) is Literal:
+            args = v.args if type(v) is F.Ref else v.atom.args
+            if var not in args:
+                continue
+            j = args.index(var)  # a second var reads as any constant
+            pattern = tuple([None if a in wild or a == var
+                             else sigma.get(a, a) for a in args])
+            if type(v) is F.Ref:
+                candidates = [a for _, a in lab.by_key((v.kind, v.name))]
+            else:
+                candidates = [a for a in lab.facts(v.atom.pred)
+                              if len(a) == len(args)]
+            for actual in candidates:
+                out.update(_fits(pattern, j, actual))
+        elif type(v) is not str:  # sub-formulas, one or a tuple of parts
+            for p in (v if type(v) is tuple else (v,)):
+                sub = _told_apart(lab, p, var, sigma, wild)
+                if sub is None:
+                    return None
+                out |= sub
+    return out
+
+
+def _fits(pattern: tuple, j: int, actual: tuple) -> tuple:
+    """The args of actual that position j of pattern can take when pattern
+    matches actual as args_match has it, None matching any arg. It embeds
+    in actual in order (at equal length, that is equality), so they lie
+    between the leftmost embedding of the part before j and the rightmost
+    of the part after it."""
+    lo = _embed(pattern[:j], actual)
+    after = _embed(pattern[:j:-1], actual[::-1])
+    return actual[lo:len(actual) - after] if lo >= 0 and after >= 0 else ()
+
+
+def _embed(pattern: tuple, actual: tuple) -> int:
+    """The length of the shortest prefix of actual that pattern embeds in,
+    in order, None matching any arg; -1 when none does."""
+    i, n = 0, len(actual)
+    for p in pattern:
+        while i < n and p is not None and p != actual[i]:
+            i += 1
+        if i == n:
+            return -1
+        i += 1
+    return i
 
 
 # One rule per node class, rule(labels, phi, env) -> label. Progression-
@@ -235,7 +338,8 @@ _RULES = {
 def satisfies_bdf(trace: Trace, i: int, phi: F.BDF,
                   universe: tuple[str, ...] = ()) -> bool:
     """Truth of phi over the trace suffix starting at state index i."""
-    assert 0 <= i <= trace.length
+    if not 0 <= i <= trace.length:
+        raise ValueError(f"state index {i} is outside 0..{trace.length}")
     return bool(_Labels(trace, universe)(phi) >> i & 1)
 
 

@@ -1,6 +1,7 @@
 """The value contracts (model.Node, model.Record, model.Value) and the
 formulas' smart constructors."""
 
+import copy
 import itertools
 import json
 import os
@@ -14,10 +15,11 @@ import pytest
 import prefhtn
 from prefhtn import formulas as F
 from prefhtn.errors import BadValueOrder
-from prefhtn.model import (Atom, EndEvent, Inst, Literal, Method, Operator,
-                           OperatorEvent, StartEvent, State, Task)
+from prefhtn.model import (Atom, EndEvent, GroundOperator, Inst, Literal,
+                           Method, Operator, OperatorEvent, StartEvent, State,
+                           Task)
 from prefhtn.oracle import EnumerationCaps
-from prefhtn.progression import Bounds, unfold
+from prefhtn.progression import Bounds, StepContext, unfold
 from prefhtn.randgen import GenConfig
 from prefhtn.search import SearchStats, SolveConfig, Unordered
 from prefhtn.parser import BDF_FORMS, parse_preference, print_preference
@@ -117,8 +119,8 @@ INST = Inst("task", "move", ("c1",), 0)
 VALUES = {
     Task: (("move", ("c1",), False), ("move", ("c2",), False)),
     OperatorEvent: (("drive", ("c1",), 3), ("drive", ("c1",), 4)),
-    StartEvent: ((INST,), (INST._replace(uid=1),)),
-    EndEvent: ((INST,), (INST._replace(uid=1),)),
+    StartEvent: ((INST,), (Inst(*INST[:3], 1),)),
+    EndEvent: ((INST,), (Inst(*INST[:3], 1),)),
     Unordered: (((Task("a"), Task("b")),), ((Task("b"), Task("a")),)),
     Bounds: ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1, 2))),
     EnumerationCaps: ((10, 1.0), (10, 2.0)),
@@ -454,10 +456,54 @@ def test_import_loads_no_test_tooling():
 
 def test_import_generates_no_code():
     """No record class has generated methods, so a fresh `import prefhtn`
-    loads neither the dataclasses module nor inspect, which it imports."""
+    loads neither the dataclasses module nor inspect, which it imports,
+    and compiles no source text of its own: a typing.NamedTuple class
+    compiles its __new__ through collections.namedtuple."""
     assert fresh_python("""if True:
         import json, sys
+        own = []
+
+        def hook(event, args):
+            if event == "compile" and not str(args[1]).endswith(".py"):
+                f = sys._getframe(1)
+                while f and f.f_globals.get("__name__") in ("collections",
+                                                            "typing"):
+                    f = f.f_back
+                if f and f.f_globals.get("__name__", "").startswith("prefhtn"):
+                    own.append(f.f_globals["__name__"])
+
+        sys.addaudithook(hook)
         import prefhtn
         print(json.dumps([m for m in ("dataclasses", "inspect")
-                          if m in sys.modules]))
+                          if m in sys.modules] + own))
     """) == []
+
+
+@pytest.mark.parametrize("row, fields", [
+    (Atom("at", ("p", "x")), ("pred", "args")),
+    (Literal(Atom("at"), False), ("atom", "positive")),
+    (GroundOperator((), frozenset(), frozenset()), ("pre", "delete", "add")),
+    (INST, ("kind", "name", "args", "uid")),
+    (StepContext(None, True), ("trace", "terminal")),
+])
+def test_a_row_is_a_tuple_with_named_items(row, fields):
+    cls = type(row)
+    assert cls._fields == fields and isinstance(row, tuple)
+    assert tuple(getattr(row, f) for f in fields) == tuple(row)
+    assert row == tuple(row) and hash(row) == hash(tuple(row))
+    assert cls(*row) == row and type(row[:2]) is tuple
+    inner = ", ".join(f"{f}={v!r}" for f, v in zip(fields, row))
+    assert repr(row) == f"{cls.__name__}({inner})"
+    assert copy.deepcopy(row) == row and type(copy.copy(row)) is cls
+    with pytest.raises(AttributeError):
+        row.other = 1  # no instance dict
+    with pytest.raises(AttributeError):
+        setattr(row, fields[0], None)
+
+
+def test_rows_keep_their_defaults_and_text():
+    assert Atom("p") == ("p", ()) and str(Atom("p", ("a",))) == "(p a)"
+    assert Literal(Atom("p")).positive is True
+    assert str(Literal(Atom("p"), False)) == "(not (p))"
+    kind, name, args, uid = INST
+    assert INST[:3] == (kind, name, args) and uid == 0

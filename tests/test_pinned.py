@@ -13,6 +13,9 @@ only one that puts a not over a temporal formula. The enumerator has a
 digest too: each instance's plan count, NE, NC and every plan's weight, in
 enumeration order. So has the cross check: each instance's CheckReport and,
 per replayed trace, the weight and the prefix bounds that cross_check read.
+And so has the reference semantics: over every enumerated trace of the
+fixtures, the random, quantified and negation corpora, the label of each
+BDF of the preference, every bit of it, and the trace's weight_gpf.
 """
 
 import hashlib
@@ -23,13 +26,16 @@ from conftest import fixture_ids
 from test_search import LEX_SENSITIVE, corpus_problem
 
 from prefhtn.errors import CapExceeded, ResourceLimit
+from prefhtn import formulas as F
 from prefhtn import progression as P
+from prefhtn import semantics
 from prefhtn.oracle import cross_check, enumerate_all
 from prefhtn.search import SolveConfig, solve
 
 FIXTURES = [f"{suite}-{k}" for suite, k in fixture_ids()]
 RANDOM = [f"random-{seed}" for seed in range(300)]
 NEGATED = [f"negated-{seed}" for seed in range(300)]
+QUANTIFIED = [f"quantified-{seed}" for seed in range(300)]
 LEX = FIXTURES + [n for n in LEX_SENSITIVE if n not in FIXTURES]
 
 PINNED = {  # name -> (instances, tiebreak_lex, parts, sha256 of their records)
@@ -124,3 +130,42 @@ def test_cross_check_is_pinned(monkeypatch):
     monkeypatch.setattr(P, "progress_trace", recording_replay)
     text = "\n".join(checked(n, replays) for n in FIXTURES + RANDOM)
     assert hashlib.sha256(text.encode()).hexdigest() == CHECKED
+
+
+LABELLED = (
+    "780f098aabea996460e460c662ef31ec7f22986c7a376669a01188b9e87bec4c")
+
+
+def labelled(name: str) -> str:
+    """name's enumerated traces, each as the hex labels of the BDFs of the
+    preference and its weight_gpf; the traces of a capped enumeration are
+    those it scored."""
+    problem = corpus_problem(name)
+    try:
+        traces = enumerate_all(problem).traces
+    except CapExceeded as exc:
+        traces = exc.partial.traces
+    gpf, universe = problem.preference, problem.constants
+    bdfs = F.gpf_bdfs(gpf)
+    rows = []
+    for trace in traces:
+        label = semantics._Labels(trace, universe)
+        rows.append(" ".join([f"{label(b):x}" for b in bdfs]) + " "
+                    + str(semantics.weight_gpf(trace, gpf, universe)))
+    return f"{name} " + ";".join(rows)
+
+
+def test_labels_are_pinned():
+    text = "\n".join(labelled(n) for n in FIXTURES + RANDOM + QUANTIFIED
+                     + NEGATED)
+    assert hashlib.sha256(text.encode()).hexdigest() == LABELLED
+
+
+def test_labels_do_not_move_when_every_constant_is_bound(monkeypatch):
+    # the quantified corpus is the one with quantifiers; with the set of
+    # the constants a trace tells apart widened to the universe, each
+    # quantifier labels its body under every constant, as by definition
+    reduced = [labelled(n) for n in QUANTIFIED]
+    monkeypatch.setattr(semantics, "_told_apart",
+                        lambda lab, *rest: set(lab.universe))
+    assert [labelled(n) for n in QUANTIFIED] == reduced

@@ -16,7 +16,7 @@ import prefhtn.progression as P
 from prefhtn import semantics
 from prefhtn.errors import ResourceLimit, UnboundVariable
 from prefhtn.model import (Atom, EndEvent, Literal, OperatorEvent,
-                           StartEvent, State, Trace, replay)
+                           StartEvent, State, Trace, reachable, replay)
 from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (empty_preference, parse_domain,
                             parse_preference, parse_problem)
@@ -959,7 +959,52 @@ def _everything_reachable(problem):
                                    problem.domain.operators.items()}
 
 
+def _built_then_filtered(phi, universe, sigma, known):
+    """phi ground under sigma as formulas._ground grounded it before it
+    decided a binding first: a quantifier builds every instance and then
+    drops those that _known, reading what was built, finds to be the
+    join's unit."""
+    cls = type(phi)
+    if cls is F.Exists or cls is F.Forall:
+        parts = [_built_then_filtered(phi.body, universe,
+                                      {**sigma, phi.var: c}, known)
+                 for c in universe]
+        parts = [p for p in parts
+                 if F._known(p, known, universe, {}) is not (cls is F.Forall)]
+        return (F.mk_or if cls is F.Exists else F.mk_and)(parts)
+    if cls is F.And or cls is F.Or:
+        return (F.mk_and if cls is F.And else F.mk_or)(
+            [_built_then_filtered(p, universe, sigma, known)
+             for p in phi.parts])
+    return cls(*[F._bind(v, sigma) if isinstance(v, (F.Ref, Literal))
+                 else F._written(_built_then_filtered(v, universe, sigma,
+                                                      known), P.unfold)
+                 for v in F.node_fields(phi)])
+
+
 class TestQuantifierPruning:
+    def test_deciding_first_equals_building_then_filtering(self):
+        problems = [load_fixture(suite, k) for suite, k in fixture_ids()]
+        problems += _pruning_corpus()
+        for problem in problems:
+            gpf, universe = problem.preference, problem.constants
+            known = reachable(problem)
+            expected = tuple([F._written(_built_then_filtered(
+                b, universe, {}, known), P.unfold) for b in F.gpf_bdfs(gpf)])
+            assert P.init_progressed(gpf, universe, problem).residuals \
+                == expected, problem.name
+
+    def test_only_kept_instances_are_built(self, monkeypatch):
+        text, kept = PRUNED["forall-occ"]
+        problem = load_fixture("logistics", 3)
+        problem.preference = parse_preference(text, problem.domain)
+        [phi] = F.gpf_bdfs(problem.preference)
+        built, original = [], F._ground
+        monkeypatch.setattr(F, "_ground", lambda psi, *rest: (
+            psi is phi.body and built.append(rest[2])) or original(psi, *rest))
+        P.init_progressed(problem.preference, problem.constants, problem)
+        assert sorted(b[phi.var] for b in built) == sorted(p for p, _ in kept)
+
     @pytest.mark.parametrize("case", sorted(PRUNED))
     def test_keeps_the_instances_a_plan_can_touch(self, case):
         text, kept = PRUNED[case]

@@ -22,7 +22,8 @@ from prefhtn.oracle import EnumerationCaps, cross_check, enumerate_all
 from prefhtn.parser import (parse_domain, parse_preference, parse_problem,
                             print_domain)
 from prefhtn.progression import bounds
-from prefhtn.randgen import DEFAULT_CONSTRUCTS, GenConfig, gen_instance
+from prefhtn.randgen import (DEFAULT_CONSTRUCTS, QUANTIFIERS, GenConfig,
+                             gen_instance)
 from prefhtn.search import (SearchStats, SolveConfig, _Expander, make_root,
                             satisfiers, solve)
 from prefhtn.semantics import weight_gpf
@@ -1104,13 +1105,15 @@ def rescored(problem):
 
 def corpus_problem(name):
     """random-SEED is a randgen instance, negated-SEED one whose palette
-    also holds not, SUITE-K a fixture."""
+    also holds not, quantified-SEED one whose palette also holds the
+    quantifiers, SUITE-K a fixture."""
     suite, _, k = name.rpartition("-")
     if suite == "random":
         return gen_instance(GenConfig(seed=int(k)))[0]
-    if suite == "negated":
+    extra = {"negated": {"not"}, "quantified": set(QUANTIFIERS)}.get(suite)
+    if extra is not None:
         return gen_instance(GenConfig(
-            seed=int(k), constructs=DEFAULT_CONSTRUCTS | {"not"}))[0]
+            seed=int(k), constructs=DEFAULT_CONSTRUCTS | extra))[0]
     return load_fixture(suite, int(k))
 
 

@@ -59,6 +59,13 @@ class TestSatisfiesBDF:
         assert satisfies_bdf(mini_trace, 1, phi)
         assert not satisfies_bdf(mini_trace, 0, phi)
 
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_an_index_outside_the_trace_is_refused(self, mini_trace, offset):
+        # -1 and n + 1; a plain assert would answer False under python -O
+        i = -1 if offset < 0 else mini_trace.length + 1
+        with pytest.raises(ValueError, match=f"{i} is outside 0..6"):
+            satisfies_bdf(mini_trace, i, F.TRUE)
+
     def test_next_false_at_last_index(self, mini_trace):
         last = len(mini_trace.events)
         assert not satisfies_bdf(mini_trace, last, F.Next(F.TRUE))
@@ -386,3 +393,89 @@ class TestLabelsAtEveryIndex:
 
         monkeypatch.setattr(F, "ground", refuse)
         assert [weight_gpf(t, gpf, universe) for t in traces] == expected
+
+
+# (!a ?x ?y) and (!b ?x) change nothing; (!mark ?x) adds (marked ?x).
+SYMMETRY_DOMAIN = """(domain sym
+  (:operator (!a ?x ?y) :pre () :del () :add ())
+  (:operator (!b ?x) :pre () :del () :add ())
+  (:operator (!mark ?x) :pre () :del () :add ((marked ?x))))"""
+
+
+def symmetry_trace(*events):
+    """The trace of the operator events, each (name, args...), from an
+    empty state."""
+    dom = parse_domain(SYMMETRY_DOMAIN)
+    return dom, replay(State(frozenset()), [
+        OperatorEvent(name, tuple(args), k)
+        for k, (name, *args) in enumerate(events)], dom)
+
+
+class TestQuantifierBindings:
+    """A quantifier labels its body under the constants the trace tells
+    apart and one more that stands for the rest (semantics._bindings)."""
+
+    UNIVERSE = ("c1", "c2", "c3")
+
+    def bindings(self, trace, dom, text):
+        [(phi, _)] = parse_preference(text, dom).apf.alts
+        return semantics._bindings(semantics._Labels(trace, self.UNIVERSE),
+                                   phi, ())
+
+    @pytest.mark.parametrize("text, told", [
+        # c3 is in no (!a ...) event: only its binding keeps a out of the
+        # trace, so the representative alone makes the exists true
+        ("(exists (?x) (always (not (occ (!a ?x)))))", ("c1", "c2")),
+        # a literal: c3 is never marked
+        ("(exists (?x) (always (not (marked ?x))))", ("c1", "c2")),
+    ])
+    def test_the_representative_alone_decides(self, text, told):
+        dom, trace = symmetry_trace(("a", "c1", "c2"), ("mark", "c1"),
+                                    ("a", "c2", "c1"), ("mark", "c2"))
+        assert self.bindings(trace, dom, text) == told + ("c3",)
+        gpf = parse_preference(text, dom)
+        assert weight_gpf(trace, gpf, self.UNIVERSE) == ZERO
+        grounded = F.map_gpf(gpf, lambda b: F.ground(b, self.UNIVERSE))
+        assert weight_gpf(trace, grounded, self.UNIVERSE) == ZERO
+
+    def test_an_inner_variable_matches_any_constant(self):
+        # with ?y read as any constant, (!a c1 c1) tells c1 apart, and c2,
+        # for which no (!a c2 ?y) occurs, makes the forall false; read as
+        # a constant, ?y would tell nothing apart and c1 would stand alone
+        text = "(forall (?x) (exists (?y) (occ (!a ?x ?y))))"
+        dom, trace = symmetry_trace(("a", "c1", "c1"))
+        assert self.bindings(trace, dom, text) == ("c1", "c2")
+        gpf = parse_preference(text, dom)
+        grounded = F.map_gpf(gpf, lambda b: F.ground(b, self.UNIVERSE))
+        assert weight_gpf(trace, grounded, self.UNIVERSE) == ONE
+        assert weight_gpf(trace, gpf, self.UNIVERSE) == ONE
+
+    def test_a_shadowed_variable_tells_nothing_apart(self):
+        dom, trace = symmetry_trace(("b", "c2"))
+        text = "(exists (?x) (exists (?x) (eventually (occ (!b ?x)))))"
+        assert self.bindings(trace, dom, text) == ("c1",)
+        assert weight_gpf(trace, parse_preference(text, dom),
+                          self.UNIVERSE) == ZERO
+
+    def test_a_suppressed_argument_is_matched_as_args_match_has_it(self):
+        # a shorter ref embeds in the args in order: (!a ?x c2) in
+        # (!a c1 c2) only with c1 for ?x, (!a ?x) with either arg
+        dom, trace = symmetry_trace(("a", "c1", "c2"), ("a", "c3", "c1"))
+        assert semantics._fits((None, "c2"), 0, ("c1", "c2")) == ("c1",)
+        assert semantics._fits((None,), 0, ("c3", "c1")) == ("c3", "c1")
+        assert semantics._fits(("c3", None, None), 2,
+                               ("c3", "c1", "c2")) == ("c2",)
+        assert semantics._fits(("c2", None, None), 2,
+                               ("c3", "c1", "c2")) == ()
+        assert semantics._fits((None, "c1"), 0, ("c2", "c1", "c1")) == (
+            "c2", "c1")
+        assert self.bindings(
+            trace, dom, "(exists (?x) (eventually (occ (!a ?x c2))))") == (
+                "c1", "c2")
+
+    def test_a_node_with_no_rule_binds_every_constant(self):
+        dom, trace = symmetry_trace(("b", "c1"))
+        window = F.Window(F.Ref("op", "b", ("?x",)), F.Ref("op", "a", ()))
+        phi = F.Exists("?x", F.Or((window, F.Occ(F.Ref("op", "b", ("?x",))))))
+        assert semantics._bindings(semantics._Labels(trace, self.UNIVERSE),
+                                   phi, ()) == self.UNIVERSE
